@@ -1,0 +1,80 @@
+"""Golden corpus: SHA-256 of the trace and report of fixed runs.
+
+Each case runs one scenario under one protocol and seed, writes its
+outputs as `manetsim run` does, and compares the digests of
+`trace.txt` and `report.json` with the pinned ones in
+`golden/digests.json`. A change that alters any simulated behaviour, or
+the bytes of either file, fails here.
+
+An intentional behaviour change regenerates the corpus, in a change of
+its own, with:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from conftest import random_scenario
+from manetsim.cli import write_outputs
+from manetsim.scenario import builtin
+from manetsim.simulation import Simulation
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+DIGESTED = ("trace.txt", "report.json")
+WINDOW = 0.5            # the `manetsim run` default throughput window
+RANDOM_SEED = 1         # simulation seed of the random layouts
+
+
+def cases() -> dict:
+    """case id -> zero-argument function building the Simulation."""
+    out = {}
+    for name in ("scenario1", "scenario2"):
+        for protocol in ("aodv", "dsdv"):
+            for seed in range(1, 6):
+                out[f"{name}-{protocol}-seed{seed}"] = (
+                    lambda name=name, protocol=protocol, seed=seed:
+                    Simulation(builtin(name), protocol=protocol, seed=seed))
+    for k in range(10):
+        for protocol in ("aodv", "dsdv"):
+            out[f"random{k}-{protocol}-seed{RANDOM_SEED}"] = (
+                lambda k=k, protocol=protocol: Simulation(
+                    random_scenario(random.Random(k), max_nodes=20, end=4.0),
+                    protocol=protocol, seed=RANDOM_SEED))
+    return out
+
+
+def digests_of(build, out_dir: Path) -> dict[str, str]:
+    write_outputs(build().run(), out_dir, WINDOW)
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in DIGESTED}
+
+
+CASES = cases()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_digests(case, tmp_path):
+    pinned = json.loads(DIGESTS.read_text())
+    assert digests_of(CASES[case], tmp_path) == pinned[case]
+
+
+def test_corpus_covers_every_case_once():
+    pinned = json.loads(DIGESTS.read_text())
+    assert sorted(pinned) == sorted(CASES)
+    pairs = [tuple(d[name] for name in DIGESTED) for d in pinned.values()]
+    assert len(set(pairs)) == len(pairs)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = {case: digests_of(CASES[case], Path(tmp) / case)
+                  for case in sorted(CASES)}
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(corpus)} cases to {DIGESTS}", file=sys.stderr)
