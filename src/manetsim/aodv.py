@@ -12,13 +12,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .packets import DataPacket, MessageKind
+from .packets import DataPacket, ForwardAction, MessageKind
 
 RREQ_SIZE = 24
 RREP_SIZE = 20
 HELLO_SIZE = 20
 RERR_BASE_SIZE = 4
 RERR_PER_DEST_SIZE = 8
+RREP_WAIT = 0.2             # seconds a source waits for a reply per attempt
+ALLOWED_HELLO_LOSS = 2      # silent hello intervals before a neighbor is lost
+FLUSH_GAP = 0.0001          # frame serialization while draining a buffer
 
 
 @dataclass
@@ -105,12 +108,6 @@ class PendingDiscovery:
     timer: object
 
 
-class ForwardAction(Enum):
-    FORWARDED = "forwarded"
-    BUFFERED = "buffered"
-    DROPPED = "dropped"
-
-
 class RreqAction(Enum):
     DUPLICATE = "duplicate"
     REPLIED = "replied"
@@ -121,13 +118,10 @@ class RreqAction(Enum):
 class AodvConfig:
     active_route_timeout: float = 3.0
     reverse_path_lifetime: float = 1.0
-    rrep_wait: float = 0.2
     discovery_retries: int = 2      # retries after the first attempt
     buffer_capacity: int = 64       # per destination, drop-oldest
     hello_interval: float = 1.0     # <= 0 disables the hello subsystem
-    allowed_hello_loss: int = 2
     hello_always: bool = False      # beacon even with no active route
-    flush_gap: float = 0.0001       # frame serialization while draining a buffer
 
 
 class AodvNode:
@@ -179,13 +173,6 @@ class AodvNode:
                 e.active = False
                 expired.append(e.dst)
         return expired
-
-    def route_snapshot(self) -> dict[int, tuple[int, int, int, bool]]:
-        """dst -> (next_hop, hop_count, dst_seq, active) for checkers and traces."""
-        now = self.iface.now()
-        return {dst: (e.next_hop, e.hop_count, e.dst_seq,
-                      e.active and e.expires_at > now)
-                for dst, e in sorted(self.routes.items())}
 
     def queued_count(self) -> int:
         return sum(len(q) for q in self.queues.values())
@@ -241,9 +228,10 @@ class AodvNode:
 
     def start_discovery(self, dst: int) -> Rreq:
         """Flood a fresh RREQ and arm the reply-wait timer."""
-        assert dst not in self.pending, "discovery already pending"
+        if dst in self.pending:
+            raise RuntimeError(f"discovery for {dst} already pending")
         rreq = self._broadcast_rreq(dst)
-        timer = self.iface.schedule(self.config.rrep_wait,
+        timer = self.iface.schedule(RREP_WAIT,
                                     lambda: self._discovery_timeout(dst))
         self.pending[dst] = PendingDiscovery(dst, self.config.discovery_retries, timer)
         return rreq
@@ -266,7 +254,7 @@ class AodvNode:
         if pd.retries_left > 0:
             pd.retries_left -= 1
             self._broadcast_rreq(dst)
-            pd.timer = self.iface.schedule(self.config.rrep_wait,
+            pd.timer = self.iface.schedule(RREP_WAIT,
                                            lambda: self._discovery_timeout(dst))
             return
         # retries exhausted: everything waiting for this route is lost
@@ -347,12 +335,12 @@ class AodvNode:
             return
         # one frame per serialization slot keeps FIFO order on the air
         for k in range(len(q)):
-            self.iface.schedule(k * self.config.flush_gap,
+            self.iface.schedule(k * FLUSH_GAP,
                                 lambda: self._drain_one(dst))
 
     # -- maintenance -------------------------------------------------------
 
-    def on_link_break(self, dead_neighbor: int) -> Rerr | None:
+    def on_link_break(self, dead_neighbor: int) -> None:
         """Invalidate routes through a lost neighbor and warn the precursors."""
         affected = [e for e in self.routes.values()
                     if e.active and e.expires_at > self.iface.now()
@@ -361,7 +349,7 @@ class AodvNode:
         # dropping the supervision entry keeps the second one from re-firing
         self.hello_last_heard.pop(dead_neighbor, None)
         if not affected:
-            return None
+            return
         unreachable = []
         precursors: set[int] = set()
         for e in affected:
@@ -373,14 +361,12 @@ class AodvNode:
             q = self.queues.get(dst)
             while q:
                 self.iface.data_dropped(q.popleft())
-        rerr = Rerr(unreachable=unreachable, uid=self.iface.next_uid(),
-                    src=self.node_id)
+        self.iface.next_uid()   # unused draw; uid numbering is pinned by the golden traces
         for p in sorted(precursors):
             self.iface.unicast(p, Rerr(unreachable=list(unreachable),
                                        uid=self.iface.next_uid(),
                                        src=self.node_id, dst=p))
         self._reinitiate_needed(unreachable)
-        return rerr
 
     def handle_rerr(self, sender: int, rerr: Rerr) -> None:
         invalidated = []
@@ -414,7 +400,7 @@ class AodvNode:
         if self.config.hello_interval <= 0:
             return
         now = self.iface.now()
-        threshold = self.config.allowed_hello_loss * self.config.hello_interval
+        threshold = ALLOWED_HELLO_LOSS * self.config.hello_interval
         for n, last in sorted(self.hello_last_heard.items()):
             if now - last > threshold:
                 self.on_link_break(n)

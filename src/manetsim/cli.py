@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -84,10 +85,8 @@ def print_report(report: RunReport, file=None) -> None:
 def _build_sim(args, protocol: str, seed: int) -> Simulation:
     spec = scenario_mod.load(args.scenario)
     if args.range is not None:
-        radio = type(spec.radio)(range=args.range, hop_latency=spec.radio.hop_latency)
-        spec = type(spec)(area=spec.area, radio=radio, nodes=spec.nodes,
-                          movements=spec.movements, flows=spec.flows,
-                          end_time=spec.end_time, name=spec.name)
+        spec = dataclasses.replace(
+            spec, radio=dataclasses.replace(spec.radio, range=args.range))
     aodv_cfg = AodvConfig(hello_interval=args.hello_interval)
     return Simulation(spec, protocol=protocol, seed=seed, aodv_config=aodv_cfg)
 

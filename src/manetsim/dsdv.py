@@ -9,9 +9,8 @@ reachable, odd numbers mark a break.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .packets import DataPacket, MessageKind
+from .packets import DataPacket, ForwardAction, MessageKind
 
 UPDATE_BASE_SIZE = 8
 UPDATE_PER_ENTRY_SIZE = 12
@@ -51,11 +50,6 @@ class DsdvEntry:
         return self.dst_seq % 2 == 1
 
 
-class ForwardAction(Enum):
-    FORWARDED = "forwarded"
-    DROPPED = "dropped"
-
-
 @dataclass(frozen=True)
 class DsdvConfig:
     update_interval: float = 1.0
@@ -80,10 +74,6 @@ class DsdvNode:
         if dst == self.node_id or e is None or e.broken:
             return None
         return e.next_hop
-
-    def route_snapshot(self) -> dict[int, tuple[int, int | None, int, bool]]:
-        return {dst: (e.next_hop, e.hop_count, e.dst_seq, not e.broken)
-                for dst, e in sorted(self.table.items()) if dst != self.node_id}
 
     def queued_count(self) -> int:
         return 0    # table-driven: nothing is ever buffered

@@ -44,14 +44,3 @@ class LedgerConsistencyError(SimError):
 class NoTransmissionsError(SimError):
     """Transmission efficiency is undefined without any data transmission."""
 
-
-class ZeroLengthError(SimError):
-    """Density is undefined for a zero-length road segment."""
-
-
-class BadDurationError(SimError):
-    """Flow rate requires an observation window in (0, 3600] seconds."""
-
-
-class DegenerateTrajectoryError(SimError):
-    """Mean speed requires at least two strictly time-ordered samples."""

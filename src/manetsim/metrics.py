@@ -5,19 +5,11 @@ trace can be parsed back and must reproduce them bit-identically.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, TextIO
 
-from .errors import (
-    BadDurationError,
-    DegenerateTrajectoryError,
-    LedgerConsistencyError,
-    LedgerOrderError,
-    NoTransmissionsError,
-    ZeroLengthError,
-)
+from .errors import LedgerConsistencyError, LedgerOrderError, NoTransmissionsError
 
 
 class EventKind(Enum):
@@ -38,6 +30,11 @@ class LedgerEvent:
     uid: int
     src: int
     dst: int
+
+    @classmethod
+    def of(cls, t: float, kind: EventKind, node: int, msg) -> "LedgerEvent":
+        """The row for one message; every message type carries these fields."""
+        return cls(t, kind, node, msg.kind.value, msg.size, msg.uid, msg.src, msg.dst)
 
 
 @dataclass(frozen=True)
@@ -150,33 +147,6 @@ def control_overhead(ledger: MetricsLedger) -> dict[str, int]:
     return counts
 
 
-def density(node_count: int, length_km: float) -> float:
-    """Vehicles occupying a given length of highway, per km."""
-    if length_km <= 0:
-        raise ZeroLengthError("segment length must be positive")
-    return node_count / length_km
-
-
-def flow_rate(crossings: int, duration_s: float) -> float:
-    """Hourly rate of vehicles passing a point, observed for under an hour."""
-    if not 0 < duration_s <= 3600:
-        raise BadDurationError(f"duration {duration_s}s outside (0, 3600]")
-    return crossings * 3600.0 / duration_s
-
-
-def mean_speed(trajectory: list[tuple[float, tuple[float, float]]]) -> float:
-    """Path length over elapsed time for a sampled trajectory."""
-    if len(trajectory) < 2:
-        raise DegenerateTrajectoryError("need at least two samples")
-    times = [t for t, _ in trajectory]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise DegenerateTrajectoryError("sample times must strictly increase")
-    path = 0.0
-    for (_, a), (_, b) in zip(trajectory, trajectory[1:]):
-        path += math.hypot(b[0] - a[0], b[1] - a[1])
-    return path / (times[-1] - times[0])
-
-
 def mean_value(series: list[SeriesPoint]) -> float:
     if not series:
         return 0.0
@@ -212,14 +182,6 @@ def parse_trace(lines: Iterable[str]) -> MetricsLedger:
         ledger.record(LedgerEvent(float(t), kinds[kind], int(node), subkind,
                                   int(size), int(uid), int(src), int(dst)))
     return ledger
-
-
-def emit_plot(series: list[SeriesPoint], title: str, out: TextIO) -> None:
-    """Write one series as xgraph-style time/value pairs."""
-    if title:
-        out.write(f"TitleText: {title}\n")
-    for p in series:
-        out.write(f"{p.t:.6f} {p.value:.6f}\n")
 
 
 def emit_plot_datasets(datasets: list[list[SeriesPoint]], title: str, out: TextIO) -> None:

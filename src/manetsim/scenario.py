@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ScenarioSemanticError, ScenarioSyntaxError, UnknownScenarioError
-from .world import Position, RadioModel
+from .world import Position, RadioModel, WaypointLeg
 
 DEFAULT_RANGE = 250.0
 DEFAULT_HOP_LATENCY = 0.001
@@ -213,13 +213,10 @@ def load(path_or_name: str) -> ScenarioSpec:
 class CompiledScenario:
     mobility_legs: int
     emissions: int
-    flows: int
 
 
 def compile(spec: ScenarioSpec, sim) -> CompiledScenario:
     """Register mobility with the world and schedule all traffic emissions."""
-    from .world import WaypointLeg  # local import keeps module load order simple
-
     for m in spec.movements:
         sim.world.apply_movement(WaypointLeg(node=m.node, start_time=m.start_time,
                                              dest=m.dest, speed=m.speed))
@@ -233,5 +230,4 @@ def compile(spec: ScenarioSpec, sim) -> CompiledScenario:
             sim.engine.schedule(t, lambda flow=flow, t=t: sim.emit_data(flow))
             emissions += 1
             k += 1
-    return CompiledScenario(mobility_legs=len(spec.movements),
-                            emissions=emissions, flows=len(spec.flows))
+    return CompiledScenario(mobility_legs=len(spec.movements), emissions=emissions)

@@ -5,18 +5,19 @@ several runs (e.g. a protocol comparison) can be built side by side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import scenario as scenario_mod
 from .aodv import AodvConfig, AodvNode
 from .dsdv import DsdvConfig, DsdvNode
 from .engine import Engine
+from .errors import NoTransmissionsError
 from .metrics import (EventKind, LedgerEvent, MetricsLedger, control_overhead,
                       delay_series, delivery_ratio, mean_value,
                       throughput_series, transmission_efficiency)
 from .packets import DataPacket, MessageKind
 from .scenario import ScenarioSpec, TrafficFlow
-from .world import World
+from .world import UnicastOutcome, World
 
 PROTOCOLS = ("aodv", "dsdv")
 
@@ -52,21 +53,16 @@ class NodeInterface:
                    for f in self._sim.flows)
 
     def data_received(self, pkt: DataPacket) -> None:
-        self._sim.ledger.record(LedgerEvent(self.now(), EventKind.RECEIVED,
-                                            self.node_id, "DATA", pkt.size,
-                                            pkt.uid, pkt.src, pkt.dst))
+        self._sim.ledger.record(LedgerEvent.of(self.now(), EventKind.RECEIVED,
+                                               self.node_id, pkt))
 
     def data_dropped(self, pkt: DataPacket) -> None:
-        self._sim.ledger.record(LedgerEvent(self.now(), EventKind.DROPPED,
-                                            self.node_id, "DATA", pkt.size,
-                                            pkt.uid, pkt.src, pkt.dst))
+        self._sim.ledger.record(LedgerEvent.of(self.now(), EventKind.DROPPED,
+                                               self.node_id, pkt))
 
     def control_dropped(self, msg) -> None:
-        self._sim.ledger.record(LedgerEvent(self.now(), EventKind.DROPPED,
-                                            self.node_id, msg.kind.value,
-                                            getattr(msg, "size", 0), msg.uid,
-                                            getattr(msg, "src", -1),
-                                            getattr(msg, "dst", -1)))
+        self._sim.ledger.record(LedgerEvent.of(self.now(), EventKind.DROPPED,
+                                               self.node_id, msg))
 
 
 @dataclass
@@ -90,23 +86,7 @@ class RunReport:
     route_changes: int
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "sent": self.sent,
-            "received": self.received,
-            "dropped": self.dropped,
-            "unresolved": self.unresolved,
-            "lost": self.lost,
-            "delivery_ratio": self.delivery_ratio,
-            "transmission_efficiency": self.transmission_efficiency,
-            "mean_throughput_bps": self.mean_throughput_bps,
-            "mean_delay_s": self.mean_delay_s,
-            "mean_route_stretch": self.mean_route_stretch,
-            "control_tx": self.control_tx,
-            "route_changes": self.route_changes,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -130,7 +110,7 @@ class RunResult:
         led = self.ledger
         try:
             eff = transmission_efficiency(led)
-        except Exception:
+        except NoTransmissionsError:
             eff = None
         tput = throughput_series(led, self.throughput_window,
                                  self.throughput_step, self.spec.end_time)
@@ -210,7 +190,6 @@ class Simulation:
     # -- engine plumbing -----------------------------------------------------
 
     def send_unicast(self, sender: int, next_hop: int, msg) -> bool:
-        from .world import UnicastOutcome
         outcome = self.world.unicast(sender, next_hop, msg)
         sent = outcome is UnicastOutcome.SENT
         if sent and msg.kind is MessageKind.DATA:
@@ -225,8 +204,7 @@ class Simulation:
     def emit_data(self, flow: TrafficFlow) -> DataPacket:
         pkt = DataPacket(uid=self.world.next_uid(), src=flow.src, dst=flow.dst,
                          size=flow.packet_size, sent_at=self.engine.now)
-        self.ledger.record(LedgerEvent(self.engine.now, EventKind.SENT, flow.src,
-                                       "DATA", pkt.size, pkt.uid, pkt.src, pkt.dst))
+        self.ledger.record(LedgerEvent.of(self.engine.now, EventKind.SENT, flow.src, pkt))
         self.nodes[flow.src].originate_data(pkt)
         return pkt
 
@@ -298,8 +276,3 @@ class Simulation:
                          ledger=self.ledger, route_history=self.route_history,
                          unresolved_census=self.unresolved_census(),
                          route_stretch_samples=self.route_stretch_samples)
-
-
-def run_scenario(spec: ScenarioSpec, protocol: str = "aodv", seed: int = 0,
-                 **kwargs) -> RunResult:
-    return Simulation(spec, protocol=protocol, seed=seed, **kwargs).run()

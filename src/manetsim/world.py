@@ -76,10 +76,6 @@ class World:
         self.deliver: Callable[[int, int, object], None] = lambda r, s, m: None
         self._uid_counter = 0
 
-    @property
-    def node_count(self) -> int:
-        return len(self._initial)
-
     def node_ids(self) -> range:
         return range(len(self._initial))
 
@@ -140,9 +136,7 @@ class World:
         if self.ledger is None:
             return
         kind = EventKind.CONTROL_TX if msg.kind.is_control else EventKind.DATA_TX
-        self.ledger.record(LedgerEvent(self.engine.now, kind, sender, msg.kind.value,
-                                       getattr(msg, "size", 0), getattr(msg, "uid", 0),
-                                       getattr(msg, "src", sender), getattr(msg, "dst", -1)))
+        self.ledger.record(LedgerEvent.of(self.engine.now, kind, sender, msg))
 
     def broadcast(self, sender: int, msg) -> list[int]:
         """Deliver to every node currently in range; counted as one transmission."""

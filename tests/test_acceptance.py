@@ -9,7 +9,7 @@ import time
 
 from conftest import build_sim, build_spec, random_connected_positions, random_scenario
 from manetsim.metrics import (EventKind, control_overhead, delay_series,
-                              delivery_ratio, parse_trace,
+                              delivery_ratio, emit_plot_datasets, parse_trace,
                               throughput_series, write_trace)
 from manetsim.scenario import TrafficFlow, builtin
 from manetsim.simulation import Simulation
@@ -245,9 +245,8 @@ def test_criterion_8_determinism():
             for series_fn in (delay_series,
                               lambda led: throughput_series(led, 0.5, 0.1, 5.0)):
                 buf_a, buf_b = io.StringIO(), io.StringIO()
-                from manetsim.metrics import emit_plot
-                emit_plot(series_fn(a.ledger), "t", buf_a)
-                emit_plot(series_fn(b.ledger), "t", buf_b)
+                emit_plot_datasets([series_fn(a.ledger)], "t", buf_a)
+                emit_plot_datasets([series_fn(b.ledger)], "t", buf_b)
                 assert buf_a.getvalue() == buf_b.getvalue()
 
 

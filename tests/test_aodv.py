@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import build_sim
-from manetsim.aodv import ForwardAction, Rerr, RouteEntry, Rrep, Rreq, RreqAction
+from manetsim.aodv import Rerr, RouteEntry, Rrep, Rreq, RreqAction
 from manetsim.metrics import EventKind, LedgerEvent
-from manetsim.packets import DataPacket
+from manetsim.packets import DataPacket, ForwardAction
 from manetsim.scenario import TrafficFlow
 
 CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]   # 0-1-2-3 line, range 250
@@ -98,6 +98,19 @@ def test_own_seq_increments_per_discovery():
     before = node.own_seq
     node.start_discovery(3)
     assert node.own_seq == before + 1
+
+
+def test_second_discovery_for_same_destination_raises():
+    sim = build_sim(CHAIN)
+    node = sim.nodes[0]
+    node.start_discovery(3)
+    timer = node.pending[3].timer
+    scheduled = sim.engine.pending_count()
+    with pytest.raises(RuntimeError):
+        node.start_discovery(3)
+    assert node.pending[3].timer is timer and timer.pending
+    assert sim.engine.pending_count() == scheduled  # no second timer, no second flood
+    assert control_count(sim, "RREQ") == 1
 
 
 def test_retry_exhaustion_drops_buffered_packets():
@@ -268,9 +281,8 @@ def test_link_break_invalidates_poisons_and_warns_precursors():
     sim = build_sim(CHAIN)
     mid = sim.nodes[2]
     install_route(mid, 3, next_hop=3, dst_seq=4, precursors=[1])
-    rerr = mid.on_link_break(3)
-    assert rerr is not None
-    assert rerr.unreachable == [(3, 5)]             # seq poisoned 4 -> 5
+    mid.on_link_break(3)
+    assert mid.routes[3].dst_seq == 5               # seq poisoned 4 -> 5
     assert not mid.routes[3].active
     assert control_count(sim, "RERR") == 1
 
@@ -289,8 +301,9 @@ def test_link_break_for_unused_neighbor_is_noop():
     sim = build_sim(CHAIN)
     mid = sim.nodes[2]
     install_route(mid, 3, next_hop=3, dst_seq=4)
-    assert mid.on_link_break(1) is None
+    mid.on_link_break(1)
     assert mid.routes[3].active
+    assert control_count(sim, "RERR") == 0
 
 
 def test_rerr_traverses_precursor_chain_to_source():

@@ -1,9 +1,9 @@
 import random
 
 from conftest import build_sim, random_scenario
-from manetsim.dsdv import ForwardAction, UpdatePacket
+from manetsim.dsdv import UpdatePacket
 from manetsim.metrics import EventKind, LedgerEvent
-from manetsim.packets import DataPacket
+from manetsim.packets import DataPacket, ForwardAction
 from manetsim.simulation import Simulation
 
 CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]

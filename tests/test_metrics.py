@@ -2,13 +2,10 @@ import io
 
 import pytest
 
-from manetsim.errors import (BadDurationError, DegenerateTrajectoryError,
-                             LedgerConsistencyError, LedgerOrderError,
-                             NoTransmissionsError, ZeroLengthError)
+from manetsim.errors import LedgerConsistencyError, LedgerOrderError, NoTransmissionsError
 from manetsim.metrics import (EventKind, LedgerEvent, MetricsLedger, SeriesPoint,
                               control_overhead, delay_series, delivery_ratio,
-                              density, emit_plot, emit_plot_datasets, flow_rate,
-                              mean_speed, parse_trace, throughput_series,
+                              emit_plot_datasets, parse_trace, throughput_series,
                               transmission_efficiency, write_trace)
 
 
@@ -163,49 +160,17 @@ def test_control_overhead_empty():
     assert control_overhead(MetricsLedger()) == {"total": 0}
 
 
-# -- traffic flow quantities ----------------------------------------------------------
-
-def test_density_examples():
-    assert density(4, 2.0) == 2.0
-    assert density(0, 3.0) == 0.0
-    with pytest.raises(ZeroLengthError):
-        density(4, 0.0)
-
-
-def test_flow_rate_examples():
-    assert flow_rate(30, 900) == 120.0
-    assert flow_rate(0, 100) == 0.0
-    with pytest.raises(BadDurationError):
-        flow_rate(10, 7200)
-    with pytest.raises(BadDurationError):
-        flow_rate(10, 0)
-
-
-def test_mean_speed_examples():
-    assert mean_speed([(0.0, (0.0, 0.0)), (10.0, (100.0, 0.0))]) == 10.0
-    assert mean_speed([(0.0, (5.0, 5.0)), (10.0, (5.0, 5.0))]) == 0.0
-    with pytest.raises(DegenerateTrajectoryError):
-        mean_speed([(0.0, (0.0, 0.0))])
-    with pytest.raises(DegenerateTrajectoryError):
-        mean_speed([(1.0, (0.0, 0.0)), (1.0, (1.0, 1.0))])
-
-
-def test_mean_speed_uses_path_length_not_displacement():
-    traj = [(0.0, (0.0, 0.0)), (1.0, (100.0, 0.0)), (2.0, (0.0, 0.0))]
-    assert mean_speed(traj) == 100.0
-
-
 # -- plot emission -----------------------------------------------------------------------
 
 def test_emit_plot_empty_series_header_only():
     buf = io.StringIO()
-    emit_plot([], "empty", buf)
+    emit_plot_datasets([[]], "empty", buf)
     assert buf.getvalue() == "TitleText: empty\n"
 
 
 def test_emit_plot_two_points_in_order():
     buf = io.StringIO()
-    emit_plot([SeriesPoint(1.0, 0.8), SeriesPoint(2.0, 0.6)], "ratio", buf)
+    emit_plot_datasets([[SeriesPoint(1.0, 0.8), SeriesPoint(2.0, 0.6)]], "ratio", buf)
     assert buf.getvalue() == ("TitleText: ratio\n"
                               "1.000000 0.800000\n"
                               "2.000000 0.600000\n")
