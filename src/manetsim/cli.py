@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -154,8 +155,22 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, like every other bad input."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got '{text}'")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="manetsim",
         description="Discrete-event AODV/DSDV simulator for mobile ad-hoc networks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -164,11 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True,
                        help="builtin name (scenario1, scenario2) or path to a .scn file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--range", type=float, default=None,
+        p.add_argument("--range", type=positive_float, default=None,
                        help="override radio range in meters")
         p.add_argument("--hello-interval", type=float, default=1.0,
                        help="AODV hello period in seconds; 0 disables hellos")
-        p.add_argument("--window", type=float, default=0.5,
+        p.add_argument("--window", type=positive_float, default=0.5,
                        help="throughput window in seconds")
 
     run_p = sub.add_parser("run", help="run one scenario under one protocol")
@@ -189,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SimError as exc:
+    except (SimError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -79,9 +79,12 @@ def parse(text: str, name: str = "custom") -> ScenarioSpec:
                 raise ScenarioSyntaxError(
                     f"'{directive}' expects {n} values, got {len(args)}", lineno)
             try:
-                return [float(a) for a in args]
+                values = [float(a) for a in args]
             except ValueError:
                 raise ScenarioSyntaxError(f"non-numeric value in '{line}'", lineno)
+            if not all(map(math.isfinite, values)):
+                raise ScenarioSyntaxError(f"non-finite value in '{line}'", lineno)
+            return values
 
         if directive == "area":
             w, h = nums(2)
@@ -202,9 +205,9 @@ def load(path_or_name: str) -> ScenarioSpec:
     if path_or_name in BUILTIN_NAMES:
         return builtin(path_or_name)
     try:
-        with open(path_or_name) as fh:
+        with open(path_or_name, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioSyntaxError(f"cannot read scenario: {exc}") from exc
     return parse(text, name=path_or_name)
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from manetsim.cli import main
 
 
@@ -116,3 +118,29 @@ def test_hello_interval_zero_disables_beacons(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads(read(out / "report.json"))
     assert "HELLO" not in report["control_tx"]
+
+
+@pytest.mark.parametrize("case", ["window-zero", "negative-range", "out-is-a-file",
+                                  "non-utf8-scenario"])
+def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run", "--scenario", "scenario1", "--out", str(out)]
+    if case == "window-zero":
+        args += ["--window", "0"]
+    elif case == "negative-range":
+        args += ["--range", "-5"]
+    elif case == "out-is-a-file":
+        out.write_text("")
+    else:
+        scn = tmp_path / "latin1.scn"
+        scn.write_bytes(b"area 800 800\n# caf\xe9\nnode 0 1 1\nend 5\n")
+        args[2] = str(scn)
+    try:
+        rc = main(args)
+    except SystemExit as exc:   # argparse rejects a bad flag value
+        rc = exc.code
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error" in err
+    if case in ("window-zero", "negative-range"):
+        assert not out.exists()

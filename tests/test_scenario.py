@@ -61,6 +61,21 @@ def test_non_numeric_value_is_syntax_error():
         parse("area 800 eight-hundred\nnode 0 1 1\nend 5.0\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("directive", ["flow 0 1 {} 512 1.0 4.0", "end {}",
+                                       "node 1 {} 400", "move 1.0 1 {} 400 50"],
+                         ids=["flow", "end", "node", "move"])
+def test_non_finite_value_is_syntax_error(directive, value):
+    # a nan flow rate used to loop forever in compile, and `end inf` never ends
+    lines = VALID.splitlines()
+    keyword = directive.split()[0]
+    at = next(i for i, line in enumerate(lines) if line.startswith(keyword))
+    lines[at] = directive.format(value)
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        parse("\n".join(lines))
+    assert exc.value.line == at + 1
+
+
 def test_unknown_node_in_flow_is_semantic_error():
     text = VALID.replace("flow 0 1", "flow 0 7")
     with pytest.raises(ScenarioSemanticError):
