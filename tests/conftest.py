@@ -1,4 +1,5 @@
 """Shared builders: programmatic scenarios and pre-wired simulations."""
+import math
 import random
 
 from manetsim.aodv import AodvConfig
@@ -78,3 +79,28 @@ def random_scenario(rnd: random.Random, max_nodes=10, end=3.0):
     if not flows:
         flows = [TrafficFlow(0, n - 1, 10.0, 512, 0.5, end)]
     return build_spec(positions, movements, flows, end)
+
+
+def random_waypoint_scenario(rnd: random.Random, n: int, side: float, end: float,
+                             flows=3):
+    """Random waypoint on a side x side field: half the nodes move, at
+    1-20 m/s with 0.1-1 s pauses, and CBR flows join random pairs."""
+    positions = [(round(rnd.uniform(0, side), 3), round(rnd.uniform(0, side), 3))
+                 for _ in range(n)]
+    movements = []
+    for node in rnd.sample(range(n), n // 2):
+        here = positions[node]
+        t = round(rnd.uniform(0.0, 1.0), 3)
+        while t < end:
+            dest = Position(round(rnd.uniform(0, side), 3), round(rnd.uniform(0, side), 3))
+            speed = round(rnd.uniform(1.0, 20.0), 3)
+            movements.append(Movement(t, node, dest, speed))
+            travel = math.hypot(dest.x - here[0], dest.y - here[1]) / speed
+            t = round(t + travel + rnd.uniform(0.1, 1.0), 3)
+            here = (dest.x, dest.y)
+    pairs = []
+    while len(pairs) < flows:
+        src, dst = rnd.sample(range(n), 2)
+        pairs.append(TrafficFlow(src, dst, rate=10.0, packet_size=512,
+                                 start=round(rnd.uniform(0.1, 0.5), 3), stop=end))
+    return build_spec(positions, movements, pairs, end, area=(side, side))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_scenario
+from conftest import random_scenario, random_waypoint_scenario
 from manetsim.cli import write_outputs
 from manetsim.scenario import builtin
 from manetsim.simulation import Simulation
@@ -29,6 +29,10 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 DIGESTED = ("trace.txt", "report.json")
 WINDOW = 0.5            # the `manetsim run` default throughput window
 RANDOM_SEED = 1         # simulation seed of the random layouts
+# (protocol, nodes, field side in m, simulated seconds): random-waypoint
+# runs on fields many radio ranges wide, kept short so each takes < 0.5 s
+WAYPOINT_CASES = (("aodv", 50, 1200.0, 3.0), ("dsdv", 50, 1200.0, 1.0),
+                  ("aodv", 100, 1500.0, 3.0))
 
 
 def cases() -> dict:
@@ -46,6 +50,12 @@ def cases() -> dict:
                 lambda k=k, protocol=protocol: Simulation(
                     random_scenario(random.Random(k), max_nodes=20, end=4.0),
                     protocol=protocol, seed=RANDOM_SEED))
+    for protocol, nodes, side, end in WAYPOINT_CASES:
+        for k in range(2):
+            out[f"rwp{nodes}-{k}-{protocol}-seed{RANDOM_SEED}"] = (
+                lambda protocol=protocol, nodes=nodes, side=side, end=end, k=k:
+                Simulation(random_waypoint_scenario(random.Random(k), nodes, side, end),
+                           protocol=protocol, seed=RANDOM_SEED))
     return out
 
 
