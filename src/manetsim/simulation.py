@@ -230,8 +230,8 @@ class Simulation:
         while frontier:
             nxt = []
             for u in frontier:
-                for v in self.world.node_ids():
-                    if v not in dist and self.world.in_range(u, v, t):
+                for v in self.world.neighbors_of(u, t):
+                    if v not in dist:
                         dist[v] = dist[u] + 1
                         if v == dst:
                             return dist[v]

@@ -8,6 +8,7 @@ jitter, and there is no contention or loss beyond being out of range.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -19,6 +20,11 @@ from .metrics import EventKind, LedgerEvent, MetricsLedger
 # jitter stays below hop_latency/10 so a k-hop flood always beats a
 # (k+1)-hop copy for k <= 9; see the shortest-path discovery invariant
 JITTER_FRACTION = 0.05
+# simulated seconds one neighbour grid stays valid; see World._grid_at
+GRID_WINDOW = 0.5
+# grid cells are widened by this share of (reach + largest coordinate) so
+# float rounding of positions can never move a neighbour two cells away
+GRID_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,13 +61,25 @@ class WaypointLeg:
         return self.start_time + self.start_pos.distance_to(self.dest) / self.speed
 
 
+def grid_cell(radio_range: float, v_max: float, extent: float) -> float:
+    """Width of a neighbour-grid cell when no node is faster than v_max and
+    no coordinate is larger than extent in absolute value."""
+    reach = radio_range + 2 * v_max * GRID_WINDOW
+    return reach + GRID_SLACK * (reach + extent)
+
+
 class UnicastOutcome(Enum):
     SENT = "sent"
     LINK_BREAK = "link-break"
 
 
 class World:
-    """Geometry and frame delivery for one engine instance."""
+    """Geometry and frame delivery for one engine instance.
+
+    Positions are cached for the last query time, and neighbour queries
+    only test the nodes binned in the 3x3 grid cells around the asking
+    node; the test itself is the exact unit-disk one.
+    """
 
     def __init__(self, engine: Engine, node_positions: list[Position],
                  radio: RadioModel = RadioModel(), ledger: MetricsLedger | None = None,
@@ -72,6 +90,17 @@ class World:
         self.jitter = radio.hop_latency * JITTER_FRACTION if jitter is None else jitter
         self._initial = list(node_positions)
         self._legs: dict[int, list[WaypointLeg]] = {i: [] for i in range(len(node_positions))}
+        # per node, the leg start times and (sx, sy, ex, ey, speed, length) of each leg
+        self._starts: list[list[float]] = [[] for _ in node_positions]
+        self._paths: list[list[tuple]] = [[] for _ in node_positions]
+        # (x, y) of the nodes that never move, None for the ones that do
+        self._fixed: list[tuple[float, float] | None] = [(p.x, p.y) for p in node_positions]
+        self._v_max = 0.0
+        self._extent = max((max(abs(p.x), abs(p.y)) for p in node_positions), default=0.0)
+        self._cache_t: float | None = None
+        self._cache: list[tuple[float, float] | None] = []
+        self._grid: tuple[dict, list] | None = None
+        self._grid_span = (0.0, 0.0)
         # wired by the simulation: (receiver, sender, message) -> None
         self.deliver: Callable[[int, int, object], None] = lambda r, s, m: None
         self._uid_counter = 0
@@ -99,33 +128,97 @@ class World:
             raise OverlappingLegError(
                 f"node {leg.node}: leg at {leg.start_time} overlaps one ending "
                 f"at {existing[-1].arrival_time:.3f}")
-        leg.start_pos = self.position_at(leg.node, leg.start_time)
+        leg.start_pos = Position(*self._locate(leg.node, leg.start_time))
         existing.append(leg)
+        self._starts[leg.node].append(leg.start_time)
+        self._paths[leg.node].append((leg.start_pos.x, leg.start_pos.y, leg.dest.x,
+                                      leg.dest.y, leg.speed,
+                                      leg.start_pos.distance_to(leg.dest)))
+        self._fixed[leg.node] = None
+        self._v_max = max(self._v_max, leg.speed)
+        self._extent = max(self._extent, abs(leg.dest.x), abs(leg.dest.y))
+        self._cache_t = None
+        self._grid = None
+
+    def _locate(self, node: int, t: float) -> tuple[float, float]:
+        """Linear interpolation along the last leg started by t, clamped at its end."""
+        i = bisect_right(self._starts[node], t)
+        if i == 0:
+            p = self._initial[node]
+            return p.x, p.y
+        sx, sy, ex, ey, speed, total = self._paths[node][i - 1]
+        if total == 0:
+            return ex, ey
+        f = min(total, speed * (t - self._starts[node][i - 1])) / total
+        return sx + (ex - sx) * f, sy + (ey - sy) * f
+
+    def _xy(self, node: int, t: float) -> tuple[float, float]:
+        """Position of a known node at t, computed at most once per query time."""
+        if t != self._cache_t:
+            self._cache_t = t
+            self._cache = self._fixed.copy()
+        p = self._cache[node]
+        if p is None:
+            p = self._cache[node] = self._locate(node, t)
+        return p
 
     def position_at(self, node: int, t: float) -> Position:
-        """Linear interpolation along the active leg, clamped at its end."""
         self._check_node(node)
-        pos = self._initial[node]
-        for leg in self._legs[node]:
-            if t < leg.start_time:
-                break
-            total = leg.start_pos.distance_to(leg.dest)
-            travelled = min(total, leg.speed * (t - leg.start_time))
-            if total == 0:
-                pos = leg.dest
-                continue
-            f = travelled / total
-            pos = Position(leg.start_pos.x + (leg.dest.x - leg.start_pos.x) * f,
-                           leg.start_pos.y + (leg.dest.y - leg.start_pos.y) * f)
-        return pos
+        return Position(*self._xy(node, t))
+
+    def _linked(self, a: int, b: int, t: float) -> bool:
+        xa, ya = self._xy(a, t)
+        xb, yb = self._xy(b, t)
+        return math.hypot(xa - xb, ya - yb) <= self.radio.range
 
     def in_range(self, a: int, b: int, t: float) -> bool:
         self._check_node(a)
         self._check_node(b)
-        return self.position_at(a, t).distance_to(self.position_at(b, t)) <= self.radio.range
+        return self._linked(a, b, t)
+
+    def _grid_at(self, t: float) -> tuple[dict, list]:
+        """(cell -> sorted nodes of its 3x3 block, cell of each node), valid at t.
+
+        A grid built at t0 serves [t0, t0 + GRID_WINDOW]. In that window a
+        node moves at most v_max * GRID_WINDOW from where it was binned
+        (Verlet, Phys. Rev. 159, 1967), so two nodes in range at t were
+        within range + 2 * v_max * GRID_WINDOW of each other at t0; cells
+        that wide (plus a margin for float rounding) put them in adjacent
+        cells. Without mobility the grid never expires.
+        """
+        start, stop = self._grid_span
+        if self._grid is not None and start <= t <= stop:
+            return self._grid
+        cell = grid_cell(self.radio.range, self._v_max, self._extent)
+        home = []
+        members: dict[tuple[float, float], list[int]] = {}
+        for node in self.node_ids():
+            x, y = self._xy(node, t)
+            home.append((x // cell, y // cell))
+            members.setdefault(home[-1], []).append(node)
+        blocks = {(cx, cy): sorted(n for i in (cx - 1, cx, cx + 1)
+                                   for j in (cy - 1, cy, cy + 1)
+                                   for n in members.get((i, j), ()))
+                  for cx, cy in members}
+        self._grid = blocks, home
+        self._grid_span = ((t, t + GRID_WINDOW) if self._v_max > 0
+                           else (-math.inf, math.inf))
+        return self._grid
 
     def neighbors_of(self, node: int, t: float) -> list[int]:
-        return [n for n in self.node_ids() if n != node and self.in_range(node, n, t)]
+        """Nodes within range of node at t, in ascending id order."""
+        self._check_node(node)
+        blocks, home = self._grid_at(t)
+        x, y = self._xy(node, t)
+        cache, locate, hypot, r = self._cache, self._locate, math.hypot, self.radio.range
+        found = []
+        for m in blocks[home[node]]:
+            p = cache[m]
+            if p is None:
+                p = cache[m] = locate(m, t)
+            if m != node and hypot(x - p[0], y - p[1]) <= r:
+                found.append(m)
+        return found
 
     # -- frame delivery ----------------------------------------------------
 
@@ -140,7 +233,6 @@ class World:
 
     def broadcast(self, sender: int, msg) -> list[int]:
         """Deliver to every node currently in range; counted as one transmission."""
-        self._check_node(sender)
         now = self.engine.now
         receivers = self.neighbors_of(sender, now)
         self._record_tx(sender, msg)
@@ -156,7 +248,7 @@ class World:
         if sender == next_hop:
             raise ValueError("unicast to self")
         now = self.engine.now
-        if not self.in_range(sender, next_hop, now):
+        if not self._linked(sender, next_hop, now):
             return UnicastOutcome.LINK_BREAK
         self._record_tx(sender, msg)
         self.engine.schedule(now + self._delivery_delay(),

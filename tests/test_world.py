@@ -204,3 +204,210 @@ def test_scenario2_node3_to_5_breaks_at_2_3():
                                      dest=m.dest, speed=m.speed))
     eng.run_until(2.3)
     assert w.unicast(3, 5, pkt()) is UnicastOutcome.LINK_BREAK
+
+
+# -- neighbour queries against brute force ----------------------------------
+# The world prunes neighbour candidates with a position grid and caches
+# positions per query time. These properties compare it with the plain
+# definition: positions from the waypoint semantics written out here, and
+# every other node tested with hypot(...) <= range, in ascending id order.
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from manetsim.world import GRID_WINDOW, grid_cell  # noqa: E402
+
+PROPERTY = settings(max_examples=75, deadline=None)
+
+
+def oracle_position(initial, legs, t):
+    """Position at t; each leg starts where the legs before it put the node."""
+    pos = initial
+    for i, (start, dest, speed) in enumerate(legs):
+        if t < start:
+            break
+        begin = oracle_position(initial, legs[:i], start)
+        total = math.hypot(begin[0] - dest[0], begin[1] - dest[1])
+        if total == 0:
+            pos = dest
+            continue
+        f = min(total, speed * (t - start)) / total
+        pos = (begin[0] + (dest[0] - begin[0]) * f, begin[1] + (dest[1] - begin[1]) * f)
+    return pos
+
+
+def oracle_neighbors(coords, legs, radio_range, node, t):
+    here = oracle_position(coords[node], legs[node], t)
+    out = []
+    for m in range(len(coords)):
+        there = oracle_position(coords[m], legs[m], t)
+        if m != node and math.hypot(here[0] - there[0], here[1] - there[1]) <= radio_range:
+            out.append(m)
+    return out
+
+
+def mobile_world(coords, legs, radio_range):
+    _, w = make_world(coords, radio=RadioModel(range=radio_range))
+    for node, node_legs in enumerate(legs):
+        for start, dest, speed in node_legs:
+            w.apply_movement(WaypointLeg(node=node, start_time=start,
+                                         dest=Position(*dest), speed=speed))
+    return w
+
+
+coordinate = st.floats(0, 2000, allow_nan=False).map(lambda v: round(v, 3))
+
+
+@st.composite
+def mobile_layouts(draw, max_nodes=14):
+    """(coords, legs per node, range); legs never overlap in time."""
+    n = draw(st.integers(2, max_nodes))
+    coords = [(draw(coordinate), draw(coordinate)) for _ in range(n)]
+    legs = []
+    for node in range(n):
+        node_legs = []
+        here = coords[node]
+        t = draw(st.floats(0, 3))
+        for _ in range(draw(st.integers(0, 2))):
+            dest = (draw(coordinate), draw(coordinate))
+            speed = draw(st.floats(1, 300))
+            node_legs.append((t, dest, speed))
+            t += math.hypot(dest[0] - here[0], dest[1] - here[1]) / speed
+            t += draw(st.floats(0.01, 2))
+            here = dest
+        legs.append(node_legs)
+    return coords, legs, draw(st.sampled_from([50.0, 150.0, 250.0, 400.0]))
+
+
+query_time = st.floats(0, 30, allow_nan=False)
+
+
+@PROPERTY
+@given(mobile_layouts(), st.lists(st.tuples(st.integers(0, 99), query_time), max_size=12))
+def test_neighbors_match_brute_force_on_mobile_layouts(layout, queries):
+    coords, legs, radio_range = layout
+    w = mobile_world(coords, legs, radio_range)
+    for node, t in queries:
+        node %= len(coords)
+        assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range, node, t)
+        assert w.position_at(node, t) == Position(*oracle_position(coords[node], legs[node], t))
+
+
+@PROPERTY
+@given(mobile_layouts(), st.lists(query_time, min_size=2, max_size=8))
+def test_neighbors_match_brute_force_when_time_goes_backwards(layout, times):
+    coords, legs, radio_range = layout
+    w = mobile_world(coords, legs, radio_range)
+    for t in sorted(times, reverse=True):
+        for node in range(len(coords)):
+            assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range,
+                                                               node, t)
+
+
+@PROPERTY
+@given(mobile_layouts(), st.data())
+def test_neighbors_follow_legs_registered_after_queries(layout, data):
+    coords, legs, radio_range = layout
+    w = mobile_world(coords, legs, radio_range)
+    mover = data.draw(st.integers(0, len(coords) - 1))
+    begin = 0.0
+    if legs[mover]:     # after the last leg ends: no leg is longer than the field's diagonal
+        start, _, speed = legs[mover][-1]
+        begin = start + 2830.0 / speed
+    leg = (data.draw(st.floats(begin, begin + 5)), (data.draw(coordinate),
+                                                    data.draw(coordinate)),
+           data.draw(st.floats(1, 300)))
+    times = [leg[0] + dt for dt in (0.0, 0.2, 1.0, 3.0, 3.1)]
+    for t in times:     # positions and grids from before the new leg
+        for node in range(len(coords)):
+            w.neighbors_of(node, t)
+    w.apply_movement(WaypointLeg(node=mover, start_time=leg[0], dest=Position(*leg[1]),
+                                 speed=leg[2]))
+    legs[mover].append(leg)
+    for t in reversed(times):
+        for node in range(len(coords)):
+            assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range,
+                                                               node, t)
+
+
+@PROPERTY
+@given(st.integers(-3000, 3000), st.integers(-3000, 3000),
+       st.sampled_from([(3, 4, 5), (5, 12, 13), (8, 15, 17),
+                                                (1, 0, 1), (0, 1, 1)]),
+       st.sampled_from([5.0, 25.0, 250.0]))
+def test_nodes_exactly_range_apart_are_neighbors(x, y, triple, scale):
+    """Integer coordinates keep the distances exact, so the boundary is hit."""
+    a, b, c = triple
+    coords = [(x, y), (x + a * scale, y + b * scale), (x - a * scale, y - b * scale)]
+    radio_range = c * scale
+    _, w = make_world(coords, radio=RadioModel(range=radio_range))
+    for node in range(3):
+        assert w.neighbors_of(node, 0.0) == oracle_neighbors(coords, [[]] * 3,
+                                                             radio_range, node, 0.0)
+    assert w.neighbors_of(0, 0.0) == [1, 2]
+
+
+@PROPERTY
+@given(st.floats(1, 50), st.sampled_from([100.0, 250.0]), st.integers(1, 6))
+def test_nodes_closing_in_meet_at_range_at_the_end_of_the_grid_window(speed, radio_range, k):
+    """Two nodes reach+ apart when the grid is built, closing at the top speed:
+    at the end of the window they are exactly range apart."""
+    reach = radio_range + 2 * speed * GRID_WINDOW
+    edge = k * grid_cell(radio_range, speed, 10_000.0)
+    coords = [(edge, 0.0), (edge - reach, 0.0), (10_000.0, 10_000.0)]
+    legs = [[(0.0, (0.0, 0.0), speed)], [(0.0, (10_000.0, 0.0), speed)], []]
+    w = mobile_world(coords, legs, radio_range)
+    for t in (0.0, GRID_WINDOW / 2, GRID_WINDOW):
+        for node in range(3):
+            assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range,
+                                                               node, t)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8),
+                          st.sampled_from([0.0, 1.0, -1.0, 0.5])), min_size=2, max_size=20),
+       st.sampled_from([100.0, 250.0]))
+def test_nodes_on_cell_edges_match_brute_force(cells, radio_range):
+    """Static nodes on or one range off the grid's cell edges; a far node
+    fixes the largest coordinate and so the cell width."""
+    far = 10_000.0
+    cell = grid_cell(radio_range, 0.0, far)
+    coords = [(i * cell + shift * radio_range, j * cell) for i, j, shift in cells]
+    coords.append((far, far))
+    static = [[] for _ in coords]
+    _, w = make_world(coords, radio=RadioModel(range=radio_range))
+    for node in range(len(coords)):
+        assert w.neighbors_of(node, 0.0) == oracle_neighbors(coords, static, radio_range,
+                                                             node, 0.0)
+
+
+def oracle_hops(coords, legs, radio_range, src, dst, t):
+    level = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in oracle_neighbors(coords, legs, radio_range, u, t):
+                if v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return level.get(dst)
+
+
+@PROPERTY
+@given(mobile_layouts(max_nodes=12), st.lists(query_time, min_size=1, max_size=5))
+def test_bfs_hops_match_oracle(layout, times):
+    from conftest import build_sim
+    from manetsim.scenario import Movement
+
+    coords, legs, radio_range = layout
+    movements = [Movement(start, node, Position(*dest), speed)
+                 for node, node_legs in enumerate(legs) for start, dest, speed in node_legs]
+    sim = build_sim(coords, movements=movements, radio_range=radio_range, end=40.0)
+    n = len(coords)
+    for t in times:
+        sim.engine.now = t
+        for src in range(n):
+            for dst in range(n):
+                assert sim._bfs_hops(src, dst) == oracle_hops(coords, legs, radio_range,
+                                                              src, dst, t)
