@@ -193,7 +193,7 @@ class AodvNode:
         q = self.queues.setdefault(packet.dst, deque())
         if len(q) >= self.config.buffer_capacity:
             oldest = q.popleft()
-            self.iface.data_dropped(oldest)
+            self.iface.dropped(oldest)
         q.append(packet)
 
     def _transmit(self, packet: DataPacket) -> bool:
@@ -201,7 +201,7 @@ class AodvNode:
         if self.iface.unicast(entry.next_hop, packet):
             entry.expires_at = self.iface.now() + self.config.active_route_timeout
             return True
-        self.iface.data_dropped(packet)
+        self.iface.dropped(packet)
         self.on_link_break(entry.next_hop)
         return False
 
@@ -213,7 +213,7 @@ class AodvNode:
             self._transmit(packet)
         else:
             # no repair at relays; only the source rediscovers
-            self.iface.data_dropped(packet)
+            self.iface.dropped(packet)
 
     def _drain_one(self, dst: int) -> None:
         q = self.queues.get(dst)
@@ -261,7 +261,7 @@ class AodvNode:
         del self.pending[dst]
         q = self.queues.get(dst)
         while q:
-            self.iface.data_dropped(q.popleft())
+            self.iface.dropped(q.popleft())
 
     def handle_rreq(self, sender: int, rreq: Rreq) -> RreqAction:
         key = (rreq.src, rreq.bcast_id)
@@ -319,7 +319,7 @@ class AodvNode:
         rp = self.reverse_paths.get(rrep.src)
         if rp is None or rp.expires_at <= now:
             # reverse path gone: the reply cannot travel further
-            self.iface.control_dropped(rrep)
+            self.iface.dropped(rrep)
             return
         fwd = Rrep(src=rrep.src, dst=rrep.dst, dst_seq=rrep.dst_seq,
                    hop_count=rrep.hop_count + 1, lifetime=rrep.lifetime,
@@ -360,7 +360,7 @@ class AodvNode:
         for dst, _ in unreachable:
             q = self.queues.get(dst)
             while q:
-                self.iface.data_dropped(q.popleft())
+                self.iface.dropped(q.popleft())
         self.iface.next_uid()   # unused draw; uid numbering is pinned by the golden traces
         for p in sorted(precursors):
             self.iface.unicast(p, Rerr(unreachable=list(unreachable),

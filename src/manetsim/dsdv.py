@@ -138,11 +138,11 @@ class DsdvNode:
             return ForwardAction.FORWARDED
         e = self.table.get(packet.dst)
         if e is None or e.broken:
-            self.iface.data_dropped(packet)
+            self.iface.dropped(packet)
             return ForwardAction.DROPPED
         if self.iface.unicast(e.next_hop, packet):
             return ForwardAction.FORWARDED
-        self.iface.data_dropped(packet)
+        self.iface.dropped(packet)
         self.mark_broken(e.next_hop)
         return ForwardAction.DROPPED
 

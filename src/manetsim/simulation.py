@@ -56,11 +56,7 @@ class NodeInterface:
         self._sim.ledger.record(LedgerEvent.of(self.now(), EventKind.RECEIVED,
                                                self.node_id, pkt))
 
-    def data_dropped(self, pkt: DataPacket) -> None:
-        self._sim.ledger.record(LedgerEvent.of(self.now(), EventKind.DROPPED,
-                                               self.node_id, pkt))
-
-    def control_dropped(self, msg) -> None:
+    def dropped(self, msg) -> None:
         self._sim.ledger.record(LedgerEvent.of(self.now(), EventKind.DROPPED,
                                                self.node_id, msg))
 
