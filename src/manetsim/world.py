@@ -63,7 +63,11 @@ class WaypointLeg:
 
 def grid_cell(radio_range: float, v_max: float, extent: float) -> float:
     """Width of a neighbour-grid cell when no node is faster than v_max and
-    no coordinate is larger than extent in absolute value."""
+    no coordinate is larger than extent in absolute value when it is built.
+
+    Over GRID_WINDOW coordinates grow by less than the reach, so the
+    rounding margin, a share of reach + extent, holds for the whole window.
+    """
     reach = radio_range + 2 * v_max * GRID_WINDOW
     return reach + GRID_SLACK * (reach + extent)
 
@@ -89,14 +93,11 @@ class World:
         self.ledger = ledger
         self.jitter = radio.hop_latency * JITTER_FRACTION if jitter is None else jitter
         self._initial = list(node_positions)
-        self._legs: dict[int, list[WaypointLeg]] = {i: [] for i in range(len(node_positions))}
-        # per node, the leg start times and (sx, sy, ex, ey, speed, length) of each leg
-        self._starts: list[list[float]] = [[] for _ in node_positions]
-        self._paths: list[list[tuple]] = [[] for _ in node_positions]
+        # node with legs -> (leg start times, (sx, sy, ex, ey, speed, length, arrival) per leg)
+        self._tracks: dict[int, tuple[list[float], list[tuple]]] = {}
         # (x, y) of the nodes that never move, None for the ones that do
         self._fixed: list[tuple[float, float] | None] = [(p.x, p.y) for p in node_positions]
         self._v_max = 0.0
-        self._extent = max((max(abs(p.x), abs(p.y)) for p in node_positions), default=0.0)
         self._cache_t: float | None = None
         self._cache: list[tuple[float, float] | None] = []
         self._grid: tuple[dict, list] | None = None
@@ -120,36 +121,44 @@ class World:
 
     def apply_movement(self, leg: WaypointLeg) -> None:
         """Register a leg; position_at reflects it from start_time onward."""
-        self._check_node(leg.node)
+        node = leg.node
+        self._check_node(node)
         if leg.speed <= 0:
             raise ValueError("leg speed must be positive")
-        existing = self._legs[leg.node]
-        if existing and leg.start_time < existing[-1].arrival_time:
-            raise OverlappingLegError(
-                f"node {leg.node}: leg at {leg.start_time} overlaps one ending "
-                f"at {existing[-1].arrival_time:.3f}")
-        leg.start_pos = Position(*self._locate(leg.node, leg.start_time))
-        existing.append(leg)
-        self._starts[leg.node].append(leg.start_time)
-        self._paths[leg.node].append((leg.start_pos.x, leg.start_pos.y, leg.dest.x,
-                                      leg.dest.y, leg.speed,
-                                      leg.start_pos.distance_to(leg.dest)))
-        self._fixed[leg.node] = None
-        self._v_max = max(self._v_max, leg.speed)
-        self._extent = max(self._extent, abs(leg.dest.x), abs(leg.dest.y))
+        track = self._tracks.get(node)
+        if track is None:
+            leg.start_pos = self._initial[node]
+            track = self._tracks[node] = ([], [])
+        else:
+            arrival = track[1][-1][-1]
+            if leg.start_time < arrival:
+                raise OverlappingLegError(
+                    f"node {node}: leg at {leg.start_time} overlaps one ending "
+                    f"at {arrival:.3f}")
+            leg.start_pos = Position(*self._locate(node, leg.start_time))
+        sx, sy, ex, ey = leg.start_pos.x, leg.start_pos.y, leg.dest.x, leg.dest.y
+        total = math.hypot(sx - ex, sy - ey)
+        track[0].append(leg.start_time)
+        track[1].append((sx, sy, ex, ey, leg.speed, total,
+                         leg.start_time + total / leg.speed))
+        self._fixed[node] = None
+        if leg.speed > self._v_max:
+            self._v_max = leg.speed
         self._cache_t = None
         self._grid = None
 
     def _locate(self, node: int, t: float) -> tuple[float, float]:
-        """Linear interpolation along the last leg started by t, clamped at its end."""
-        i = bisect_right(self._starts[node], t)
+        """Uncached position of a node with legs: along the last leg started
+        by t, clamped at its end."""
+        starts, paths = self._tracks[node]
+        i = bisect_right(starts, t)
         if i == 0:
             p = self._initial[node]
             return p.x, p.y
-        sx, sy, ex, ey, speed, total = self._paths[node][i - 1]
+        sx, sy, ex, ey, speed, total, _ = paths[i - 1]
         if total == 0:
             return ex, ey
-        f = min(total, speed * (t - self._starts[node][i - 1])) / total
+        f = min(total, speed * (t - starts[i - 1])) / total
         return sx + (ex - sx) * f, sy + (ey - sy) * f
 
     def _xy(self, node: int, t: float) -> tuple[float, float]:
@@ -163,6 +172,7 @@ class World:
         return p
 
     def position_at(self, node: int, t: float) -> Position:
+        """Linear interpolation along the active leg, clamped at its end."""
         self._check_node(node)
         return Position(*self._xy(node, t))
 
@@ -189,13 +199,13 @@ class World:
         start, stop = self._grid_span
         if self._grid is not None and start <= t <= stop:
             return self._grid
-        cell = grid_cell(self.radio.range, self._v_max, self._extent)
-        home = []
+        coords = [self._xy(node, t) for node in self.node_ids()]
+        extent = max((max(abs(x), abs(y)) for x, y in coords), default=0.0)
+        cell = grid_cell(self.radio.range, self._v_max, extent)
+        home = [(x // cell, y // cell) for x, y in coords]
         members: dict[tuple[float, float], list[int]] = {}
-        for node in self.node_ids():
-            x, y = self._xy(node, t)
-            home.append((x // cell, y // cell))
-            members.setdefault(home[-1], []).append(node)
+        for node, key in enumerate(home):
+            members.setdefault(key, []).append(node)
         blocks = {(cx, cy): sorted(n for i in (cx - 1, cx, cx + 1)
                                    for j in (cy - 1, cy, cy + 1)
                                    for n in members.get((i, j), ()))

@@ -24,6 +24,7 @@ from conftest import random_scenario, random_waypoint_scenario
 from manetsim.cli import write_outputs
 from manetsim.scenario import builtin
 from manetsim.simulation import Simulation
+from manetsim.world import grid_cell
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 DIGESTED = ("trace.txt", "report.json")
@@ -79,6 +80,13 @@ def test_corpus_covers_every_case_once():
     assert sorted(pinned) == sorted(CASES)
     pairs = [tuple(d[name] for name in DIGESTED) for d in pinned.values()]
     assert len(set(pairs)) == len(pairs)
+
+
+def test_waypoint_fields_span_four_grid_cells_each_way():
+    """The 50- and 100-node runs cross neighbour-grid cell edges (range 250 m,
+    top speed 20 m/s in random_waypoint_scenario)."""
+    for _, _, side, _ in WAYPOINT_CASES:
+        assert side >= 4 * grid_cell(250.0, 20.0, side)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import build_sim
 from manetsim.engine import Engine
 from manetsim.errors import OverlappingLegError, UnknownNodeError
 from manetsim.metrics import MetricsLedger
 from manetsim.packets import DataPacket, MessageKind
-from manetsim.world import Position, RadioModel, UnicastOutcome, WaypointLeg, World
+from manetsim.scenario import Movement
+from manetsim.world import (GRID_WINDOW, Position, RadioModel, UnicastOutcome,
+                            WaypointLeg, World, grid_cell)
 
 
 def make_world(positions, radio=RadioModel(), ledger=None, jitter=0.0):
@@ -212,10 +216,6 @@ def test_scenario2_node3_to_5_breaks_at_2_3():
 # definition: positions from the waypoint semantics written out here, and
 # every other node tested with hypot(...) <= range, in ascending id order.
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from manetsim.world import GRID_WINDOW, grid_cell  # noqa: E402
-
 PROPERTY = settings(max_examples=75, deadline=None)
 
 
@@ -397,9 +397,6 @@ def oracle_hops(coords, legs, radio_range, src, dst, t):
 @PROPERTY
 @given(mobile_layouts(max_nodes=12), st.lists(query_time, min_size=1, max_size=5))
 def test_bfs_hops_match_oracle(layout, times):
-    from conftest import build_sim
-    from manetsim.scenario import Movement
-
     coords, legs, radio_range = layout
     movements = [Movement(start, node, Position(*dest), speed)
                  for node, node_legs in enumerate(legs) for start, dest, speed in node_legs]
