@@ -19,7 +19,11 @@ RREP_SIZE = 20
 HELLO_SIZE = 20
 RERR_BASE_SIZE = 4
 RERR_PER_DEST_SIZE = 8
+ACTIVE_ROUTE_TIMEOUT = 3.0  # seconds a route lives without being used
+REVERSE_PATH_LIFETIME = 1.0 # seconds a reverse path waits for the reply
 RREP_WAIT = 0.2             # seconds a source waits for a reply per attempt
+DISCOVERY_RETRIES = 2       # RREQ retries after the first attempt
+BUFFER_CAPACITY = 64        # packets buffered per destination, drop-oldest
 ALLOWED_HELLO_LOSS = 2      # silent hello intervals before a neighbor is lost
 FLUSH_GAP = 0.0001          # frame serialization while draining a buffer
 
@@ -114,23 +118,13 @@ class RreqAction(Enum):
     FORWARDED = "forwarded"
 
 
-@dataclass(frozen=True)
-class AodvConfig:
-    active_route_timeout: float = 3.0
-    reverse_path_lifetime: float = 1.0
-    discovery_retries: int = 2      # retries after the first attempt
-    buffer_capacity: int = 64       # per destination, drop-oldest
-    hello_interval: float = 1.0     # <= 0 disables the hello subsystem
-    hello_always: bool = False      # beacon even with no active route
-
-
 class AodvNode:
     """One node's routing state, driven entirely by the engine loop."""
 
-    def __init__(self, node_id: int, iface, config: AodvConfig = AodvConfig()):
+    def __init__(self, node_id: int, iface, hello_interval: float):
         self.node_id = node_id
         self.iface = iface
-        self.config = config
+        self.hello_interval = hello_interval
         self.own_seq = 0
         self.bcast_id = 0
         self.routes: dict[int, RouteEntry] = {}
@@ -164,16 +158,6 @@ class AodvNode:
         self.routes[candidate.dst] = candidate
         return True
 
-    def expire_routes(self) -> list[int]:
-        """Mark timed-out entries inactive; returns the newly expired dsts."""
-        now = self.iface.now()
-        expired = []
-        for e in self.routes.values():
-            if e.active and e.expires_at <= now:
-                e.active = False
-                expired.append(e.dst)
-        return expired
-
     def queued_count(self) -> int:
         return sum(len(q) for q in self.queues.values())
 
@@ -191,7 +175,7 @@ class AodvNode:
 
     def _enqueue(self, packet: DataPacket) -> None:
         q = self.queues.setdefault(packet.dst, deque())
-        if len(q) >= self.config.buffer_capacity:
+        if len(q) >= BUFFER_CAPACITY:
             oldest = q.popleft()
             self.iface.dropped(oldest)
         q.append(packet)
@@ -199,7 +183,7 @@ class AodvNode:
     def _transmit(self, packet: DataPacket) -> bool:
         entry = self.routes[packet.dst]
         if self.iface.unicast(entry.next_hop, packet):
-            entry.expires_at = self.iface.now() + self.config.active_route_timeout
+            entry.expires_at = self.iface.now() + ACTIVE_ROUTE_TIMEOUT
             return True
         self.iface.dropped(packet)
         self.on_link_break(entry.next_hop)
@@ -233,7 +217,7 @@ class AodvNode:
         rreq = self._broadcast_rreq(dst)
         timer = self.iface.schedule(RREP_WAIT,
                                     lambda: self._discovery_timeout(dst))
-        self.pending[dst] = PendingDiscovery(dst, self.config.discovery_retries, timer)
+        self.pending[dst] = PendingDiscovery(dst, DISCOVERY_RETRIES, timer)
         return rreq
 
     def _broadcast_rreq(self, dst: int) -> Rreq:
@@ -271,14 +255,14 @@ class AodvNode:
         now = self.iface.now()
         self.reverse_paths[rreq.src] = ReversePathEntry(
             toward=rreq.src, via=sender,
-            expires_at=now + self.config.reverse_path_lifetime)
+            expires_at=now + REVERSE_PATH_LIFETIME)
 
         if rreq.dst == self.node_id:
             # answering destination: never reply with anything staler than
             # the poisoned sequence number the source is asking about
             self.own_seq = max(self.own_seq, rreq.dst_last_seq) + 1
             rrep = Rrep(src=rreq.src, dst=self.node_id, dst_seq=self.own_seq,
-                        hop_count=0, lifetime=self.config.active_route_timeout,
+                        hop_count=0, lifetime=ACTIVE_ROUTE_TIMEOUT,
                         uid=self.iface.next_uid())
             self.iface.unicast(sender, rrep)
             return RreqAction.REPLIED
@@ -397,14 +381,12 @@ class AodvNode:
 
     def hello_tick(self) -> None:
         """Check supervised neighbors for silence, then maybe beacon."""
-        if self.config.hello_interval <= 0:
-            return
         now = self.iface.now()
-        threshold = ALLOWED_HELLO_LOSS * self.config.hello_interval
+        threshold = ALLOWED_HELLO_LOSS * self.hello_interval
         for n, last in sorted(self.hello_last_heard.items()):
             if now - last > threshold:
                 self.on_link_break(n)
-        if self.config.hello_always or self._has_any_active_route():
+        if self._has_any_active_route():
             self.iface.broadcast(Hello(src=self.node_id, uid=self.iface.next_uid()))
 
     def _has_any_active_route(self) -> bool:

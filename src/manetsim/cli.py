@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 from . import scenario as scenario_mod
-from .aodv import AodvConfig
 from .errors import SimError
 from .metrics import (EventKind, MetricsLedger, SeriesPoint, delay_series,
                       emit_plot_datasets, throughput_series, write_trace)
@@ -37,8 +36,7 @@ def write_outputs(result: RunResult, out_dir: Path, window: float) -> RunReport:
     plots.mkdir(exist_ok=True)
     with open(out_dir / "trace.txt", "w") as fh:
         write_trace(result.ledger, fh)
-    result.throughput_window = window
-    report = result.report()
+    report = result.report(window)
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -88,8 +86,8 @@ def _build_sim(args, protocol: str, seed: int) -> Simulation:
     if args.range is not None:
         spec = dataclasses.replace(
             spec, radio=dataclasses.replace(spec.radio, range=args.range))
-    aodv_cfg = AodvConfig(hello_interval=args.hello_interval)
-    return Simulation(spec, protocol=protocol, seed=seed, aodv_config=aodv_cfg)
+    return Simulation(spec, protocol=protocol, seed=seed,
+                      hello_interval=args.hello_interval)
 
 
 def cmd_run(args) -> int:
@@ -169,6 +167,13 @@ def positive_float(text: str) -> float:
     return value
 
 
+def non_negative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got '{text}'")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="manetsim",
@@ -181,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--range", type=positive_float, default=None,
                        help="override radio range in meters")
-        p.add_argument("--hello-interval", type=float, default=1.0,
+        p.add_argument("--hello-interval", type=non_negative_float, default=1.0,
                        help="AODV hello period in seconds; 0 disables hellos")
         p.add_argument("--window", type=positive_float, default=0.5,
                        help="throughput window in seconds")

@@ -14,6 +14,7 @@ from .packets import DataPacket, ForwardAction, MessageKind
 
 UPDATE_BASE_SIZE = 8
 UPDATE_PER_ENTRY_SIZE = 12
+UPDATE_INTERVAL = 1.0       # seconds between full-table dumps
 
 
 @dataclass
@@ -50,18 +51,12 @@ class DsdvEntry:
         return self.dst_seq % 2 == 1
 
 
-@dataclass(frozen=True)
-class DsdvConfig:
-    update_interval: float = 1.0
-
-
 class DsdvNode:
     """One node's table plus the periodic/triggered advertisement logic."""
 
-    def __init__(self, node_id: int, iface, config: DsdvConfig = DsdvConfig()):
+    def __init__(self, node_id: int, iface):
         self.node_id = node_id
         self.iface = iface
-        self.config = config
         self.table: dict[int, DsdvEntry] = {
             node_id: DsdvEntry(node_id, node_id, 0, 0, 0.0)}
 

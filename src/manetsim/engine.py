@@ -51,7 +51,8 @@ class Engine:
         self.seed = seed
         self._queue: list[EventHandle] = []
         self._seq = 0
-        # invoked after each processed event; used by invariant checkers
+        # run after each processed event: the slot of Simulation's route
+        # observer; invariant checkers go in Simulation.event_hooks instead
         self.after_event: Callable[[], None] | None = None
 
     def schedule(self, fire_at: float, action: Callable[[], None]) -> EventHandle:

@@ -11,6 +11,8 @@ from typing import Iterable, TextIO
 
 from .errors import LedgerConsistencyError, LedgerOrderError, NoTransmissionsError
 
+THROUGHPUT_STEP = 0.1   # seconds between sliding-window throughput points
+
 
 class EventKind(Enum):
     SENT = "s"          # application-level origination, once per packet
@@ -111,7 +113,8 @@ def transmission_efficiency(ledger: MetricsLedger) -> float:
 
 
 def throughput_series(ledger: MetricsLedger, window: float = 0.5,
-                      step: float = 0.1, t_end: float | None = None) -> list[SeriesPoint]:
+                      step: float = THROUGHPUT_STEP,
+                      t_end: float | None = None) -> list[SeriesPoint]:
     """Delivered payload bits per second over a sliding window.
 
     One point per window position, at the window's trailing edge.

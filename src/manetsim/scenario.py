@@ -15,20 +15,14 @@ import importlib.resources
 import math
 from dataclasses import dataclass, field
 
-from .errors import ScenarioSemanticError, ScenarioSyntaxError, UnknownScenarioError
-from .world import Position, RadioModel, WaypointLeg
+from .engine import Engine
+from .errors import (OverlappingLegError, ScenarioSemanticError, ScenarioSyntaxError,
+                     UnknownScenarioError)
+from .world import Movement, Position, RadioModel, World
 
 DEFAULT_RANGE = 250.0
 DEFAULT_HOP_LATENCY = 0.001
 BUILTIN_NAMES = ("scenario1", "scenario2")
-
-
-@dataclass(frozen=True)
-class Movement:
-    start_time: float
-    node: int
-    dest: Position
-    speed: float
 
 
 @dataclass(frozen=True)
@@ -147,8 +141,9 @@ def _validate(spec: ScenarioSpec, raw_nodes: dict[int, Position]) -> None:
         if not (0 <= p.x <= w and 0 <= p.y <= h):
             raise ScenarioSemanticError(f"node {i} at ({p.x}, {p.y}) outside area")
 
-    # movement legs: known node, inside area, in time, chronologically disjoint
-    cursor: dict[int, tuple[float, Position]] = {}
+    # movement legs: known node, inside area, in time, and accepted by the
+    # World that will run them, which owns the rule that legs must not overlap
+    world = World(Engine(), spec.nodes, spec.radio)
     for m in spec.movements:
         if not 0 <= m.node < n:
             raise ScenarioSemanticError(f"move references unknown node {m.node}")
@@ -159,12 +154,10 @@ def _validate(spec: ScenarioSpec, raw_nodes: dict[int, Position]) -> None:
         if not 0 <= m.start_time < spec.end_time:
             raise ScenarioSemanticError(
                 f"move at t={m.start_time} outside run (end {spec.end_time})")
-        free_at, pos = cursor.get(m.node, (0.0, spec.nodes[m.node]))
-        if m.start_time < free_at:
-            raise ScenarioSemanticError(
-                f"node {m.node}: leg at t={m.start_time} overlaps one ending at {free_at:.3f}")
-        arrival = m.start_time + math.hypot(m.dest.x - pos.x, m.dest.y - pos.y) / m.speed
-        cursor[m.node] = (arrival, m.dest)
+        try:
+            world.apply_movement(m)
+        except OverlappingLegError as exc:
+            raise ScenarioSemanticError(str(exc)) from exc
 
     for f in spec.flows:
         if not (0 <= f.src < n and 0 <= f.dst < n):
@@ -221,8 +214,7 @@ class CompiledScenario:
 def compile(spec: ScenarioSpec, sim) -> CompiledScenario:
     """Register mobility with the world and schedule all traffic emissions."""
     for m in spec.movements:
-        sim.world.apply_movement(WaypointLeg(node=m.node, start_time=m.start_time,
-                                             dest=m.dest, speed=m.speed))
+        sim.world.apply_movement(m)
     emissions = 0
     for flow in spec.flows:
         k = 0

@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from . import scenario as scenario_mod
-from .aodv import AodvConfig, AodvNode
-from .dsdv import DsdvConfig, DsdvNode
+from .aodv import AodvNode
+from .dsdv import UPDATE_INTERVAL, DsdvNode
 from .engine import Engine
 from .errors import NoTransmissionsError
 from .metrics import (EventKind, LedgerEvent, MetricsLedger, control_overhead,
@@ -94,22 +94,20 @@ class RunResult:
     route_history: dict[tuple[int, int], list[tuple[float, list[int]]]]
     unresolved_census: int
     route_stretch_samples: list[float] = field(default_factory=list)
-    throughput_window: float = 0.5
-    throughput_step: float = 0.1
 
     def route_paths(self, flow: TrafficFlow | None = None) -> list[list[int]]:
         """Distinct complete routes a flow used, in order of appearance."""
         key = (flow.src, flow.dst) if flow else next(iter(self.route_history))
         return [path for _, path in self.route_history.get(key, [])]
 
-    def report(self) -> RunReport:
+    def report(self, window: float = 0.5) -> RunReport:
+        """Summary with throughput averaged over sliding windows of `window` s."""
         led = self.ledger
         try:
             eff = transmission_efficiency(led)
         except NoTransmissionsError:
             eff = None
-        tput = throughput_series(led, self.throughput_window,
-                                 self.throughput_step, self.spec.end_time)
+        tput = throughput_series(led, window, t_end=self.spec.end_time)
         delays = delay_series(led)
         changes = sum(max(0, len(h) - 1) for h in self.route_history.values())
         stretch = (sum(self.route_stretch_samples) / len(self.route_stretch_samples)
@@ -132,9 +130,8 @@ class Simulation:
     """One deterministic run of a scenario under one protocol."""
 
     def __init__(self, spec: ScenarioSpec, protocol: str = "aodv", seed: int = 0,
-                 aodv_config: AodvConfig | None = None,
-                 dsdv_config: DsdvConfig | None = None,
-                 jitter: float | None = None):
+                 hello_interval: float = 1.0, jitter: float | None = None):
+        """hello_interval is the AODV beacon period; 0 turns hellos off."""
         if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol '{protocol}'")
         self.spec = spec
@@ -146,13 +143,12 @@ class Simulation:
                            ledger=self.ledger, jitter=jitter)
         self.world.deliver = self._deliver
         self.flows = list(spec.flows)
-        self.aodv_config = aodv_config or AodvConfig()
-        self.dsdv_config = dsdv_config or DsdvConfig()
+        self.hello_interval = hello_interval
         if protocol == "aodv":
-            self.nodes = [AodvNode(i, NodeInterface(self, i), self.aodv_config)
+            self.nodes = [AodvNode(i, NodeInterface(self, i), hello_interval)
                           for i in range(spec.node_count)]
         else:
-            self.nodes = [DsdvNode(i, NodeInterface(self, i), self.dsdv_config)
+            self.nodes = [DsdvNode(i, NodeInterface(self, i))
                           for i in range(spec.node_count)]
         self.in_flight_data = 0
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
@@ -167,14 +163,13 @@ class Simulation:
 
     def _schedule_protocol_ticks(self) -> None:
         if self.protocol == "aodv":
-            interval = self.aodv_config.hello_interval
+            interval = self.hello_interval
             if interval > 0:
                 for node in self.nodes:
                     self._tick_chain(interval, node.hello_tick, interval)
         else:
-            interval = self.dsdv_config.update_interval
             for node in self.nodes:
-                self._tick_chain(0.0, node.periodic_dump, interval)
+                self._tick_chain(0.0, node.periodic_dump, UPDATE_INTERVAL)
 
     def _tick_chain(self, first_at: float, action, interval: float) -> None:
         def tick():

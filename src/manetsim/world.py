@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -46,19 +46,14 @@ class RadioModel:
             raise ValueError("radio range and hop latency must be positive")
 
 
-@dataclass
-class WaypointLeg:
-    """Straight-line move of one node, active from start_time to arrival."""
+@dataclass(frozen=True)
+class Movement:
+    """Straight-line move of one node toward dest, from start_time on."""
 
-    node: int
     start_time: float
+    node: int
     dest: Position
     speed: float
-    start_pos: Position = field(default=None, repr=False)  # filled on registration
-
-    @property
-    def arrival_time(self) -> float:
-        return self.start_time + self.start_pos.distance_to(self.dest) / self.speed
 
 
 def grid_cell(radio_range: float, v_max: float, extent: float) -> float:
@@ -119,28 +114,23 @@ class World:
 
     # -- mobility ----------------------------------------------------------
 
-    def apply_movement(self, leg: WaypointLeg) -> None:
+    def apply_movement(self, leg: Movement) -> None:
         """Register a leg; position_at reflects it from start_time onward."""
         node = leg.node
         self._check_node(node)
         if leg.speed <= 0:
             raise ValueError("leg speed must be positive")
-        track = self._tracks.get(node)
-        if track is None:
-            leg.start_pos = self._initial[node]
-            track = self._tracks[node] = ([], [])
-        else:
-            arrival = track[1][-1][-1]
-            if leg.start_time < arrival:
-                raise OverlappingLegError(
-                    f"node {node}: leg at {leg.start_time} overlaps one ending "
-                    f"at {arrival:.3f}")
-            leg.start_pos = Position(*self._locate(node, leg.start_time))
-        sx, sy, ex, ey = leg.start_pos.x, leg.start_pos.y, leg.dest.x, leg.dest.y
+        starts, paths = self._tracks.setdefault(node, ([], []))
+        if paths and leg.start_time < paths[-1][-1]:
+            raise OverlappingLegError(
+                f"node {node}: leg at {leg.start_time} overlaps one ending "
+                f"at {paths[-1][-1]:.3f}")
+        sx, sy = self._locate(node, leg.start_time)
+        ex, ey = leg.dest.x, leg.dest.y
         total = math.hypot(sx - ex, sy - ey)
-        track[0].append(leg.start_time)
-        track[1].append((sx, sy, ex, ey, leg.speed, total,
-                         leg.start_time + total / leg.speed))
+        starts.append(leg.start_time)
+        paths.append((sx, sy, ex, ey, leg.speed, total,
+                      leg.start_time + total / leg.speed))
         self._fixed[node] = None
         if leg.speed > self._v_max:
             self._v_max = leg.speed

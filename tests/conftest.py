@@ -2,11 +2,9 @@
 import math
 import random
 
-from manetsim.aodv import AodvConfig
-from manetsim.dsdv import DsdvConfig
-from manetsim.scenario import Movement, ScenarioSpec, TrafficFlow
+from manetsim.scenario import ScenarioSpec, TrafficFlow
 from manetsim.simulation import Simulation
-from manetsim.world import Position, RadioModel
+from manetsim.world import Movement, Position, RadioModel
 
 
 def build_spec(positions, movements=(), flows=(), end=10.0, radio_range=250.0,
@@ -19,15 +17,11 @@ def build_spec(positions, movements=(), flows=(), end=10.0, radio_range=250.0,
 
 
 def build_sim(positions, protocol="aodv", seed=0, flows=(), movements=(),
-              end=10.0, hello_interval=0.0, jitter=0.0, radio_range=250.0,
-              update_interval=1.0, **aodv_kwargs):
+              end=10.0, hello_interval=0.0, jitter=0.0, radio_range=250.0):
     """Simulation with jitter off and hellos off unless asked for."""
     spec = build_spec(positions, movements, flows, end, radio_range)
     return Simulation(spec, protocol=protocol, seed=seed,
-                      aodv_config=AodvConfig(hello_interval=hello_interval,
-                                             **aodv_kwargs),
-                      dsdv_config=DsdvConfig(update_interval=update_interval),
-                      jitter=jitter)
+                      hello_interval=hello_interval, jitter=jitter)
 
 
 def random_connected_positions(rnd: random.Random, n: int, radio_range=250.0):

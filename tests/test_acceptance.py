@@ -8,6 +8,7 @@ import random
 import time
 
 from conftest import build_sim, build_spec, random_connected_positions, random_scenario
+from manetsim.dsdv import UPDATE_INTERVAL
 from manetsim.metrics import (EventKind, control_overhead, delay_series,
                               delivery_ratio, emit_plot_datasets, parse_trace,
                               throughput_series, write_trace)
@@ -192,9 +193,9 @@ def test_criterion_6_overhead_ordering():
     silent = build_sim(square, protocol="aodv", hello_interval=0.0, end=5.0)
     silent.run()
     assert silent.ledger.control_tx == {}
-    dsdv = build_sim(square, protocol="dsdv", end=5.0, update_interval=1.0)
+    dsdv = build_sim(square, protocol="dsdv", end=5.0)
     dsdv.run()
-    assert dsdv.ledger.control_tx["DSDV-UPDATE"] >= len(square) * 5
+    assert dsdv.ledger.control_tx["DSDV-UPDATE"] >= len(square) * (5.0 // UPDATE_INTERVAL)
     for name in ("scenario1", "scenario2"):
         for seed in SEEDS:
             a = run_builtin(name, "aodv", seed).report()

@@ -1,7 +1,9 @@
 import pytest
 
 from conftest import build_sim
-from manetsim.aodv import Rerr, RouteEntry, Rrep, Rreq, RreqAction
+from manetsim.aodv import (ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, DISCOVERY_RETRIES,
+                           REVERSE_PATH_LIFETIME, Rerr, RouteEntry, Rrep, Rreq,
+                           RreqAction)
 from manetsim.metrics import EventKind, LedgerEvent
 from manetsim.packets import DataPacket, ForwardAction
 from manetsim.scenario import TrafficFlow
@@ -115,12 +117,12 @@ def test_second_discovery_for_same_destination_raises():
 
 def test_retry_exhaustion_drops_buffered_packets():
     # node 1 is unreachable: no replies, retries run out, queue is lost
-    sim = build_sim([(0, 0), (700, 700)], discovery_retries=2)
+    sim = build_sim([(0, 0), (700, 700)])
     node = sim.nodes[0]
     node.originate_data(packet(sim, 0, 1))
     node.originate_data(packet(sim, 0, 1))
     sim.engine.run_until(5.0)
-    assert control_count(sim, "RREQ") == 3      # initial + 2 retries
+    assert control_count(sim, "RREQ") == 1 + DISCOVERY_RETRIES
     assert len(data_drops(sim)) == 2
     assert node.pending == {} and node.queued_count() == 0
 
@@ -155,13 +157,13 @@ def test_originate_without_route_buffers_and_floods():
 
 
 def test_buffer_overflow_drops_oldest_and_records_loss():
-    sim = build_sim([(0, 0), (700, 700)], buffer_capacity=64)
+    sim = build_sim([(0, 0), (700, 700)])
     node = sim.nodes[0]
     first = packet(sim, 0, 1)
     node.originate_data(first)
-    for _ in range(64):
+    for _ in range(BUFFER_CAPACITY):
         node.originate_data(packet(sim, 0, 1))
-    assert node.queued_count() == 64
+    assert node.queued_count() == BUFFER_CAPACITY
     drops = data_drops(sim)
     assert len(drops) == 1 and drops[0].uid == first.uid
 
@@ -258,13 +260,12 @@ def test_intermediary_installs_route_and_relays_rrep():
 
 def test_rrep_dropped_when_reverse_path_expired():
     # node 2 sits alone so its RREQ rebroadcast reaches nobody
-    sim = build_sim([(0, 0), (0, 600), (700, 700), (100, 600)],
-                    reverse_path_lifetime=1.0)
+    sim = build_sim([(0, 0), (0, 600), (700, 700), (100, 600)])
     mid = sim.nodes[2]
     rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
                 hop_count=1, uid=sim.world.next_uid())
     mid.handle_rreq(1, rreq)
-    sim.engine.run_until(2.5)   # reverse path now stale
+    sim.engine.run_until(REVERSE_PATH_LIFETIME + 0.5)   # reverse path now stale
     rrep = Rrep(src=0, dst=3, dst_seq=2, hop_count=0, lifetime=3.0, uid=77)
     sim.ledger.record(  # the copy we are about to drop was transmitted to us
         LedgerEvent(sim.engine.now, EventKind.CONTROL_TX, 3, "RREP", 20, 77, 0, 3))
@@ -347,11 +348,12 @@ def test_rerr_from_non_next_hop_ignored():
 def test_silent_neighbor_declared_broken_after_allowance():
     from manetsim.scenario import Movement
     from manetsim.world import Position
-    # node 1 beacons (hello_always), then walks out of range at t=3.2
-    sim = build_sim([(0, 0), (100, 0)], hello_interval=1.0, hello_always=True,
+    # node 1 beacons (it has a route), then walks out of range at t=3.2
+    sim = build_sim([(0, 0), (100, 0)], hello_interval=1.0,
                     movements=[Movement(3.2, 1, Position(700, 0), 400.0)])
     src = sim.nodes[0]
     install_route(src, 1, next_hop=1, dst_seq=2, ttl=100.0)
+    install_route(sim.nodes[1], 0, next_hop=0, dst_seq=2, ttl=100.0)
     sim.engine.run_until(4.5)
     assert src.route_is_active(1)                   # heard at 3.001, not yet silent 2 s
     sim.engine.run_until(6.0)                       # 6.0 - 3.001 > 2.0
@@ -359,19 +361,22 @@ def test_silent_neighbor_declared_broken_after_allowance():
 
 
 def test_hello_refreshes_timestamp_without_route_change():
-    sim = build_sim([(0, 0), (100, 0)], hello_interval=1.0, hello_always=True)
+    sim = build_sim([(0, 0), (100, 0)], hello_interval=1.0)
     src = sim.nodes[0]
     install_route(src, 1, next_hop=1, dst_seq=2, ttl=100.0)
+    install_route(sim.nodes[1], 0, next_hop=0, dst_seq=2, ttl=100.0)
     sim.engine.run_until(5.0)
     assert src.route_is_active(1)
     assert src.hello_last_heard[1] >= 4.0
 
 
 def test_unicast_break_then_hello_timeout_single_rerr():
-    sim = build_sim([(0, 0), (200, 0), (400, 0)], hello_interval=1.0,
-                    hello_always=True)
+    sim = build_sim([(0, 0), (200, 0), (400, 0)], hello_interval=1.0)
     mid = sim.nodes[1]
     install_route(mid, 2, next_hop=2, dst_seq=2, precursors=[0])
+    install_route(mid, 0, next_hop=0, dst_seq=2)    # every node keeps beaconing
+    for end in (0, 2):
+        install_route(sim.nodes[end], 1, next_hop=1, dst_seq=2)
     sim.engine.run_until(2.5)
     mid.hello_last_heard[2] = 2.0                   # supervised neighbor
     mid.on_link_break(2)                            # unicast-style detection
@@ -397,21 +402,22 @@ def test_beacon_sent_once_routes_exist():
 # -- expiry ---------------------------------------------------------------------------------------
 
 def test_untouched_route_expires_after_timeout():
-    sim = build_sim(CHAIN, active_route_timeout=3.0)
+    sim = build_sim(CHAIN)
     node = sim.nodes[0]
-    install_route(node, 1, next_hop=1, dst_seq=2, ttl=3.0)
-    sim.engine.run_until(3.5)
-    assert node.expire_routes() == [1]
+    install_route(node, 1, next_hop=1, dst_seq=2, ttl=ACTIVE_ROUTE_TIMEOUT)
+    sim.engine.run_until(ACTIVE_ROUTE_TIMEOUT - 0.5)
+    assert node.route_is_active(1)
+    sim.engine.run_until(ACTIVE_ROUTE_TIMEOUT + 0.5)
     assert not node.route_is_active(1)
 
 
 def test_forwarding_refreshes_expiry():
-    sim = build_sim(CHAIN, active_route_timeout=3.0)
+    sim = build_sim(CHAIN)
     node = sim.nodes[0]
     install_route(node, 1, next_hop=1, dst_seq=2, ttl=2.0)
     sim.engine.run_until(1.5)
     node.originate_data(packet(sim, 0, 1))
-    assert node.routes[1].expires_at == pytest.approx(4.5)
+    assert node.routes[1].expires_at == pytest.approx(1.5 + ACTIVE_ROUTE_TIMEOUT)
 
 
 def test_data_after_expiry_triggers_rediscovery():

@@ -120,8 +120,8 @@ def test_hello_interval_zero_disables_beacons(tmp_path):
     assert "HELLO" not in report["control_tx"]
 
 
-@pytest.mark.parametrize("case", ["window-zero", "negative-range", "out-is-a-file",
-                                  "non-utf8-scenario"])
+@pytest.mark.parametrize("case", ["window-zero", "negative-range", "hello-negative",
+                                  "hello-nan", "out-is-a-file", "non-utf8-scenario"])
 def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
     out = tmp_path / "out"
     args = ["run", "--scenario", "scenario1", "--out", str(out)]
@@ -129,6 +129,10 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
         args += ["--window", "0"]
     elif case == "negative-range":
         args += ["--range", "-5"]
+    elif case == "hello-negative":
+        args += ["--hello-interval", "-1"]
+    elif case == "hello-nan":
+        args += ["--hello-interval", "nan"]
     elif case == "out-is-a-file":
         out.write_text("")
     else:
@@ -142,5 +146,5 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error" in err
-    if case in ("window-zero", "negative-range"):
+    if case != "out-is-a-file":
         assert not out.exists()

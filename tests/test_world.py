@@ -9,9 +9,8 @@ from manetsim.engine import Engine
 from manetsim.errors import OverlappingLegError, UnknownNodeError
 from manetsim.metrics import MetricsLedger
 from manetsim.packets import DataPacket, MessageKind
-from manetsim.scenario import Movement
-from manetsim.world import (GRID_WINDOW, Position, RadioModel, UnicastOutcome,
-                            WaypointLeg, World, grid_cell)
+from manetsim.world import (GRID_WINDOW, Movement, Position, RadioModel, UnicastOutcome,
+                            World, grid_cell)
 
 
 def make_world(positions, radio=RadioModel(), ledger=None, jitter=0.0):
@@ -35,35 +34,35 @@ def test_stationary_node_keeps_initial_position():
 
 def test_linear_interpolation_along_leg():
     _, w = make_world([(0, 0)])
-    w.apply_movement(WaypointLeg(node=0, start_time=1.0, dest=Position(100, 0), speed=50))
+    w.apply_movement(Movement(1.0, 0, Position(100, 0), 50))
     assert w.position_at(0, 2.0) == Position(50, 0)
 
 
 def test_position_clamped_at_leg_destination():
     _, w = make_world([(0, 0)])
-    w.apply_movement(WaypointLeg(node=0, start_time=1.0, dest=Position(100, 0), speed=50))
+    w.apply_movement(Movement(1.0, 0, Position(100, 0), 50))
     assert w.position_at(0, 10.0) == Position(100, 0)
 
 
 def test_position_before_leg_start_is_prior_position():
     _, w = make_world([(0, 0)])
-    w.apply_movement(WaypointLeg(node=0, start_time=1.0, dest=Position(100, 0), speed=50))
+    w.apply_movement(Movement(1.0, 0, Position(100, 0), 50))
     assert w.position_at(0, 0.5) == Position(0, 0)
 
 
 def test_sequential_legs_chain_positions():
     _, w = make_world([(0, 0)])
-    w.apply_movement(WaypointLeg(node=0, start_time=0.0, dest=Position(100, 0), speed=100))
-    w.apply_movement(WaypointLeg(node=0, start_time=2.0, dest=Position(100, 50), speed=50))
+    w.apply_movement(Movement(0.0, 0, Position(100, 0), 100))
+    w.apply_movement(Movement(2.0, 0, Position(100, 50), 50))
     assert w.position_at(0, 1.5) == Position(100, 0)
     assert w.position_at(0, 2.5) == Position(100, 25)
 
 
 def test_overlapping_legs_rejected():
     _, w = make_world([(0, 0)])
-    w.apply_movement(WaypointLeg(node=0, start_time=1.0, dest=Position(100, 0), speed=50))
+    w.apply_movement(Movement(1.0, 0, Position(100, 0), 50))
     with pytest.raises(OverlappingLegError):
-        w.apply_movement(WaypointLeg(node=0, start_time=2.0, dest=Position(0, 0), speed=50))
+        w.apply_movement(Movement(2.0, 0, Position(0, 0), 50))
 
 
 def test_unknown_node_raises():
@@ -78,15 +77,16 @@ def test_movement_never_teleports():
     rnd = random.Random(5)
     _, w = make_world([(400, 400)])
     t = 0.0
+    here = Position(400, 400)
     max_speed = 0.0
     for _ in range(4):
         speed = rnd.uniform(10, 200)
         max_speed = max(max_speed, speed)
-        leg = WaypointLeg(node=0, start_time=t + rnd.uniform(0, 1),
-                          dest=Position(rnd.uniform(0, 800), rnd.uniform(0, 800)),
-                          speed=speed)
+        leg = Movement(t + rnd.uniform(0, 1), 0,
+                       Position(rnd.uniform(0, 800), rnd.uniform(0, 800)), speed)
         w.apply_movement(leg)
-        t = leg.arrival_time
+        t = leg.start_time + here.distance_to(leg.dest) / speed
+        here = leg.dest
     samples = [i * 0.37 for i in range(60)]
     for t1, t2 in zip(samples, samples[1:]):
         d = w.position_at(0, t1).distance_to(w.position_at(0, t2))
@@ -135,8 +135,7 @@ def test_scenario1_nodes_4_and_5_out_of_range_at_3s():
     spec = builtin("scenario1")
     _, w = make_world([(p.x, p.y) for p in spec.nodes], radio=spec.radio)
     for m in spec.movements:
-        w.apply_movement(WaypointLeg(node=m.node, start_time=m.start_time,
-                                     dest=m.dest, speed=m.speed))
+        w.apply_movement(m)
     assert w.in_range(4, 5, 2.0)
     assert not w.in_range(4, 5, 3.0)
 
@@ -204,8 +203,7 @@ def test_scenario2_node3_to_5_breaks_at_2_3():
     spec = builtin("scenario2")
     eng, w = make_world([(p.x, p.y) for p in spec.nodes], radio=spec.radio)
     for m in spec.movements:
-        w.apply_movement(WaypointLeg(node=m.node, start_time=m.start_time,
-                                     dest=m.dest, speed=m.speed))
+        w.apply_movement(m)
     eng.run_until(2.3)
     assert w.unicast(3, 5, pkt()) is UnicastOutcome.LINK_BREAK
 
@@ -249,8 +247,7 @@ def mobile_world(coords, legs, radio_range):
     _, w = make_world(coords, radio=RadioModel(range=radio_range))
     for node, node_legs in enumerate(legs):
         for start, dest, speed in node_legs:
-            w.apply_movement(WaypointLeg(node=node, start_time=start,
-                                         dest=Position(*dest), speed=speed))
+            w.apply_movement(Movement(start, node, Position(*dest), speed))
     return w
 
 
@@ -320,8 +317,7 @@ def test_neighbors_follow_legs_registered_after_queries(layout, data):
     for t in times:     # positions and grids from before the new leg
         for node in range(len(coords)):
             w.neighbors_of(node, t)
-    w.apply_movement(WaypointLeg(node=mover, start_time=leg[0], dest=Position(*leg[1]),
-                                 speed=leg[2]))
+    w.apply_movement(Movement(leg[0], mover, Position(*leg[1]), leg[2]))
     legs[mover].append(leg)
     for t in reversed(times):
         for node in range(len(coords)):
