@@ -26,6 +26,7 @@ DISCOVERY_RETRIES = 2       # RREQ retries after the first attempt
 BUFFER_CAPACITY = 64        # packets buffered per destination, drop-oldest
 ALLOWED_HELLO_LOSS = 2      # silent hello intervals before a neighbor is lost
 FLUSH_GAP = 0.0001          # frame serialization while draining a buffer
+PATH_DISCOVERY_TIME = 5.6   # seconds a (src, bcast_id) is remembered (RFC 3561 §10)
 
 
 @dataclass
@@ -130,6 +131,8 @@ class AodvNode:
         self.routes: dict[int, RouteEntry] = {}
         self.reverse_paths: dict[int, ReversePathEntry] = {}
         self.seen_rreqs: set[tuple[int, int]] = set()
+        # (forget_at, key) in the order keys were added, so oldest first
+        self._seen_order: deque[tuple[float, tuple[int, int]]] = deque()
         self.pending: dict[int, PendingDiscovery] = {}
         self.queues: dict[int, deque[DataPacket]] = {}
         self.hello_last_heard: dict[int, float] = {}
@@ -156,6 +159,7 @@ class AodvNode:
                 return False
             candidate.precursors |= existing.precursors
         self.routes[candidate.dst] = candidate
+        self.iface.route_changed(candidate.dst)
         return True
 
     def queued_count(self) -> int:
@@ -227,7 +231,7 @@ class AodvNode:
         rreq = Rreq(src=self.node_id, src_seq=self.own_seq, bcast_id=self.bcast_id,
                     dst=dst, dst_last_seq=last_seq, hop_count=0,
                     uid=self.iface.next_uid())
-        self.seen_rreqs.add((self.node_id, self.bcast_id))
+        self._remember_rreq((self.node_id, self.bcast_id))
         self.iface.broadcast(rreq)
         return rreq
 
@@ -247,12 +251,19 @@ class AodvNode:
         while q:
             self.iface.dropped(q.popleft())
 
+    def _remember_rreq(self, key: tuple[int, int]) -> None:
+        self.seen_rreqs.add(key)
+        self._seen_order.append((self.iface.now() + PATH_DISCOVERY_TIME, key))
+
     def handle_rreq(self, sender: int, rreq: Rreq) -> RreqAction:
+        now = self.iface.now()
+        order = self._seen_order
+        while order and order[0][0] <= now:
+            self.seen_rreqs.discard(order.popleft()[1])
         key = (rreq.src, rreq.bcast_id)
         if key in self.seen_rreqs:
             return RreqAction.DUPLICATE
-        self.seen_rreqs.add(key)
-        now = self.iface.now()
+        self._remember_rreq(key)
         self.reverse_paths[rreq.src] = ReversePathEntry(
             toward=rreq.src, via=sender,
             expires_at=now + REVERSE_PATH_LIFETIME)
@@ -339,6 +350,7 @@ class AodvNode:
         for e in affected:
             e.active = False
             e.dst_seq += 1          # poison stale copies downstream of us
+            self.iface.route_changed(e.dst)
             unreachable.append((e.dst, e.dst_seq))
             precursors |= e.precursors
         for dst, _ in unreachable:
@@ -361,6 +373,7 @@ class AodvNode:
                     and e.dst_seq <= seq):
                 e.active = False
                 e.dst_seq = seq
+                self.iface.route_changed(dst)
                 invalidated.append((dst, seq))
                 precursors |= e.precursors
         if not invalidated:

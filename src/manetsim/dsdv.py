@@ -119,6 +119,7 @@ class DsdvNode:
             if adopt:
                 entry = DsdvEntry(dst, sender, metric, seq, now)
                 self.table[dst] = entry
+                self.iface.route_changed(dst)
                 changed.append(entry)
         if changed:
             self.triggered_update(changed)
@@ -151,6 +152,7 @@ class DsdvNode:
             if e.dst != self.node_id and not e.broken and e.next_hop == dead_neighbor:
                 e.dst_seq += 1
                 e.hop_count = None
+                self.iface.route_changed(e.dst)
                 changed.append(e)
         if changed:
             self.triggered_update(changed)

@@ -24,22 +24,18 @@ def quantize(t: float) -> float:
 class EventHandle:
     """Handle for a scheduled event; permits one-shot cancellation."""
 
-    __slots__ = ("fire_at", "seq", "action", "_state")
+    __slots__ = ("fire_at", "action", "_state")
 
     _PENDING, _FIRED, _CANCELLED = 0, 1, 2
 
-    def __init__(self, fire_at: float, seq: int, action: Callable[[], None]):
+    def __init__(self, fire_at: float, action: Callable[[], None]):
         self.fire_at = fire_at
-        self.seq = seq
         self.action = action
         self._state = self._PENDING
 
     @property
     def pending(self) -> bool:
         return self._state == self._PENDING
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.fire_at, self.seq) < (other.fire_at, other.seq)
 
 
 class Engine:
@@ -49,7 +45,9 @@ class Engine:
         self.now = 0.0
         self.rng = random.Random(seed)
         self.seed = seed
-        self._queue: list[EventHandle] = []
+        # (fire_at, seq, handle): seq is unique, so the heap orders by the
+        # tuple's first two fields in C and never compares handles
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         # run after each processed event: the slot of Simulation's route
         # observer; invariant checkers go in Simulation.event_hooks instead
@@ -59,9 +57,9 @@ class Engine:
         fire_at = quantize(fire_at)
         if fire_at < self.now:
             raise PastTimeError(f"schedule at {fire_at} before clock {self.now}")
-        handle = EventHandle(fire_at, self._seq, action)
+        handle = EventHandle(fire_at, action)
+        heapq.heappush(self._queue, (fire_at, self._seq, handle))
         self._seq += 1
-        heapq.heappush(self._queue, handle)
         return handle
 
     def schedule_in(self, delay: float, action: Callable[[], None]) -> EventHandle:
@@ -75,19 +73,20 @@ class Engine:
         return True
 
     def pending_count(self) -> int:
-        return sum(1 for h in self._queue if h.pending)
+        return sum(1 for _, _, h in self._queue if h.pending)
 
     def run_until(self, t_end: float) -> int:
         """Process every event due at or before t_end; leaves the clock at t_end."""
         if t_end < self.now:
             raise PastTimeError(f"run_until({t_end}) before clock {self.now}")
         steps = 0
-        while self._queue and self._queue[0].fire_at <= t_end:
-            handle = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][0] <= t_end:
+            fire_at, _, handle = heapq.heappop(queue)
             if not handle.pending:
                 continue
             handle._state = EventHandle._FIRED
-            self.now = handle.fire_at
+            self.now = fire_at
             handle.action()
             steps += 1
             if self.after_event is not None:

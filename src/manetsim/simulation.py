@@ -47,6 +47,10 @@ class NodeInterface:
     def cancel(self, handle) -> bool:
         return self._sim.engine.cancel(handle)
 
+    def route_changed(self, dst: int) -> None:
+        """Tell the route observer this node installed or invalidated dst."""
+        self._sim.changed_dsts.add(dst)
+
     def has_active_flow(self, dst: int) -> bool:
         now = self._sim.engine.now
         return any(f.src == self.node_id and f.dst == dst and now < f.stop
@@ -154,6 +158,7 @@ class Simulation:
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
             (f.src, f.dst): [] for f in self.flows}
         self.route_stretch_samples: list[float] = []
+        self.changed_dsts: set[int] = set()   # filled by NodeInterface.route_changed
         self.event_hooks = []   # callables run after every processed event
         self.engine.after_event = self._after_event
         self._compiled = scenario_mod.compile(spec, self)
@@ -200,14 +205,24 @@ class Simulation:
         return pkt
 
     def _after_event(self) -> None:
-        t = self.engine.now
-        for key, history in self.route_history.items():
-            path = self.walk_route(*key)
-            if path is not None and (not history or history[-1][1] != path):
-                history.append((t, path))
-                shortest = self._bfs_hops(*key)
-                if shortest is not None:
-                    self.route_stretch_samples.append(len(path) - 1 - shortest)
+        # Only flows toward a destination whose entries changed are walked.
+        # With next hops fixed, time passing can only turn a complete path
+        # into None (expiry), never into a different complete path, and None
+        # is never recorded; so refreshing the expiry of an already-active
+        # entry needs no route_changed call.
+        changed = self.changed_dsts
+        if changed:
+            t = self.engine.now
+            for key, history in self.route_history.items():
+                if key[1] not in changed:
+                    continue
+                path = self.walk_route(*key)
+                if path is not None and (not history or history[-1][1] != path):
+                    history.append((t, path))
+                    shortest = self._bfs_hops(*key)
+                    if shortest is not None:
+                        self.route_stretch_samples.append(len(path) - 1 - shortest)
+            changed.clear()
         for hook in self.event_hooks:
             hook()
 

@@ -1,9 +1,11 @@
+import math
+
 import pytest
 
 from conftest import build_sim
 from manetsim.aodv import (ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, DISCOVERY_RETRIES,
-                           REVERSE_PATH_LIFETIME, Rerr, RouteEntry, Rrep, Rreq,
-                           RreqAction)
+                           PATH_DISCOVERY_TIME, REVERSE_PATH_LIFETIME, Rerr, RouteEntry,
+                           Rrep, Rreq, RreqAction)
 from manetsim.metrics import EventKind, LedgerEvent
 from manetsim.packets import DataPacket, ForwardAction
 from manetsim.scenario import TrafficFlow
@@ -188,6 +190,30 @@ def test_duplicate_rreq_discarded():
     dst_node.handle_rreq(2, rreq)
     assert dst_node.handle_rreq(2, rreq) is RreqAction.DUPLICATE
     assert control_count(sim, "RREP") == 1
+
+
+def test_rreq_remembered_for_path_discovery_time():
+    sim = build_sim(CHAIN)
+    mid = sim.nodes[1]
+    rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
+                hop_count=0, uid=sim.world.next_uid())
+    assert mid.handle_rreq(0, rreq) is RreqAction.FORWARDED
+    sim.engine.run_until(PATH_DISCOVERY_TIME - 0.001)
+    assert mid.handle_rreq(0, rreq) is RreqAction.DUPLICATE
+    sim.engine.run_until(PATH_DISCOVERY_TIME)
+    assert mid.handle_rreq(0, rreq) is RreqAction.FORWARDED
+    assert mid.seen_rreqs == {(0, 1)}
+
+
+def test_seen_rreqs_stay_bounded_over_a_long_run():
+    # one packet every 4 s outlives ACTIVE_ROUTE_TIMEOUT: each one rediscovers
+    flow = TrafficFlow(0, 3, rate=0.25, packet_size=512, start=0.5, stop=200.0)
+    sim = build_sim(CHAIN, flows=[flow], end=200.0)
+    sizes = []
+    sim.event_hooks.append(lambda: sizes.extend(len(n.seen_rreqs) for n in sim.nodes))
+    sim.run()
+    assert sim.nodes[0].bcast_id >= 45
+    assert max(sizes) <= math.ceil(PATH_DISCOVERY_TIME * flow.rate) + 1
 
 
 def test_intermediary_without_route_rebroadcasts_with_hop_increment():

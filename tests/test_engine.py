@@ -129,3 +129,56 @@ def test_after_event_hook_runs_per_event():
     eng.schedule(2.0, lambda: None)
     eng.run_until(3.0)
     assert hits == [1.0, 2.0]
+
+
+class Incomparable:
+    """Action that refuses every ordering and equality comparison."""
+
+    def __init__(self, log, key):
+        self.log = log
+        self.key = key
+
+    def __call__(self):
+        self.log.append(self.key)
+
+    def __eq__(self, other):
+        raise TypeError("actions must never be compared")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__
+
+
+def test_thousands_of_tied_events_fire_in_time_then_insertion_order():
+    rnd = random.Random(7)
+    eng = Engine()
+    log = []
+    times = [rnd.choice([0.5, 1.0, 1.0, 2.0]) + rnd.randrange(4) for _ in range(3000)]
+    handles = [eng.schedule(t, Incomparable(log, i)) for i, t in enumerate(times)]
+    cancelled = set(rnd.sample(range(3000), 500))
+    for i in sorted(cancelled):
+        assert eng.cancel(handles[i]) is True
+        assert eng.cancel(handles[i]) is False
+    assert eng.pending_count() == 2500
+
+    live = [i for i in range(3000) if i not in cancelled]
+    assert eng.run_until(2.0) == sum(times[i] <= 2.0 for i in live)
+    assert eng.pending_count() == sum(times[i] > 2.0 for i in live)
+    eng.run_until(10.0)
+    expected = sorted(live, key=lambda i: (times[i], i))
+    assert log == expected
+    assert eng.pending_count() == 0
+    assert not any(h.pending for h in handles)
+    assert eng.cancel(handles[expected[0]]) is False
+
+
+def test_events_scheduled_for_now_run_after_those_already_queued():
+    eng = Engine()
+    log = []
+
+    def first():
+        log.append("first")
+        eng.schedule(1.0, lambda: log.append("added at 1.0"))
+
+    eng.schedule(1.0, first)
+    eng.schedule(1.0, lambda: log.append("second"))
+    eng.run_until(1.0)
+    assert log == ["first", "second", "added at 1.0"]

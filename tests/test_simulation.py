@@ -1,10 +1,14 @@
 import io
 import random
 
-from conftest import build_sim, build_spec, random_connected_positions, random_scenario
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (build_sim, build_spec, random_connected_positions, random_scenario,
+                      random_waypoint_scenario)
 from manetsim.metrics import write_trace
 from manetsim.scenario import TrafficFlow, builtin
-from manetsim.simulation import Simulation
+from manetsim.simulation import PROTOCOLS, Simulation
 
 
 def run_trace(spec, protocol, seed):
@@ -102,6 +106,55 @@ def test_loop_freedom_on_builtin_scenarios():
         sim.run()
 
 
+class RecordingTable(dict):
+    """Route table that logs (node, dst) whenever an entry is stored."""
+
+    def __init__(self, entries, node_id, log):
+        super().__init__(entries)
+        self.node_id = node_id
+        self.log = log
+
+    def __setitem__(self, dst, entry):
+        super().__setitem__(dst, entry)
+        self.log.append((self.node_id, dst))
+
+
+def watch_new_next_hops(sim):
+    """Hook asserting, at every event boundary, that no next hop stored
+    since the last boundary closes a loop. A stored entry is the only way
+    either protocol adds a next hop (expiry and invalidation only remove
+    one), so a new loop toward dst must pass through a node logged for it
+    and the walk from that node finds it."""
+    log = []
+    for node in sim.nodes:
+        attr = "routes" if sim.protocol == "aodv" else "table"
+        setattr(node, attr, RecordingTable(getattr(node, attr), node.node_id, log))
+
+    def check():
+        for start, dst in log:
+            cur, seen = start, set()
+            while cur is not None and cur != dst:
+                assert cur not in seen, f"routing loop toward {dst} at t={sim.engine.now}"
+                seen.add(cur)
+                cur = sim.nodes[cur].next_hop_for(dst)
+        log.clear()
+
+    return check
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PROTOCOLS), st.integers(0, 999))
+def test_conservation_and_loop_freedom_up_to_50_nodes(scenario_seed, protocol, sim_seed):
+    spec = random_scenario(random.Random(scenario_seed), max_nodes=50, end=2.0)
+    sim = Simulation(spec, protocol, seed=sim_seed)
+    sim.event_hooks.append(watch_new_next_hops(sim))
+    result = sim.run()
+    led = result.ledger
+    assert led.sent == led.received + led.dropped_data + led.unresolved
+    assert led.unresolved == result.unresolved_census
+    assert_acyclic_next_hops(sim)
+
+
 # -- shortest-path equivalence ----------------------------------------------------------
 
 def bfs_distance(positions, radio_range, src, dst):
@@ -149,6 +202,59 @@ def test_route_history_records_transitions_in_order():
                                        [0, 1, 4, 5], [0, 9, 4, 5]]
     # node 4's movement at t=2.0 must not appear as a route change
     assert not any(2.0 <= t < 2.3 for t, _ in history)
+
+
+class EveryEventObserver:
+    """Oracle for the route observer: walks every flow after every event
+    and keeps its own route history and stretch samples."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.history = {key: [] for key in sim.route_history}
+        self.stretch = []
+
+    def walk(self, src, dst):
+        path = [src]
+        while path[-1] != dst:
+            nxt = self.sim.nodes[path[-1]].next_hop_for(dst)
+            if nxt is None or nxt in path:
+                return None
+            path.append(nxt)
+        return path
+
+    def __call__(self):
+        t = self.sim.engine.now
+        for (src, dst), history in self.history.items():
+            path = self.walk(src, dst)
+            if path is not None and (not history or history[-1][1] != path):
+                history.append((t, path))
+                shortest = self.sim._bfs_hops(src, dst)
+                if shortest is not None:
+                    self.stretch.append(len(path) - 1 - shortest)
+
+
+def observer_cases():
+    rnd = random.Random(2024)
+    for k in range(12):
+        yield f"random{k}", random_scenario(rnd, max_nodes=20, end=4.0)
+    for k in range(2):
+        yield f"rwp50-{k}", random_waypoint_scenario(random.Random(k), 50, 1200.0, 2.0)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_observer_matches_walking_every_flow_after_every_event(protocol):
+    recorded = changed = 0
+    for name, spec in observer_cases():
+        sim = Simulation(spec, protocol, seed=1)
+        oracle = EveryEventObserver(sim)
+        sim.event_hooks.append(oracle)
+        result = sim.run()
+        assert result.route_history == oracle.history, name
+        assert result.route_stretch_samples == oracle.stretch, name
+        recorded += sum(len(h) for h in oracle.history.values())
+        changed += sum(len(h) > 1 for h in oracle.history.values())
+    # the cases install routes and change some of them mid-flow
+    assert recorded >= 20 and changed >= 5
 
 
 def test_walk_route_none_while_no_route():
