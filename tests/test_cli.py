@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -77,6 +78,23 @@ def test_compare_table_and_combined_plots(tmp_path, capsys):
     # both protocols share one plot file, blank-line separated datasets
     throughput = read(out / "plots" / "throughput.xg")
     assert throughput.count("\n\n") >= 1
+
+
+# SHA-256 of the combined plots of `compare --scenario scenario1 --seeds 1 2`
+COMPARE_PLOT_DIGESTS = {
+    "received_lost.xg": "8773c9d63ce55fe3161603376c7571caabf812ef6cdb6ef52c7971fdf13374c0",
+    "throughput.xg": "6bb05729397394e6eb3efedff5d8cd43b7914b09cdb576b8e0612c0c03f667f9",
+    "delay.xg": "8835254e9f102c7ef97ebbf564334c99b965029630440306a2cd4f0f8f8439b4",
+}
+
+
+def test_compare_combined_plots_match_pinned_digests(tmp_path):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", "scenario1", "--seeds", "1", "2",
+                 "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / "plots" / name).read_bytes()).hexdigest()
+               for name in COMPARE_PLOT_DIGESTS}
+    assert digests == COMPARE_PLOT_DIGESTS
 
 
 def test_compare_without_seeds_is_usage_error(tmp_path, capsys):

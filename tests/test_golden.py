@@ -1,10 +1,10 @@
-"""Golden corpus: SHA-256 of the trace and report of fixed runs.
+"""Golden corpus: SHA-256 of the trace, report and plots of fixed runs.
 
 Each case runs one scenario under one protocol and seed, writes its
 outputs as `manetsim run` does, and compares the digests of
-`trace.txt` and `report.json` with the pinned ones in
-`golden/digests.json`. A change that alters any simulated behaviour, or
-the bytes of either file, fails here.
+`trace.txt`, `report.json` and the three plot files with the pinned
+ones in `golden/digests.json`. A change that alters any simulated
+behaviour, or the bytes of any of these files, fails here.
 
 An intentional behaviour change regenerates the corpus, in a change of
 its own, with:
@@ -27,7 +27,8 @@ from manetsim.simulation import Simulation
 from manetsim.world import grid_cell
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
-DIGESTED = ("trace.txt", "report.json")
+DIGESTED = ("trace.txt", "report.json", "plots/received_lost.xg",
+            "plots/throughput.xg", "plots/delay.xg")
 WINDOW = 0.5            # the `manetsim run` default throughput window
 RANDOM_SEED = 1         # simulation seed of the random layouts
 # (protocol, nodes, field side in m, simulated seconds): random-waypoint
