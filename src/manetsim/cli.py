@@ -10,48 +10,40 @@ from pathlib import Path
 
 from . import scenario as scenario_mod
 from .errors import SimError
-from .metrics import (EventKind, MetricsLedger, SeriesPoint, delay_series,
+from .metrics import (EventKind, SeriesPoint, cumulative_series, delay_series,
                       emit_plot_datasets, throughput_series, write_trace)
 from .simulation import PROTOCOLS, RunReport, RunResult, Simulation
 
-
-def cumulative_series(ledger: MetricsLedger, kind: EventKind,
-                      subkind: str = "DATA") -> list[SeriesPoint]:
-    """Running count of matching ledger events over time."""
-    points: list[SeriesPoint] = []
-    count = 0
-    for ev in ledger.events:
-        if ev.kind is kind and ev.subkind == subkind:
-            count += 1
-            if points and points[-1].t == ev.t:
-                points[-1] = SeriesPoint(ev.t, count)
-            else:
-                points.append(SeriesPoint(ev.t, count))
-    return points
+PLOTS = ("received_lost.xg", "throughput.xg", "delay.xg")
 
 
-def write_outputs(result: RunResult, out_dir: Path, window: float) -> RunReport:
+def plot_series(result: RunResult, window: float) -> dict[str, list[list[SeriesPoint]]]:
+    """Each plot file's datasets for one run; the report reuses these series."""
+    led = result.ledger
+    return {"received_lost.xg": [cumulative_series(led, EventKind.RECEIVED),
+                                 cumulative_series(led, EventKind.DROPPED)],
+            "throughput.xg": [throughput_series(led, window, t_end=result.spec.end_time)],
+            "delay.xg": [delay_series(led)]}
+
+
+def write_outputs(result: RunResult, out_dir: Path, window: float,
+                  series: dict[str, list[list[SeriesPoint]]] | None = None) -> RunReport:
+    """Trace, report and plots of one run; `series` is its plot_series, if derived."""
     out_dir.mkdir(parents=True, exist_ok=True)
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
     with open(out_dir / "trace.txt", "w") as fh:
         write_trace(result.ledger, fh)
-    report = result.report(window)
+    if series is None:
+        series = plot_series(result, window)
+    report = result.summarize(series["throughput.xg"][0], series["delay.xg"][0])
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(plots / "received_lost.xg", "w") as fh:
-        emit_plot_datasets(
-            [cumulative_series(result.ledger, EventKind.RECEIVED),
-             cumulative_series(result.ledger, EventKind.DROPPED)],
-            f"packets received and lost: {report.scenario} {report.protocol}", fh)
-    with open(plots / "throughput.xg", "w") as fh:
-        emit_plot_datasets(
-            [throughput_series(result.ledger, window, t_end=result.spec.end_time)],
-            f"throughput: {report.scenario} {report.protocol}", fh)
-    with open(plots / "delay.xg", "w") as fh:
-        emit_plot_datasets([delay_series(result.ledger)],
-                           f"delay: {report.scenario} {report.protocol}", fh)
+    titles = ("packets received and lost", "throughput", "delay")
+    for name, title in zip(PLOTS, titles):
+        with open(plots / name, "w") as fh:
+            emit_plot_datasets(series[name], f"{title}: {report.scenario} {report.protocol}", fh)
     return report
 
 
@@ -107,14 +99,14 @@ def cmd_compare(args) -> int:
         return 2
     out_dir = Path(args.out or f"runs/compare_{Path(args.scenario).stem}")
     reports: dict[str, list[RunReport]] = {p: [] for p in PROTOCOLS}
-    results: dict[str, list[RunResult]] = {p: [] for p in PROTOCOLS}
+    first: dict[str, dict] = {}     # protocol -> plot series of its first seed
     for protocol in PROTOCOLS:
         for seed in seeds:
-            sim = _build_sim(args, protocol, seed)
-            result = sim.run()
+            result = _build_sim(args, protocol, seed).run()
+            series = plot_series(result, args.window)
             sub = out_dir / f"{protocol}_seed{seed}"
-            reports[protocol].append(write_outputs(result, sub, args.window))
-            results[protocol].append(result)
+            reports[protocol].append(write_outputs(result, sub, args.window, series))
+            first.setdefault(protocol, series)
 
     header = (f"{'protocol':<9} {'seed':>5} {'sent':>5} {'recv':>5} {'drop':>5} "
               f"{'ratio':>7} {'tput_bps':>10} {'delay_s':>9} {'ctrl_tx':>8}")
@@ -130,20 +122,11 @@ def cmd_compare(args) -> int:
     # combined plots, both protocols in one file (first seed of each)
     plots = out_dir / "plots"
     plots.mkdir(parents=True, exist_ok=True)
-    first = {p: results[p][0] for p in PROTOCOLS}
-    with open(plots / "received_lost.xg", "w") as fh:
-        emit_plot_datasets(
-            [cumulative_series(first[p].ledger, kind)
-             for p in PROTOCOLS for kind in (EventKind.RECEIVED, EventKind.DROPPED)],
-            f"received and lost: {first['aodv'].spec.name} aodv vs dsdv", fh)
-    with open(plots / "throughput.xg", "w") as fh:
-        emit_plot_datasets(
-            [throughput_series(first[p].ledger, args.window,
-                               t_end=first[p].spec.end_time) for p in PROTOCOLS],
-            f"throughput: {first['aodv'].spec.name} aodv vs dsdv", fh)
-    with open(plots / "delay.xg", "w") as fh:
-        emit_plot_datasets([delay_series(first[p].ledger) for p in PROTOCOLS],
-                           f"delay: {first['aodv'].spec.name} aodv vs dsdv", fh)
+    titles = ("received and lost", "throughput", "delay")
+    for plot, title in zip(PLOTS, titles):
+        with open(plots / plot, "w") as fh:
+            emit_plot_datasets([d for p in PROTOCOLS for d in first[p][plot]],
+                               f"{title}: {reports['aodv'][0].scenario} aodv vs dsdv", fh)
 
     summary = {p: [r.to_dict() for r in reports[p]] for p in PROTOCOLS}
     with open(out_dir / "comparison.json", "w") as fh:

@@ -5,6 +5,7 @@ trace can be parsed back and must reproduce them bit-identically.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, TextIO
@@ -39,7 +40,7 @@ class LedgerEvent:
         return cls(t, kind, node, msg.kind.value, msg.size, msg.uid, msg.src, msg.dst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesPoint:
     t: float
     value: float
@@ -117,19 +118,26 @@ def throughput_series(ledger: MetricsLedger, window: float = 0.5,
                       t_end: float | None = None) -> list[SeriesPoint]:
     """Delivered payload bits per second over a sliding window.
 
-    One point per window position, at the window's trailing edge.
+    One point per window position, at the window's trailing edge. A point
+    counts the receives at rt with t - window < rt <= t: the ledger is
+    time-ordered, so that is a difference of two prefix sums.
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    receives = [(e.t, e.size) for e in ledger.events if e.kind is EventKind.RECEIVED]
+    times: list[float] = []
+    bits = [0]          # bits[i]: payload bits of the first i receives
+    for e in ledger.events:
+        if e.kind is EventKind.RECEIVED:
+            times.append(e.t)
+            bits.append(bits[-1] + e.size * 8)
     if t_end is None:
         t_end = ledger.events[-1].t if ledger.events else 0.0
     points = []
     k = 0
     while window + k * step <= t_end + 1e-9:
         t = window + k * step
-        bits = sum(size * 8 for (rt, size) in receives if t - window < rt <= t)
-        points.append(SeriesPoint(t, bits / window))
+        delivered = bits[bisect_right(times, t)] - bits[bisect_right(times, t - window)]
+        points.append(SeriesPoint(t, delivered / window))
         k += 1
     return points
 
@@ -140,6 +148,21 @@ def delay_series(ledger: MetricsLedger) -> list[SeriesPoint]:
     points = [SeriesPoint(e.t, e.t - sent_at[e.uid])
               for e in ledger.events if e.kind is EventKind.RECEIVED]
     points.sort(key=lambda p: (p.t, p.value))
+    return points
+
+
+def cumulative_series(ledger: MetricsLedger, kind: EventKind,
+                      subkind: str = "DATA") -> list[SeriesPoint]:
+    """Running count of matching ledger events over time."""
+    points: list[SeriesPoint] = []
+    count = 0
+    for ev in ledger.events:
+        if ev.kind is kind and ev.subkind == subkind:
+            count += 1
+            if points and points[-1].t == ev.t:
+                points[-1] = SeriesPoint(ev.t, count)
+            else:
+                points.append(SeriesPoint(ev.t, count))
     return points
 
 
@@ -159,18 +182,15 @@ def mean_value(series: list[SeriesPoint]) -> float:
 # ---------------------------------------------------------------------------
 # persistence: line-oriented trace, xgraph-style plot data
 
-_TRACE_FMT = "{kind} {t:.6f} {node} {subkind} {size} {uid} {src} {dst}\n"
-
-
-def format_trace_line(ev: LedgerEvent) -> str:
-    return _TRACE_FMT.format(kind=ev.kind.value, t=ev.t, node=ev.node,
-                             subkind=ev.subkind, size=ev.size, uid=ev.uid,
-                             src=ev.src, dst=ev.dst)
+_KIND_CODE = {kind: kind.value for kind in EventKind}
 
 
 def write_trace(ledger: MetricsLedger, out: TextIO) -> None:
+    """One line per ledger event, written as it is formatted."""
+    write, code = out.write, _KIND_CODE
     for ev in ledger.events:
-        out.write(format_trace_line(ev))
+        write("%s %.6f %d %s %d %d %d %d\n" % (code[ev.kind], ev.t, ev.node, ev.subkind,
+                                               ev.size, ev.uid, ev.src, ev.dst))
 
 
 def parse_trace(lines: Iterable[str]) -> MetricsLedger:

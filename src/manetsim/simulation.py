@@ -12,8 +12,8 @@ from .aodv import AodvNode
 from .dsdv import UPDATE_INTERVAL, DsdvNode
 from .engine import Engine
 from .errors import NoTransmissionsError
-from .metrics import (EventKind, LedgerEvent, MetricsLedger, control_overhead,
-                      delay_series, delivery_ratio, mean_value,
+from .metrics import (EventKind, LedgerEvent, MetricsLedger, SeriesPoint,
+                      control_overhead, delay_series, delivery_ratio, mean_value,
                       throughput_series, transmission_efficiency)
 from .packets import DataPacket, MessageKind
 from .scenario import ScenarioSpec, TrafficFlow
@@ -106,13 +106,16 @@ class RunResult:
 
     def report(self, window: float = 0.5) -> RunReport:
         """Summary with throughput averaged over sliding windows of `window` s."""
+        return self.summarize(throughput_series(self.ledger, window, t_end=self.spec.end_time),
+                              delay_series(self.ledger))
+
+    def summarize(self, tput: list[SeriesPoint], delays: list[SeriesPoint]) -> RunReport:
+        """Summary from this run's throughput and delay series, already derived."""
         led = self.ledger
         try:
             eff = transmission_efficiency(led)
         except NoTransmissionsError:
             eff = None
-        tput = throughput_series(led, window, t_end=self.spec.end_time)
-        delays = delay_series(led)
         changes = sum(max(0, len(h) - 1) for h in self.route_history.values())
         stretch = (sum(self.route_stretch_samples) / len(self.route_stretch_samples)
                    if self.route_stretch_samples else 0.0)

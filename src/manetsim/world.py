@@ -17,8 +17,9 @@ from .engine import Engine
 from .errors import OverlappingLegError, UnknownNodeError
 from .metrics import EventKind, LedgerEvent, MetricsLedger
 
-# jitter stays below hop_latency/10 so a k-hop flood always beats a
-# (k+1)-hop copy for k <= 9; see the shortest-path discovery invariant
+# jitter adds at most this share of hop_latency per hop, so a k-hop flood
+# beats a (k+1)-hop copy while k * 1.05 < k + 1, that is for k <= 19; see
+# the shortest-path discovery invariant
 JITTER_FRACTION = 0.05
 # simulated seconds one neighbour grid stays valid; see World._grid_at
 GRID_WINDOW = 0.5
@@ -124,7 +125,7 @@ class World:
         if paths and leg.start_time < paths[-1][-1]:
             raise OverlappingLegError(
                 f"node {node}: leg at {leg.start_time} overlaps one ending "
-                f"at {paths[-1][-1]:.3f}")
+                f"at {paths[-1][-1]}")
         sx, sy = self._locate(node, leg.start_time)
         ex, ey = leg.dest.x, leg.dest.y
         total = math.hypot(sx - ex, sy - ey)

@@ -1,6 +1,8 @@
 import io
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from manetsim.errors import LedgerConsistencyError, LedgerOrderError, NoTransmissionsError
 from manetsim.metrics import (EventKind, LedgerEvent, MetricsLedger, SeriesPoint,
@@ -119,6 +121,58 @@ def test_throughput_empty_window_is_zero():
     assert [p.value for p in pts] == [0.0, 0.0]
 
 
+def quadratic_throughput(ledger, window=0.5, step=0.1, t_end=None):
+    """Oracle: the original rescan of every receive for each window position."""
+    receives = [(e.t, e.size) for e in ledger.events if e.kind is EventKind.RECEIVED]
+    if t_end is None:
+        t_end = ledger.events[-1].t if ledger.events else 0.0
+    points = []
+    k = 0
+    while window + k * step <= t_end + 1e-9:
+        t = window + k * step
+        bits = sum(size * 8 for (rt, size) in receives if t - window < rt <= t)
+        points.append(SeriesPoint(t, bits / window))
+        k += 1
+    return points
+
+
+WINDOWS = (0.1, 0.3, 0.5, 0.7, 1.0, 2.5)
+STEPS = (0.05, 0.1, 0.2, 0.25, 0.3)
+
+
+@st.composite
+def receive_ledgers(draw):
+    """(ledger, window, step, t_end) with receives on and beside window edges."""
+    window, step = draw(st.sampled_from(WINDOWS)), draw(st.sampled_from(STEPS))
+    span = 6.0
+    edge = st.integers(0, int(span / step)).map(lambda k: window + k * step)
+    near = st.one_of(
+        edge,                                             # a trailing edge t
+        edge.map(lambda t: t - window),                   # the excluded leading edge
+        st.integers(0, int(span / step)).map(lambda k: k * step),
+        edge.map(lambda t: math.nextafter(t, math.inf)),
+        edge.map(lambda t: math.nextafter(t - window, -math.inf)),
+        st.floats(0.0, span, allow_nan=False))
+    times = draw(st.lists(near, max_size=40))
+    times += draw(st.lists(st.sampled_from(times), max_size=10)) if times else []
+    led = MetricsLedger()
+    for uid in range(1, len(times) + 1):
+        led.record(ev(min(times), EventKind.SENT, uid=uid))
+    for uid, t in enumerate(sorted(times), start=1):
+        led.record(ev(t, EventKind.RECEIVED, node=5, uid=uid,
+                      size=draw(st.integers(1, 1500))))
+    t_end = draw(st.one_of(st.none(), edge, st.floats(0.0, span, allow_nan=False)))
+    return led, window, step, t_end
+
+
+@settings(max_examples=300, deadline=None)
+@given(receive_ledgers())
+def test_throughput_equals_the_quadratic_rescan(case):
+    led, window, step, t_end = case
+    assert throughput_series(led, window, step, t_end) == \
+        quadratic_throughput(led, window, step, t_end)
+
+
 # -- delay -----------------------------------------------------------------------
 
 def test_delay_three_hops_one_ms_each():
@@ -217,6 +271,74 @@ def test_series_recomputed_from_trace_bit_identical():
     assert throughput_series(reparsed, 0.5, 0.1, 3.0) == throughput_series(led, 0.5, 0.1, 3.0)
     assert control_overhead(reparsed) == control_overhead(led)
     assert delivery_ratio(reparsed) == delivery_ratio(led)
+
+
+OLD_TRACE_FMT = "{kind} {t:.6f} {node} {subkind} {size} {uid} {src} {dst}\n"
+SUBKINDS = ("DATA", "RREQ", "RREP", "RERR", "HELLO", "DSDV-UPDATE")
+
+trace_times = st.one_of(
+    st.just(0.0),
+    st.integers(0, 10**9).map(lambda j: j / 128),           # odd j: 7th decimal an exact tie
+    st.integers(0, 10**7).map(lambda n: n / 1e6 + 5e-7),    # ties as written in decimal
+    st.floats(0.0, 1e20, allow_nan=False),                  # up to very large times
+)
+ints = st.integers(-1, 2**40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(trace_times, st.sampled_from(list(EventKind)), ints, st.sampled_from(SUBKINDS),
+       ints, ints, ints, ints)
+def test_trace_row_equals_the_str_format_row(t, kind, node, subkind, size, uid, src, dst):
+    e = LedgerEvent(t, kind, node, subkind, size, uid, src, dst)
+    led = MetricsLedger()
+    led.events.append(e)        # one row; record() would check uids
+    buf = io.StringIO()
+    write_trace(led, buf)
+    assert buf.getvalue() == OLD_TRACE_FMT.format(
+        kind=kind.value, t=t, node=node, subkind=subkind, size=size, uid=uid,
+        src=src, dst=dst)
+
+
+@st.composite
+def consistent_ledgers(draw):
+    """A ledger record() accepts, at microsecond times as the engine quantizes."""
+    times = sorted(draw(st.lists(st.integers(0, 10**8), max_size=60)))
+    led = MetricsLedger()
+    data, control = [], []
+    for uid, us in enumerate(times, start=1):
+        t = us / 1e6
+        step = draw(st.sampled_from(("send", "control", "data", "receive", "drop")))
+        if step == "control":
+            subkind = draw(st.sampled_from(SUBKINDS[1:]))
+            if control and draw(st.booleans()):
+                led.record(ev(t, EventKind.DROPPED, subkind=subkind, dst=-1,
+                              uid=draw(st.sampled_from(control))))
+            else:
+                control.append(uid)
+                led.record(ev(t, EventKind.CONTROL_TX, subkind=subkind, size=draw(ints),
+                              uid=uid, dst=-1))
+        elif step == "send" or not data:
+            data.append(uid)
+            led.record(ev(t, EventKind.SENT, node=draw(ints), uid=uid))
+        else:
+            kind = {"data": EventKind.DATA_TX, "receive": EventKind.RECEIVED,
+                    "drop": EventKind.DROPPED}[step]
+            led.record(ev(t, kind, node=draw(ints), uid=draw(st.sampled_from(data)),
+                          size=draw(ints), src=draw(ints), dst=draw(ints)))
+    return led
+
+
+@settings(max_examples=200, deadline=None)
+@given(consistent_ledgers())
+def test_parse_trace_reproduces_the_written_ledger(led):
+    buf = io.StringIO()
+    write_trace(led, buf)
+    reparsed = parse_trace(buf.getvalue().splitlines())
+    assert reparsed.events == led.events
+    assert (reparsed.sent, reparsed.received, reparsed.dropped_data,
+            reparsed.dropped_control, reparsed.data_tx, reparsed.control_tx) == \
+        (led.sent, led.received, led.dropped_data, led.dropped_control,
+         led.data_tx, led.control_tx)
 
 
 def test_conservation_identity_on_hand_ledger():

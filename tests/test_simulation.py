@@ -257,6 +257,46 @@ def test_observer_matches_walking_every_flow_after_every_event(protocol):
     assert recorded >= 20 and changed >= 5
 
 
+def static_multihop_runs():
+    """Static CBR runs on connected random layouts, flows two or more hops long."""
+    rnd = random.Random(77)
+    for _ in range(4):
+        pts = random_connected_positions(rnd, 15)
+        pairs = [(a, b) for a in range(15) for b in range(15)
+                 if a != b and bfs_distance(pts, 250.0, a, b) >= 2]
+        flows = [TrafficFlow(src, dst, 10.0, 512, 0.5 + 0.1 * k, 8.0)
+                 for k, (src, dst) in enumerate(rnd.sample(pairs, 4))]
+        yield Simulation(build_spec(pts, flows=flows, end=10.0), "aodv",
+                         seed=rnd.randrange(10000))
+
+
+def assert_one_shortest_route_per_static_flow():
+    hops = ratios = 0
+    for sim in static_multihop_runs():
+        result = sim.run()
+        for (src, dst), history in result.route_history.items():
+            assert len(history) == 1, (src, dst, history)
+            path = history[0][1]
+            assert len(path) - 1 == sim._bfs_hops(src, dst)
+            hops = max(hops, len(path) - 1)
+            ratios += (len(path) - 1) / sim._bfs_hops(src, dst)
+        # the report's stretch counts extra hops; as a ratio every route is 1.0
+        assert result.route_stretch_samples == [0] * len(result.route_history)
+        assert result.report().mean_route_stretch == 0.0
+    assert ratios / (4 * 4) == 1.0 and hops >= 3
+
+
+def test_static_multihop_flows_record_one_shortest_route_each():
+    assert_one_shortest_route_per_static_flow()
+
+
+def test_static_route_guard_fails_without_route_changed(monkeypatch):
+    from manetsim.simulation import NodeInterface
+    monkeypatch.setattr(NodeInterface, "route_changed", lambda self, dst: None)
+    with pytest.raises(AssertionError):
+        assert_one_shortest_route_per_static_flow()
+
+
 def test_walk_route_none_while_no_route():
     sim = build_sim([(0, 0), (700, 700)])
     assert sim.walk_route(0, 1) is None

@@ -65,6 +65,18 @@ def test_overlapping_legs_rejected():
         w.apply_movement(Movement(2.0, 0, Position(0, 0), 50))
 
 
+def test_overlap_message_gives_the_arrival_at_full_precision():
+    _, w = make_world([(0, 0)])
+    leg = Movement(0.01, 0, Position(0.800039912193175, 0), 100.0)
+    w.apply_movement(leg)
+    arrival = 0.01 + 0.800039912193175 / 100.0
+    assert repr(arrival) == "0.01800039912193175"
+    with pytest.raises(OverlappingLegError) as exc:
+        w.apply_movement(Movement(0.018, 0, Position(0, 0), 1.0))
+    assert str(exc.value) == (
+        "node 0: leg at 0.018 overlaps one ending at 0.01800039912193175")
+
+
 def test_unknown_node_raises():
     _, w = make_world([(0, 0)])
     with pytest.raises(UnknownNodeError):
