@@ -145,10 +145,10 @@ def throughput_series(ledger: MetricsLedger, window: float = 0.5,
 def delay_series(ledger: MetricsLedger) -> list[SeriesPoint]:
     """One point per delivered packet: (receive time, end-to-end delay)."""
     sent_at = {e.uid: e.t for e in ledger.events if e.kind is EventKind.SENT}
-    points = [SeriesPoint(e.t, e.t - sent_at[e.uid])
-              for e in ledger.events if e.kind is EventKind.RECEIVED]
-    points.sort(key=lambda p: (p.t, p.value))
-    return points
+    pairs = [(e.t, e.t - sent_at[e.uid])
+             for e in ledger.events if e.kind is EventKind.RECEIVED]
+    pairs.sort()
+    return [SeriesPoint(t, delay) for t, delay in pairs]
 
 
 def cumulative_series(ledger: MetricsLedger, kind: EventKind,

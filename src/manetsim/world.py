@@ -238,8 +238,8 @@ class World:
         receivers = self.neighbors_of(sender, now)
         self._record_tx(sender, msg)
         for r in receivers:
-            self.engine.schedule(now + self._delivery_delay(),
-                                 lambda r=r: self.deliver(r, sender, msg))
+            self.engine.post(now + self._delivery_delay(),
+                             lambda r=r: self.deliver(r, sender, msg))
         return receivers
 
     def unicast(self, sender: int, next_hop: int, msg) -> UnicastOutcome:
@@ -252,6 +252,6 @@ class World:
         if not self._linked(sender, next_hop, now):
             return UnicastOutcome.LINK_BREAK
         self._record_tx(sender, msg)
-        self.engine.schedule(now + self._delivery_delay(),
-                             lambda: self.deliver(next_hop, sender, msg))
+        self.engine.post(now + self._delivery_delay(),
+                         lambda: self.deliver(next_hop, sender, msg))
         return UnicastOutcome.SENT

@@ -1,8 +1,11 @@
+import heapq
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from manetsim.engine import Engine
+from manetsim.engine import Engine, quantize
 from manetsim.errors import PastTimeError
 
 
@@ -182,3 +185,201 @@ def test_events_scheduled_for_now_run_after_those_already_queued():
     eng.schedule(1.0, lambda: log.append("second"))
     eng.run_until(1.0)
     assert log == ["first", "second", "added at 1.0"]
+
+
+def test_cancelled_event_counts_no_step_and_runs_no_after_event():
+    eng = Engine()
+    hits = []
+    eng.after_event = lambda: hits.append(eng.now)
+    eng.schedule(1.0, lambda: None)
+    eng.cancel(eng.schedule(1.0, lambda: None))
+    eng.cancel(eng.schedule(1.5, lambda: None))   # leaves its bucket empty
+    assert eng.run_until(2.0) == 1
+    assert hits == [1.0]
+
+
+def test_event_cancels_a_later_one_due_at_the_same_microsecond():
+    # AODV's tie: the RREP and the RREP_WAIT timer it cancels fire together
+    eng = Engine()
+    log, cancelled = [], []
+
+    def reply():
+        log.append("reply")
+        cancelled.append(eng.cancel(timer))
+
+    eng.schedule(1.0, reply)
+    timer = eng.schedule(1.0000001, lambda: log.append("timeout"))
+    assert eng.run_until(2.0) == 1
+    assert log == ["reply"] and cancelled == [True]
+    assert not timer.pending
+
+
+def test_action_that_raises_leaves_the_rest_of_its_bucket_queued():
+    eng = Engine()
+    log = []
+
+    def boom():
+        log.append("boom")
+        raise RuntimeError("boom")
+
+    eng.schedule(1.0, lambda: log.append("a"))
+    eng.post(1.0, boom)
+    eng.post(1.0, lambda: log.append("c"))
+    eng.schedule(2.0, boom)                        # last of its bucket
+    eng.schedule(3.0, lambda: log.append("d"))
+    with pytest.raises(RuntimeError):
+        eng.run_until(5.0)
+    assert log == ["a", "boom"] and eng.now == 1.0
+    assert eng.pending_count() == 3
+    eng.post(1.0, lambda: log.append("added at 1.0"))
+    with pytest.raises(RuntimeError):
+        eng.run_until(5.0)
+    assert log == ["a", "boom", "c", "added at 1.0", "boom"] and eng.now == 2.0
+    assert eng.run_until(5.0) == 1
+    assert log[-1] == "d" and eng.now == 5.0
+    assert eng.pending_count() == 0 and eng._queue == []
+
+
+def test_queue_holds_one_entry_per_distinct_fire_time():
+    eng = Engine()
+    queue = eng._queue
+    for t in (1.0, 1.0, 1.0000004, 2.0, 2.0):
+        eng.post(t, lambda: None)
+    assert eng.pending_count() == 5 and len(queue) == 2
+    eng.run_until(1.0)
+    assert eng._queue is queue and len(queue) == 1
+
+
+# -- oracle: the (fire_at, seq) heap engine with three-state handles ---------------
+
+class ReferenceHandle:
+    __slots__ = ("fire_at", "action", "state")
+
+    def __init__(self, fire_at, action):
+        self.fire_at = fire_at
+        self.action = action
+        self.state = "pending"
+
+    @property
+    def pending(self):
+        return self.state == "pending"
+
+
+class ReferenceEngine:
+    """One heap entry per event, ordered by (fire_at, seq); a cancelled
+    handle stays queued and is skipped when popped."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._queue = []
+        self._seq = 0
+        self.after_event = None
+
+    def schedule(self, fire_at, action):
+        fire_at = quantize(fire_at)
+        if fire_at < self.now:
+            raise PastTimeError(f"schedule at {fire_at} before clock {self.now}")
+        handle = ReferenceHandle(fire_at, action)
+        heapq.heappush(self._queue, (fire_at, self._seq, handle))
+        self._seq += 1
+        return handle
+
+    def post(self, fire_at, action):
+        self.schedule(fire_at, action)
+
+    def cancel(self, handle):
+        if not handle.pending:
+            return False
+        handle.state = "cancelled"
+        return True
+
+    def pending_count(self):
+        return sum(1 for _, _, h in self._queue if h.pending)
+
+    def run_until(self, t_end):
+        if t_end < self.now:
+            raise PastTimeError(f"run_until({t_end}) before clock {self.now}")
+        steps = 0
+        while self._queue and self._queue[0][0] <= t_end:
+            fire_at, _, handle = heapq.heappop(self._queue)
+            if not handle.pending:
+                continue
+            handle.state = "fired"
+            self.now = fire_at
+            handle.action()
+            steps += 1
+            if self.after_event is not None:
+                self.after_event()
+        self.now = t_end
+        return steps
+
+
+# delays with ties, sub-microsecond parts that quantize away, and zero, so
+# events land at the back of the bucket being drained
+DELAYS = st.sampled_from([0.0, 4e-7, 1e-6, 1.6e-6, 0.25, 0.5, 1.0])
+INDEX = st.integers(0, 40)
+
+
+def ops(callbacks):
+    return st.one_of(st.tuples(st.just("schedule"), DELAYS, callbacks),
+                     st.tuples(st.just("post"), DELAYS, callbacks),
+                     st.tuples(st.just("cancel"), INDEX),
+                     st.tuples(st.just("cancel_due_now"), INDEX))
+
+
+CALLBACKS = st.recursive(st.just(()),
+                         lambda inner: st.lists(ops(inner), max_size=3).map(tuple),
+                         max_leaves=12)
+PROGRAMS = st.lists(st.one_of(ops(CALLBACKS),
+                              st.tuples(st.just("run"), st.sampled_from([0.0, 1e-6, 0.5, 1.2]))),
+                    max_size=25)
+
+
+def execute(engine, program):
+    """Log of every firing with the clock, every run_until's steps, clock,
+    pending count and handle states, every cancel's result, and the
+    after_event count."""
+    log, handles, after = [], [], []
+    ids = itertools.count()
+    engine.after_event = lambda: after.append(engine.now)
+
+    def event(callback):
+        eid = next(ids)
+
+        def action():
+            log.append(("fire", eid, engine.now))
+            for op in callback:
+                apply(op)
+        return action
+
+    def cancel(candidates, k):
+        if candidates:
+            log.append(("cancel", k, engine.cancel(candidates[k % len(candidates)])))
+
+    def apply(op):
+        kind = op[0]
+        if kind == "schedule":
+            handles.append(engine.schedule(engine.now + op[1], event(op[2])))
+        elif kind == "post":
+            engine.post(engine.now + op[1], event(op[2]))
+        elif kind == "cancel":
+            cancel(handles, op[1])
+        elif kind == "cancel_due_now":
+            cancel([h for h in handles if h.fire_at == engine.now], op[1])
+        else:
+            # a quantized target keeps the clock on the microsecond grid, so
+            # that a zero delay never lands before it
+            steps = engine.run_until(quantize(engine.now + op[1]))
+            log.append(("run", steps, engine.now, engine.pending_count(),
+                        [h.pending for h in handles]))
+
+    for op in program:
+        apply(op)
+    apply(("run", 100.0))
+    return log, len(after)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROGRAMS)
+def test_bucket_engine_agrees_with_the_heap_of_every_event(program):
+    assert execute(Engine(), program) == execute(ReferenceEngine(), program)

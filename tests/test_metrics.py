@@ -199,6 +199,16 @@ def test_delay_points_ordered_by_receive_time():
     assert [p.t for p in pts] == [1.2, 1.25]
 
 
+def test_delay_points_at_one_receive_time_ordered_by_delay():
+    led = ledger_with(
+        ev(1.0, EventKind.SENT, uid=1), ev(1.1, EventKind.SENT, uid=2),
+        ev(1.2, EventKind.RECEIVED, uid=1, node=5),
+        ev(1.2, EventKind.RECEIVED, uid=2, node=6),
+    )
+    assert [(p.t, p.value) for p in delay_series(led)] == [(1.2, 1.2 - 1.1),
+                                                           (1.2, 1.2 - 1.0)]
+
+
 # -- control overhead ---------------------------------------------------------------
 
 def test_control_overhead_counts_by_subkind():

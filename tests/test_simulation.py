@@ -155,6 +155,30 @@ def test_conservation_and_loop_freedom_up_to_50_nodes(scenario_seed, protocol, s
     assert_acyclic_next_hops(sim)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_conservation_and_loop_freedom_at_100_nodes_random_waypoint(protocol):
+    # the scale at which one fire time's bucket holds the most events
+    spec = random_waypoint_scenario(random.Random(100), 100, 1200.0, 10.0, flows=5)
+    sim = Simulation(spec, protocol, seed=1)
+    led = sim.ledger
+    last = [None]
+
+    def conserved():
+        # the census sums every node's buffer, so it is taken only when a
+        # packet was sent, received, dropped or put on or taken off the air
+        counts = (led.sent, led.received, led.dropped_data, sim.in_flight_data)
+        if counts != last[0]:
+            last[0] = counts
+            assert led.unresolved == sim.unresolved_census(), f"t={sim.engine.now}"
+
+    sim.event_hooks += [watch_new_next_hops(sim), conserved]
+    result = sim.run()
+    assert led.received > 0
+    assert led.unresolved == result.unresolved_census
+    assert_acyclic_next_hops(sim)
+
+
 # -- shortest-path equivalence ----------------------------------------------------------
 
 def bfs_distance(positions, radio_range, src, dst):
