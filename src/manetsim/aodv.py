@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .packets import DataPacket, ForwardAction, MessageKind
+from .packets import DataPacket, MessageKind
 
 RREQ_SIZE = 24
 RREP_SIZE = 20
@@ -101,14 +101,12 @@ class RouteEntry:
 
 @dataclass
 class ReversePathEntry:
-    toward: int         # the RREQ source this path leads back to
     via: int            # neighbor the request arrived from
     expires_at: float
 
 
 @dataclass
 class PendingDiscovery:
-    dst: int
     retries_left: int
     timer: object
 
@@ -122,10 +120,9 @@ class RreqAction(Enum):
 class AodvNode:
     """One node's routing state, driven entirely by the engine loop."""
 
-    def __init__(self, node_id: int, iface, hello_interval: float):
+    def __init__(self, node_id: int, sim):
         self.node_id = node_id
-        self.iface = iface
-        self.hello_interval = hello_interval
+        self.sim = sim
         self.own_seq = 0
         self.bcast_id = 0
         self.routes: dict[int, RouteEntry] = {}
@@ -141,7 +138,7 @@ class AodvNode:
 
     def route_is_active(self, dst: int) -> bool:
         e = self.routes.get(dst)
-        return e is not None and e.active and e.expires_at > self.iface.now()
+        return e is not None and e.active and e.expires_at > self.sim.engine.now
 
     def next_hop_for(self, dst: int) -> int | None:
         if self.route_is_active(dst):
@@ -159,7 +156,7 @@ class AodvNode:
                 return False
             candidate.precursors |= existing.precursors
         self.routes[candidate.dst] = candidate
-        self.iface.route_changed(candidate.dst)
+        self.sim.route_changed(candidate.dst)
         return True
 
     def queued_count(self) -> int:
@@ -167,41 +164,40 @@ class AodvNode:
 
     # -- data path ---------------------------------------------------------
 
-    def originate_data(self, packet: DataPacket) -> ForwardAction:
+    def originate_data(self, packet: DataPacket) -> None:
         """Send along an active route, or buffer and start discovery."""
         if self.route_is_active(packet.dst):
-            return (ForwardAction.FORWARDED if self._transmit(packet)
-                    else ForwardAction.DROPPED)
+            self._transmit(packet)
+            return
         self._enqueue(packet)
         if packet.dst not in self.pending:
             self.start_discovery(packet.dst)
-        return ForwardAction.BUFFERED
 
     def _enqueue(self, packet: DataPacket) -> None:
         q = self.queues.setdefault(packet.dst, deque())
         if len(q) >= BUFFER_CAPACITY:
             oldest = q.popleft()
-            self.iface.dropped(oldest)
+            self.sim.dropped(self.node_id, oldest)
         q.append(packet)
 
     def _transmit(self, packet: DataPacket) -> bool:
         entry = self.routes[packet.dst]
-        if self.iface.unicast(entry.next_hop, packet):
-            entry.expires_at = self.iface.now() + ACTIVE_ROUTE_TIMEOUT
+        if self.sim.send_unicast(self.node_id, entry.next_hop, packet):
+            entry.expires_at = self.sim.engine.now + ACTIVE_ROUTE_TIMEOUT
             return True
-        self.iface.dropped(packet)
+        self.sim.dropped(self.node_id, packet)
         self.on_link_break(entry.next_hop)
         return False
 
     def _handle_data(self, packet: DataPacket) -> None:
         if packet.dst == self.node_id:
-            self.iface.data_received(packet)
+            self.sim.data_received(self.node_id, packet)
             return
         if self.route_is_active(packet.dst):
             self._transmit(packet)
         else:
             # no repair at relays; only the source rediscovers
-            self.iface.dropped(packet)
+            self.sim.dropped(self.node_id, packet)
 
     def _drain_one(self, dst: int) -> None:
         q = self.queues.get(dst)
@@ -219,9 +215,9 @@ class AodvNode:
         if dst in self.pending:
             raise RuntimeError(f"discovery for {dst} already pending")
         rreq = self._broadcast_rreq(dst)
-        timer = self.iface.schedule(RREP_WAIT,
-                                    lambda: self._discovery_timeout(dst))
-        self.pending[dst] = PendingDiscovery(dst, DISCOVERY_RETRIES, timer)
+        timer = self.sim.engine.schedule_in(RREP_WAIT,
+                                            lambda: self._discovery_timeout(dst))
+        self.pending[dst] = PendingDiscovery(DISCOVERY_RETRIES, timer)
         return rreq
 
     def _broadcast_rreq(self, dst: int) -> Rreq:
@@ -230,9 +226,9 @@ class AodvNode:
         last_seq = self.routes[dst].dst_seq if dst in self.routes else 0
         rreq = Rreq(src=self.node_id, src_seq=self.own_seq, bcast_id=self.bcast_id,
                     dst=dst, dst_last_seq=last_seq, hop_count=0,
-                    uid=self.iface.next_uid())
+                    uid=self.sim.world.next_uid())
         self._remember_rreq((self.node_id, self.bcast_id))
-        self.iface.broadcast(rreq)
+        self.sim.world.broadcast(self.node_id, rreq)
         return rreq
 
     def _discovery_timeout(self, dst: int) -> None:
@@ -242,21 +238,21 @@ class AodvNode:
         if pd.retries_left > 0:
             pd.retries_left -= 1
             self._broadcast_rreq(dst)
-            pd.timer = self.iface.schedule(RREP_WAIT,
-                                           lambda: self._discovery_timeout(dst))
+            pd.timer = self.sim.engine.schedule_in(RREP_WAIT,
+                                                   lambda: self._discovery_timeout(dst))
             return
         # retries exhausted: everything waiting for this route is lost
         del self.pending[dst]
         q = self.queues.get(dst)
         while q:
-            self.iface.dropped(q.popleft())
+            self.sim.dropped(self.node_id, q.popleft())
 
     def _remember_rreq(self, key: tuple[int, int]) -> None:
         self.seen_rreqs.add(key)
-        self._seen_order.append((self.iface.now() + PATH_DISCOVERY_TIME, key))
+        self._seen_order.append((self.sim.engine.now + PATH_DISCOVERY_TIME, key))
 
     def handle_rreq(self, sender: int, rreq: Rreq) -> RreqAction:
-        now = self.iface.now()
+        now = self.sim.engine.now
         order = self._seen_order
         while order and order[0][0] <= now:
             self.seen_rreqs.discard(order.popleft()[1])
@@ -265,8 +261,7 @@ class AodvNode:
             return RreqAction.DUPLICATE
         self._remember_rreq(key)
         self.reverse_paths[rreq.src] = ReversePathEntry(
-            toward=rreq.src, via=sender,
-            expires_at=now + REVERSE_PATH_LIFETIME)
+            via=sender, expires_at=now + REVERSE_PATH_LIFETIME)
 
         if rreq.dst == self.node_id:
             # answering destination: never reply with anything staler than
@@ -274,8 +269,8 @@ class AodvNode:
             self.own_seq = max(self.own_seq, rreq.dst_last_seq) + 1
             rrep = Rrep(src=rreq.src, dst=self.node_id, dst_seq=self.own_seq,
                         hop_count=0, lifetime=ACTIVE_ROUTE_TIMEOUT,
-                        uid=self.iface.next_uid())
-            self.iface.unicast(sender, rrep)
+                        uid=self.sim.world.next_uid())
+            self.sim.send_unicast(self.node_id, sender, rrep)
             return RreqAction.REPLIED
 
         cached = self.routes.get(rreq.dst)
@@ -284,19 +279,19 @@ class AodvNode:
             rrep = Rrep(src=rreq.src, dst=rreq.dst, dst_seq=cached.dst_seq,
                         hop_count=cached.hop_count,
                         lifetime=cached.expires_at - now,
-                        uid=self.iface.next_uid())
-            if self.iface.unicast(sender, rrep):
+                        uid=self.sim.world.next_uid())
+            if self.sim.send_unicast(self.node_id, sender, rrep):
                 cached.precursors.add(sender)
             return RreqAction.REPLIED
 
         fwd = Rreq(src=rreq.src, src_seq=rreq.src_seq, bcast_id=rreq.bcast_id,
                    dst=rreq.dst, dst_last_seq=rreq.dst_last_seq,
-                   hop_count=rreq.hop_count + 1, uid=self.iface.next_uid())
-        self.iface.broadcast(fwd)
+                   hop_count=rreq.hop_count + 1, uid=self.sim.world.next_uid())
+        self.sim.world.broadcast(self.node_id, fwd)
         return RreqAction.FORWARDED
 
     def handle_rrep(self, sender: int, rrep: Rrep) -> None:
-        now = self.iface.now()
+        now = self.sim.engine.now
         installed = self.update_route(RouteEntry(dst=rrep.dst, next_hop=sender,
                                                  hop_count=rrep.hop_count + 1,
                                                  dst_seq=rrep.dst_seq,
@@ -305,7 +300,7 @@ class AodvNode:
             if self.route_is_active(rrep.dst):
                 pd = self.pending.pop(rrep.dst, None)
                 if pd is not None:
-                    self.iface.cancel(pd.timer)
+                    self.sim.engine.cancel(pd.timer)
                 self._flush_queue(rrep.dst)
             return
 
@@ -314,12 +309,12 @@ class AodvNode:
         rp = self.reverse_paths.get(rrep.src)
         if rp is None or rp.expires_at <= now:
             # reverse path gone: the reply cannot travel further
-            self.iface.dropped(rrep)
+            self.sim.dropped(self.node_id, rrep)
             return
         fwd = Rrep(src=rrep.src, dst=rrep.dst, dst_seq=rrep.dst_seq,
                    hop_count=rrep.hop_count + 1, lifetime=rrep.lifetime,
-                   uid=self.iface.next_uid())
-        if self.iface.unicast(rp.via, fwd):
+                   uid=self.sim.world.next_uid())
+        if self.sim.send_unicast(self.node_id, rp.via, fwd):
             entry = self.routes.get(rrep.dst)
             if entry is not None:
                 entry.precursors.add(rp.via)
@@ -330,15 +325,15 @@ class AodvNode:
             return
         # one frame per serialization slot keeps FIFO order on the air
         for k in range(len(q)):
-            self.iface.schedule(k * FLUSH_GAP,
-                                lambda: self._drain_one(dst))
+            self.sim.engine.schedule_in(k * FLUSH_GAP,
+                                        lambda: self._drain_one(dst))
 
     # -- maintenance -------------------------------------------------------
 
     def on_link_break(self, dead_neighbor: int) -> None:
         """Invalidate routes through a lost neighbor and warn the precursors."""
         affected = [e for e in self.routes.values()
-                    if e.active and e.expires_at > self.iface.now()
+                    if e.active and e.expires_at > self.sim.engine.now
                     and e.next_hop == dead_neighbor]
         # either detection path (failed unicast, hello silence) may fire first;
         # dropping the supervision entry keeps the second one from re-firing
@@ -350,19 +345,15 @@ class AodvNode:
         for e in affected:
             e.active = False
             e.dst_seq += 1          # poison stale copies downstream of us
-            self.iface.route_changed(e.dst)
+            self.sim.route_changed(e.dst)
             unreachable.append((e.dst, e.dst_seq))
             precursors |= e.precursors
         for dst, _ in unreachable:
             q = self.queues.get(dst)
             while q:
-                self.iface.dropped(q.popleft())
-        self.iface.next_uid()   # unused draw; uid numbering is pinned by the golden traces
-        for p in sorted(precursors):
-            self.iface.unicast(p, Rerr(unreachable=list(unreachable),
-                                       uid=self.iface.next_uid(),
-                                       src=self.node_id, dst=p))
-        self._reinitiate_needed(unreachable)
+                self.sim.dropped(self.node_id, q.popleft())
+        self.sim.world.next_uid()   # unused draw; uid numbering is pinned by the golden traces
+        self._send_rerrs(precursors, unreachable)
 
     def handle_rerr(self, sender: int, rerr: Rerr) -> None:
         invalidated = []
@@ -373,37 +364,38 @@ class AodvNode:
                     and e.dst_seq <= seq):
                 e.active = False
                 e.dst_seq = seq
-                self.iface.route_changed(dst)
+                self.sim.route_changed(dst)
                 invalidated.append((dst, seq))
                 precursors |= e.precursors
-        if not invalidated:
-            return
-        for p in sorted(precursors):
-            self.iface.unicast(p, Rerr(unreachable=list(invalidated),
-                                       uid=self.iface.next_uid(),
-                                       src=self.node_id, dst=p))
-        self._reinitiate_needed(invalidated)
+        if invalidated:
+            self._send_rerrs(precursors, invalidated)
 
-    def _reinitiate_needed(self, unreachable: list[tuple[int, int]]) -> None:
+    def _send_rerrs(self, precursors: set[int], unreachable: list[tuple[int, int]]) -> None:
+        """Warn each precursor, in id order, with one Rerr listing unreachable."""
+        for p in sorted(precursors):
+            self.sim.send_unicast(self.node_id, p, Rerr(unreachable=list(unreachable),
+                                                        uid=self.sim.world.next_uid(),
+                                                        src=self.node_id, dst=p))
         # a source with traffic still scheduled rediscovers right away
         for dst, _ in unreachable:
-            if dst not in self.pending and self.iface.has_active_flow(dst):
+            if dst not in self.pending and self.sim.has_active_flow(self.node_id, dst):
                 self.start_discovery(dst)
 
     # -- hello beaconing ---------------------------------------------------
 
     def hello_tick(self) -> None:
         """Check supervised neighbors for silence, then maybe beacon."""
-        now = self.iface.now()
-        threshold = ALLOWED_HELLO_LOSS * self.hello_interval
+        now = self.sim.engine.now
+        threshold = ALLOWED_HELLO_LOSS * self.sim.hello_interval
         for n, last in sorted(self.hello_last_heard.items()):
             if now - last > threshold:
                 self.on_link_break(n)
         if self._has_any_active_route():
-            self.iface.broadcast(Hello(src=self.node_id, uid=self.iface.next_uid()))
+            self.sim.world.broadcast(self.node_id,
+                                     Hello(src=self.node_id, uid=self.sim.world.next_uid()))
 
     def _has_any_active_route(self) -> bool:
-        now = self.iface.now()
+        now = self.sim.engine.now
         return any(e.active and e.expires_at > now for e in self.routes.values())
 
     # -- dispatch ----------------------------------------------------------
@@ -411,7 +403,7 @@ class AodvNode:
     def on_receive(self, sender: int, msg) -> None:
         # any frame from a supervised neighbor proves it is still there
         if msg.kind is MessageKind.HELLO or sender in self.hello_last_heard:
-            self.hello_last_heard[sender] = self.iface.now()
+            self.hello_last_heard[sender] = self.sim.engine.now
         if msg.kind is MessageKind.DATA:
             self._handle_data(msg)
         elif msg.kind is MessageKind.RREQ:

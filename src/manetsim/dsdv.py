@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .packets import DataPacket, ForwardAction, MessageKind
+from .packets import DataPacket, MessageKind
 
 UPDATE_BASE_SIZE = 8
 UPDATE_PER_ENTRY_SIZE = 12
@@ -23,7 +23,6 @@ class UpdatePacket:
 
     origin: int
     entries: list[tuple[int, int, int | None]]  # (dst, dst_seq, hops)
-    full_dump: bool
     uid: int
     dst: int = -1
 
@@ -44,7 +43,6 @@ class DsdvEntry:
     next_hop: int
     hop_count: int | None   # None once the route is marked broken
     dst_seq: int
-    install_time: float
 
     @property
     def broken(self) -> bool:
@@ -54,11 +52,11 @@ class DsdvEntry:
 class DsdvNode:
     """One node's table plus the periodic/triggered advertisement logic."""
 
-    def __init__(self, node_id: int, iface):
+    def __init__(self, node_id: int, sim):
         self.node_id = node_id
-        self.iface = iface
+        self.sim = sim
         self.table: dict[int, DsdvEntry] = {
-            node_id: DsdvEntry(node_id, node_id, 0, 0, 0.0)}
+            node_id: DsdvEntry(node_id, node_id, 0, 0)}
 
     @property
     def own_entry(self) -> DsdvEntry:
@@ -80,16 +78,16 @@ class DsdvNode:
         self.own_entry.dst_seq += 2
         pkt = UpdatePacket(origin=self.node_id,
                            entries=self._advertised_entries(),
-                           full_dump=True, uid=self.iface.next_uid())
-        self.iface.broadcast(pkt)
+                           uid=self.sim.world.next_uid())
+        self.sim.world.broadcast(self.node_id, pkt)
         return pkt
 
     def triggered_update(self, changes: list[DsdvEntry]) -> UpdatePacket:
         """Flood changed entries immediately; breaks carry odd sequences."""
         pkt = UpdatePacket(origin=self.node_id,
                            entries=[(e.dst, e.dst_seq, e.hop_count) for e in changes],
-                           full_dump=False, uid=self.iface.next_uid())
-        self.iface.broadcast(pkt)
+                           uid=self.sim.world.next_uid())
+        self.sim.world.broadcast(self.node_id, pkt)
         return pkt
 
     def _advertised_entries(self) -> list[tuple[int, int, int | None]]:
@@ -97,7 +95,6 @@ class DsdvNode:
 
     def handle_update(self, sender: int, pkt: UpdatePacket) -> int:
         """Adopt fresher or shorter advertisements; re-flood what changed."""
-        now = self.iface.now()
         changed: list[DsdvEntry] = []
         for dst, seq, hops in pkt.entries:
             if dst == self.node_id:
@@ -117,9 +114,9 @@ class DsdvNode:
             else:
                 adopt = False
             if adopt:
-                entry = DsdvEntry(dst, sender, metric, seq, now)
+                entry = DsdvEntry(dst, sender, metric, seq)
                 self.table[dst] = entry
-                self.iface.route_changed(dst)
+                self.sim.route_changed(dst)
                 changed.append(entry)
         if changed:
             self.triggered_update(changed)
@@ -127,20 +124,17 @@ class DsdvNode:
 
     # -- data path ---------------------------------------------------------
 
-    def forward_data(self, packet: DataPacket) -> ForwardAction:
+    def forward_data(self, packet: DataPacket) -> None:
         """Unicast via the current table; no discovery, no buffering."""
         if packet.dst == self.node_id:
-            self.iface.data_received(packet)
-            return ForwardAction.FORWARDED
+            self.sim.data_received(self.node_id, packet)
+            return
         e = self.table.get(packet.dst)
         if e is None or e.broken:
-            self.iface.dropped(packet)
-            return ForwardAction.DROPPED
-        if self.iface.unicast(e.next_hop, packet):
-            return ForwardAction.FORWARDED
-        self.iface.dropped(packet)
-        self.mark_broken(e.next_hop)
-        return ForwardAction.DROPPED
+            self.sim.dropped(self.node_id, packet)
+        elif not self.sim.send_unicast(self.node_id, e.next_hop, packet):
+            self.sim.dropped(self.node_id, packet)
+            self.mark_broken(e.next_hop)
 
     # the engine drives both protocols through the same entry points
     originate_data = forward_data
@@ -152,7 +146,7 @@ class DsdvNode:
             if e.dst != self.node_id and not e.broken and e.next_hop == dead_neighbor:
                 e.dst_seq += 1
                 e.hop_count = None
-                self.iface.route_changed(e.dst)
+                self.sim.route_changed(e.dst)
                 changed.append(e)
         if changed:
             self.triggered_update(changed)

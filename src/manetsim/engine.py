@@ -53,7 +53,6 @@ class Engine:
     def __init__(self, seed: int = 0):
         self.now = 0.0
         self.rng = random.Random(seed)
-        self.seed = seed
         # heap of the distinct fire times that have a bucket; never rebound,
         # so a reference taken once keeps seeing the live queue
         self._queue: list[float] = []

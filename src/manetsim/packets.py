@@ -18,14 +18,6 @@ class MessageKind(Enum):
         return self is not MessageKind.DATA
 
 
-class ForwardAction(Enum):
-    """What a node did with a data packet it originated or relayed."""
-
-    FORWARDED = "forwarded"
-    BUFFERED = "buffered"
-    DROPPED = "dropped"
-
-
 @dataclass
 class DataPacket:
     """One application payload travelling from src to dst."""

@@ -80,24 +80,31 @@ def parse(text: str, name: str = "custom") -> ScenarioSpec:
                 raise ScenarioSyntaxError(f"non-finite value in '{line}'", lineno)
             return values
 
+        def integer(value, what):
+            if value != int(value):
+                raise ScenarioSyntaxError(f"{what} must be an integer in '{line}'", lineno)
+            return int(value)
+
         if directive == "area":
             w, h = nums(2)
             area = (w, h)
         elif directive == "range":
             (radio_range,) = nums(1)
+            if radio_range <= 0:
+                raise ScenarioSemanticError("radio range must be positive")
         elif directive == "node":
             nid, x, y = nums(3)
-            if int(nid) != nid:
-                raise ScenarioSyntaxError("node id must be an integer", lineno)
-            if int(nid) in nodes:
-                raise ScenarioSemanticError(f"duplicate node id {int(nid)}")
-            nodes[int(nid)] = Position(x, y)
+            nid = integer(nid, "node id")
+            if nid in nodes:
+                raise ScenarioSemanticError(f"duplicate node id {nid}")
+            nodes[nid] = Position(x, y)
         elif directive == "move":
             t, nid, x, y, speed = nums(5)
-            movements.append(Movement(t, int(nid), Position(x, y), speed))
+            movements.append(Movement(t, integer(nid, "node id"), Position(x, y), speed))
         elif directive == "flow":
             src, dst, rate, size, start, stop = nums(6)
-            flows.append(TrafficFlow(int(src), int(dst), rate, int(size), start, stop))
+            flows.append(TrafficFlow(integer(src, "node id"), integer(dst, "node id"), rate,
+                                     integer(size, "packet size"), start, stop))
         elif directive == "end":
             (end_time,) = nums(1)
         else:
@@ -128,8 +135,6 @@ def _validate(spec: ScenarioSpec, raw_nodes: dict[int, Position]) -> None:
     w, h = spec.area
     if w <= 0 or h <= 0:
         raise ScenarioSemanticError("area dimensions must be positive")
-    if spec.radio.range <= 0:
-        raise ScenarioSemanticError("radio range must be positive")
     if spec.end_time <= 0:
         raise ScenarioSemanticError("end time must be positive")
     if not raw_nodes:

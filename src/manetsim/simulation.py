@@ -2,6 +2,9 @@
 
 One Simulation owns one run. Nothing is shared between instances, so
 several runs (e.g. a protocol comparison) can be built side by side.
+Each protocol node holds its Simulation and acts through it: the clock
+and timers of `engine`, the radio of `world`, and the few methods below
+that record what a node did or tell the route observer a route changed.
 """
 from __future__ import annotations
 
@@ -19,50 +22,8 @@ from .packets import DataPacket, MessageKind
 from .scenario import ScenarioSpec, TrafficFlow
 from .world import UnicastOutcome, World
 
-PROTOCOLS = ("aodv", "dsdv")
-
-
-class NodeInterface:
-    """What a protocol state machine is allowed to do to the outside world."""
-
-    def __init__(self, sim: "Simulation", node_id: int):
-        self._sim = sim
-        self.node_id = node_id
-
-    def now(self) -> float:
-        return self._sim.engine.now
-
-    def next_uid(self) -> int:
-        return self._sim.world.next_uid()
-
-    def broadcast(self, msg) -> list[int]:
-        return self._sim.world.broadcast(self.node_id, msg)
-
-    def unicast(self, next_hop: int, msg) -> bool:
-        return self._sim.send_unicast(self.node_id, next_hop, msg)
-
-    def schedule(self, delay: float, action):
-        return self._sim.engine.schedule_in(delay, action)
-
-    def cancel(self, handle) -> bool:
-        return self._sim.engine.cancel(handle)
-
-    def route_changed(self, dst: int) -> None:
-        """Tell the route observer this node installed or invalidated dst."""
-        self._sim.changed_dsts.add(dst)
-
-    def has_active_flow(self, dst: int) -> bool:
-        now = self._sim.engine.now
-        return any(f.src == self.node_id and f.dst == dst and now < f.stop
-                   for f in self._sim.flows)
-
-    def data_received(self, pkt: DataPacket) -> None:
-        self._sim.ledger.record(LedgerEvent.of(self.now(), EventKind.RECEIVED,
-                                               self.node_id, pkt))
-
-    def dropped(self, msg) -> None:
-        self._sim.ledger.record(LedgerEvent.of(self.now(), EventKind.DROPPED,
-                                               self.node_id, msg))
+NODE_CLASSES = {"aodv": AodvNode, "dsdv": DsdvNode}
+PROTOCOLS = tuple(NODE_CLASSES)
 
 
 @dataclass
@@ -137,31 +98,25 @@ class Simulation:
     """One deterministic run of a scenario under one protocol."""
 
     def __init__(self, spec: ScenarioSpec, protocol: str = "aodv", seed: int = 0,
-                 hello_interval: float = 1.0, jitter: float | None = None):
+                 hello_interval: float = 1.0):
         """hello_interval is the AODV beacon period; 0 turns hellos off."""
-        if protocol not in PROTOCOLS:
+        if protocol not in NODE_CLASSES:
             raise ValueError(f"unknown protocol '{protocol}'")
         self.spec = spec
         self.protocol = protocol
         self.seed = seed
         self.engine = Engine(seed=seed)
         self.ledger = MetricsLedger()
-        self.world = World(self.engine, list(spec.nodes), spec.radio,
-                           ledger=self.ledger, jitter=jitter)
+        self.world = World(self.engine, list(spec.nodes), spec.radio, ledger=self.ledger)
         self.world.deliver = self._deliver
         self.flows = list(spec.flows)
         self.hello_interval = hello_interval
-        if protocol == "aodv":
-            self.nodes = [AodvNode(i, NodeInterface(self, i), hello_interval)
-                          for i in range(spec.node_count)]
-        else:
-            self.nodes = [DsdvNode(i, NodeInterface(self, i))
-                          for i in range(spec.node_count)]
+        self.nodes = [NODE_CLASSES[protocol](i, self) for i in range(spec.node_count)]
         self.in_flight_data = 0
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
             (f.src, f.dst): [] for f in self.flows}
         self.route_stretch_samples: list[float] = []
-        self.changed_dsts: set[int] = set()   # filled by NodeInterface.route_changed
+        self.changed_dsts: set[int] = set()   # filled by route_changed
         self.event_hooks = []   # callables run after every processed event
         self.engine.after_event = self._after_event
         self._compiled = scenario_mod.compile(spec, self)
@@ -186,7 +141,21 @@ class Simulation:
                 self.engine.schedule_in(interval, tick)
         self.engine.schedule(first_at, tick)
 
-    # -- engine plumbing -----------------------------------------------------
+    # -- what protocol nodes call -------------------------------------------
+
+    def route_changed(self, dst: int) -> None:
+        """Tell the route observer a node installed or invalidated dst."""
+        self.changed_dsts.add(dst)
+
+    def has_active_flow(self, src: int, dst: int) -> bool:
+        now = self.engine.now
+        return any(f.src == src and f.dst == dst and now < f.stop for f in self.flows)
+
+    def data_received(self, node: int, pkt: DataPacket) -> None:
+        self.ledger.record(LedgerEvent.of(self.engine.now, EventKind.RECEIVED, node, pkt))
+
+    def dropped(self, node: int, msg) -> None:
+        self.ledger.record(LedgerEvent.of(self.engine.now, EventKind.DROPPED, node, msg))
 
     def send_unicast(self, sender: int, next_hop: int, msg) -> bool:
         outcome = self.world.unicast(sender, next_hop, msg)
@@ -194,6 +163,8 @@ class Simulation:
         if sent and msg.kind is MessageKind.DATA:
             self.in_flight_data += 1
         return sent
+
+    # -- engine plumbing -----------------------------------------------------
 
     def _deliver(self, receiver: int, sender: int, msg) -> None:
         if msg.kind is MessageKind.DATA:

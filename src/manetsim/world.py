@@ -2,8 +2,9 @@
 
 The radio is an idealized shared medium: two nodes hear each other iff
 their Euclidean distance is within the transmission range (boundary
-inclusive), every link traversal costs hop_latency plus a small seeded
-jitter, and there is no contention or loss beyond being out of range.
+inclusive), every link traversal costs hop_latency plus a seeded jitter
+of up to JITTER_FRACTION of it, and there is no contention or loss
+beyond being out of range.
 """
 from __future__ import annotations
 
@@ -82,12 +83,11 @@ class World:
     """
 
     def __init__(self, engine: Engine, node_positions: list[Position],
-                 radio: RadioModel = RadioModel(), ledger: MetricsLedger | None = None,
-                 jitter: float | None = None):
+                 radio: RadioModel = RadioModel(), ledger: MetricsLedger | None = None):
         self.engine = engine
         self.radio = radio
         self.ledger = ledger
-        self.jitter = radio.hop_latency * JITTER_FRACTION if jitter is None else jitter
+        self.jitter = radio.hop_latency * JITTER_FRACTION
         self._initial = list(node_positions)
         # node with legs -> (leg start times, (sx, sy, ex, ey, speed, length, arrival) per leg)
         self._tracks: dict[int, tuple[list[float], list[tuple]]] = {}

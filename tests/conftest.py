@@ -17,17 +17,19 @@ def build_spec(positions, movements=(), flows=(), end=10.0, radio_range=250.0,
 
 
 def build_sim(positions, protocol="aodv", seed=0, flows=(), movements=(),
-              end=10.0, hello_interval=0.0, jitter=0.0, radio_range=250.0):
+              end=10.0, hello_interval=0.0, radio_range=250.0):
     """Simulation with jitter off and hellos off unless asked for."""
     spec = build_spec(positions, movements, flows, end, radio_range)
-    return Simulation(spec, protocol=protocol, seed=seed,
-                      hello_interval=hello_interval, jitter=jitter)
+    sim = Simulation(spec, protocol=protocol, seed=seed, hello_interval=hello_interval)
+    sim.world.jitter = 0.0
+    return sim
 
 
-def random_connected_positions(rnd: random.Random, n: int, radio_range=250.0):
-    """Random layout rejected until its unit-disk graph is connected."""
+def random_connected_positions(rnd: random.Random, n: int, radio_range=250.0,
+                               area=(800.0, 800.0)):
+    """Random layout on area rejected until its unit-disk graph is connected."""
     while True:
-        pts = [(rnd.uniform(0, 800), rnd.uniform(0, 800)) for _ in range(n)]
+        pts = [(rnd.uniform(0, area[0]), rnd.uniform(0, area[1])) for _ in range(n)]
         seen = {0}
         frontier = [0]
         while frontier:

@@ -167,19 +167,31 @@ def _bfs_distance(pts, src, dst, radio_range=250.0):
     return dist[dst]
 
 
-@criterion("criterion 5: discovery hop count equals BFS distance, 200 topologies")
+@criterion("criterion 5: discovery hop count equals BFS distance, 200 topologies "
+           "and three 200-node strips")
 def test_criterion_5_bfs_equivalence():
     rnd = random.Random(55)
+    cases = []   # (positions, area, src, dst, sim seed)
     for _ in range(200):
         n = rnd.randint(2, 10)
         pts = random_connected_positions(rnd, n)
         src = rnd.randrange(n)
         dst = (src + rnd.randrange(1, n)) % n
+        cases.append((pts, (800.0, 800.0), src, dst, rnd.randrange(10 ** 6)))
+    strip = (3000.0, 600.0)
+    for _ in range(3):
+        pts = random_connected_positions(rnd, 200, area=strip)
+        west = min(range(200), key=lambda i: pts[i][0])
+        east = max(range(200), key=lambda i: pts[i][0])
+        cases.append((pts, strip, west, east, rnd.randrange(10 ** 6)))
+    for pts, area, src, dst, seed in cases:
         spec = build_spec(pts, flows=[TrafficFlow(src, dst, 10.0, 512, 0.1, 0.4)],
-                          end=1.5)
-        sim = Simulation(spec, "aodv", seed=rnd.randrange(10 ** 6))
+                          end=1.5, area=area)
+        sim = Simulation(spec, "aodv", seed=seed)
         sim.run()
         expected = _bfs_distance(pts, src, dst)
+        # the jitter bound: past 19 hops a longer flood copy may arrive first
+        assert expected <= 19
         route = sim.walk_route(src, dst)
         assert route is not None and len(route) - 1 == expected
         assert sim.nodes[src].routes[dst].hop_count == expected
@@ -212,8 +224,7 @@ def test_criterion_7_conservation_and_identities():
         for protocol in ("aodv", "dsdv"):
             result = run_builtin(name, protocol, 42)
             led = result.ledger
-            assert led.sent == led.received + led.dropped_data + led.unresolved
-            assert led.unresolved == result.unresolved_census
+            assert led.sent == led.received + led.dropped_data + result.unresolved_census
             assert 0.0 <= delivery_ratio(led) <= 1.0
             hops, sent_at = {}, {}
             for e in led.events:

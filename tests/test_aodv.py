@@ -7,7 +7,7 @@ from manetsim.aodv import (ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, DISCOVERY_RETR
                            PATH_DISCOVERY_TIME, REVERSE_PATH_LIFETIME, Rerr, RouteEntry,
                            Rrep, Rreq, RreqAction)
 from manetsim.metrics import EventKind, LedgerEvent
-from manetsim.packets import DataPacket, ForwardAction
+from manetsim.packets import DataPacket
 from manetsim.scenario import TrafficFlow
 
 CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]   # 0-1-2-3 line, range 250
@@ -142,15 +142,15 @@ def test_originate_with_route_forwards_immediately():
     sim = build_sim(CHAIN)
     node = sim.nodes[0]
     install_route(node, 1, next_hop=1)
-    assert node.originate_data(packet(sim, 0, 1)) is ForwardAction.FORWARDED
+    node.originate_data(packet(sim, 0, 1))
     assert sim.ledger.data_tx == 1
+    assert not data_drops(sim)
 
 
 def test_originate_without_route_buffers_and_floods():
     sim = build_sim(CHAIN)
     node = sim.nodes[0]
-    action = node.originate_data(packet(sim, 0, 3))
-    assert action is ForwardAction.BUFFERED
+    node.originate_data(packet(sim, 0, 3))
     assert node.queued_count() == 1
     assert control_count(sim, "RREQ") == 1
     # a second packet joins the same discovery
@@ -451,8 +451,8 @@ def test_data_after_expiry_triggers_rediscovery():
     node = sim.nodes[0]
     install_route(node, 3, next_hop=1, dst_seq=2, ttl=1.0)
     sim.engine.run_until(2.0)
-    action = node.originate_data(packet(sim, 0, 3))
-    assert action is ForwardAction.BUFFERED
+    node.originate_data(packet(sim, 0, 3))
+    assert node.queued_count() == 1
     assert control_count(sim, "RREQ") == 1
 
 

@@ -138,8 +138,9 @@ def test_hello_interval_zero_disables_beacons(tmp_path):
     assert "HELLO" not in report["control_tx"]
 
 
-@pytest.mark.parametrize("case", ["window-zero", "negative-range", "hello-negative",
-                                  "hello-nan", "out-is-a-file", "non-utf8-scenario"])
+@pytest.mark.parametrize("case", ["window-zero", "negative-range", "file-range-zero",
+                                  "file-range-negative", "hello-negative", "hello-nan",
+                                  "out-is-a-file", "non-utf8-scenario"])
 def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
     out = tmp_path / "out"
     args = ["run", "--scenario", "scenario1", "--out", str(out)]
@@ -151,6 +152,11 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
         args += ["--hello-interval", "-1"]
     elif case == "hello-nan":
         args += ["--hello-interval", "nan"]
+    elif case.startswith("file-range"):
+        scn = tmp_path / "range.scn"
+        value = "0" if case.endswith("zero") else "-5"
+        scn.write_text(f"area 800 800\nrange {value}\nnode 0 1 1\nend 5\n")
+        args[2] = str(scn)
     elif case == "out-is-a-file":
         out.write_text("")
     else:

@@ -3,7 +3,7 @@ import random
 from conftest import build_sim, random_scenario
 from manetsim.dsdv import UpdatePacket
 from manetsim.metrics import EventKind, LedgerEvent
-from manetsim.packets import DataPacket, ForwardAction
+from manetsim.packets import DataPacket
 from manetsim.simulation import Simulation
 
 CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]
@@ -101,7 +101,7 @@ def test_no_change_no_triggered_update():
     node = sim.nodes[1]
     before = update_count(sim)
     stale = UpdatePacket(origin=0, entries=[(0, node.table[0].dst_seq, 0)],
-                         full_dump=False, uid=sim.world.next_uid())
+                         uid=sim.world.next_uid())
     assert node.handle_update(0, stale) == 0
     assert update_count(sim) == before
 
@@ -111,7 +111,7 @@ def test_no_change_no_triggered_update():
 def test_newer_seq_adopted_and_readvertised():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    pkt = UpdatePacket(origin=0, entries=[(0, 4, 0)], full_dump=False,
+    pkt = UpdatePacket(origin=0, entries=[(0, 4, 0)],
                        uid=sim.world.next_uid())
     assert node.handle_update(0, pkt) == 1
     assert node.table[0].next_hop == 0 and node.table[0].hop_count == 1
@@ -121,16 +121,16 @@ def test_newer_seq_adopted_and_readvertised():
 def test_stale_seq_ignored():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], False, sim.world.next_uid()))
-    assert node.handle_update(0, UpdatePacket(0, [(0, 2, 0)], False,
+    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], sim.world.next_uid()))
+    assert node.handle_update(0, UpdatePacket(0, [(0, 2, 0)],
                                               sim.world.next_uid())) == 0
 
 
 def test_equal_seq_worse_metric_ignored():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], False, sim.world.next_uid()))
-    assert node.handle_update(2, UpdatePacket(0, [(0, 4, 3)], False,
+    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], sim.world.next_uid()))
+    assert node.handle_update(2, UpdatePacket(0, [(0, 4, 3)],
                                               sim.world.next_uid())) == 0
     assert node.table[0].next_hop == 0
 
@@ -138,8 +138,8 @@ def test_equal_seq_worse_metric_ignored():
 def test_equal_seq_better_metric_adopted():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    node.handle_update(2, UpdatePacket(0, [(0, 4, 3)], False, sim.world.next_uid()))
-    assert node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], False,
+    node.handle_update(2, UpdatePacket(0, [(0, 4, 3)], sim.world.next_uid()))
+    assert node.handle_update(0, UpdatePacket(0, [(0, 4, 0)],
                                               sim.world.next_uid())) == 1
     assert node.table[0].hop_count == 1
 
@@ -149,7 +149,9 @@ def test_equal_seq_better_metric_adopted():
 def test_forward_with_entry_present():
     sim = build_sim(CHAIN, protocol="dsdv", end=6.0)
     sim.engine.run_until(1.0)
-    assert sim.nodes[0].forward_data(packet(sim, 0, 3)) is ForwardAction.FORWARDED
+    tx = sim.ledger.data_tx
+    sim.nodes[0].forward_data(packet(sim, 0, 3))
+    assert sim.ledger.data_tx == tx + 1 and sim.ledger.dropped_data == 0
     sim.engine.run_until(1.5)
     assert sim.ledger.received == 1
 
@@ -158,13 +160,13 @@ def test_broken_entry_drops_immediately():
     sim = build_sim(CHAIN, protocol="dsdv", end=6.0)
     sim.engine.run_until(1.0)
     sim.nodes[0].mark_broken(1)
-    assert sim.nodes[0].forward_data(packet(sim, 0, 3)) is ForwardAction.DROPPED
+    sim.nodes[0].forward_data(packet(sim, 0, 3))
     assert sim.ledger.dropped_data == 1
 
 
 def test_unknown_destination_drops_immediately():
     sim = build_sim([(0, 0), (700, 700)], protocol="dsdv")
-    assert sim.nodes[0].forward_data(packet(sim, 0, 1)) is ForwardAction.DROPPED
+    sim.nodes[0].forward_data(packet(sim, 0, 1))
     assert sim.ledger.dropped_data == 1
 
 

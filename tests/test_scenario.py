@@ -62,19 +62,38 @@ def test_non_numeric_value_is_syntax_error():
         parse("area 800 eight-hundred\nnode 0 1 1\nend 5.0\n")
 
 
+def with_directive(directive):
+    """VALID with its first line of the same directive replaced; and that line's number."""
+    lines = VALID.splitlines()
+    keyword = directive.split()[0]
+    at = next(i for i, line in enumerate(lines) if line.startswith(keyword))
+    lines[at] = directive
+    return "\n".join(lines), at + 1
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("directive", ["flow 0 1 {} 512 1.0 4.0", "end {}",
                                        "node 1 {} 400", "move 1.0 1 {} 400 50"],
                          ids=["flow", "end", "node", "move"])
 def test_non_finite_value_is_syntax_error(directive, value):
     # a nan flow rate used to loop forever in compile, and `end inf` never ends
-    lines = VALID.splitlines()
-    keyword = directive.split()[0]
-    at = next(i for i, line in enumerate(lines) if line.startswith(keyword))
-    lines[at] = directive.format(value)
+    text, lineno = with_directive(directive.format(value))
     with pytest.raises(ScenarioSyntaxError) as exc:
-        parse("\n".join(lines))
-    assert exc.value.line == at + 1
+        parse(text)
+    assert exc.value.line == lineno
+
+
+@pytest.mark.parametrize("directive", ["node 0.5 100 400", "move 1.0 1.2 500 400 50",
+                                       "flow 0.9 1 10 512 1.0 4.0",
+                                       "flow 0 1.5 10 512 1.0 4.0",
+                                       "flow 0 1 10 512.7 1.0 4.0"],
+                         ids=["node", "move", "flow-src", "flow-dst", "flow-size"])
+def test_fractional_node_id_or_packet_size_is_syntax_error(directive):
+    # truncated, `flow 0.9 1.5 10 512.7` would be a 0 -> 1 flow of 512 B
+    text, lineno = with_directive(directive)
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        parse(text)
+    assert exc.value.line == lineno
 
 
 def test_unknown_node_in_flow_is_semantic_error():

@@ -13,10 +13,10 @@ from manetsim.world import (GRID_WINDOW, Movement, Position, RadioModel, Unicast
                             World, grid_cell)
 
 
-def make_world(positions, radio=RadioModel(), ledger=None, jitter=0.0):
+def make_world(positions, radio=RadioModel(), ledger=None):
     eng = Engine(seed=0)
-    world = World(eng, [Position(*p) for p in positions], radio,
-                  ledger=ledger, jitter=jitter)
+    world = World(eng, [Position(*p) for p in positions], radio, ledger=ledger)
+    world.jitter = 0.0
     return eng, world
 
 
