@@ -134,6 +134,12 @@ class AodvNode:
         self.queues: dict[int, deque[DataPacket]] = {}
         self.hello_last_heard: dict[int, float] = {}
 
+    def start(self) -> None:
+        """Arm the hello chain, unless hellos are off."""
+        interval = self.sim.hello_interval
+        if interval > 0:
+            self.sim.every(interval, self.hello_tick, interval)
+
     # -- route table -------------------------------------------------------
 
     def route_is_active(self, dst: int) -> bool:
@@ -180,6 +186,12 @@ class AodvNode:
             self.sim.dropped(self.node_id, oldest)
         q.append(packet)
 
+    def _drop_queued(self, dst: int) -> None:
+        """Drop everything buffered for dst, oldest first."""
+        q = self.queues.get(dst)
+        while q:
+            self.sim.dropped(self.node_id, q.popleft())
+
     def _transmit(self, packet: DataPacket) -> bool:
         entry = self.routes[packet.dst]
         if self.sim.send_unicast(self.node_id, entry.next_hop, packet):
@@ -214,13 +226,10 @@ class AodvNode:
         """Flood a fresh RREQ and arm the reply-wait timer."""
         if dst in self.pending:
             raise RuntimeError(f"discovery for {dst} already pending")
-        rreq = self._broadcast_rreq(dst)
-        timer = self.sim.engine.schedule_in(RREP_WAIT,
-                                            lambda: self._discovery_timeout(dst))
-        self.pending[dst] = PendingDiscovery(DISCOVERY_RETRIES, timer)
-        return rreq
+        pd = self.pending[dst] = PendingDiscovery(DISCOVERY_RETRIES, None)
+        return self._broadcast_rreq(dst, pd)
 
-    def _broadcast_rreq(self, dst: int) -> Rreq:
+    def _broadcast_rreq(self, dst: int, pd: PendingDiscovery) -> Rreq:
         self.own_seq += 1
         self.bcast_id += 1
         last_seq = self.routes[dst].dst_seq if dst in self.routes else 0
@@ -229,6 +238,8 @@ class AodvNode:
                     uid=self.sim.world.next_uid())
         self._remember_rreq((self.node_id, self.bcast_id))
         self.sim.world.broadcast(self.node_id, rreq)
+        pd.timer = self.sim.engine.schedule_in(RREP_WAIT,
+                                               lambda: self._discovery_timeout(dst))
         return rreq
 
     def _discovery_timeout(self, dst: int) -> None:
@@ -237,15 +248,11 @@ class AodvNode:
             return
         if pd.retries_left > 0:
             pd.retries_left -= 1
-            self._broadcast_rreq(dst)
-            pd.timer = self.sim.engine.schedule_in(RREP_WAIT,
-                                                   lambda: self._discovery_timeout(dst))
+            self._broadcast_rreq(dst, pd)
             return
         # retries exhausted: everything waiting for this route is lost
         del self.pending[dst]
-        q = self.queues.get(dst)
-        while q:
-            self.sim.dropped(self.node_id, q.popleft())
+        self._drop_queued(dst)
 
     def _remember_rreq(self, key: tuple[int, int]) -> None:
         self.seen_rreqs.add(key)
@@ -267,20 +274,14 @@ class AodvNode:
             # answering destination: never reply with anything staler than
             # the poisoned sequence number the source is asking about
             self.own_seq = max(self.own_seq, rreq.dst_last_seq) + 1
-            rrep = Rrep(src=rreq.src, dst=self.node_id, dst_seq=self.own_seq,
-                        hop_count=0, lifetime=ACTIVE_ROUTE_TIMEOUT,
-                        uid=self.sim.world.next_uid())
-            self.sim.send_unicast(self.node_id, sender, rrep)
+            self._reply(sender, rreq, self.own_seq, 0, ACTIVE_ROUTE_TIMEOUT)
             return RreqAction.REPLIED
 
         cached = self.routes.get(rreq.dst)
         if (self.route_is_active(rreq.dst)
                 and cached.dst_seq >= rreq.dst_last_seq):
-            rrep = Rrep(src=rreq.src, dst=rreq.dst, dst_seq=cached.dst_seq,
-                        hop_count=cached.hop_count,
-                        lifetime=cached.expires_at - now,
-                        uid=self.sim.world.next_uid())
-            if self.sim.send_unicast(self.node_id, sender, rrep):
+            if self._reply(sender, rreq, cached.dst_seq, cached.hop_count,
+                           cached.expires_at - now):
                 cached.precursors.add(sender)
             return RreqAction.REPLIED
 
@@ -289,6 +290,13 @@ class AodvNode:
                    hop_count=rreq.hop_count + 1, uid=self.sim.world.next_uid())
         self.sim.world.broadcast(self.node_id, fwd)
         return RreqAction.FORWARDED
+
+    def _reply(self, sender: int, rreq: Rreq, dst_seq: int, hop_count: int,
+               lifetime: float) -> bool:
+        """Unicast a reply to rreq back to the neighbor it came from."""
+        return self.sim.send_unicast(self.node_id, sender, Rrep(
+            src=rreq.src, dst=rreq.dst, dst_seq=dst_seq, hop_count=hop_count,
+            lifetime=lifetime, uid=self.sim.world.next_uid()))
 
     def handle_rrep(self, sender: int, rrep: Rrep) -> None:
         now = self.sim.engine.now
@@ -333,8 +341,7 @@ class AodvNode:
     def on_link_break(self, dead_neighbor: int) -> None:
         """Invalidate routes through a lost neighbor and warn the precursors."""
         affected = [e for e in self.routes.values()
-                    if e.active and e.expires_at > self.sim.engine.now
-                    and e.next_hop == dead_neighbor]
+                    if self.route_is_active(e.dst) and e.next_hop == dead_neighbor]
         # either detection path (failed unicast, hello silence) may fire first;
         # dropping the supervision entry keeps the second one from re-firing
         self.hello_last_heard.pop(dead_neighbor, None)
@@ -349,9 +356,7 @@ class AodvNode:
             unreachable.append((e.dst, e.dst_seq))
             precursors |= e.precursors
         for dst, _ in unreachable:
-            q = self.queues.get(dst)
-            while q:
-                self.sim.dropped(self.node_id, q.popleft())
+            self._drop_queued(dst)
         self.sim.world.next_uid()   # unused draw; uid numbering is pinned by the golden traces
         self._send_rerrs(precursors, unreachable)
 
@@ -390,13 +395,9 @@ class AodvNode:
         for n, last in sorted(self.hello_last_heard.items()):
             if now - last > threshold:
                 self.on_link_break(n)
-        if self._has_any_active_route():
+        if any(map(self.route_is_active, self.routes)):
             self.sim.world.broadcast(self.node_id,
                                      Hello(src=self.node_id, uid=self.sim.world.next_uid()))
-
-    def _has_any_active_route(self) -> bool:
-        now = self.sim.engine.now
-        return any(e.active and e.expires_at > now for e in self.routes.values())
 
     # -- dispatch ----------------------------------------------------------
 

@@ -12,7 +12,7 @@ from . import scenario as scenario_mod
 from .errors import SimError
 from .metrics import (EventKind, SeriesPoint, cumulative_series, delay_series,
                       emit_plot_datasets, throughput_series, write_trace)
-from .simulation import PROTOCOLS, RunReport, RunResult, Simulation
+from .simulation import MIN_HELLO_INTERVAL, PROTOCOLS, RunReport, RunResult, Simulation
 
 PLOTS = ("received_lost.xg", "throughput.xg", "delay.xg")
 
@@ -150,10 +150,11 @@ def positive_float(text: str) -> float:
     return value
 
 
-def non_negative_float(text: str) -> float:
+def hello_period(text: str) -> float:
     value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a number >= 0, got '{text}'")
+    if not (value == 0 or MIN_HELLO_INTERVAL <= value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be 0 or a finite number >= {MIN_HELLO_INTERVAL:g}, got '{text}'")
     return value
 
 
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--range", type=positive_float, default=None,
                        help="override radio range in meters")
-        p.add_argument("--hello-interval", type=non_negative_float, default=1.0,
+        p.add_argument("--hello-interval", type=hello_period, default=1.0,
                        help="AODV hello period in seconds; 0 disables hellos")
         p.add_argument("--window", type=positive_float, default=0.5,
                        help="throughput window in seconds")

@@ -21,16 +21,12 @@ UPDATE_INTERVAL = 1.0       # seconds between full-table dumps
 class UpdatePacket:
     """Route advertisement; hops is None for an unreachable marker."""
 
-    origin: int
+    src: int
     entries: list[tuple[int, int, int | None]]  # (dst, dst_seq, hops)
     uid: int
     dst: int = -1
 
     kind = MessageKind.DSDV_UPDATE
-
-    @property
-    def src(self) -> int:
-        return self.origin
 
     @property
     def size(self) -> int:
@@ -58,9 +54,9 @@ class DsdvNode:
         self.table: dict[int, DsdvEntry] = {
             node_id: DsdvEntry(node_id, node_id, 0, 0)}
 
-    @property
-    def own_entry(self) -> DsdvEntry:
-        return self.table[self.node_id]
+    def start(self) -> None:
+        """Arm the full-table dump at 0.0 and every UPDATE_INTERVAL after."""
+        self.sim.every(0.0, self.periodic_dump, UPDATE_INTERVAL)
 
     def next_hop_for(self, dst: int) -> int | None:
         e = self.table.get(dst)
@@ -75,8 +71,8 @@ class DsdvNode:
 
     def periodic_dump(self) -> UpdatePacket:
         """Advertise the full table with a fresh (still even) own sequence."""
-        self.own_entry.dst_seq += 2
-        pkt = UpdatePacket(origin=self.node_id,
+        self.table[self.node_id].dst_seq += 2
+        pkt = UpdatePacket(src=self.node_id,
                            entries=self._advertised_entries(),
                            uid=self.sim.world.next_uid())
         self.sim.world.broadcast(self.node_id, pkt)
@@ -84,7 +80,7 @@ class DsdvNode:
 
     def triggered_update(self, changes: list[DsdvEntry]) -> UpdatePacket:
         """Flood changed entries immediately; breaks carry odd sequences."""
-        pkt = UpdatePacket(origin=self.node_id,
+        pkt = UpdatePacket(src=self.node_id,
                            entries=[(e.dst, e.dst_seq, e.hop_count) for e in changes],
                            uid=self.sim.world.next_uid())
         self.sim.world.broadcast(self.node_id, pkt)

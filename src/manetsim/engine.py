@@ -5,10 +5,11 @@ times, and for each time a FIFO bucket of the events due then. Events
 fire in time order and, at equal times, in the order they were queued;
 an event queued for the current time joins the back of the bucket being
 drained. A run is therefore a pure function of the scheduled work and
-the seed. Every fire time is quantized to one microsecond, which keeps
-the fixed-decimal trace format an exact round-trip of the in-memory
-times, and lets the many frame deliveries due at one microsecond share
-one heap entry.
+the seed. Every fire time, and the clock where run_until leaves it, is
+quantized to one microsecond, which keeps the fixed-decimal trace
+format an exact round-trip of the in-memory times, lets the many frame
+deliveries due at one microsecond share one heap entry, and lets a zero
+delay be scheduled between runs.
 """
 from __future__ import annotations
 
@@ -96,7 +97,9 @@ class Engine:
         return sum(map(len, self._buckets.values()))
 
     def run_until(self, t_end: float) -> int:
-        """Process every event due at or before t_end; leaves the clock at t_end."""
+        """Process every event due at or before t_end, quantized like every
+        fire time; leaves the clock there."""
+        t_end = quantize(t_end)
         if t_end < self.now:
             raise PastTimeError(f"run_until({t_end}) before clock {self.now}")
         steps = 0

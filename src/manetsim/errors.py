@@ -40,7 +40,3 @@ class LedgerOrderError(SimError):
 class LedgerConsistencyError(SimError):
     """A receive/drop event referenced a packet the ledger never saw sent."""
 
-
-class NoTransmissionsError(SimError):
-    """Transmission efficiency is undefined without any data transmission."""
-

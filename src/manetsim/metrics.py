@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, TextIO
 
-from .errors import LedgerConsistencyError, LedgerOrderError, NoTransmissionsError
+from .errors import LedgerConsistencyError, LedgerOrderError
 
 THROUGHPUT_STEP = 0.1   # seconds between sliding-window throughput points
 
@@ -106,10 +106,10 @@ def delivery_ratio(ledger: MetricsLedger) -> float:
     return ledger.received / ledger.sent
 
 
-def transmission_efficiency(ledger: MetricsLedger) -> float:
-    """Delivered packets over per-hop data transmissions used."""
+def transmission_efficiency(ledger: MetricsLedger) -> float | None:
+    """Delivered packets over per-hop data transmissions used; None without any."""
     if ledger.data_tx == 0:
-        raise NoTransmissionsError("no data transmissions in ledger")
+        return None
     return ledger.received / ledger.data_tx
 
 
@@ -151,13 +151,12 @@ def delay_series(ledger: MetricsLedger) -> list[SeriesPoint]:
     return [SeriesPoint(t, delay) for t, delay in pairs]
 
 
-def cumulative_series(ledger: MetricsLedger, kind: EventKind,
-                      subkind: str = "DATA") -> list[SeriesPoint]:
-    """Running count of matching ledger events over time."""
+def cumulative_series(ledger: MetricsLedger, kind: EventKind) -> list[SeriesPoint]:
+    """Running count of the data-packet ledger events of one kind over time."""
     points: list[SeriesPoint] = []
     count = 0
     for ev in ledger.events:
-        if ev.kind is kind and ev.subkind == subkind:
+        if ev.kind is kind and ev.subkind == "DATA":
             count += 1
             if points and points[-1].t == ev.t:
                 points[-1] = SeriesPoint(ev.t, count)
@@ -209,8 +208,7 @@ def parse_trace(lines: Iterable[str]) -> MetricsLedger:
 
 def emit_plot_datasets(datasets: list[list[SeriesPoint]], title: str, out: TextIO) -> None:
     """Several series in one file, blank-line separated, shared title."""
-    if title:
-        out.write(f"TitleText: {title}\n")
+    out.write(f"TitleText: {title}\n")
     for i, series in enumerate(datasets):
         if i:
             out.write("\n")

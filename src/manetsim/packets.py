@@ -26,6 +26,5 @@ class DataPacket:
     src: int
     dst: int
     size: int
-    sent_at: float
 
     kind = MessageKind.DATA

@@ -20,8 +20,6 @@ from .errors import (OverlappingLegError, ScenarioSemanticError, ScenarioSyntaxE
                      UnknownScenarioError)
 from .world import Movement, Position, RadioModel, World
 
-DEFAULT_RANGE = 250.0
-DEFAULT_HOP_LATENCY = 0.001
 BUILTIN_NAMES = ("scenario1", "scenario2")
 
 
@@ -119,8 +117,7 @@ def parse(text: str, name: str = "custom") -> ScenarioSpec:
 
     spec = ScenarioSpec(
         area=area,
-        radio=RadioModel(range=DEFAULT_RANGE if radio_range is None else radio_range,
-                         hop_latency=DEFAULT_HOP_LATENCY),
+        radio=RadioModel() if radio_range is None else RadioModel(range=radio_range),
         nodes=[nodes[i] for i in sorted(nodes)] if nodes else [],
         movements=sorted(movements, key=lambda m: (m.start_time, m.node)),
         flows=flows,
@@ -212,7 +209,6 @@ def load(path_or_name: str) -> ScenarioSpec:
 
 @dataclass(frozen=True)
 class CompiledScenario:
-    mobility_legs: int
     emissions: int
 
 
@@ -230,4 +226,4 @@ def compile(spec: ScenarioSpec, sim) -> CompiledScenario:
             sim.engine.schedule(t, lambda flow=flow, t=t: sim.emit_data(flow))
             emissions += 1
             k += 1
-    return CompiledScenario(mobility_legs=len(spec.movements), emissions=emissions)
+    return CompiledScenario(emissions=emissions)

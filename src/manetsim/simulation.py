@@ -5,16 +5,18 @@ several runs (e.g. a protocol comparison) can be built side by side.
 Each protocol node holds its Simulation and acts through it: the clock
 and timers of `engine`, the radio of `world`, and the few methods below
 that record what a node did or tell the route observer a route changed.
+Once the traffic is scheduled, each node's `start()` arms its own
+periodic work through `every`, so this module knows no protocol timer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 from . import scenario as scenario_mod
 from .aodv import AodvNode
-from .dsdv import UPDATE_INTERVAL, DsdvNode
-from .engine import Engine
-from .errors import NoTransmissionsError
+from .dsdv import DsdvNode
+from .engine import TIME_RESOLUTION_DIGITS, Engine
 from .metrics import (EventKind, LedgerEvent, MetricsLedger, SeriesPoint,
                       control_overhead, delay_series, delivery_ratio, mean_value,
                       throughput_series, transmission_efficiency)
@@ -24,6 +26,9 @@ from .world import UnicastOutcome, World
 
 NODE_CLASSES = {"aodv": AodvNode, "dsdv": DsdvNode}
 PROTOCOLS = tuple(NODE_CLASSES)
+# shortest nonzero hello period: one clock tick, so a hello chain always
+# moves the clock forward instead of re-queueing into the bucket it runs in
+MIN_HELLO_INTERVAL = 10 ** -TIME_RESOLUTION_DIGITS
 
 
 @dataclass
@@ -73,10 +78,6 @@ class RunResult:
     def summarize(self, tput: list[SeriesPoint], delays: list[SeriesPoint]) -> RunReport:
         """Summary from this run's throughput and delay series, already derived."""
         led = self.ledger
-        try:
-            eff = transmission_efficiency(led)
-        except NoTransmissionsError:
-            eff = None
         changes = sum(max(0, len(h) - 1) for h in self.route_history.values())
         stretch = (sum(self.route_stretch_samples) / len(self.route_stretch_samples)
                    if self.route_stretch_samples else 0.0)
@@ -85,7 +86,7 @@ class RunResult:
             sent=led.sent, received=led.received, dropped=led.dropped_data,
             unresolved=led.unresolved, lost=led.lost,
             delivery_ratio=delivery_ratio(led),
-            transmission_efficiency=eff,
+            transmission_efficiency=transmission_efficiency(led),
             mean_throughput_bps=mean_value(tput),
             mean_delay_s=mean_value(delays),
             mean_route_stretch=stretch,
@@ -99,9 +100,13 @@ class Simulation:
 
     def __init__(self, spec: ScenarioSpec, protocol: str = "aodv", seed: int = 0,
                  hello_interval: float = 1.0):
-        """hello_interval is the AODV beacon period; 0 turns hellos off."""
+        """hello_interval is the AODV beacon period: 0 turns hellos off,
+        otherwise it is finite and at least MIN_HELLO_INTERVAL."""
         if protocol not in NODE_CLASSES:
             raise ValueError(f"unknown protocol '{protocol}'")
+        if not (hello_interval == 0 or MIN_HELLO_INTERVAL <= hello_interval < math.inf):
+            raise ValueError(f"hello_interval must be 0 or finite and at least "
+                             f"{MIN_HELLO_INTERVAL} s, got {hello_interval}")
         self.spec = spec
         self.protocol = protocol
         self.seed = seed
@@ -120,28 +125,19 @@ class Simulation:
         self.event_hooks = []   # callables run after every processed event
         self.engine.after_event = self._after_event
         self._compiled = scenario_mod.compile(spec, self)
-        self._schedule_protocol_ticks()
+        # after the traffic, so an emission fires before a tick due at its time
+        for node in self.nodes:
+            node.start()
 
-    # -- construction helpers ----------------------------------------------
+    # -- what protocol nodes call -------------------------------------------
 
-    def _schedule_protocol_ticks(self) -> None:
-        if self.protocol == "aodv":
-            interval = self.hello_interval
-            if interval > 0:
-                for node in self.nodes:
-                    self._tick_chain(interval, node.hello_tick, interval)
-        else:
-            for node in self.nodes:
-                self._tick_chain(0.0, node.periodic_dump, UPDATE_INTERVAL)
-
-    def _tick_chain(self, first_at: float, action, interval: float) -> None:
+    def every(self, first_at: float, action, interval: float) -> None:
+        """Run action at first_at, then every interval while within the run."""
         def tick():
             action()
             if self.engine.now + interval <= self.spec.end_time:
                 self.engine.schedule_in(interval, tick)
         self.engine.schedule(first_at, tick)
-
-    # -- what protocol nodes call -------------------------------------------
 
     def route_changed(self, dst: int) -> None:
         """Tell the route observer a node installed or invalidated dst."""
@@ -173,7 +169,7 @@ class Simulation:
 
     def emit_data(self, flow: TrafficFlow) -> DataPacket:
         pkt = DataPacket(uid=self.world.next_uid(), src=flow.src, dst=flow.dst,
-                         size=flow.packet_size, sent_at=self.engine.now)
+                         size=flow.packet_size)
         self.ledger.record(LedgerEvent.of(self.engine.now, EventKind.SENT, flow.src, pkt))
         self.nodes[flow.src].originate_data(pkt)
         return pkt

@@ -34,9 +34,6 @@ class Position:
     x: float
     y: float
 
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class RadioModel:

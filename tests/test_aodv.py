@@ -16,7 +16,7 @@ CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]   # 0-1-2-3 line, range 250
 def packet(sim, src, dst):
     """Application packet with its Sent event on the ledger, like emit_data."""
     pkt = DataPacket(uid=sim.world.next_uid(), src=src, dst=dst,
-                     size=512, sent_at=sim.engine.now)
+                     size=512)
     sim.ledger.record(LedgerEvent(sim.engine.now, EventKind.SENT, src, "DATA",
                                   pkt.size, pkt.uid, src, dst))
     return pkt

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from manetsim.cli import main
+from manetsim.cli import build_parser, main
 
 
 def read(path):
@@ -136,6 +136,16 @@ def test_hello_interval_zero_disables_beacons(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads(read(out / "report.json"))
     assert "HELLO" not in report["control_tx"]
+
+
+@pytest.mark.parametrize("value", ["1e-7", "5e-7"])
+def test_hello_interval_below_one_clock_tick_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "--scenario", "scenario1",
+                                   "--hello-interval", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--hello-interval" in err
 
 
 @pytest.mark.parametrize("case", ["window-zero", "negative-range", "file-range-zero",

@@ -11,7 +11,7 @@ CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]
 
 def packet(sim, src, dst):
     pkt = DataPacket(uid=sim.world.next_uid(), src=src, dst=dst,
-                     size=512, sent_at=sim.engine.now)
+                     size=512)
     sim.ledger.record(LedgerEvent(sim.engine.now, EventKind.SENT, src, "DATA",
                                   pkt.size, pkt.uid, src, dst))
     return pkt
@@ -39,7 +39,7 @@ def test_isolated_node_dump_still_counted_as_overhead():
 def test_dump_keeps_own_sequence_even_and_growing():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[0]
-    seqs = [node.periodic_dump() and node.own_entry.dst_seq for _ in range(3)]
+    seqs = [node.periodic_dump() and node.table[0].dst_seq for _ in range(3)]
     assert seqs == [2, 4, 6]
 
 
@@ -100,7 +100,7 @@ def test_no_change_no_triggered_update():
     sim.engine.run_until(1.5)   # fully converged
     node = sim.nodes[1]
     before = update_count(sim)
-    stale = UpdatePacket(origin=0, entries=[(0, node.table[0].dst_seq, 0)],
+    stale = UpdatePacket(src=0, entries=[(0, node.table[0].dst_seq, 0)],
                          uid=sim.world.next_uid())
     assert node.handle_update(0, stale) == 0
     assert update_count(sim) == before
@@ -111,7 +111,7 @@ def test_no_change_no_triggered_update():
 def test_newer_seq_adopted_and_readvertised():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    pkt = UpdatePacket(origin=0, entries=[(0, 4, 0)],
+    pkt = UpdatePacket(src=0, entries=[(0, 4, 0)],
                        uid=sim.world.next_uid())
     assert node.handle_update(0, pkt) == 1
     assert node.table[0].next_hop == 0 and node.table[0].hop_count == 1

@@ -60,6 +60,17 @@ def test_run_until_empty_queue_advances_clock():
     assert eng.now == 5.0
 
 
+def test_run_until_leaves_the_clock_on_the_microsecond_grid():
+    eng = Engine()
+    eng.run_until(0.500001)
+    eng.run_until(eng.now + 1e-6)   # 0.5000020000000001 before quantizing
+    assert eng.now == 0.500002
+    fired = []
+    eng.schedule_in(0.0, lambda: fired.append(eng.now))
+    eng.run_until(eng.now)
+    assert fired == [0.500002]
+
+
 def test_run_until_now_processes_nothing_when_nothing_due():
     eng = Engine()
     eng.schedule(1.0, lambda: None)

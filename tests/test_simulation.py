@@ -153,10 +153,14 @@ def test_conservation_and_loop_freedom_up_to_50_nodes(scenario_seed, protocol, s
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_conservation_and_loop_freedom_at_100_nodes_random_waypoint(protocol):
-    # the scale at which one fire time's bucket holds the most events
-    spec = random_waypoint_scenario(random.Random(100), 100, 1200.0, 10.0, flows=5)
+@pytest.mark.parametrize("protocol, nodes, side, end", [
+    # 100 nodes: the scale at which one fire time's bucket holds the most events
+    ("aodv", 100, 1200.0, 10.0), ("dsdv", 100, 1200.0, 10.0),
+    ("aodv", 200, 1700.0, 10.0), ("dsdv", 200, 1700.0, 3.0),
+    # long runs: many route expiries, rediscoveries and full-table dumps
+    ("aodv", 25, 800.0, 200.0), ("dsdv", 25, 800.0, 200.0)])
+def test_conservation_and_loop_freedom_at_scale_random_waypoint(protocol, nodes, side, end):
+    spec = random_waypoint_scenario(random.Random(nodes), nodes, side, end, flows=5)
     sim = Simulation(spec, protocol, seed=1)
     led = sim.ledger
     last = [None]
@@ -315,6 +319,20 @@ def test_static_route_guard_fails_without_route_changed(monkeypatch):
     monkeypatch.setattr(Simulation, "route_changed", lambda self, dst: None)
     with pytest.raises(AssertionError):
         assert_one_shortest_route_per_static_flow()
+
+
+@pytest.mark.parametrize("interval", [1e-7, 5e-7, -1.0, float("nan"), float("inf")])
+def test_hello_interval_below_one_clock_tick_is_rejected(interval):
+    # a sub-microsecond chain re-queues into the bucket it runs in forever
+    with pytest.raises(ValueError, match="hello_interval"):
+        Simulation(builtin("scenario1"), hello_interval=interval)
+
+
+def test_hello_interval_of_one_clock_tick_advances_the_clock():
+    sim = build_sim([(0, 0), (100, 0)], hello_interval=1e-6, end=0.001)
+    sim.run()
+    assert sim.ledger.control_tx == {}     # no route, so no beacon; but it returned
+    assert sim.engine.now == 0.001
 
 
 def test_walk_route_none_while_no_route():
