@@ -235,9 +235,9 @@ class AodvNode:
         last_seq = self.routes[dst].dst_seq if dst in self.routes else 0
         rreq = Rreq(src=self.node_id, src_seq=self.own_seq, bcast_id=self.bcast_id,
                     dst=dst, dst_last_seq=last_seq, hop_count=0,
-                    uid=self.sim.world.next_uid())
+                    uid=self.sim.next_uid())
         self._remember_rreq((self.node_id, self.bcast_id))
-        self.sim.world.broadcast(self.node_id, rreq)
+        self.sim.broadcast(self.node_id, rreq)
         pd.timer = self.sim.engine.schedule_in(RREP_WAIT,
                                                lambda: self._discovery_timeout(dst))
         return rreq
@@ -287,16 +287,16 @@ class AodvNode:
 
         fwd = Rreq(src=rreq.src, src_seq=rreq.src_seq, bcast_id=rreq.bcast_id,
                    dst=rreq.dst, dst_last_seq=rreq.dst_last_seq,
-                   hop_count=rreq.hop_count + 1, uid=self.sim.world.next_uid())
-        self.sim.world.broadcast(self.node_id, fwd)
+                   hop_count=rreq.hop_count + 1, uid=self.sim.next_uid())
+        self.sim.broadcast(self.node_id, fwd)
         return RreqAction.FORWARDED
 
-    def _reply(self, sender: int, rreq: Rreq, dst_seq: int, hop_count: int,
+    def _reply(self, via: int, msg: Rreq | Rrep, dst_seq: int, hop_count: int,
                lifetime: float) -> bool:
-        """Unicast a reply to rreq back to the neighbor it came from."""
-        return self.sim.send_unicast(self.node_id, sender, Rrep(
-            src=rreq.src, dst=rreq.dst, dst_seq=dst_seq, hop_count=hop_count,
-            lifetime=lifetime, uid=self.sim.world.next_uid()))
+        """Unicast a reply for msg's discovery (src, dst) to the neighbor via."""
+        return self.sim.send_unicast(self.node_id, via, Rrep(
+            src=msg.src, dst=msg.dst, dst_seq=dst_seq, hop_count=hop_count,
+            lifetime=lifetime, uid=self.sim.next_uid()))
 
     def handle_rrep(self, sender: int, rrep: Rrep) -> None:
         now = self.sim.engine.now
@@ -319,10 +319,7 @@ class AodvNode:
             # reverse path gone: the reply cannot travel further
             self.sim.dropped(self.node_id, rrep)
             return
-        fwd = Rrep(src=rrep.src, dst=rrep.dst, dst_seq=rrep.dst_seq,
-                   hop_count=rrep.hop_count + 1, lifetime=rrep.lifetime,
-                   uid=self.sim.world.next_uid())
-        if self.sim.send_unicast(self.node_id, rp.via, fwd):
+        if self._reply(rp.via, rrep, rrep.dst_seq, rrep.hop_count + 1, rrep.lifetime):
             entry = self.routes.get(rrep.dst)
             if entry is not None:
                 entry.precursors.add(rp.via)
@@ -357,7 +354,7 @@ class AodvNode:
             precursors |= e.precursors
         for dst, _ in unreachable:
             self._drop_queued(dst)
-        self.sim.world.next_uid()   # unused draw; uid numbering is pinned by the golden traces
+        self.sim.next_uid()   # unused draw; uid numbering is pinned by the golden traces
         self._send_rerrs(precursors, unreachable)
 
     def handle_rerr(self, sender: int, rerr: Rerr) -> None:
@@ -379,7 +376,7 @@ class AodvNode:
         """Warn each precursor, in id order, with one Rerr listing unreachable."""
         for p in sorted(precursors):
             self.sim.send_unicast(self.node_id, p, Rerr(unreachable=list(unreachable),
-                                                        uid=self.sim.world.next_uid(),
+                                                        uid=self.sim.next_uid(),
                                                         src=self.node_id, dst=p))
         # a source with traffic still scheduled rediscovers right away
         for dst, _ in unreachable:
@@ -396,8 +393,7 @@ class AodvNode:
             if now - last > threshold:
                 self.on_link_break(n)
         if any(map(self.route_is_active, self.routes)):
-            self.sim.world.broadcast(self.node_id,
-                                     Hello(src=self.node_id, uid=self.sim.world.next_uid()))
+            self.sim.broadcast(self.node_id, Hello(src=self.node_id, uid=self.sim.next_uid()))
 
     # -- dispatch ----------------------------------------------------------
 

@@ -12,7 +12,8 @@ from . import scenario as scenario_mod
 from .errors import SimError
 from .metrics import (EventKind, SeriesPoint, cumulative_series, delay_series,
                       emit_plot_datasets, throughput_series, write_trace)
-from .simulation import MIN_HELLO_INTERVAL, PROTOCOLS, RunReport, RunResult, Simulation
+from .simulation import (MIN_HELLO_INTERVAL, PROTOCOLS, RunReport, RunResult, Simulation,
+                         valid_hello_interval)
 
 PLOTS = ("received_lost.xg", "throughput.xg", "delay.xg")
 
@@ -85,7 +86,8 @@ def _build_sim(args, protocol: str, seed: int) -> Simulation:
 def cmd_run(args) -> int:
     sim = _build_sim(args, args.protocol, args.seed)
     result = sim.run()
-    out_dir = Path(args.out or f"runs/{result.spec.name}_{args.protocol}_seed{args.seed}")
+    stem = Path(result.spec.name).stem
+    out_dir = Path(args.out or f"runs/{stem}_{args.protocol}_seed{args.seed}")
     report = write_outputs(result, out_dir, args.window)
     print_report(report)
     print(f"outputs written to {out_dir}")
@@ -152,7 +154,7 @@ def positive_float(text: str) -> float:
 
 def hello_period(text: str) -> float:
     value = float(text)
-    if not (value == 0 or MIN_HELLO_INTERVAL <= value < math.inf):
+    if not valid_hello_interval(value):
         raise argparse.ArgumentTypeError(
             f"must be 0 or a finite number >= {MIN_HELLO_INTERVAL:g}, got '{text}'")
     return value

@@ -72,22 +72,18 @@ class DsdvNode:
     def periodic_dump(self) -> UpdatePacket:
         """Advertise the full table with a fresh (still even) own sequence."""
         self.table[self.node_id].dst_seq += 2
-        pkt = UpdatePacket(src=self.node_id,
-                           entries=self._advertised_entries(),
-                           uid=self.sim.world.next_uid())
-        self.sim.world.broadcast(self.node_id, pkt)
-        return pkt
+        return self._advertise(e for _, e in sorted(self.table.items()))
 
     def triggered_update(self, changes: list[DsdvEntry]) -> UpdatePacket:
         """Flood changed entries immediately; breaks carry odd sequences."""
-        pkt = UpdatePacket(src=self.node_id,
-                           entries=[(e.dst, e.dst_seq, e.hop_count) for e in changes],
-                           uid=self.sim.world.next_uid())
-        self.sim.world.broadcast(self.node_id, pkt)
-        return pkt
+        return self._advertise(changes)
 
-    def _advertised_entries(self) -> list[tuple[int, int, int | None]]:
-        return [(e.dst, e.dst_seq, e.hop_count) for _, e in sorted(self.table.items())]
+    def _advertise(self, entries) -> UpdatePacket:
+        pkt = UpdatePacket(src=self.node_id,
+                           entries=[(e.dst, e.dst_seq, e.hop_count) for e in entries],
+                           uid=self.sim.next_uid())
+        self.sim.broadcast(self.node_id, pkt)
+        return pkt
 
     def handle_update(self, sender: int, pkt: UpdatePacket) -> int:
         """Adopt fresher or shorter advertisements; re-flood what changed."""

@@ -4,17 +4,16 @@ Single-threaded loop over a bucket queue: a heap of the distinct fire
 times, and for each time a FIFO bucket of the events due then. Events
 fire in time order and, at equal times, in the order they were queued;
 an event queued for the current time joins the back of the bucket being
-drained. A run is therefore a pure function of the scheduled work and
-the seed. Every fire time, and the clock where run_until leaves it, is
-quantized to one microsecond, which keeps the fixed-decimal trace
-format an exact round-trip of the in-memory times, lets the many frame
-deliveries due at one microsecond share one heap entry, and lets a zero
-delay be scheduled between runs.
+drained. The engine draws no random numbers, so a run is a pure
+function of the scheduled work. Every fire time, and the clock where
+run_until leaves it, is quantized to one microsecond, which keeps the
+fixed-decimal trace format an exact round-trip of the in-memory times,
+lets the many frame deliveries due at one microsecond share one heap
+entry, and lets a zero delay be scheduled between runs.
 """
 from __future__ import annotations
 
 import heapq
-import random
 from typing import Callable
 
 from .errors import PastTimeError
@@ -49,11 +48,10 @@ class EventHandle:
 
 
 class Engine:
-    """Clock, event queue and seeded randomness for one simulation run."""
+    """Clock and event queue for one simulation run."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.now = 0.0
-        self.rng = random.Random(seed)
         # heap of the distinct fire times that have a bucket; never rebound,
         # so a reference taken once keeps seeing the live queue
         self._queue: list[float] = []

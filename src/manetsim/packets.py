@@ -13,10 +13,6 @@ class MessageKind(Enum):
     HELLO = "HELLO"
     DSDV_UPDATE = "DSDV-UPDATE"
 
-    @property
-    def is_control(self) -> bool:
-        return self is not MessageKind.DATA
-
 
 @dataclass
 class DataPacket:

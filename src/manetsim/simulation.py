@@ -1,12 +1,13 @@
 """Wiring of engine, world, ledger and per-node protocol instances.
 
-One Simulation owns one run. Nothing is shared between instances, so
-several runs (e.g. a protocol comparison) can be built side by side.
-Each protocol node holds its Simulation and acts through it: the clock
-and timers of `engine`, the radio of `world`, and the few methods below
-that record what a node did or tell the route observer a route changed.
-Once the traffic is scheduled, each node's `start()` arms its own
-periodic work through `every`, so this module knows no protocol timer.
+One Simulation owns one run; nothing is shared between instances. The
+Engine keeps the clock and queue, the World geometry and frame delivery,
+and the Simulation alone the run's record: ledger, message uids,
+in-flight census and route history. Each protocol node holds its
+Simulation and acts through it: `engine` for the clock and timers, and
+the methods below to number and send frames, record what it did or tell
+the route observer a route changed. Once the traffic is scheduled, each
+node's `start()` arms its own periodic work through `every`.
 """
 from __future__ import annotations
 
@@ -29,6 +30,11 @@ PROTOCOLS = tuple(NODE_CLASSES)
 # shortest nonzero hello period: one clock tick, so a hello chain always
 # moves the clock forward instead of re-queueing into the bucket it runs in
 MIN_HELLO_INTERVAL = 10 ** -TIME_RESOLUTION_DIGITS
+
+
+def valid_hello_interval(value: float) -> bool:
+    """0 turns hellos off; any other period is finite and at least one tick."""
+    return value == 0 or MIN_HELLO_INTERVAL <= value < math.inf
 
 
 @dataclass
@@ -100,19 +106,19 @@ class Simulation:
 
     def __init__(self, spec: ScenarioSpec, protocol: str = "aodv", seed: int = 0,
                  hello_interval: float = 1.0):
-        """hello_interval is the AODV beacon period: 0 turns hellos off,
-        otherwise it is finite and at least MIN_HELLO_INTERVAL."""
+        """hello_interval is the AODV beacon period; see valid_hello_interval."""
         if protocol not in NODE_CLASSES:
             raise ValueError(f"unknown protocol '{protocol}'")
-        if not (hello_interval == 0 or MIN_HELLO_INTERVAL <= hello_interval < math.inf):
+        if not valid_hello_interval(hello_interval):
             raise ValueError(f"hello_interval must be 0 or finite and at least "
                              f"{MIN_HELLO_INTERVAL} s, got {hello_interval}")
         self.spec = spec
         self.protocol = protocol
         self.seed = seed
-        self.engine = Engine(seed=seed)
+        self.engine = Engine()
         self.ledger = MetricsLedger()
-        self.world = World(self.engine, list(spec.nodes), spec.radio, ledger=self.ledger)
+        self._uid_counter = 0
+        self.world = World(self.engine, list(spec.nodes), spec.radio, seed=seed)
         self.world.deliver = self._deliver
         self.flows = list(spec.flows)
         self.hello_interval = hello_interval
@@ -147,18 +153,33 @@ class Simulation:
         now = self.engine.now
         return any(f.src == src and f.dst == dst and now < f.stop for f in self.flows)
 
+    def next_uid(self) -> int:
+        self._uid_counter += 1
+        return self._uid_counter
+
     def data_received(self, node: int, pkt: DataPacket) -> None:
-        self.ledger.record(LedgerEvent.of(self.engine.now, EventKind.RECEIVED, node, pkt))
+        self._log(EventKind.RECEIVED, node, pkt)
 
     def dropped(self, node: int, msg) -> None:
-        self.ledger.record(LedgerEvent.of(self.engine.now, EventKind.DROPPED, node, msg))
+        self._log(EventKind.DROPPED, node, msg)
+
+    def broadcast(self, sender: int, msg) -> list[int]:
+        """Send a control message to every node in range; one transmission."""
+        self._log(EventKind.CONTROL_TX, sender, msg)
+        return self.world.broadcast(sender, msg)
 
     def send_unicast(self, sender: int, next_hop: int, msg) -> bool:
-        outcome = self.world.unicast(sender, next_hop, msg)
-        sent = outcome is UnicastOutcome.SENT
-        if sent and msg.kind is MessageKind.DATA:
+        if self.world.unicast(sender, next_hop, msg) is not UnicastOutcome.SENT:
+            return False
+        if msg.kind is MessageKind.DATA:
             self.in_flight_data += 1
-        return sent
+            self._log(EventKind.DATA_TX, sender, msg)
+        else:
+            self._log(EventKind.CONTROL_TX, sender, msg)
+        return True
+
+    def _log(self, kind: EventKind, node: int, msg) -> None:
+        self.ledger.record(LedgerEvent.of(self.engine.now, kind, node, msg))
 
     # -- engine plumbing -----------------------------------------------------
 
@@ -168,9 +189,9 @@ class Simulation:
         self.nodes[receiver].on_receive(sender, msg)
 
     def emit_data(self, flow: TrafficFlow) -> DataPacket:
-        pkt = DataPacket(uid=self.world.next_uid(), src=flow.src, dst=flow.dst,
+        pkt = DataPacket(uid=self.next_uid(), src=flow.src, dst=flow.dst,
                          size=flow.packet_size)
-        self.ledger.record(LedgerEvent.of(self.engine.now, EventKind.SENT, flow.src, pkt))
+        self._log(EventKind.SENT, flow.src, pkt)
         self.nodes[flow.src].originate_data(pkt)
         return pkt
 

@@ -1,14 +1,18 @@
 """Node positions, waypoint mobility and unit-disk frame delivery.
 
-The radio is an idealized shared medium: two nodes hear each other iff
-their Euclidean distance is within the transmission range (boundary
-inclusive), every link traversal costs hop_latency plus a seeded jitter
-of up to JITTER_FRACTION of it, and there is no contention or loss
-beyond being out of range.
+A node moves along straight legs and sits exactly at a leg's
+destination from its arrival on. The radio is an idealized shared
+medium: two nodes hear each other iff their Euclidean distance is
+within the transmission range (boundary inclusive), every link
+traversal costs hop_latency plus a jitter of up to JITTER_FRACTION of
+it, drawn from the world's own seeded RNG, and there is no contention
+or loss beyond being out of range. The world keeps no record of the
+run: the Simulation that sends a frame logs it.
 """
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -16,7 +20,6 @@ from typing import Callable
 
 from .engine import Engine
 from .errors import OverlappingLegError, UnknownNodeError
-from .metrics import EventKind, LedgerEvent, MetricsLedger
 
 # jitter adds at most this share of hop_latency per hop, so a k-hop flood
 # beats a (k+1)-hop copy while k * 1.05 < k + 1, that is for k <= 19; see
@@ -72,7 +75,7 @@ class UnicastOutcome(Enum):
 
 
 class World:
-    """Geometry and frame delivery for one engine instance.
+    """Geometry, mobility and frame delivery for one engine instance.
 
     Positions are cached for the last query time, and neighbour queries
     only test the nodes binned in the 3x3 grid cells around the asking
@@ -80,10 +83,10 @@ class World:
     """
 
     def __init__(self, engine: Engine, node_positions: list[Position],
-                 radio: RadioModel = RadioModel(), ledger: MetricsLedger | None = None):
+                 radio: RadioModel = RadioModel(), seed: int = 0):
         self.engine = engine
         self.radio = radio
-        self.ledger = ledger
+        self.rng = random.Random(seed)
         self.jitter = radio.hop_latency * JITTER_FRACTION
         self._initial = list(node_positions)
         # node with legs -> (leg start times, (sx, sy, ex, ey, speed, length, arrival) per leg)
@@ -97,7 +100,6 @@ class World:
         self._grid_span = (0.0, 0.0)
         # wired by the simulation: (receiver, sender, message) -> None
         self.deliver: Callable[[int, int, object], None] = lambda r, s, m: None
-        self._uid_counter = 0
 
     def node_ids(self) -> range:
         return range(len(self._initial))
@@ -105,10 +107,6 @@ class World:
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self._initial):
             raise UnknownNodeError(f"node {node} not deployed")
-
-    def next_uid(self) -> int:
-        self._uid_counter += 1
-        return self._uid_counter
 
     # -- mobility ----------------------------------------------------------
 
@@ -137,14 +135,14 @@ class World:
 
     def _locate(self, node: int, t: float) -> tuple[float, float]:
         """Uncached position of a node with legs: along the last leg started
-        by t, clamped at its end."""
+        by t, exactly at its destination from its arrival on."""
         starts, paths = self._tracks[node]
         i = bisect_right(starts, t)
         if i == 0:
             p = self._initial[node]
             return p.x, p.y
-        sx, sy, ex, ey, speed, total, _ = paths[i - 1]
-        if total == 0:
+        sx, sy, ex, ey, speed, total, arrival = paths[i - 1]
+        if t >= arrival:
             return ex, ey
         f = min(total, speed * (t - starts[i - 1])) / total
         return sx + (ex - sx) * f, sy + (ey - sy) * f
@@ -221,19 +219,12 @@ class World:
     # -- frame delivery ----------------------------------------------------
 
     def _delivery_delay(self) -> float:
-        return self.radio.hop_latency + self.engine.rng.uniform(0.0, self.jitter)
-
-    def _record_tx(self, sender: int, msg) -> None:
-        if self.ledger is None:
-            return
-        kind = EventKind.CONTROL_TX if msg.kind.is_control else EventKind.DATA_TX
-        self.ledger.record(LedgerEvent.of(self.engine.now, kind, sender, msg))
+        return self.radio.hop_latency + self.rng.uniform(0.0, self.jitter)
 
     def broadcast(self, sender: int, msg) -> list[int]:
-        """Deliver to every node currently in range; counted as one transmission."""
+        """Deliver to every node currently in range; one transmission."""
         now = self.engine.now
         receivers = self.neighbors_of(sender, now)
-        self._record_tx(sender, msg)
         for r in receivers:
             self.engine.post(now + self._delivery_delay(),
                              lambda r=r: self.deliver(r, sender, msg))
@@ -248,7 +239,6 @@ class World:
         now = self.engine.now
         if not self._linked(sender, next_hop, now):
             return UnicastOutcome.LINK_BREAK
-        self._record_tx(sender, msg)
         self.engine.post(now + self._delivery_delay(),
                          lambda: self.deliver(next_hop, sender, msg))
         return UnicastOutcome.SENT

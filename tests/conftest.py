@@ -25,6 +25,18 @@ def build_sim(positions, protocol="aodv", seed=0, flows=(), movements=(),
     return sim
 
 
+def assert_loop_free(sim):
+    """No node's chain of next hops toward any destination revisits a node."""
+    for dst in range(len(sim.nodes)):
+        graph = sim.next_hop_graph(dst)
+        for start in graph:
+            cur, seen = start, set()
+            while cur in graph:
+                assert cur not in seen, f"routing loop toward {dst} at t={sim.engine.now:.6f}"
+                seen.add(cur)
+                cur = graph[cur]
+
+
 def random_connected_positions(rnd: random.Random, n: int, radio_range=250.0,
                                area=(800.0, 800.0)):
     """Random layout on area rejected until its unit-disk graph is connected."""

@@ -7,7 +7,8 @@ import io
 import random
 import time
 
-from conftest import build_sim, build_spec, random_connected_positions, random_scenario
+from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
+                      random_scenario)
 from manetsim.dsdv import UPDATE_INTERVAL
 from manetsim.metrics import (EventKind, control_overhead, delay_series,
                               delivery_ratio, emit_plot_datasets, parse_trace,
@@ -125,28 +126,16 @@ def test_criterion_3_density_mobility_trends():
 
 # -- criterion 4 -------------------------------------------------------------
 
-def _assert_acyclic(sim):
-    for dst in range(len(sim.nodes)):
-        graph = sim.next_hop_graph(dst)
-        for start in graph:
-            cur, seen = start, set()
-            while cur in graph:
-                assert cur not in seen, \
-                    f"loop toward {dst} at t={sim.engine.now:.6f}"
-                seen.add(cur)
-                cur = graph[cur]
-
-
 @criterion("criterion 4: loop freedom on builtins plus 100 random scenarios")
 def test_criterion_4_loop_freedom():
     for name in ("scenario1", "scenario2"):
         sim = Simulation(builtin(name), "aodv", seed=7)
-        sim.event_hooks.append(lambda s=sim: _assert_acyclic(s))
+        sim.event_hooks.append(lambda s=sim: assert_loop_free(s))
         sim.run()
     rnd = random.Random(2024)
     for _ in range(100):
         sim = Simulation(random_scenario(rnd), "aodv", seed=rnd.randrange(10 ** 6))
-        sim.event_hooks.append(lambda s=sim: _assert_acyclic(s))
+        sim.event_hooks.append(lambda s=sim: assert_loop_free(s))
         sim.run()
 
 

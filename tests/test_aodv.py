@@ -15,7 +15,7 @@ CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]   # 0-1-2-3 line, range 250
 
 def packet(sim, src, dst):
     """Application packet with its Sent event on the ledger, like emit_data."""
-    pkt = DataPacket(uid=sim.world.next_uid(), src=src, dst=dst,
+    pkt = DataPacket(uid=sim.next_uid(), src=src, dst=dst,
                      size=512)
     sim.ledger.record(LedgerEvent(sim.engine.now, EventKind.SENT, src, "DATA",
                                   pkt.size, pkt.uid, src, dst))
@@ -176,7 +176,7 @@ def test_destination_replies_with_rrep_via_reverse_path():
     sim = build_sim(CHAIN)
     dst_node = sim.nodes[3]
     rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
-                hop_count=2, uid=sim.world.next_uid())
+                hop_count=2, uid=sim.next_uid())
     assert dst_node.handle_rreq(2, rreq) is RreqAction.REPLIED
     assert control_count(sim, "RREP") == 1
     assert dst_node.reverse_paths[0].via == 2
@@ -186,7 +186,7 @@ def test_duplicate_rreq_discarded():
     sim = build_sim(CHAIN)
     dst_node = sim.nodes[3]
     rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
-                hop_count=2, uid=sim.world.next_uid())
+                hop_count=2, uid=sim.next_uid())
     dst_node.handle_rreq(2, rreq)
     assert dst_node.handle_rreq(2, rreq) is RreqAction.DUPLICATE
     assert control_count(sim, "RREP") == 1
@@ -196,7 +196,7 @@ def test_rreq_remembered_for_path_discovery_time():
     sim = build_sim(CHAIN)
     mid = sim.nodes[1]
     rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
-                hop_count=0, uid=sim.world.next_uid())
+                hop_count=0, uid=sim.next_uid())
     assert mid.handle_rreq(0, rreq) is RreqAction.FORWARDED
     sim.engine.run_until(PATH_DISCOVERY_TIME - 0.001)
     assert mid.handle_rreq(0, rreq) is RreqAction.DUPLICATE
@@ -220,7 +220,7 @@ def test_intermediary_without_route_rebroadcasts_with_hop_increment():
     sim = build_sim(CHAIN)
     mid = sim.nodes[1]
     rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
-                hop_count=0, uid=sim.world.next_uid())
+                hop_count=0, uid=sim.next_uid())
     assert mid.handle_rreq(0, rreq) is RreqAction.FORWARDED
     fwd = [e for e in sim.ledger.events if e.subkind == "RREQ"]
     assert len(fwd) == 1
@@ -232,7 +232,7 @@ def test_intermediary_with_fresh_cached_route_replies():
     mid = sim.nodes[1]
     install_route(mid, 3, next_hop=2, hop_count=2, dst_seq=6)
     rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=4,
-                hop_count=0, uid=sim.world.next_uid())
+                hop_count=0, uid=sim.next_uid())
     assert mid.handle_rreq(0, rreq) is RreqAction.REPLIED
     assert 0 in mid.routes[3].precursors
 
@@ -242,7 +242,7 @@ def test_intermediary_with_stale_cached_route_forwards_instead():
     mid = sim.nodes[1]
     install_route(mid, 3, next_hop=2, hop_count=2, dst_seq=2)
     rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=4,
-                hop_count=0, uid=sim.world.next_uid())
+                hop_count=0, uid=sim.next_uid())
     assert mid.handle_rreq(0, rreq) is RreqAction.FORWARDED
 
 
@@ -250,7 +250,7 @@ def test_destination_seq_rises_above_poisoned_request():
     sim = build_sim(CHAIN)
     dst_node = sim.nodes[3]
     rreq = Rreq(src=0, src_seq=5, bcast_id=2, dst=3, dst_last_seq=9,
-                hop_count=1, uid=sim.world.next_uid())
+                hop_count=1, uid=sim.next_uid())
     dst_node.handle_rreq(2, rreq)
     assert dst_node.own_seq > 9
 
@@ -274,10 +274,10 @@ def test_intermediary_installs_route_and_relays_rrep():
     sim = build_sim(CHAIN)
     mid = sim.nodes[2]
     rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
-                hop_count=1, uid=sim.world.next_uid())
+                hop_count=1, uid=sim.next_uid())
     mid.handle_rreq(1, rreq)    # learns reverse path toward 0 via 1
     rrep = Rrep(src=0, dst=3, dst_seq=2, hop_count=0, lifetime=3.0,
-                uid=sim.world.next_uid())
+                uid=sim.next_uid())
     mid.handle_rrep(3, rrep)
     assert mid.routes[3].next_hop == 3 and mid.routes[3].hop_count == 1
     assert control_count(sim, "RREP") == 1          # the relayed copy
@@ -289,7 +289,7 @@ def test_rrep_dropped_when_reverse_path_expired():
     sim = build_sim([(0, 0), (0, 600), (700, 700), (100, 600)])
     mid = sim.nodes[2]
     rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
-                hop_count=1, uid=sim.world.next_uid())
+                hop_count=1, uid=sim.next_uid())
     mid.handle_rreq(1, rreq)
     sim.engine.run_until(REVERSE_PATH_LIFETIME + 0.5)   # reverse path now stale
     rrep = Rrep(src=0, dst=3, dst_seq=2, hop_count=0, lifetime=3.0, uid=77)
@@ -348,7 +348,7 @@ def test_source_with_active_flow_rediscovers_on_rerr():
     sim = build_sim(CHAIN, flows=[TrafficFlow(0, 3, 10.0, 512, 0.0, 9.0)])
     src = sim.nodes[0]
     install_route(src, 3, next_hop=1, dst_seq=2)
-    src.handle_rerr(1, Rerr(unreachable=[(3, 3)], uid=sim.world.next_uid()))
+    src.handle_rerr(1, Rerr(unreachable=[(3, 3)], uid=sim.next_uid()))
     assert not src.routes[3].active
     assert control_count(sim, "RREQ") == 1
 
@@ -356,7 +356,7 @@ def test_source_with_active_flow_rediscovers_on_rerr():
 def test_rerr_for_never_routed_destination_ignored():
     sim = build_sim(CHAIN)
     node = sim.nodes[1]
-    node.handle_rerr(2, Rerr(unreachable=[(3, 5)], uid=sim.world.next_uid()))
+    node.handle_rerr(2, Rerr(unreachable=[(3, 5)], uid=sim.next_uid()))
     assert node.routes == {}
     assert sim.ledger.control_tx == {}
 
@@ -365,7 +365,7 @@ def test_rerr_from_non_next_hop_ignored():
     sim = build_sim(CHAIN)
     node = sim.nodes[1]
     install_route(node, 3, next_hop=2, dst_seq=2)
-    node.handle_rerr(0, Rerr(unreachable=[(3, 3)], uid=sim.world.next_uid()))
+    node.handle_rerr(0, Rerr(unreachable=[(3, 3)], uid=sim.next_uid()))
     assert node.routes[3].active
 
 

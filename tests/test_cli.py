@@ -116,6 +116,19 @@ def test_custom_scenario_file_via_cli(tmp_path):
     assert report["received"] == 25
 
 
+def test_run_without_out_writes_under_runs_by_file_stem(tmp_path, monkeypatch):
+    (tmp_path / "x.scn").write_text("area 800 800\nnode 0 100 100\nnode 1 300 100\n"
+                                    "flow 0 1 10 512 0.5 1.0\nend 1.0\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for path in ("../x.scn", str(tmp_path / "x.scn")):
+        assert main(["run", "--scenario", path]) == 0
+        assert sorted(p.name for p in work.iterdir()) == ["runs"]
+        assert sorted(p.name for p in (work / "runs").iterdir()) == ["x_aodv_seed0"]
+        assert (work / "runs" / "x_aodv_seed0" / "report.json").exists()
+
+
 def test_range_override_changes_connectivity(tmp_path):
     scn = tmp_path / "pair.scn"
     scn.write_text("area 800 800\nrange 250\n"

@@ -1,6 +1,6 @@
 import random
 
-from conftest import build_sim, random_scenario
+from conftest import assert_loop_free, build_sim, random_scenario
 from manetsim.dsdv import UpdatePacket
 from manetsim.metrics import EventKind, LedgerEvent
 from manetsim.packets import DataPacket
@@ -10,7 +10,7 @@ CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]
 
 
 def packet(sim, src, dst):
-    pkt = DataPacket(uid=sim.world.next_uid(), src=src, dst=dst,
+    pkt = DataPacket(uid=sim.next_uid(), src=src, dst=dst,
                      size=512)
     sim.ledger.record(LedgerEvent(sim.engine.now, EventKind.SENT, src, "DATA",
                                   pkt.size, pkt.uid, src, dst))
@@ -101,7 +101,7 @@ def test_no_change_no_triggered_update():
     node = sim.nodes[1]
     before = update_count(sim)
     stale = UpdatePacket(src=0, entries=[(0, node.table[0].dst_seq, 0)],
-                         uid=sim.world.next_uid())
+                         uid=sim.next_uid())
     assert node.handle_update(0, stale) == 0
     assert update_count(sim) == before
 
@@ -112,7 +112,7 @@ def test_newer_seq_adopted_and_readvertised():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
     pkt = UpdatePacket(src=0, entries=[(0, 4, 0)],
-                       uid=sim.world.next_uid())
+                       uid=sim.next_uid())
     assert node.handle_update(0, pkt) == 1
     assert node.table[0].next_hop == 0 and node.table[0].hop_count == 1
     assert update_count(sim) == 1   # re-broadcast of the adopted change
@@ -121,26 +121,26 @@ def test_newer_seq_adopted_and_readvertised():
 def test_stale_seq_ignored():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], sim.world.next_uid()))
+    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], sim.next_uid()))
     assert node.handle_update(0, UpdatePacket(0, [(0, 2, 0)],
-                                              sim.world.next_uid())) == 0
+                                              sim.next_uid())) == 0
 
 
 def test_equal_seq_worse_metric_ignored():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], sim.world.next_uid()))
+    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], sim.next_uid()))
     assert node.handle_update(2, UpdatePacket(0, [(0, 4, 3)],
-                                              sim.world.next_uid())) == 0
+                                              sim.next_uid())) == 0
     assert node.table[0].next_hop == 0
 
 
 def test_equal_seq_better_metric_adopted():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    node.handle_update(2, UpdatePacket(0, [(0, 4, 3)], sim.world.next_uid()))
+    node.handle_update(2, UpdatePacket(0, [(0, 4, 3)], sim.next_uid()))
     assert node.handle_update(0, UpdatePacket(0, [(0, 4, 0)],
-                                              sim.world.next_uid())) == 1
+                                              sim.next_uid())) == 1
     assert node.table[0].hop_count == 1
 
 
@@ -172,24 +172,12 @@ def test_unknown_destination_drops_immediately():
 
 # -- invariants ------------------------------------------------------------------------
 
-def _assert_acyclic(sim):
-    for dst in range(len(sim.nodes)):
-        graph = sim.next_hop_graph(dst)
-        for start in graph:
-            seen = set()
-            cur = start
-            while cur in graph:
-                assert cur not in seen, f"loop toward {dst} at {sim.engine.now}"
-                seen.add(cur)
-                cur = graph[cur]
-
-
 def test_dsdv_loop_free_on_random_scenarios():
     rnd = random.Random(424)
     for _ in range(20):
         spec = random_scenario(rnd)
         sim = Simulation(spec, protocol="dsdv", seed=rnd.randrange(1000))
-        sim.event_hooks.append(lambda s=sim: _assert_acyclic(s))
+        sim.event_hooks.append(lambda s=sim: assert_loop_free(s))
         sim.run()
 
 

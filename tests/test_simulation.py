@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (build_sim, build_spec, random_connected_positions, random_scenario,
-                      random_waypoint_scenario)
+from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
+                      random_scenario, random_waypoint_scenario)
 from manetsim.metrics import write_trace
 from manetsim.scenario import TrafficFlow, builtin
 from manetsim.simulation import PROTOCOLS, Simulation
@@ -85,22 +85,10 @@ def test_delay_bounded_below_by_hops_times_latency():
 
 # -- loop freedom --------------------------------------------------------------------
 
-def assert_acyclic_next_hops(sim):
-    for dst in range(len(sim.nodes)):
-        graph = sim.next_hop_graph(dst)
-        for start in graph:
-            cur, seen = start, set()
-            while cur in graph:
-                assert cur not in seen, \
-                    f"routing loop toward {dst} at t={sim.engine.now}"
-                seen.add(cur)
-                cur = graph[cur]
-
-
 def test_loop_freedom_on_builtin_scenarios():
     for name in ("scenario1", "scenario2"):
         sim = Simulation(builtin(name), "aodv", seed=11)
-        sim.event_hooks.append(lambda s=sim: assert_acyclic_next_hops(s))
+        sim.event_hooks.append(lambda s=sim: assert_loop_free(s))
         sim.run()
 
 
@@ -149,7 +137,7 @@ def test_conservation_and_loop_freedom_up_to_50_nodes(scenario_seed, protocol, s
     result = sim.run()
     led = result.ledger
     assert led.sent == led.received + led.dropped_data + result.unresolved_census
-    assert_acyclic_next_hops(sim)
+    assert_loop_free(sim)
 
 
 @pytest.mark.slow
@@ -177,7 +165,7 @@ def test_conservation_and_loop_freedom_at_scale_random_waypoint(protocol, nodes,
     result = sim.run()
     assert led.received > 0
     assert led.unresolved == result.unresolved_census
-    assert_acyclic_next_hops(sim)
+    assert_loop_free(sim)
 
 
 # -- shortest-path equivalence ----------------------------------------------------------
@@ -364,5 +352,5 @@ def test_scenario1_initial_broadcast_reaches_nodes_1_and_2():
     from manetsim.aodv import Hello
     sim = Simulation(builtin("scenario1"), "aodv", seed=0)
     sim.engine.run_until(1.0)
-    receivers = sim.world.broadcast(0, Hello(src=0, uid=sim.world.next_uid()))
+    receivers = sim.world.broadcast(0, Hello(src=0, uid=sim.next_uid()))
     assert receivers == [1, 2]

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_sim
+from manetsim.aodv import Hello
 from manetsim.engine import Engine
 from manetsim.errors import OverlappingLegError, UnknownNodeError
-from manetsim.metrics import MetricsLedger
 from manetsim.packets import DataPacket, MessageKind
 from manetsim.world import (GRID_WINDOW, Movement, Position, RadioModel, UnicastOutcome,
                             World, grid_cell)
 
 
-def make_world(positions, radio=RadioModel(), ledger=None):
-    eng = Engine(seed=0)
-    world = World(eng, [Position(*p) for p in positions], radio, ledger=ledger)
+def make_world(positions, radio=RadioModel()):
+    eng = Engine()
+    world = World(eng, [Position(*p) for p in positions], radio)
     world.jitter = 0.0
     return eng, world
 
@@ -156,12 +156,11 @@ def test_scenario1_nodes_4_and_5_out_of_range_at_3s():
 # -- delivery ---------------------------------------------------------------
 
 def test_isolated_broadcast_delivers_nothing_but_counts_once():
-    ledger = MetricsLedger()
-    eng, w = make_world([(0, 0), (600, 600)], ledger=ledger)
-    receivers = w.broadcast(0, pkt())
+    sim = build_sim([(0, 0), (600, 600)])
+    receivers = sim.broadcast(0, Hello(src=0, uid=sim.next_uid()))
     assert receivers == []
-    assert ledger.data_tx == 1
-    assert eng.pending_count() == 0
+    assert sim.ledger.control_tx == {MessageKind.HELLO.value: 1}
+    assert sim.engine.pending_count() == 0
 
 
 def test_broadcast_reaches_exactly_in_range_nodes():
@@ -180,11 +179,10 @@ def test_broadcast_never_delivers_to_sender():
 
 
 def test_all_neighbors_one_transmission():
-    ledger = MetricsLedger()
-    _, w = make_world([(0, 0), (50, 0), (0, 50), (50, 50)], ledger=ledger)
-    receivers = w.broadcast(0, pkt())
+    sim = build_sim([(0, 0), (50, 0), (0, 50), (50, 50)])
+    receivers = sim.broadcast(0, Hello(src=0, uid=sim.next_uid()))
     assert len(receivers) == 3
-    assert ledger.data_tx == 1
+    assert sim.ledger.control_tx == {MessageKind.HELLO.value: 1}
 
 
 def test_unicast_in_range_delivers_after_hop_latency():
@@ -197,18 +195,17 @@ def test_unicast_in_range_delivers_after_hop_latency():
 
 
 def test_unicast_out_of_range_is_link_break():
-    ledger = MetricsLedger()
-    _, w = make_world([(0, 0), (600, 0)], ledger=ledger)
-    assert w.unicast(0, 1, pkt()) is UnicastOutcome.LINK_BREAK
-    assert ledger.data_tx == 0  # failed attempt transmits nothing
+    sim = build_sim([(0, 0), (600, 0)])
+    assert sim.world.unicast(0, 1, pkt()) is UnicastOutcome.LINK_BREAK
+    assert sim.send_unicast(0, 1, pkt()) is False
+    assert sim.ledger.events == []  # a failed attempt transmits nothing
 
 
 def test_control_broadcast_recorded_as_control_tx():
-    from manetsim.aodv import Hello
-    ledger = MetricsLedger()
-    _, w = make_world([(0, 0), (10, 0)], ledger=ledger)
-    w.broadcast(0, Hello(src=0, uid=w.next_uid()))
-    assert ledger.control_tx == {MessageKind.HELLO.value: 1}
+    sim = build_sim([(0, 0), (10, 0)])
+    sim.broadcast(0, Hello(src=0, uid=sim.next_uid()))
+    assert sim.ledger.control_tx == {MessageKind.HELLO.value: 1}
+    assert sim.ledger.data_tx == 0
 
 
 def test_scenario2_node3_to_5_breaks_at_2_3():
@@ -231,14 +228,15 @@ PROPERTY = settings(max_examples=75, deadline=None)
 
 
 def oracle_position(initial, legs, t):
-    """Position at t; each leg starts where the legs before it put the node."""
+    """Position at t; each leg starts where the legs before it put the node
+    and puts it exactly at its destination from its arrival on."""
     pos = initial
     for i, (start, dest, speed) in enumerate(legs):
         if t < start:
             break
         begin = oracle_position(initial, legs[:i], start)
         total = math.hypot(begin[0] - dest[0], begin[1] - dest[1])
-        if total == 0:
+        if t >= start + total / speed:
             pos = dest
             continue
         f = min(total, speed * (t - start)) / total
