@@ -9,10 +9,11 @@ import sys
 from pathlib import Path
 
 from . import scenario as scenario_mod
+from .engine import TICK
 from .errors import SimError
 from .metrics import (EventKind, SeriesPoint, cumulative_series, delay_series,
                       emit_plot_datasets, throughput_series, write_trace)
-from .simulation import (MIN_HELLO_INTERVAL, PROTOCOLS, RunReport, RunResult, Simulation,
+from .simulation import (PROTOCOLS, RunReport, RunResult, Simulation,
                          valid_hello_interval)
 
 PLOTS = ("received_lost.xg", "throughput.xg", "delay.xg")
@@ -156,7 +157,7 @@ def hello_period(text: str) -> float:
     value = float(text)
     if not valid_hello_interval(value):
         raise argparse.ArgumentTypeError(
-            f"must be 0 or a finite number >= {MIN_HELLO_INTERVAL:g}, got '{text}'")
+            f"must be 0 or a finite number >= {TICK:g}, got '{text}'")
     return value
 
 

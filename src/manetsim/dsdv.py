@@ -87,27 +87,28 @@ class DsdvNode:
 
     def handle_update(self, sender: int, pkt: UpdatePacket) -> int:
         """Adopt fresher or shorter advertisements; re-flood what changed."""
+        table, me = self.table, self.node_id
         changed: list[DsdvEntry] = []
         for dst, seq, hops in pkt.entries:
-            if dst == self.node_id:
+            if dst == me:
                 continue
             broken = seq % 2 == 1 or hops is None
             metric = None if broken else hops + 1
-            existing = self.table.get(dst)
+            existing = table.get(dst)
             if existing is None:
                 if broken:
                     continue    # nothing to tear down for an unknown destination
                 adopt = True
             elif seq > existing.dst_seq:
                 adopt = True
-            elif (seq == existing.dst_seq and not broken and not existing.broken
-                  and metric < existing.hop_count):
+            elif (seq == existing.dst_seq and not broken
+                  and existing.dst_seq % 2 == 0 and metric < existing.hop_count):
                 adopt = True
             else:
                 adopt = False
             if adopt:
                 entry = DsdvEntry(dst, sender, metric, seq)
-                self.table[dst] = entry
+                table[dst] = entry
                 self.sim.route_changed(dst)
                 changed.append(entry)
         if changed:

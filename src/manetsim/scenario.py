@@ -15,7 +15,7 @@ import importlib.resources
 import math
 from dataclasses import dataclass, field
 
-from .engine import Engine
+from .engine import TICK, Engine, valid_period
 from .errors import (OverlappingLegError, ScenarioSemanticError, ScenarioSyntaxError,
                      UnknownScenarioError)
 from .world import Movement, Position, RadioModel, World
@@ -168,6 +168,9 @@ def _validate(spec: ScenarioSpec, raw_nodes: dict[int, Position]) -> None:
             raise ScenarioSemanticError("flow source equals destination")
         if f.rate <= 0 or f.packet_size <= 0:
             raise ScenarioSemanticError("flow rate and packet size must be positive")
+        if not valid_period(1 / f.rate):
+            raise ScenarioSemanticError(
+                f"flow rate {f.rate} pkt/s sends more than one packet per {TICK:g} s tick")
         if not (0 <= f.start < f.stop <= spec.end_time):
             raise ScenarioSemanticError(
                 f"flow window [{f.start}, {f.stop}] invalid for end {spec.end_time}")

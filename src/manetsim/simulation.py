@@ -7,17 +7,20 @@ in-flight census and route history. Each protocol node holds its
 Simulation and acts through it: `engine` for the clock and timers, and
 the methods below to number and send frames, record what it did or tell
 the route observer a route changed. Once the traffic is scheduled, each
-node's `start()` arms its own periodic work through `every`.
+node's `start()` arms its own periodic work through `every`. Broadcast
+frames go from the engine straight to the receiving node's `on_receive`;
+unicast frames pass through `_deliver`, which keeps the DATA in-flight count.
 """
 from __future__ import annotations
 
-import math
+import gc
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from . import scenario as scenario_mod
 from .aodv import AodvNode
 from .dsdv import DsdvNode
-from .engine import TIME_RESOLUTION_DIGITS, Engine
+from .engine import TICK, Engine, valid_period
 from .metrics import (EventKind, LedgerEvent, MetricsLedger, SeriesPoint,
                       control_overhead, delay_series, delivery_ratio, mean_value,
                       throughput_series, transmission_efficiency)
@@ -27,14 +30,11 @@ from .world import UnicastOutcome, World
 
 NODE_CLASSES = {"aodv": AodvNode, "dsdv": DsdvNode}
 PROTOCOLS = tuple(NODE_CLASSES)
-# shortest nonzero hello period: one clock tick, so a hello chain always
-# moves the clock forward instead of re-queueing into the bucket it runs in
-MIN_HELLO_INTERVAL = 10 ** -TIME_RESOLUTION_DIGITS
 
 
 def valid_hello_interval(value: float) -> bool:
-    """0 turns hellos off; any other period is finite and at least one tick."""
-    return value == 0 or MIN_HELLO_INTERVAL <= value < math.inf
+    """0 turns hellos off; any other interval must be a valid_period."""
+    return value == 0 or valid_period(value)
 
 
 @dataclass
@@ -111,7 +111,7 @@ class Simulation:
             raise ValueError(f"unknown protocol '{protocol}'")
         if not valid_hello_interval(hello_interval):
             raise ValueError(f"hello_interval must be 0 or finite and at least "
-                             f"{MIN_HELLO_INTERVAL} s, got {hello_interval}")
+                             f"{TICK} s, got {hello_interval}")
         self.spec = spec
         self.protocol = protocol
         self.seed = seed
@@ -123,6 +123,7 @@ class Simulation:
         self.flows = list(spec.flows)
         self.hello_interval = hello_interval
         self.nodes = [NODE_CLASSES[protocol](i, self) for i in range(spec.node_count)]
+        self.world.on_receive = [node.on_receive for node in self.nodes]
         self.in_flight_data = 0
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
             (f.src, f.dst): [] for f in self.flows}
@@ -139,11 +140,14 @@ class Simulation:
 
     def every(self, first_at: float, action, interval: float) -> None:
         """Run action at first_at, then every interval while within the run."""
-        def tick():
-            action()
-            if self.engine.now + interval <= self.spec.end_time:
-                self.engine.schedule_in(interval, tick)
-        self.engine.schedule(first_at, tick)
+        self.engine.schedule(first_at, partial(self._tick, action, interval))
+
+    def _tick(self, action, interval: float) -> None:
+        # re-armed with a fresh partial: a closure that scheduled itself
+        # would be a reference cycle left behind when its chain ends
+        action()
+        if self.engine.now + interval <= self.spec.end_time:
+            self.engine.schedule_in(interval, partial(self._tick, action, interval))
 
     def route_changed(self, dst: int) -> None:
         """Tell the route observer a node installed or invalidated dst."""
@@ -268,7 +272,21 @@ class Simulation:
     # -- running -------------------------------------------------------------
 
     def run(self) -> RunResult:
-        self.engine.run_until(self.spec.end_time)
+        """Run to the scenario's end with the cyclic collector paused.
+
+        The simulator's own code makes no reference cycles during a run
+        (tests/test_simulation.py guards this), so pausing the collector
+        frees nothing later that it would have freed now; it only skips its
+        passes over the growing heap. event_hooks run paused too, so a cycle
+        a hook makes stays in memory until the collector runs after run().
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.engine.run_until(self.spec.end_time)
+        finally:
+            if collecting:
+                gc.enable()
         return RunResult(spec=self.spec, protocol=self.protocol, seed=self.seed,
                          ledger=self.ledger, route_history=self.route_history,
                          unresolved_census=self.unresolved_census(),

@@ -16,6 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from .engine import Engine
@@ -69,6 +70,10 @@ def grid_cell(radio_range: float, v_max: float, extent: float) -> float:
     return reach + GRID_SLACK * (reach + extent)
 
 
+def _ignore(*frame) -> None:
+    """Frame handler of a World no Simulation has wired."""
+
+
 class UnicastOutcome(Enum):
     SENT = "sent"
     LINK_BREAK = "link-break"
@@ -98,8 +103,11 @@ class World:
         self._cache: list[tuple[float, float] | None] = []
         self._grid: tuple[dict, list] | None = None
         self._grid_span = (0.0, 0.0)
-        # wired by the simulation: (receiver, sender, message) -> None
-        self.deliver: Callable[[int, int, object], None] = lambda r, s, m: None
+        # wired by the simulation: deliver(receiver, sender, message) takes
+        # unicast frames, and on_receive[r](sender, message) node r's
+        # broadcast frames; until then frames are dropped on arrival
+        self.deliver: Callable[[int, int, object], None] = _ignore
+        self.on_receive: list[Callable[[int, object], None]] = [_ignore] * len(node_positions)
 
     def node_ids(self) -> range:
         return range(len(self._initial))
@@ -218,16 +226,23 @@ class World:
 
     # -- frame delivery ----------------------------------------------------
 
-    def _delivery_delay(self) -> float:
-        return self.radio.hop_latency + self.rng.uniform(0.0, self.jitter)
+    def _post_frames(self, frames) -> None:
+        """Queue each frame to arrive one hop_latency plus a jitter draw from
+        now. rng.uniform(0.0, j) is 0.0 + j * rng.random(), so the draw is
+        the same float; the parentheses keep the sum's rounding."""
+        now, post, draw = self.engine.now, self.engine.post, self.rng.random
+        latency, jitter = self.radio.hop_latency, self.jitter
+        for frame in frames:
+            post(now + (latency + jitter * draw()), frame)
 
     def broadcast(self, sender: int, msg) -> list[int]:
-        """Deliver to every node currently in range; one transmission."""
-        now = self.engine.now
-        receivers = self.neighbors_of(sender, now)
-        for r in receivers:
-            self.engine.post(now + self._delivery_delay(),
-                             lambda r=r: self.deliver(r, sender, msg))
+        """Deliver to every node currently in range; one transmission.
+
+        Each frame goes straight to the receiver's on_receive handler.
+        """
+        receivers = self.neighbors_of(sender, self.engine.now)
+        handlers = self.on_receive
+        self._post_frames([partial(handlers[r], sender, msg) for r in receivers])
         return receivers
 
     def unicast(self, sender: int, next_hop: int, msg) -> UnicastOutcome:
@@ -239,6 +254,5 @@ class World:
         now = self.engine.now
         if not self._linked(sender, next_hop, now):
             return UnicastOutcome.LINK_BREAK
-        self.engine.post(now + self._delivery_delay(),
-                         lambda: self.deliver(next_hop, sender, msg))
+        self._post_frames((partial(self.deliver, next_hop, sender, msg),))
         return UnicastOutcome.SENT

@@ -163,7 +163,8 @@ def test_hello_interval_below_one_clock_tick_is_a_usage_error(value, capsys):
 
 @pytest.mark.parametrize("case", ["window-zero", "negative-range", "file-range-zero",
                                   "file-range-negative", "hello-negative", "hello-nan",
-                                  "out-is-a-file", "non-utf8-scenario"])
+                                  "flow-above-one-packet-per-tick", "out-is-a-file",
+                                  "non-utf8-scenario"])
 def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
     out = tmp_path / "out"
     args = ["run", "--scenario", "scenario1", "--out", str(out)]
@@ -179,6 +180,11 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
         scn = tmp_path / "range.scn"
         value = "0" if case.endswith("zero") else "-5"
         scn.write_text(f"area 800 800\nrange {value}\nnode 0 1 1\nend 5\n")
+        args[2] = str(scn)
+    elif case == "flow-above-one-packet-per-tick":
+        scn = tmp_path / "fast.scn"
+        scn.write_text("area 800 800\nnode 0 1 1\nnode 1 50 1\n"
+                       "flow 0 1 2000000 512 0.0 0.001\nend 1\n")
         args[2] = str(scn)
     elif case == "out-is-a-file":
         out.write_text("")

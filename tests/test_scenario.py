@@ -103,6 +103,18 @@ def test_unknown_node_in_flow_is_semantic_error():
         parse(text)
 
 
+@pytest.mark.parametrize("rate", ["2000000", "1e7", "1000000.5"])
+def test_flow_faster_than_one_packet_per_clock_tick_rejected(rate):
+    # 2,000,000 pkt/s would put several emissions on one microsecond
+    with pytest.raises(ScenarioSemanticError, match="tick"):
+        parse(VALID.replace("flow 0 1 10 ", f"flow 0 1 {rate} "))
+
+
+def test_flow_of_one_packet_per_clock_tick_accepted():
+    spec = parse(VALID.replace("flow 0 1 10 ", "flow 0 1 1000000 "))
+    assert spec.flows[0].rate == 1e6
+
+
 def test_unknown_node_in_move_is_semantic_error():
     text = VALID.replace("move 1.0 1", "move 1.0 9")
     with pytest.raises(ScenarioSemanticError):

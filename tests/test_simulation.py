@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 
@@ -144,7 +145,7 @@ def test_conservation_and_loop_freedom_up_to_50_nodes(scenario_seed, protocol, s
 @pytest.mark.parametrize("protocol, nodes, side, end", [
     # 100 nodes: the scale at which one fire time's bucket holds the most events
     ("aodv", 100, 1200.0, 10.0), ("dsdv", 100, 1200.0, 10.0),
-    ("aodv", 200, 1700.0, 10.0), ("dsdv", 200, 1700.0, 3.0),
+    ("aodv", 200, 1700.0, 10.0), ("dsdv", 200, 1700.0, 10.0),
     # long runs: many route expiries, rediscoveries and full-table dumps
     ("aodv", 25, 800.0, 200.0), ("dsdv", 25, 800.0, 200.0)])
 def test_conservation_and_loop_freedom_at_scale_random_waypoint(protocol, nodes, side, end):
@@ -166,6 +167,61 @@ def test_conservation_and_loop_freedom_at_scale_random_waypoint(protocol, nodes,
     assert led.received > 0
     assert led.unresolved == result.unresolved_census
     assert_loop_free(sim)
+
+
+# -- cyclic garbage and the collector ----------------------------------------------------
+
+@pytest.fixture
+def collector_off():
+    """The collector paused for the test, and its setting put back after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+@pytest.mark.parametrize("protocol, end", [
+    ("aodv", 3.0), ("dsdv", 3.0),
+    # long enough for route expiry, link breaks, RERRs and rediscovery
+    ("aodv", 100.0), ("dsdv", 60.0)])
+def test_a_run_leaves_no_cyclic_garbage(protocol, end, collector_off):
+    # run() pauses the collector, which can only hold memory back if a run
+    # leaves reference cycles; with the collector off here too, no cycle the
+    # run leaves can be collected before it is counted
+    spec = random_waypoint_scenario(random.Random(5), 30, 900.0, end)
+    sim = Simulation(spec, protocol, seed=1)
+    gc.collect()
+    sim.run()
+    assert gc.collect() == 0
+    assert sim.ledger.received > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_puts_back_the_callers_collector_setting(enabled, collector_off):
+    if enabled:
+        gc.enable()
+    sim = Simulation(builtin("scenario1"), "dsdv", seed=1)
+    seen = []
+    sim.event_hooks.append(lambda: seen.append(gc.isenabled()))
+    sim.run()
+    assert seen and not any(seen)      # paused for every event of the run
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_puts_back_the_collector_setting_when_an_action_raises(enabled, collector_off):
+    if enabled:
+        gc.enable()
+    sim = Simulation(builtin("scenario1"), "aodv", seed=1)
+
+    def fail():
+        raise RuntimeError("boom")
+
+    sim.engine.schedule(1.0, fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert gc.isenabled() is enabled
 
 
 # -- shortest-path equivalence ----------------------------------------------------------

@@ -166,7 +166,7 @@ def test_isolated_broadcast_delivers_nothing_but_counts_once():
 def test_broadcast_reaches_exactly_in_range_nodes():
     got = []
     eng, w = make_world([(0, 0), (100, 0), (200, 0), (600, 0)])
-    w.deliver = lambda r, s, m: got.append((r, s))
+    w.on_receive = [lambda s, m, r=r: got.append((r, s)) for r in range(4)]
     receivers = w.broadcast(0, pkt())
     assert receivers == [1, 2]
     eng.run_until(1.0)
@@ -192,6 +192,26 @@ def test_unicast_in_range_delivers_after_hop_latency():
     assert w.unicast(0, 1, pkt()) is UnicastOutcome.SENT
     eng.run_until(1.0)
     assert got == [(0.001, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.01), st.floats(1e-4, 0.01),
+       st.floats(0.0, 100.0), st.integers(1, 8))
+def test_delivery_times_match_the_uniform_draw_oracle(seed, jitter, hop_latency, now, k):
+    # broadcast draws inline as j * random(); rng.uniform(0.0, j) is the
+    # reference, added to the clock in the same order and grouping
+    eng = Engine()
+    eng.now = now
+    w = World(eng, [Position(10.0 * i, 0.0) for i in range(k + 1)],
+              RadioModel(hop_latency=hop_latency), seed=seed)
+    w.jitter = jitter
+    posted = []
+    eng.post = lambda fire_at, action: posted.append(fire_at)
+    assert w.broadcast(0, pkt()) == list(range(1, k + 1))
+    assert w.unicast(0, 1, pkt()) is UnicastOutcome.SENT
+    oracle = random.Random(seed)
+    assert posted == [now + (hop_latency + oracle.uniform(0.0, jitter))
+                      for _ in range(k + 1)]
 
 
 def test_unicast_out_of_range_is_link_break():
