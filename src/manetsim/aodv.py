@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .packets import DataPacket, MessageKind
+from .packets import DATA, HELLO, RERR, RREP, RREQ, DataPacket
 
 RREQ_SIZE = 24
 RREP_SIZE = 20
@@ -41,7 +41,7 @@ class Rreq:
     hop_count: int
     uid: int
 
-    kind = MessageKind.RREQ
+    kind = RREQ
     size = RREQ_SIZE
 
 
@@ -56,7 +56,7 @@ class Rrep:
     lifetime: float
     uid: int
 
-    kind = MessageKind.RREP
+    kind = RREP
     size = RREP_SIZE
 
 
@@ -69,7 +69,7 @@ class Rerr:
     src: int = -1
     dst: int = -1
 
-    kind = MessageKind.RERR
+    kind = RERR
 
     @property
     def size(self) -> int:
@@ -84,7 +84,7 @@ class Hello:
     uid: int
     dst: int = -1
 
-    kind = MessageKind.HELLO
+    kind = HELLO
     size = HELLO_SIZE
 
 
@@ -115,6 +115,10 @@ class RreqAction(Enum):
     DUPLICATE = "duplicate"
     REPLIED = "replied"
     FORWARDED = "forwarded"
+
+
+# bound once: on CPython 3.11 RreqAction.X is a descriptor lookup per call
+DUPLICATE, REPLIED, FORWARDED = RreqAction
 
 
 class AodvNode:
@@ -265,7 +269,7 @@ class AodvNode:
             self.seen_rreqs.discard(order.popleft()[1])
         key = (rreq.src, rreq.bcast_id)
         if key in self.seen_rreqs:
-            return RreqAction.DUPLICATE
+            return DUPLICATE
         self._remember_rreq(key)
         self.reverse_paths[rreq.src] = ReversePathEntry(
             via=sender, expires_at=now + REVERSE_PATH_LIFETIME)
@@ -275,7 +279,7 @@ class AodvNode:
             # the poisoned sequence number the source is asking about
             self.own_seq = max(self.own_seq, rreq.dst_last_seq) + 1
             self._reply(sender, rreq, self.own_seq, 0, ACTIVE_ROUTE_TIMEOUT)
-            return RreqAction.REPLIED
+            return REPLIED
 
         cached = self.routes.get(rreq.dst)
         if (self.route_is_active(rreq.dst)
@@ -283,13 +287,13 @@ class AodvNode:
             if self._reply(sender, rreq, cached.dst_seq, cached.hop_count,
                            cached.expires_at - now):
                 cached.precursors.add(sender)
-            return RreqAction.REPLIED
+            return REPLIED
 
         fwd = Rreq(src=rreq.src, src_seq=rreq.src_seq, bcast_id=rreq.bcast_id,
                    dst=rreq.dst, dst_last_seq=rreq.dst_last_seq,
                    hop_count=rreq.hop_count + 1, uid=self.sim.next_uid())
         self.sim.broadcast(self.node_id, fwd)
-        return RreqAction.FORWARDED
+        return FORWARDED
 
     def _reply(self, via: int, msg: Rreq | Rrep, dst_seq: int, hop_count: int,
                lifetime: float) -> bool:
@@ -398,14 +402,15 @@ class AodvNode:
     # -- dispatch ----------------------------------------------------------
 
     def on_receive(self, sender: int, msg) -> None:
+        kind = msg.kind
         # any frame from a supervised neighbor proves it is still there
-        if msg.kind is MessageKind.HELLO or sender in self.hello_last_heard:
+        if kind is HELLO or sender in self.hello_last_heard:
             self.hello_last_heard[sender] = self.sim.engine.now
-        if msg.kind is MessageKind.DATA:
+        if kind is DATA:
             self._handle_data(msg)
-        elif msg.kind is MessageKind.RREQ:
+        elif kind is RREQ:
             self.handle_rreq(sender, msg)
-        elif msg.kind is MessageKind.RREP:
+        elif kind is RREP:
             self.handle_rrep(sender, msg)
-        elif msg.kind is MessageKind.RERR:
+        elif kind is RERR:
             self.handle_rerr(sender, msg)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .packets import DataPacket, MessageKind
+from .packets import DATA, DSDV_UPDATE, DataPacket
 
 UPDATE_BASE_SIZE = 8
 UPDATE_PER_ENTRY_SIZE = 12
@@ -26,7 +26,7 @@ class UpdatePacket:
     uid: int
     dst: int = -1
 
-    kind = MessageKind.DSDV_UPDATE
+    kind = DSDV_UPDATE
 
     @property
     def size(self) -> int:
@@ -146,7 +146,9 @@ class DsdvNode:
         return changed
 
     def on_receive(self, sender: int, msg) -> None:
-        if msg.kind is MessageKind.DATA:
-            self.forward_data(msg)
-        elif msg.kind is MessageKind.DSDV_UPDATE:
+        # updates are nearly every frame a DSDV node hears, so test them first
+        kind = msg.kind
+        if kind is DSDV_UPDATE:
             self.handle_update(sender, msg)
+        elif kind is DATA:
+            self.forward_data(msg)

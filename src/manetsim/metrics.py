@@ -2,13 +2,19 @@
 
 All reported numbers are pure functions of the ledger, so a persisted
 trace can be parsed back and must reproduce them bit-identically.
+
+Each ledger row and each series point is a NamedTuple: immutable,
+hashable and equal field by field, and about four times cheaper to
+build than a frozen dataclass. Code that runs once per row compares
+kinds against the member names bound next to EventKind and reads a
+kind's code as `kind._value_`, never through `EventKind.X` or `.value`,
+which are descriptor lookups on CPython 3.11.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .errors import LedgerConsistencyError, LedgerOrderError
 
@@ -23,8 +29,10 @@ class EventKind(Enum):
     DATA_TX = "f"       # one per-hop data-frame transmission
 
 
-@dataclass(frozen=True)
-class LedgerEvent:
+SENT, RECEIVED, DROPPED, CONTROL_TX, DATA_TX = EventKind
+
+
+class LedgerEvent(NamedTuple):
     t: float
     kind: EventKind
     node: int
@@ -34,14 +42,8 @@ class LedgerEvent:
     src: int
     dst: int
 
-    @classmethod
-    def of(cls, t: float, kind: EventKind, node: int, msg) -> "LedgerEvent":
-        """The row for one message; every message type carries these fields."""
-        return cls(t, kind, node, msg.kind.value, msg.size, msg.uid, msg.src, msg.dst)
 
-
-@dataclass(frozen=True, slots=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     t: float
     value: float
 
@@ -61,32 +63,34 @@ class MetricsLedger:
         self.control_tx: dict[str, int] = {}
 
     def record(self, ev: LedgerEvent) -> None:
-        if self.events and ev.t < self.events[-1].t:
-            raise LedgerOrderError(f"event at {ev.t} after {self.events[-1].t}")
-        if ev.kind is EventKind.SENT:
-            if ev.uid in self._sent_uids:
-                raise LedgerConsistencyError(f"duplicate sent uid {ev.uid}")
-            self._sent_uids.add(ev.uid)
+        t, kind, _, subkind, _, uid, _, _ = ev
+        events = self.events
+        if events and t < events[-1].t:
+            raise LedgerOrderError(f"event at {t} after {events[-1].t}")
+        if kind is SENT:
+            if uid in self._sent_uids:
+                raise LedgerConsistencyError(f"duplicate sent uid {uid}")
+            self._sent_uids.add(uid)
             self.sent += 1
-        elif ev.kind is EventKind.RECEIVED:
-            if ev.uid not in self._sent_uids:
-                raise LedgerConsistencyError(f"received unknown uid {ev.uid}")
+        elif kind is RECEIVED:
+            if uid not in self._sent_uids:
+                raise LedgerConsistencyError(f"received unknown uid {uid}")
             self.received += 1
-        elif ev.kind is EventKind.DROPPED:
-            if ev.subkind == "DATA":
-                if ev.uid not in self._sent_uids:
-                    raise LedgerConsistencyError(f"dropped unknown uid {ev.uid}")
+        elif kind is DROPPED:
+            if subkind == "DATA":
+                if uid not in self._sent_uids:
+                    raise LedgerConsistencyError(f"dropped unknown uid {uid}")
                 self.dropped_data += 1
             else:
-                if ev.uid not in self._control_uids:
-                    raise LedgerConsistencyError(f"dropped unknown control uid {ev.uid}")
+                if uid not in self._control_uids:
+                    raise LedgerConsistencyError(f"dropped unknown control uid {uid}")
                 self.dropped_control += 1
-        elif ev.kind is EventKind.CONTROL_TX:
-            self._control_uids.add(ev.uid)
-            self.control_tx[ev.subkind] = self.control_tx.get(ev.subkind, 0) + 1
-        elif ev.kind is EventKind.DATA_TX:
+        elif kind is CONTROL_TX:
+            self._control_uids.add(uid)
+            self.control_tx[subkind] = self.control_tx.get(subkind, 0) + 1
+        elif kind is DATA_TX:
             self.data_tx += 1
-        self.events.append(ev)
+        events.append(ev)
 
     @property
     def unresolved(self) -> int:
@@ -127,7 +131,7 @@ def throughput_series(ledger: MetricsLedger, window: float = 0.5,
     times: list[float] = []
     bits = [0]          # bits[i]: payload bits of the first i receives
     for e in ledger.events:
-        if e.kind is EventKind.RECEIVED:
+        if e.kind is RECEIVED:
             times.append(e.t)
             bits.append(bits[-1] + e.size * 8)
     if t_end is None:
@@ -144,9 +148,9 @@ def throughput_series(ledger: MetricsLedger, window: float = 0.5,
 
 def delay_series(ledger: MetricsLedger) -> list[SeriesPoint]:
     """One point per delivered packet: (receive time, end-to-end delay)."""
-    sent_at = {e.uid: e.t for e in ledger.events if e.kind is EventKind.SENT}
+    sent_at = {e.uid: e.t for e in ledger.events if e.kind is SENT}
     pairs = [(e.t, e.t - sent_at[e.uid])
-             for e in ledger.events if e.kind is EventKind.RECEIVED]
+             for e in ledger.events if e.kind is RECEIVED]
     pairs.sort()
     return [SeriesPoint(t, delay) for t, delay in pairs]
 
@@ -181,15 +185,12 @@ def mean_value(series: list[SeriesPoint]) -> float:
 # ---------------------------------------------------------------------------
 # persistence: line-oriented trace, xgraph-style plot data
 
-_KIND_CODE = {kind: kind.value for kind in EventKind}
-
-
 def write_trace(ledger: MetricsLedger, out: TextIO) -> None:
     """One line per ledger event, written as it is formatted."""
-    write, code = out.write, _KIND_CODE
-    for ev in ledger.events:
-        write("%s %.6f %d %s %d %d %d %d\n" % (code[ev.kind], ev.t, ev.node, ev.subkind,
-                                               ev.size, ev.uid, ev.src, ev.dst))
+    write = out.write
+    for t, kind, node, subkind, size, uid, src, dst in ledger.events:
+        write("%s %.6f %d %s %d %d %d %d\n" % (kind._value_, t, node, subkind,
+                                               size, uid, src, dst))
 
 
 def parse_trace(lines: Iterable[str]) -> MetricsLedger:

@@ -1,4 +1,9 @@
-"""Data packets and the message-kind taxonomy shared by both protocols."""
+"""Data packets and the message-kind taxonomy shared by both protocols.
+
+Per-frame code compares `msg.kind` against the module-level member names
+bound below, never `MessageKind.X`: on CPython 3.11 every class-attribute
+lookup of an enum member goes through a descriptor, a global does not.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,6 +19,9 @@ class MessageKind(Enum):
     DSDV_UPDATE = "DSDV-UPDATE"
 
 
+DATA, RREQ, RREP, RERR, HELLO, DSDV_UPDATE = MessageKind
+
+
 @dataclass
 class DataPacket:
     """One application payload travelling from src to dst."""
@@ -23,4 +31,4 @@ class DataPacket:
     dst: int
     size: int
 
-    kind = MessageKind.DATA
+    kind = DATA

@@ -21,12 +21,13 @@ from . import scenario as scenario_mod
 from .aodv import AodvNode
 from .dsdv import DsdvNode
 from .engine import TICK, Engine, valid_period
-from .metrics import (EventKind, LedgerEvent, MetricsLedger, SeriesPoint,
-                      control_overhead, delay_series, delivery_ratio, mean_value,
-                      throughput_series, transmission_efficiency)
-from .packets import DataPacket, MessageKind
+from .metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, EventKind,
+                      LedgerEvent, MetricsLedger, SeriesPoint, control_overhead,
+                      delay_series, delivery_ratio, mean_value, throughput_series,
+                      transmission_efficiency)
+from .packets import DATA, DataPacket
 from .scenario import ScenarioSpec, TrafficFlow
-from .world import UnicastOutcome, World
+from .world import UNICAST_SENT, World
 
 NODE_CLASSES = {"aodv": AodvNode, "dsdv": DsdvNode}
 PROTOCOLS = tuple(NODE_CLASSES)
@@ -73,7 +74,7 @@ class RunResult:
 
     def route_paths(self, flow: TrafficFlow | None = None) -> list[list[int]]:
         """Distinct complete routes a flow used, in order of appearance."""
-        key = (flow.src, flow.dst) if flow else next(iter(self.route_history))
+        key = (flow.src, flow.dst) if flow else next(iter(self.route_history), None)
         return [path for _, path in self.route_history.get(key, [])]
 
     def report(self, window: float = 0.5) -> RunReport:
@@ -162,40 +163,42 @@ class Simulation:
         return self._uid_counter
 
     def data_received(self, node: int, pkt: DataPacket) -> None:
-        self._log(EventKind.RECEIVED, node, pkt)
+        self._log(RECEIVED, node, pkt)
 
     def dropped(self, node: int, msg) -> None:
-        self._log(EventKind.DROPPED, node, msg)
+        self._log(DROPPED, node, msg)
 
     def broadcast(self, sender: int, msg) -> list[int]:
         """Send a control message to every node in range; one transmission."""
-        self._log(EventKind.CONTROL_TX, sender, msg)
+        self._log(CONTROL_TX, sender, msg)
         return self.world.broadcast(sender, msg)
 
     def send_unicast(self, sender: int, next_hop: int, msg) -> bool:
-        if self.world.unicast(sender, next_hop, msg) is not UnicastOutcome.SENT:
+        if self.world.unicast(sender, next_hop, msg) is not UNICAST_SENT:
             return False
-        if msg.kind is MessageKind.DATA:
+        if msg.kind is DATA:
             self.in_flight_data += 1
-            self._log(EventKind.DATA_TX, sender, msg)
+            self._log(DATA_TX, sender, msg)
         else:
-            self._log(EventKind.CONTROL_TX, sender, msg)
+            self._log(CONTROL_TX, sender, msg)
         return True
 
     def _log(self, kind: EventKind, node: int, msg) -> None:
-        self.ledger.record(LedgerEvent.of(self.engine.now, kind, node, msg))
+        """Record one row for msg; every message type carries these fields."""
+        self.ledger.record(LedgerEvent(self.engine.now, kind, node, msg.kind._value_,
+                                       msg.size, msg.uid, msg.src, msg.dst))
 
     # -- engine plumbing -----------------------------------------------------
 
     def _deliver(self, receiver: int, sender: int, msg) -> None:
-        if msg.kind is MessageKind.DATA:
+        if msg.kind is DATA:
             self.in_flight_data -= 1
         self.nodes[receiver].on_receive(sender, msg)
 
     def emit_data(self, flow: TrafficFlow) -> DataPacket:
         pkt = DataPacket(uid=self.next_uid(), src=flow.src, dst=flow.dst,
                          size=flow.packet_size)
-        self._log(EventKind.SENT, flow.src, pkt)
+        self._log(SENT, flow.src, pkt)
         self.nodes[flow.src].originate_data(pkt)
         return pkt
 

@@ -79,6 +79,10 @@ class UnicastOutcome(Enum):
     LINK_BREAK = "link-break"
 
 
+# bound once: on CPython 3.11 UnicastOutcome.X is a descriptor lookup per call
+UNICAST_SENT, LINK_BREAK = UnicastOutcome
+
+
 class World:
     """Geometry, mobility and frame delivery for one engine instance.
 
@@ -253,6 +257,6 @@ class World:
             raise ValueError("unicast to self")
         now = self.engine.now
         if not self._linked(sender, next_hop, now):
-            return UnicastOutcome.LINK_BREAK
+            return LINK_BREAK
         self._post_frames((partial(self.deliver, next_hop, sender, msg),))
-        return UnicastOutcome.SENT
+        return UNICAST_SENT

@@ -1,0 +1,36 @@
+"""Per-frame code compares against enum members bound once at module level.
+
+On CPython 3.11 `EventKind.SENT` and `kind.value` are descriptor lookups
+of 150-200 ns; the functions below run once per frame or ledger row.
+"""
+import dis
+import types
+
+import pytest
+
+from manetsim import metrics
+from manetsim.aodv import AodvNode
+from manetsim.dsdv import DsdvNode
+from manetsim.simulation import Simulation
+from manetsim.world import World
+
+BANNED = {"MessageKind", "EventKind", "UnicastOutcome", "RreqAction", "value"}
+HOT = [AodvNode.on_receive, AodvNode.handle_rreq, DsdvNode.on_receive,
+       Simulation.send_unicast, Simulation._deliver, Simulation.emit_data,
+       Simulation.data_received, Simulation.dropped, Simulation.broadcast, Simulation._log,
+       World.unicast, metrics.MetricsLedger.record, metrics.throughput_series,
+       metrics.delay_series, metrics.cumulative_series, metrics.write_trace]
+
+
+def instructions(code):
+    """The instructions of code and of every comprehension nested in it."""
+    yield from dis.get_instructions(code)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from instructions(const)
+
+
+@pytest.mark.parametrize("fn", HOT, ids=lambda fn: fn.__qualname__)
+def test_hot_path_loads_no_enum_class_and_no_value(fn):
+    assert not [(i.opname, i.argval) for i in instructions(fn.__code__)
+                if i.opname.startswith("LOAD") and i.argval in BANNED]

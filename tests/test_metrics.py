@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,6 +340,21 @@ def consistent_ledgers(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(consistent_ledgers())
+def test_record_counters_equal_a_recount_of_the_rows(led):
+    def recount(kind, data=None):
+        return sum(1 for e in led.events if e.kind.value == kind.value
+                   and data in (None, e.subkind == "DATA"))
+    control = Counter(e.subkind for e in led.events
+                      if e.kind.value == EventKind.CONTROL_TX.value)
+    assert (led.sent, led.received, led.dropped_data, led.dropped_control,
+            led.data_tx, led.control_tx) == \
+        (recount(EventKind.SENT), recount(EventKind.RECEIVED),
+         recount(EventKind.DROPPED, True), recount(EventKind.DROPPED, False),
+         recount(EventKind.DATA_TX), dict(control))
+
+
+@settings(max_examples=200, deadline=None)
+@given(consistent_ledgers())
 def test_parse_trace_reproduces_the_written_ledger(led):
     buf = io.StringIO()
     write_trace(led, buf)
@@ -348,6 +364,20 @@ def test_parse_trace_reproduces_the_written_ledger(led):
             reparsed.dropped_control, reparsed.data_tx, reparsed.control_tx) == \
         (led.sent, led.received, led.dropped_data, led.dropped_control,
          led.data_tx, led.control_tx)
+
+
+@pytest.mark.parametrize("value", [ev(1.0, EventKind.SENT), SeriesPoint(1.0, 2.0)],
+                         ids=["LedgerEvent", "SeriesPoint"])
+def test_rows_and_points_are_immutable(value):
+    for name in type(value).__annotations__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+
+
+def test_equal_rows_hash_equal():
+    a, b = ev(1.0, EventKind.DROPPED, subkind="RREQ"), ev(1.0, EventKind.DROPPED, subkind="RREQ")
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, ev(1.0, EventKind.DROPPED, subkind="RREP")}) == 2
 
 
 def test_conservation_identity_on_hand_ledger():

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
                       random_scenario, random_waypoint_scenario)
-from manetsim.metrics import write_trace
-from manetsim.scenario import TrafficFlow, builtin
+from manetsim.aodv import Hello, Rerr, Rrep, Rreq
+from manetsim.dsdv import UpdatePacket
+from manetsim.metrics import EventKind, LedgerEvent, write_trace
+from manetsim.packets import DataPacket
+from manetsim.scenario import TrafficFlow, builtin, parse
 from manetsim.simulation import PROTOCOLS, Simulation
 
 
@@ -382,6 +385,35 @@ def test_hello_interval_of_one_clock_tick_advances_the_clock():
 def test_walk_route_none_while_no_route():
     sim = build_sim([(0, 0), (700, 700)])
     assert sim.walk_route(0, 1) is None
+
+
+def test_route_paths_of_a_run_without_flows_is_empty():
+    spec = parse("area 100 100\nnode 0 0 0\nnode 1 50 0\nend 1\n")
+    assert Simulation(spec).run().route_paths() == []
+
+
+# -- ledger rows ----------------------------------------------------------------------------
+
+ROW_MESSAGES = [
+    DataPacket(uid=7, src=0, dst=1, size=512),
+    Rreq(src=0, src_seq=3, bcast_id=2, dst=1, dst_last_seq=4, hop_count=1, uid=8),
+    Rrep(src=0, dst=1, dst_seq=6, hop_count=2, lifetime=3.0, uid=9),
+    Rerr(unreachable=[(1, 5), (2, 7)], uid=10, src=1, dst=0),
+    Hello(src=1, uid=11),
+    UpdatePacket(src=1, entries=[(1, 2, 0), (0, 4, 1)], uid=12),
+]
+
+
+@pytest.mark.parametrize("kind", list(EventKind))
+@pytest.mark.parametrize("msg", ROW_MESSAGES, ids=lambda m: type(m).__name__)
+def test_logged_row_equals_the_reference_row(msg, kind):
+    sim = build_sim([(0, 0), (100, 0)])
+    sim.engine.run_until(0.25)
+    rows = []
+    sim.ledger.record = rows.append
+    sim._log(kind, 1, msg)
+    assert rows == [LedgerEvent(0.25, kind, 1, msg.kind.value, msg.size, msg.uid,
+                                msg.src, msg.dst)]
 
 
 def test_report_consistent_with_ledger():
