@@ -11,21 +11,53 @@ microsecond, which keeps the fixed-decimal trace format an exact
 round-trip of the in-memory times, lets the many frame deliveries due
 at one microsecond share one heap entry, and lets a zero delay be
 scheduled between runs.
+
+A time t is quantized to round(t, 6), the float nearest a whole number
+of microseconds. quantize gets the same float through integer ticks
+whenever that is provably exact (see quantize), and falls back to
+round(t, 6) otherwise; post and post_all inline the same steps.
+
+after_event runs after every processed event, unless a watch is set:
+then it runs only after an event that left the watch non-empty.
+Simulation sets its route observer as after_event, and for a run
+without event_hooks the set of changed destinations as the watch.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from collections import deque
-from typing import Callable
+from typing import Callable, Collection, Iterable
 
 from .errors import PastTimeError
 
 TIME_RESOLUTION_DIGITS = 6  # microseconds
 TICK = 10 ** -TIME_RESOLUTION_DIGITS
+TICKS_PER_S = 10.0 ** TIME_RESOLUTION_DIGITS
+# x + HALF_EVEN - HALF_EVEN is x rounded to an integer, half to even, for
+# |x| < 2**51: at HALF_EVEN's magnitude consecutive floats are 1 apart
+HALF_EVEN = 1.5 * 2.0 ** 52
+TICK_LIMIT = 2.0 ** 50
+# after every event, as opposed to never (no after_event) or a watch
+_ALWAYS = (True,)
 
 
 def quantize(t: float) -> float:
+    """round(t, TIME_RESOLUTION_DIGITS), computed as k / TICKS_PER_S with
+    k the nearest integer to x = t * TICKS_PER_S wherever that is exact.
+
+    round(t, 6) is the float nearest k' / 10**6, k' the half-even rounding
+    of the exact t * 10**6. For |x| < 2**50, x is off that exact product by
+    at most 1/16, so |x - k| < 0.49 puts it within 0.5 of k and k == k';
+    k and 10**6 are exact floats, so k / 1e6 is their correctly rounded
+    quotient. A time that rounds to 0 goes to round, which gives -0.0 for
+    a negative one. Elsewhere, NaN and the infinities included, round
+    itself decides.
+    """
+    x = t * TICKS_PER_S
+    k = x + HALF_EVEN - HALF_EVEN
+    if k and -0.49 < x - k < 0.49 and -TICK_LIMIT < x < TICK_LIMIT:
+        return k / TICKS_PER_S
     return round(t, TIME_RESOLUTION_DIGITS)
 
 
@@ -73,8 +105,10 @@ class Engine:
         self._buckets: dict[float, deque[Callable[[], None]]] = {}
         # run after each processed event: the slot of Simulation's route
         # observer; invariant checkers go in Simulation.event_hooks instead.
-        # run_until reads it once, as it starts
+        # With a watch set, run only after an event that left it non-empty.
+        # run_until reads both once, as it starts
         self.after_event: Callable[[], None] | None = None
+        self.watch: Collection | None = None
 
     def schedule(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
         handle = EventHandle(fire_at, action)
@@ -84,7 +118,12 @@ class Engine:
     def post(self, fire_at: float, action: Callable[[], None]) -> deque:
         """Queue an event that is never cancelled, without a handle, and
         return its bucket; the hot path of frame delivery."""
-        fire_at = quantize(fire_at)
+        x = fire_at * TICKS_PER_S   # quantize(fire_at), inlined
+        k = x + HALF_EVEN - HALF_EVEN
+        if k and -0.49 < x - k < 0.49 and -TICK_LIMIT < x < TICK_LIMIT:
+            fire_at = k / TICKS_PER_S
+        else:
+            fire_at = round(fire_at, TIME_RESOLUTION_DIGITS)
         if fire_at < self.now:
             raise PastTimeError(f"schedule at {fire_at} before clock {self.now}")
         bucket = self._buckets.get(fire_at)
@@ -93,6 +132,25 @@ class Engine:
             heapq.heappush(self._queue, fire_at)
         bucket.append(action)
         return bucket
+
+    def post_all(self, pairs: Iterable[tuple[float, Callable[[], None]]]) -> None:
+        """post(fire_at, action) for each pair in order, in one call; the
+        pairs before one that raises PastTimeError stay queued."""
+        now, queue, buckets = self.now, self._queue, self._buckets
+        for fire_at, action in pairs:
+            x = fire_at * TICKS_PER_S   # quantize(fire_at), inlined
+            k = x + HALF_EVEN - HALF_EVEN
+            if k and -0.49 < x - k < 0.49 and -TICK_LIMIT < x < TICK_LIMIT:
+                fire_at = k / TICKS_PER_S
+            else:
+                fire_at = round(fire_at, TIME_RESOLUTION_DIGITS)
+            if fire_at < now:
+                raise PastTimeError(f"schedule at {fire_at} before clock {now}")
+            bucket = buckets.get(fire_at)
+            if bucket is None:
+                bucket = buckets[fire_at] = deque()
+                heapq.heappush(queue, fire_at)
+            bucket.append(action)
 
     def schedule_in(self, delay: float, action: Callable[[], None]) -> EventHandle:
         return self.schedule(self.now + delay, action)
@@ -116,7 +174,11 @@ class Engine:
             raise PastTimeError(f"run_until({t_end}) before clock {self.now}")
         steps = 0
         queue, buckets = self._queue, self._buckets
-        after_event = self.after_event
+        after_event, watch = self.after_event, self.watch
+        if after_event is None:
+            watch = ()
+        elif watch is None:
+            watch = _ALWAYS
         while queue and queue[0] <= t_end:
             fire_at = queue[0]
             bucket = buckets[fire_at]
@@ -126,7 +188,7 @@ class Engine:
             while bucket:
                 bucket.popleft()()
                 steps += 1
-                if after_event is not None:
+                if watch:
                     after_event()
             heapq.heappop(queue)
             del buckets[fire_at]

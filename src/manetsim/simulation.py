@@ -282,12 +282,19 @@ class Simulation:
         frees nothing later that it would have freed now; it only skips its
         passes over the growing heap. event_hooks run paused too, so a cycle
         a hook makes stays in memory until the collector runs after run().
+
+        The route observer has nothing to do after an event that changed no
+        route, so unless event_hooks holds a callable when run() starts, the
+        engine calls it only after an event that left changed_dsts non-empty;
+        with a hook it runs, and runs the hooks, after every event.
         """
         collecting = gc.isenabled()
         gc.disable()
+        self.engine.watch = None if self.event_hooks else self.changed_dsts
         try:
             self.engine.run_until(self.spec.end_time)
         finally:
+            self.engine.watch = None
             if collecting:
                 gc.enable()
         return RunResult(spec=self.spec, protocol=self.protocol, seed=self.seed,

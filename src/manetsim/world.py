@@ -232,12 +232,11 @@ class World:
 
     def _post_frames(self, frames) -> None:
         """Queue each frame to arrive one hop_latency plus a jitter draw from
-        now. rng.uniform(0.0, j) is 0.0 + j * rng.random(), so the draw is
-        the same float; the parentheses keep the sum's rounding."""
-        now, post, draw = self.engine.now, self.engine.post, self.rng.random
+        now, in one engine call. rng.uniform(0.0, j) is 0.0 + j * rng.random(),
+        so the draw is the same float; the parentheses keep the sum's rounding."""
+        now, draw = self.engine.now, self.rng.random
         latency, jitter = self.radio.hop_latency, self.jitter
-        for frame in frames:
-            post(now + (latency + jitter * draw()), frame)
+        self.engine.post_all([(now + (latency + jitter * draw()), frame) for frame in frames])
 
     def broadcast(self, sender: int, msg) -> list[int]:
         """Deliver to every node currently in range; one transmission.
@@ -250,13 +249,19 @@ class World:
         return receivers
 
     def unicast(self, sender: int, next_hop: int, msg) -> UnicastOutcome:
-        """Point delivery to next_hop, or LinkBreak if it moved out of range."""
-        self._check_node(sender)
-        self._check_node(next_hop)
+        """Point delivery to next_hop, or LinkBreak if it moved out of range.
+
+        sender is the calling node's own id; next_hop is checked, so a bad
+        routing entry raises instead of indexing another node. The frame
+        arrives like a broadcast frame, after the same jitter draw.
+        """
+        if not 0 <= next_hop < len(self._initial):
+            raise UnknownNodeError(f"node {next_hop} not deployed")
         if sender == next_hop:
             raise ValueError("unicast to self")
         now = self.engine.now
         if not self._linked(sender, next_hop, now):
             return LINK_BREAK
-        self._post_frames((partial(self.deliver, next_hop, sender, msg),))
+        self.engine.post(now + (self.radio.hop_latency + self.jitter * self.rng.random()),
+                         partial(self.deliver, next_hop, sender, msg))
         return UNICAST_SENT

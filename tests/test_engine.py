@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import random
 
 import pytest
@@ -105,6 +106,57 @@ def test_times_quantized_to_microseconds():
     assert h2.fire_at == 1.000001
 
 
+# -- exactness oracle: quantize, and the copies inlined in post and post_all,
+# give the very float round(t, 6) gives ----------------------------------------
+
+def quantized_times(t):
+    """quantize(t), and the fire times post and post_all file t under."""
+    times = [quantize(t)]
+    for post in (lambda eng: eng.post(t, lambda: None),
+                 lambda eng: eng.post_all([(t, lambda: None)])):
+        eng = Engine()
+        eng.now = -math.inf
+        post(eng)
+        times.append(eng._queue[0])
+    return times
+
+
+def assert_rounds_like_round(t):
+    reference = float.hex(round(t, 6))
+    assert [float.hex(q) for q in quantized_times(t)] == [reference] * 3, t
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.floats(allow_nan=False))
+def test_quantize_is_round_to_six_digits_on_every_float(t):
+    assert_rounds_like_round(t)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, math.inf, -math.inf, 4e-7, -4e-7, 5e-7, -5e-7,
+                               2.0 ** 50 / 1e6, 2.0 ** 50 / 1e6 + 0.25, 2.0 ** 51 / 1e6,
+                               -(2.0 ** 50) / 1e6, 1e12, 1e300, 5e-324])
+def test_quantize_at_zero_infinity_and_beyond_two_to_the_fifty_ticks(t):
+    assert_rounds_like_round(t)
+
+
+def test_quantize_of_nan_is_nan():
+    assert all(math.isnan(q) for q in quantized_times(math.nan))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(-2 ** 52, 2 ** 52), st.sampled_from([-math.inf, None, math.inf]))
+def test_quantize_on_the_half_tick_grid_and_beside_it(k, toward):
+    t = (k + 0.5) / 1e6
+    assert_rounds_like_round(t if toward is None else math.nextafter(t, toward))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(0.0, 1e4), st.floats(1e-4, 0.01), st.floats(0.0, 0.01),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_quantize_on_frame_delivery_times(now, hop_latency, jitter, draw):
+    assert_rounds_like_round(now + (hop_latency + jitter * draw))
+
+
 def test_nested_scheduling_from_callbacks():
     eng = Engine()
     log = []
@@ -142,6 +194,31 @@ def test_after_event_hook_runs_per_event():
     eng.schedule(2.0, lambda: None)
     eng.run_until(3.0)
     assert hits == [1.0, 2.0]
+
+
+def test_with_a_watch_after_event_runs_only_after_events_that_leave_it_non_empty():
+    eng = Engine()
+    watch, hits = set(), []
+    eng.watch = watch
+
+    def observe():
+        hits.append(eng.now)
+        watch.clear()
+
+    eng.after_event = observe
+    eng.schedule(1.0, lambda: watch.add("route"))
+    eng.schedule(2.0, lambda: None)
+    eng.post(3.0, lambda: watch.add("route"))
+    eng.post(3.0, lambda: None)
+    assert eng.run_until(4.0) == 4
+    assert hits == [1.0, 3.0]
+    # a watch left non-empty calls it after every later event
+    eng.after_event = lambda: hits.append(eng.now)
+    watch.add("left over")
+    eng.schedule(5.0, lambda: None)
+    eng.schedule(6.0, lambda: None)
+    eng.run_until(7.0)
+    assert hits == [1.0, 3.0, 5.0, 6.0]
 
 
 class Incomparable:

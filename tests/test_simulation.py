@@ -329,6 +329,43 @@ def test_observer_matches_walking_every_flow_after_every_event(protocol):
     assert recorded >= 20 and changed >= 5
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PROTOCOLS), st.integers(0, 999))
+def test_observer_run_only_after_route_changes_records_what_every_event_does(
+        scenario_seed, protocol, sim_seed):
+    # without hooks run() calls the observer only after an event that
+    # changed a route; a no-op hook brings back the call after every event
+    runs = []
+    for hooks in ([], [lambda: None]):
+        spec = random_scenario(random.Random(scenario_seed), max_nodes=20, end=3.0)
+        sim = Simulation(spec, protocol, seed=sim_seed)
+        sim.event_hooks += hooks
+        result = sim.run()
+        runs.append((result.route_history, result.route_stretch_samples))
+    assert runs[0] == runs[1]
+
+
+def counted_run(sim):
+    """(events processed, route observer calls) of sim.run()."""
+    calls, steps = [], []
+    observe, run_until = sim.engine.after_event, sim.engine.run_until
+    sim.engine.after_event = lambda: calls.append(observe())
+    sim.engine.run_until = lambda t_end: steps.append(run_until(t_end)) or steps[-1]
+    sim.run()
+    assert sim.engine.watch is None
+    return sum(steps), len(calls)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_observer_runs_after_every_event_only_while_a_hook_is_registered(protocol):
+    hooked = Simulation(builtin("scenario2"), protocol, seed=1)
+    hooked.event_hooks.append(lambda: None)
+    events, calls = counted_run(hooked)
+    assert calls == events > 0
+    events, calls = counted_run(Simulation(builtin("scenario2"), protocol, seed=1))
+    assert 0 < calls < events
+
+
 def static_multihop_runs():
     """Static CBR runs on connected random layouts, flows two or more hops long."""
     rnd = random.Random(77)

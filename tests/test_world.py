@@ -198,14 +198,16 @@ def test_unicast_in_range_delivers_after_hop_latency():
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.01), st.floats(1e-4, 0.01),
        st.floats(0.0, 100.0), st.integers(1, 8))
 def test_delivery_times_match_the_uniform_draw_oracle(seed, jitter, hop_latency, now, k):
-    # broadcast draws inline as j * random(); rng.uniform(0.0, j) is the
-    # reference, added to the clock in the same order and grouping
+    # broadcast and unicast draw inline as j * random(); rng.uniform(0.0, j)
+    # is the reference, added to the clock in the same order and grouping.
+    # The fire times are taken as asked, before the engine quantizes them
     eng = Engine()
     eng.now = now
     w = World(eng, [Position(10.0 * i, 0.0) for i in range(k + 1)],
               RadioModel(hop_latency=hop_latency), seed=seed)
     w.jitter = jitter
     posted = []
+    eng.post_all = lambda pairs: posted.extend(fire_at for fire_at, _ in pairs)
     eng.post = lambda fire_at, action: posted.append(fire_at)
     assert w.broadcast(0, pkt()) == list(range(1, k + 1))
     assert w.unicast(0, 1, pkt()) is UnicastOutcome.SENT
@@ -219,6 +221,15 @@ def test_unicast_out_of_range_is_link_break():
     assert sim.world.unicast(0, 1, pkt()) is UnicastOutcome.LINK_BREAK
     assert sim.send_unicast(0, 1, pkt()) is False
     assert sim.ledger.events == []  # a failed attempt transmits nothing
+
+
+@pytest.mark.parametrize("next_hop", [99, 2, -1])
+def test_unicast_to_an_undeployed_next_hop_raises(next_hop):
+    # -1 must not index the last node
+    sim = build_sim([(0, 0), (10, 0)])
+    with pytest.raises(UnknownNodeError):
+        sim.send_unicast(0, next_hop, pkt())
+    assert sim.ledger.events == [] and sim.engine.pending_count() == 0
 
 
 def test_control_broadcast_recorded_as_control_tx():
