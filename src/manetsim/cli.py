@@ -75,17 +75,18 @@ def print_report(report: RunReport, file=None) -> None:
         print(f"{name:<{width}}  {value}", file=file)
 
 
-def _build_sim(args, protocol: str, seed: int) -> Simulation:
+def _load_spec(args) -> scenario_mod.ScenarioSpec:
+    """The scenario named by --scenario, with --range applied."""
     spec = scenario_mod.load(args.scenario)
     if args.range is not None:
         spec = dataclasses.replace(
             spec, radio=dataclasses.replace(spec.radio, range=args.range))
-    return Simulation(spec, protocol=protocol, seed=seed,
-                      hello_interval=args.hello_interval)
+    return spec
 
 
 def cmd_run(args) -> int:
-    sim = _build_sim(args, args.protocol, args.seed)
+    sim = Simulation(_load_spec(args), protocol=args.protocol, seed=args.seed,
+                     hello_interval=args.hello_interval)
     result = sim.run()
     stem = Path(result.spec.name).stem
     out_dir = Path(args.out or f"runs/{stem}_{args.protocol}_seed{args.seed}")
@@ -101,11 +102,13 @@ def cmd_compare(args) -> int:
         print("error: compare needs at least one seed", file=sys.stderr)
         return 2
     out_dir = Path(args.out or f"runs/compare_{Path(args.scenario).stem}")
+    spec = _load_spec(args)     # read once: every run sees the same file
     reports: dict[str, list[RunReport]] = {p: [] for p in PROTOCOLS}
     first: dict[str, dict] = {}     # protocol -> plot series of its first seed
     for protocol in PROTOCOLS:
         for seed in seeds:
-            result = _build_sim(args, protocol, seed).run()
+            result = Simulation(spec, protocol=protocol, seed=seed,
+                                hello_interval=args.hello_interval).run()
             series = plot_series(result, args.window)
             sub = out_dir / f"{protocol}_seed{seed}"
             reports[protocol].append(write_outputs(result, sub, args.window, series))

@@ -13,9 +13,9 @@ at one microsecond share one heap entry, and lets a zero delay be
 scheduled between runs.
 
 A time t is quantized to round(t, 6), the float nearest a whole number
-of microseconds. quantize gets the same float through integer ticks
-whenever that is provably exact (see quantize), and falls back to
-round(t, 6) otherwise; post and post_all inline the same steps.
+of microseconds. post_all, which schedule calls too, is the one routine
+that files an event; it gets that float through integer ticks wherever
+that is provably exact. quantize is the plain round(t, 6) reference.
 
 after_event runs after every processed event, unless a watch is set:
 then it runs only after an event that left the watch non-empty.
@@ -34,30 +34,14 @@ from .errors import PastTimeError
 TIME_RESOLUTION_DIGITS = 6  # microseconds
 TICK = 10 ** -TIME_RESOLUTION_DIGITS
 TICKS_PER_S = 10.0 ** TIME_RESOLUTION_DIGITS
-# x + HALF_EVEN - HALF_EVEN is x rounded to an integer, half to even, for
-# |x| < 2**51: at HALF_EVEN's magnitude consecutive floats are 1 apart
-HALF_EVEN = 1.5 * 2.0 ** 52
+HALF_EVEN = 1.5 * 2.0 ** 52    # see Engine.post_all
 TICK_LIMIT = 2.0 ** 50
 # after every event, as opposed to never (no after_event) or a watch
 _ALWAYS = (True,)
 
 
 def quantize(t: float) -> float:
-    """round(t, TIME_RESOLUTION_DIGITS), computed as k / TICKS_PER_S with
-    k the nearest integer to x = t * TICKS_PER_S wherever that is exact.
-
-    round(t, 6) is the float nearest k' / 10**6, k' the half-even rounding
-    of the exact t * 10**6. For |x| < 2**50, x is off that exact product by
-    at most 1/16, so |x - k| < 0.49 puts it within 0.5 of k and k == k';
-    k and 10**6 are exact floats, so k / 1e6 is their correctly rounded
-    quotient. A time that rounds to 0 goes to round, which gives -0.0 for
-    a negative one. Elsewhere, NaN and the infinities included, round
-    itself decides.
-    """
-    x = t * TICKS_PER_S
-    k = x + HALF_EVEN - HALF_EVEN
-    if k and -0.49 < x - k < 0.49 and -TICK_LIMIT < x < TICK_LIMIT:
-        return k / TICKS_PER_S
+    """round(t, 6): the microsecond grid point Engine.post_all files t under."""
     return round(t, TIME_RESOLUTION_DIGITS)
 
 
@@ -103,42 +87,32 @@ class Engine:
         # so a reference taken once keeps seeing the live queue
         self._queue: list[float] = []
         self._buckets: dict[float, deque[Callable[[], None]]] = {}
-        # run after each processed event: the slot of Simulation's route
-        # observer; invariant checkers go in Simulation.event_hooks instead.
-        # With a watch set, run only after an event that left it non-empty.
-        # run_until reads both once, as it starts
+        # the slot of Simulation's route observer, and its watch (see above);
+        # invariant checkers go in Simulation.event_hooks. run_until reads
+        # both once, as it starts
         self.after_event: Callable[[], None] | None = None
         self.watch: Collection | None = None
 
     def schedule(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
         handle = EventHandle(fire_at, action)
-        handle._bucket = self.post(fire_at, handle)
+        handle._bucket = self.post_all(((fire_at, handle),))
         return handle
 
-    def post(self, fire_at: float, action: Callable[[], None]) -> deque:
-        """Queue an event that is never cancelled, without a handle, and
-        return its bucket; the hot path of frame delivery."""
-        x = fire_at * TICKS_PER_S   # quantize(fire_at), inlined
-        k = x + HALF_EVEN - HALF_EVEN
-        if k and -0.49 < x - k < 0.49 and -TICK_LIMIT < x < TICK_LIMIT:
-            fire_at = k / TICKS_PER_S
-        else:
-            fire_at = round(fire_at, TIME_RESOLUTION_DIGITS)
-        if fire_at < self.now:
-            raise PastTimeError(f"schedule at {fire_at} before clock {self.now}")
-        bucket = self._buckets.get(fire_at)
-        if bucket is None:
-            bucket = self._buckets[fire_at] = deque()
-            heapq.heappush(self._queue, fire_at)
-        bucket.append(action)
-        return bucket
-
-    def post_all(self, pairs: Iterable[tuple[float, Callable[[], None]]]) -> None:
-        """post(fire_at, action) for each pair in order, in one call; the
-        pairs before one that raises PastTimeError stay queued."""
+    def post_all(self, pairs: Iterable[tuple[float, Callable[[], None]]]) -> deque | None:
+        """Queue each (fire_at, action) pair in order, without a handle, and
+        return the bucket of the last one, or None for no pairs; the pairs
+        before one that raises PastTimeError stay queued."""
         now, queue, buckets = self.now, self._queue, self._buckets
+        bucket = None
         for fire_at, action in pairs:
-            x = fire_at * TICKS_PER_S   # quantize(fire_at), inlined
+            # quantize(fire_at), exactly. x + HALF_EVEN - HALF_EVEN is x
+            # rounded to an integer k, half to even, for |x| < 2**51. For
+            # |x| < 2**50, x is off the exact fire_at * 10**6 by at most 1/16,
+            # so |x - k| < 0.49 makes k its half-even rounding as well, and
+            # k / 1e6, the correctly rounded quotient of two exact floats, is
+            # round(fire_at, 6). round decides a time that rounds to 0 (-0.0
+            # if negative) and the rest, NaN and the infinities included
+            x = fire_at * TICKS_PER_S
             k = x + HALF_EVEN - HALF_EVEN
             if k and -0.49 < x - k < 0.49 and -TICK_LIMIT < x < TICK_LIMIT:
                 fire_at = k / TICKS_PER_S
@@ -151,6 +125,7 @@ class Engine:
                 bucket = buckets[fire_at] = deque()
                 heapq.heappush(queue, fire_at)
             bucket.append(action)
+        return bucket
 
     def schedule_in(self, delay: float, action: Callable[[], None]) -> EventHandle:
         return self.schedule(self.now + delay, action)

@@ -56,13 +56,12 @@ def parse(text: str, name: str = "custom") -> ScenarioSpec:
     movements: list[Movement] = []
     flows: list[TrafficFlow] = []
     end_time = None
-    saw_directive = False
+    seen: set[str] = set()      # directives given so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        saw_directive = True
         fields = line.split()
         directive, args = fields[0], fields[1:]
 
@@ -83,6 +82,9 @@ def parse(text: str, name: str = "custom") -> ScenarioSpec:
                 raise ScenarioSyntaxError(f"{what} must be an integer in '{line}'", lineno)
             return int(value)
 
+        if directive in seen and directive in ("area", "range", "end"):
+            raise ScenarioSyntaxError(f"repeated '{directive}' directive", lineno)
+        seen.add(directive)
         if directive == "area":
             w, h = nums(2)
             area = (w, h)
@@ -108,7 +110,7 @@ def parse(text: str, name: str = "custom") -> ScenarioSpec:
         else:
             raise ScenarioSyntaxError(f"unknown directive '{directive}'", lineno)
 
-    if not saw_directive:
+    if not seen:
         raise ScenarioSyntaxError("empty scenario file", 1)
     if area is None:
         raise ScenarioSemanticError("missing 'area' directive")

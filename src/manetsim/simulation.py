@@ -1,15 +1,18 @@
 """Wiring of engine, world, ledger and per-node protocol instances.
 
 One Simulation owns one run; nothing is shared between instances. The
-Engine keeps the clock and queue, the World geometry and frame delivery,
-and the Simulation alone the run's record: ledger, message uids,
-in-flight census and route history. Each protocol node holds its
-Simulation and acts through it: `engine` for the clock and timers, and
-the methods below to number and send frames, record what it did or tell
-the route observer a route changed. Once the traffic is scheduled, each
-node's `start()` arms its own periodic work through `every`. Broadcast
-frames go from the engine straight to the receiving node's `on_receive`;
-unicast frames pass through `_deliver`, which keeps the DATA in-flight count.
+Engine keeps the clock and queue and files every timer and frame through
+one routine, Engine.post_all, onto the microsecond grid of
+engine.quantize, the round(t, 6) reference. The World keeps geometry and
+frame delivery, and the Simulation alone the run's record: ledger,
+message uids, in-flight census and route history. Each protocol node
+holds its Simulation and acts through it: `engine` for the clock and
+timers, and the methods below to number and send frames, record what it
+did or tell the route observer a route changed. Once the traffic is
+scheduled, each node's `start()` arms its own periodic work through
+`every`. Broadcast frames go from the engine straight to the receiving
+node's `on_receive`; unicast frames pass through `_deliver`, which keeps
+the DATA in-flight count.
 """
 from __future__ import annotations
 

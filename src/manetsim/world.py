@@ -6,8 +6,10 @@ medium: two nodes hear each other iff their Euclidean distance is
 within the transmission range (boundary inclusive), every link
 traversal costs hop_latency plus a jitter of up to JITTER_FRACTION of
 it, drawn from the world's own seeded RNG, and there is no contention
-or loss beyond being out of range. The world keeps no record of the
-run: the Simulation that sends a frame logs it.
+or loss beyond being out of range. Frames go onto the event queue
+through Engine.post_all, the engine's one filing routine, in one call
+per transmission. The world keeps no record of the run: the Simulation
+that sends a frame logs it.
 """
 from __future__ import annotations
 
@@ -113,9 +115,6 @@ class World:
         self.deliver: Callable[[int, int, object], None] = _ignore
         self.on_receive: list[Callable[[int, object], None]] = [_ignore] * len(node_positions)
 
-    def node_ids(self) -> range:
-        return range(len(self._initial))
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self._initial):
             raise UnknownNodeError(f"node {node} not deployed")
@@ -197,7 +196,7 @@ class World:
         start, stop = self._grid_span
         if self._grid is not None and start <= t <= stop:
             return self._grid
-        coords = [self._xy(node, t) for node in self.node_ids()]
+        coords = [self._xy(node, t) for node in range(len(self._initial))]
         extent = max((max(abs(x), abs(y)) for x, y in coords), default=0.0)
         cell = grid_cell(self.radio.range, self._v_max, extent)
         home = [(x // cell, y // cell) for x, y in coords]
@@ -230,22 +229,20 @@ class World:
 
     # -- frame delivery ----------------------------------------------------
 
-    def _post_frames(self, frames) -> None:
-        """Queue each frame to arrive one hop_latency plus a jitter draw from
-        now, in one engine call. rng.uniform(0.0, j) is 0.0 + j * rng.random(),
-        so the draw is the same float; the parentheses keep the sum's rounding."""
-        now, draw = self.engine.now, self.rng.random
-        latency, jitter = self.radio.hop_latency, self.jitter
-        self.engine.post_all([(now + (latency + jitter * draw()), frame) for frame in frames])
-
     def broadcast(self, sender: int, msg) -> list[int]:
         """Deliver to every node currently in range; one transmission.
 
-        Each frame goes straight to the receiver's on_receive handler.
+        Each frame goes straight to the receiver's on_receive handler, one
+        hop_latency plus a jitter draw from now. rng.uniform(0.0, j) is
+        0.0 + j * rng.random(): the draw is the same float, and the
+        parentheses keep the sum's rounding.
         """
-        receivers = self.neighbors_of(sender, self.engine.now)
-        handlers = self.on_receive
-        self._post_frames([partial(handlers[r], sender, msg) for r in receivers])
+        now = self.engine.now
+        receivers = self.neighbors_of(sender, now)
+        handlers, draw = self.on_receive, self.rng.random
+        latency, jitter = self.radio.hop_latency, self.jitter
+        self.engine.post_all([(now + (latency + jitter * draw()), partial(handlers[r], sender, msg))
+                              for r in receivers])
         return receivers
 
     def unicast(self, sender: int, next_hop: int, msg) -> UnicastOutcome:
@@ -262,6 +259,6 @@ class World:
         now = self.engine.now
         if not self._linked(sender, next_hop, now):
             return LINK_BREAK
-        self.engine.post(now + (self.radio.hop_latency + self.jitter * self.rng.random()),
-                         partial(self.deliver, next_hop, sender, msg))
+        self.engine.post_all(((now + (self.radio.hop_latency + self.jitter * self.rng.random()),
+                               partial(self.deliver, next_hop, sender, msg)),))
         return UNICAST_SENT

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from manetsim import scenario
 from manetsim.cli import build_parser, main
 
 
@@ -95,6 +96,16 @@ def test_compare_combined_plots_match_pinned_digests(tmp_path):
     digests = {name: hashlib.sha256((out / "plots" / name).read_bytes()).hexdigest()
                for name in COMPARE_PLOT_DIGESTS}
     assert digests == COMPARE_PLOT_DIGESTS
+
+
+def test_compare_reads_the_scenario_once(tmp_path, monkeypatch):
+    # one parse for all runs, so a file edited mid-comparison cannot mix specs
+    loads = []
+    real_load = scenario.load
+    monkeypatch.setattr(scenario, "load", lambda name: loads.append(name) or real_load(name))
+    assert main(["compare", "--scenario", "scenario1", "--seeds", "1", "2",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert loads == ["scenario1"]
 
 
 def test_compare_without_seeds_is_usage_error(tmp_path, capsys):

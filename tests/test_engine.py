@@ -106,19 +106,19 @@ def test_times_quantized_to_microseconds():
     assert h2.fire_at == 1.000001
 
 
-# -- exactness oracle: quantize, and the copies inlined in post and post_all,
-# give the very float round(t, 6) gives ----------------------------------------
+# -- exactness oracle: quantize, and the integer-tick steps of post_all, the
+# one routine that files an event, give the very float round(t, 6) gives -------
 
 def quantized_times(t):
-    """quantize(t), and the fire times post and post_all file t under."""
-    times = [quantize(t)]
-    for post in (lambda eng: eng.post(t, lambda: None),
-                 lambda eng: eng.post_all([(t, lambda: None)])):
-        eng = Engine()
-        eng.now = -math.inf
-        post(eng)
-        times.append(eng._queue[0])
-    return times
+    """quantize(t), the fire time a one-pair post_all files t under, and the
+    one a post_all files t under between pairs at other times."""
+    single, multi = Engine(), Engine()
+    single.now = multi.now = -math.inf
+    single.post_all([(t, lambda: None)])
+    mark = lambda: None
+    multi.post_all([(1.5, lambda: None), (t, mark), (-2.25, lambda: None)])
+    [filed] = [at for at, bucket in multi._buckets.items() if mark in bucket]
+    return [quantize(t), single._queue[0], filed]
 
 
 def assert_rounds_like_round(t):
@@ -208,8 +208,7 @@ def test_with_a_watch_after_event_runs_only_after_events_that_leave_it_non_empty
     eng.after_event = observe
     eng.schedule(1.0, lambda: watch.add("route"))
     eng.schedule(2.0, lambda: None)
-    eng.post(3.0, lambda: watch.add("route"))
-    eng.post(3.0, lambda: None)
+    eng.post_all([(3.0, lambda: watch.add("route")), (3.0, lambda: None)])
     assert eng.run_until(4.0) == 4
     assert hits == [1.0, 3.0]
     # a watch left non-empty calls it after every later event
@@ -310,15 +309,14 @@ def test_action_that_raises_leaves_the_rest_of_its_bucket_queued():
         raise RuntimeError("boom")
 
     eng.schedule(1.0, lambda: log.append("a"))
-    eng.post(1.0, boom)
-    eng.post(1.0, lambda: log.append("c"))
+    eng.post_all([(1.0, boom), (1.0, lambda: log.append("c"))])
     eng.schedule(2.0, boom)                        # last of its bucket
     eng.schedule(3.0, lambda: log.append("d"))
     with pytest.raises(RuntimeError):
         eng.run_until(5.0)
     assert log == ["a", "boom"] and eng.now == 1.0
     assert eng.pending_count() == 3
-    eng.post(1.0, lambda: log.append("added at 1.0"))
+    eng.post_all([(1.0, lambda: log.append("added at 1.0"))])
     with pytest.raises(RuntimeError):
         eng.run_until(5.0)
     assert log == ["a", "boom", "c", "added at 1.0", "boom"] and eng.now == 2.0
@@ -330,11 +328,19 @@ def test_action_that_raises_leaves_the_rest_of_its_bucket_queued():
 def test_queue_holds_one_entry_per_distinct_fire_time():
     eng = Engine()
     queue = eng._queue
-    for t in (1.0, 1.0, 1.0000004, 2.0, 2.0):
-        eng.post(t, lambda: None)
+    eng.post_all((t, lambda: None) for t in (1.0, 1.0, 1.0000004, 2.0, 2.0))
     assert eng.pending_count() == 5 and len(queue) == 2
     eng.run_until(1.0)
     assert eng._queue is queue and len(queue) == 1
+
+
+def test_post_all_returns_the_bucket_of_its_last_pair():
+    eng = Engine()
+    assert eng.post_all([]) is None and eng._queue == []
+    last = eng.post_all([(2.0, lambda: None), (1.0000004, lambda: None)])
+    assert last is eng._buckets[1.0] and len(last) == 1
+    handle = eng.schedule(2.0, lambda: None)
+    assert handle._bucket is eng._buckets[2.0] and len(handle._bucket) == 2
 
 
 # -- oracle: the (fire_at, seq) heap engine with three-state handles ---------------
@@ -371,8 +377,9 @@ class ReferenceEngine:
         self._seq += 1
         return handle
 
-    def post(self, fire_at, action):
-        self.schedule(fire_at, action)
+    def post_all(self, pairs):
+        for fire_at, action in pairs:
+            self.schedule(fire_at, action)
 
     def cancel(self, handle):
         if not handle.pending:
@@ -409,7 +416,7 @@ INDEX = st.integers(0, 40)
 
 def ops(callbacks):
     return st.one_of(st.tuples(st.just("schedule"), DELAYS, callbacks),
-                     st.tuples(st.just("post"), DELAYS, callbacks),
+                     st.tuples(st.just("post_all"), DELAYS, callbacks),
                      st.tuples(st.just("cancel"), INDEX),
                      st.tuples(st.just("cancel_due_now"), INDEX))
 
@@ -447,8 +454,8 @@ def execute(engine, program):
         kind = op[0]
         if kind == "schedule":
             handles.append(engine.schedule(engine.now + op[1], event(op[2])))
-        elif kind == "post":
-            engine.post(engine.now + op[1], event(op[2]))
+        elif kind == "post_all":
+            engine.post_all([(engine.now + op[1], event(op[2]))])
         elif kind == "cancel":
             cancel(handles, op[1])
         elif kind == "cancel_due_now":

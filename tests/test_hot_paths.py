@@ -44,10 +44,10 @@ def test_hot_path_loads_no_enum_class_and_no_value(fn):
     assert not loads(fn, BANNED)
 
 
-# quantize is inlined in post and post_all; World checks next_hop inline and
-# hands a broadcast's frames to the engine in one post_all call
+# post_all, the one routine that files an event, quantizes inline; World
+# checks next_hop inline and builds a broadcast's frames in one comprehension
 CALLS = {"quantize", "_check_node", "_post_frames"}
-FRAME_PATH = [Engine.post, Engine.post_all, World._post_frames, World.unicast]
+FRAME_PATH = [Engine.post_all, World.broadcast, World.unicast]
 
 
 @pytest.mark.parametrize("fn", FRAME_PATH, ids=lambda fn: fn.__qualname__)

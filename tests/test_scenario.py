@@ -84,6 +84,15 @@ def test_non_finite_value_is_syntax_error(directive, value):
     assert exc.value.line == lineno
 
 
+@pytest.mark.parametrize("directive", ["area 50 50", "range 100", "end 9"])
+def test_repeated_area_range_or_end_is_syntax_error(directive):
+    # a second one must not silently win: a second area would check the
+    # nodes against 50 x 50, a second end would run to 9 s
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        parse(VALID + directive + "\n")
+    assert exc.value.line == len(VALID.splitlines()) + 1
+
+
 @pytest.mark.parametrize("directive", ["node 0.5 100 400", "move 1.0 1.2 500 400 50",
                                        "flow 0.9 1 10 512 1.0 4.0",
                                        "flow 0 1.5 10 512 1.0 4.0",

@@ -208,7 +208,6 @@ def test_delivery_times_match_the_uniform_draw_oracle(seed, jitter, hop_latency,
     w.jitter = jitter
     posted = []
     eng.post_all = lambda pairs: posted.extend(fire_at for fire_at, _ in pairs)
-    eng.post = lambda fire_at, action: posted.append(fire_at)
     assert w.broadcast(0, pkt()) == list(range(1, k + 1))
     assert w.unicast(0, 1, pkt()) is UnicastOutcome.SENT
     oracle = random.Random(seed)
