@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .packets import DATA, HELLO, RERR, RREP, RREQ, DataPacket
 
@@ -242,8 +243,8 @@ class AodvNode:
                     uid=self.sim.next_uid())
         self._remember_rreq((self.node_id, self.bcast_id))
         self.sim.broadcast(self.node_id, rreq)
-        pd.timer = self.sim.engine.schedule_in(RREP_WAIT,
-                                               lambda: self._discovery_timeout(dst))
+        engine = self.sim.engine
+        pd.timer = engine.schedule(engine.now + RREP_WAIT, partial(self._discovery_timeout, dst))
         return rreq
 
     def _discovery_timeout(self, dst: int) -> None:
@@ -333,9 +334,8 @@ class AodvNode:
         if not q:
             return
         # one frame per serialization slot keeps FIFO order on the air
-        for k in range(len(q)):
-            self.sim.engine.schedule_in(k * FLUSH_GAP,
-                                        lambda: self._drain_one(dst))
+        now, drain = self.sim.engine.now, partial(self._drain_one, dst)
+        self.sim.engine.post_all([(now + k * FLUSH_GAP, drain) for k in range(len(q))])
 
     # -- maintenance -------------------------------------------------------
 

@@ -13,9 +13,11 @@ at one microsecond share one heap entry, and lets a zero delay be
 scheduled between runs.
 
 A time t is quantized to round(t, 6), the float nearest a whole number
-of microseconds. post_all, which schedule calls too, is the one routine
-that files an event; it gets that float through integer ticks wherever
-that is provably exact. quantize is the plain round(t, 6) reference.
+of microseconds. post_all is the one routine that files an event, as a
+plain callable; it gets that float through integer ticks wherever that
+is provably exact. quantize is the plain round(t, 6) reference. Only an
+event that some code may cancel goes through schedule, which wraps it
+in an EventHandle and files that with post_all.
 
 after_event runs after every processed event, unless a watch is set:
 then it runs only after an event that left the watch non-empty.
@@ -53,7 +55,7 @@ def valid_period(value: float) -> bool:
 
 
 class EventHandle:
-    """A cancellable scheduled event; calling it runs the action.
+    """The handle of a cancellable event; calling it runs the action.
 
     The handle sits in its fire time's bucket until it fires or is
     cancelled, so it is pending exactly while the bucket holds it.
@@ -126,9 +128,6 @@ class Engine:
                 heapq.heappush(queue, fire_at)
             bucket.append(action)
         return bucket
-
-    def schedule_in(self, delay: float, action: Callable[[], None]) -> EventHandle:
-        return self.schedule(self.now + delay, action)
 
     def cancel(self, handle: EventHandle) -> bool:
         """True if the event was pending and is now dequeued."""

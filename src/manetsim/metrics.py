@@ -58,7 +58,6 @@ class MetricsLedger:
         self.sent = 0
         self.received = 0
         self.dropped_data = 0
-        self.dropped_control = 0
         self.data_tx = 0
         self.control_tx: dict[str, int] = {}
 
@@ -81,10 +80,8 @@ class MetricsLedger:
                 if uid not in self._sent_uids:
                     raise LedgerConsistencyError(f"dropped unknown uid {uid}")
                 self.dropped_data += 1
-            else:
-                if uid not in self._control_uids:
-                    raise LedgerConsistencyError(f"dropped unknown control uid {uid}")
-                self.dropped_control += 1
+            elif uid not in self._control_uids:
+                raise LedgerConsistencyError(f"dropped unknown control uid {uid}")
         elif kind is CONTROL_TX:
             self._control_uids.add(uid)
             self.control_tx[subkind] = self.control_tx.get(subkind, 0) + 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .engine import TICK, Engine, valid_period
 from .errors import (OverlappingLegError, ScenarioSemanticError, ScenarioSyntaxError,
@@ -172,7 +173,8 @@ def _validate(spec: ScenarioSpec, raw_nodes: dict[int, Position]) -> None:
             raise ScenarioSemanticError("flow rate and packet size must be positive")
         if not valid_period(1 / f.rate):
             raise ScenarioSemanticError(
-                f"flow rate {f.rate} pkt/s sends more than one packet per {TICK:g} s tick")
+                f"flow rate {f.rate} pkt/s: the period 1/rate must be finite and at least "
+                f"one {TICK:g} s tick")
         if not (0 <= f.start < f.stop <= spec.end_time):
             raise ScenarioSemanticError(
                 f"flow window [{f.start}, {f.stop}] invalid for end {spec.end_time}")
@@ -223,12 +225,10 @@ def compile(spec: ScenarioSpec, sim) -> CompiledScenario:
         sim.world.apply_movement(m)
     emissions = 0
     for flow in spec.flows:
-        k = 0
-        while True:
-            t = flow.start + k / flow.rate
-            if t >= flow.stop - 1e-9:
-                break
-            sim.engine.schedule(t, lambda flow=flow, t=t: sim.emit_data(flow))
-            emissions += 1
+        emit, k, pairs = partial(sim.emit_data, flow), 0, []
+        while (t := flow.start + k / flow.rate) < flow.stop - 1e-9:
+            pairs.append((t, emit))
             k += 1
+        sim.engine.post_all(pairs)
+        emissions += len(pairs)
     return CompiledScenario(emissions=emissions)

@@ -143,15 +143,18 @@ class Simulation:
     # -- what protocol nodes call -------------------------------------------
 
     def every(self, first_at: float, action, interval: float) -> None:
-        """Run action at first_at, then every interval while within the run."""
-        self.engine.schedule(first_at, partial(self._tick, action, interval))
+        """Run action at first_at, then every interval while within the run.
+
+        Nothing cancels the chain, so each tick is a plain callable."""
+        self.engine.post_all(((first_at, partial(self._tick, action, interval)),))
 
     def _tick(self, action, interval: float) -> None:
         # re-armed with a fresh partial: a closure that scheduled itself
         # would be a reference cycle left behind when its chain ends
         action()
-        if self.engine.now + interval <= self.spec.end_time:
-            self.engine.schedule_in(interval, partial(self._tick, action, interval))
+        next_at = self.engine.now + interval
+        if next_at <= self.spec.end_time:
+            self.engine.post_all(((next_at, partial(self._tick, action, interval)),))
 
     def route_changed(self, dst: int) -> None:
         """Tell the route observer a node installed or invalidated dst."""

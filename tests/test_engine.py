@@ -67,7 +67,7 @@ def test_run_until_leaves_the_clock_on_the_microsecond_grid():
     eng.run_until(eng.now + 1e-6)   # 0.5000020000000001 before quantizing
     assert eng.now == 0.500002
     fired = []
-    eng.schedule_in(0.0, lambda: fired.append(eng.now))
+    eng.schedule(eng.now + 0.0, lambda: fired.append(eng.now))
     eng.run_until(eng.now)
     assert fired == [0.500002]
 
@@ -163,7 +163,7 @@ def test_nested_scheduling_from_callbacks():
 
     def outer():
         log.append(("outer", eng.now))
-        eng.schedule_in(0.5, lambda: log.append(("inner", eng.now)))
+        eng.schedule(eng.now + 0.5, lambda: log.append(("inner", eng.now)))
 
     eng.schedule(1.0, outer)
     steps = eng.run_until(2.0)

@@ -119,6 +119,12 @@ def test_flow_faster_than_one_packet_per_clock_tick_rejected(rate):
         parse(VALID.replace("flow 0 1 10 ", f"flow 0 1 {rate} "))
 
 
+def test_flow_so_slow_its_period_overflows_rejected_for_that_reason():
+    # 1 / 1e-320 is inf: the period is too long to be finite, not too short
+    with pytest.raises(ScenarioSemanticError, match="must be finite and at least one"):
+        parse(VALID.replace("flow 0 1 10 ", "flow 0 1 1e-320 "))
+
+
 def test_flow_of_one_packet_per_clock_tick_accepted():
     spec = parse(VALID.replace("flow 0 1 10 ", "flow 0 1 1000000 "))
     assert spec.flows[0].rate == 1e6

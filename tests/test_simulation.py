@@ -9,6 +9,7 @@ from conftest import (assert_loop_free, build_sim, build_spec, random_connected_
                       random_scenario, random_waypoint_scenario)
 from manetsim.aodv import Hello, Rerr, Rrep, Rreq
 from manetsim.dsdv import UpdatePacket
+from manetsim.engine import Engine
 from manetsim.metrics import EventKind, LedgerEvent, write_trace
 from manetsim.packets import DataPacket
 from manetsim.scenario import TrafficFlow, builtin, parse
@@ -417,6 +418,64 @@ def test_hello_interval_of_one_clock_tick_advances_the_clock():
     sim.run()
     assert sim.ledger.control_tx == {}     # no route, so no beacon; but it returned
     assert sim.engine.now == 0.001
+
+
+def rows_at(sim, t):
+    return [(e.kind.value, e.node, e.subkind) for e in sim.ledger.events if e.t == t]
+
+
+def test_at_a_shared_microsecond_a_dsdv_emission_is_logged_before_the_dump():
+    # traffic is filed before the nodes' start(), so it leads each bucket
+    sim = build_sim([(0, 0), (100, 0), (200, 0)], "dsdv", end=3.0,
+                    flows=[TrafficFlow(0, 2, 2.0, 512, 0.0, 3.0)])
+    sim.run()
+    assert rows_at(sim, 0.0)[:3] == [("s", 0, "DATA"), ("d", 0, "DATA"),
+                                     ("c", 0, "DSDV-UPDATE")]
+
+
+def test_at_a_shared_microsecond_an_aodv_emission_is_logged_before_the_hello():
+    sim = build_sim([(0, 0), (100, 0), (200, 0)], "aodv", end=3.0, hello_interval=1.0,
+                    flows=[TrafficFlow(0, 2, 2.0, 512, 0.5, 3.0)])
+    sim.run()
+    for t in (1.0, 2.0):
+        assert rows_at(sim, t)[:3] == [("s", 0, "DATA"), ("f", 0, "DATA"),
+                                       ("c", 0, "HELLO")]
+
+
+def count_schedule_calls(monkeypatch):
+    calls = []
+    schedule = Engine.schedule
+
+    def counting(self, fire_at, action):
+        calls.append(fire_at)
+        return schedule(self, fire_at, action)
+
+    monkeypatch.setattr(Engine, "schedule", counting)
+    return calls
+
+
+def test_a_dsdv_run_files_no_cancellable_event(monkeypatch):
+    calls = count_schedule_calls(monkeypatch)
+    sim = build_sim([(0, 0), (100, 0), (200, 0)], "dsdv", end=5.0,
+                    flows=[TrafficFlow(0, 2, 10.0, 512, 0.5, 4.0)])
+    sim.run()
+    assert sim.ledger.received > 0
+    assert calls == []
+
+
+def test_only_the_aodv_reply_wait_is_a_cancellable_event(monkeypatch):
+    # node 1 answers the first discovery; node 2 is out of range, so its
+    # discovery times out and retries until the attempts run out
+    calls = count_schedule_calls(monkeypatch)
+    sim = build_sim([(0, 0), (100, 0), (700, 700)], "aodv", end=3.0, hello_interval=1.0,
+                    flows=[TrafficFlow(0, 1, 10.0, 512, 0.5, 2.0),
+                           TrafficFlow(0, 2, 10.0, 512, 1.0, 1.5)])
+    sim.run()
+    originated = [e for e in sim.ledger.events
+                  if e.kind.value == "c" and e.subkind == "RREQ" and e.node == e.src]
+    assert sim.ledger.received > 0
+    assert sum(e.dst == 2 for e in originated) > 1     # at least one retry
+    assert len(calls) == len(originated)
 
 
 def test_walk_route_none_while_no_route():
