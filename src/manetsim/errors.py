@@ -13,10 +13,6 @@ class UnknownNodeError(SimError):
     """A node id outside the deployed set was referenced."""
 
 
-class OverlappingLegError(SimError):
-    """A movement leg overlaps an existing leg of the same node in time."""
-
-
 class UnknownScenarioError(SimError):
     """No builtin scenario with the requested name."""
 

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from .engine import TICK, Engine, valid_period
-from .errors import (OverlappingLegError, ScenarioSemanticError, ScenarioSyntaxError,
-                     UnknownScenarioError)
-from .world import Movement, Position, RadioModel, World
+from .engine import TICK, valid_period
+from .errors import ScenarioSemanticError, ScenarioSyntaxError, UnknownScenarioError
+from .world import Movement, Position, RadioModel, tracks
 
 BUILTIN_NAMES = ("scenario1", "scenario2")
 
@@ -146,23 +145,15 @@ def _validate(spec: ScenarioSpec, raw_nodes: dict[int, Position]) -> None:
         if not (0 <= p.x <= w and 0 <= p.y <= h):
             raise ScenarioSemanticError(f"node {i} at ({p.x}, {p.y}) outside area")
 
-    # movement legs: known node, inside area, in time, and accepted by the
-    # World that will run them, which owns the rule that legs must not overlap
-    world = World(Engine(), spec.nodes, spec.radio)
+    # movement legs: inside the area and the run; tracks owns the rules the
+    # World that runs them applies, so a file that parses always runs
     for m in spec.movements:
-        if not 0 <= m.node < n:
-            raise ScenarioSemanticError(f"move references unknown node {m.node}")
-        if m.speed <= 0:
-            raise ScenarioSemanticError(f"move for node {m.node} has speed {m.speed}")
         if not (0 <= m.dest.x <= w and 0 <= m.dest.y <= h):
             raise ScenarioSemanticError(f"move for node {m.node} leaves the area")
         if not 0 <= m.start_time < spec.end_time:
             raise ScenarioSemanticError(
                 f"move at t={m.start_time} outside run (end {spec.end_time})")
-        try:
-            world.apply_movement(m)
-        except OverlappingLegError as exc:
-            raise ScenarioSemanticError(str(exc)) from exc
+    tracks(spec.nodes, spec.movements)
 
     for f in spec.flows:
         if not (0 <= f.src < n and 0 <= f.dst < n):
@@ -220,9 +211,8 @@ class CompiledScenario:
 
 
 def compile(spec: ScenarioSpec, sim) -> CompiledScenario:
-    """Register mobility with the world and schedule all traffic emissions."""
-    for m in spec.movements:
-        sim.world.apply_movement(m)
+    """File every flow's emissions on sim's engine; the legs are the World's
+    from its construction, so traffic is all this schedules."""
     emissions = 0
     for flow in spec.flows:
         emit, k, pairs = partial(sim.emit_data, flow), 0, []

@@ -122,7 +122,7 @@ class Simulation:
         self.engine = Engine()
         self.ledger = MetricsLedger()
         self._uid_counter = 0
-        self.world = World(self.engine, list(spec.nodes), spec.radio, seed=seed)
+        self.world = World(self.engine, spec.nodes, spec.radio, spec.movements, seed=seed)
         self.world.deliver = self._deliver
         self.flows = list(spec.flows)
         self.hello_interval = hello_interval

@@ -22,7 +22,7 @@ from functools import partial
 from typing import Callable
 
 from .engine import Engine
-from .errors import OverlappingLegError, UnknownNodeError
+from .errors import ScenarioSemanticError, UnknownNodeError
 
 # jitter adds at most this share of hop_latency per hop, so a k-hop flood
 # beats a (k+1)-hop copy while k * 1.05 < k + 1, that is for k <= 19; see
@@ -72,6 +72,36 @@ def grid_cell(radio_range: float, v_max: float, extent: float) -> float:
     return reach + GRID_SLACK * (reach + extent)
 
 
+def tracks(initial: list[Position], legs) -> dict[int, tuple[list[float], list[tuple]]]:
+    """Per node with legs: its leg start times and one (sx, sy, ex, ey, speed,
+    length, arrival) per leg. A leg starts where the node's leg before it
+    ends, or at its initial position, and not before that leg's arrival.
+
+    Raises ScenarioSemanticError for an unknown node, a speed that is not
+    positive, or a leg that overlaps the one before it.
+    """
+    out: dict[int, tuple[list[float], list[tuple]]] = {}
+    for leg in legs:
+        node, start, speed = leg.node, leg.start_time, leg.speed
+        if not 0 <= node < len(initial):
+            raise ScenarioSemanticError(f"move references unknown node {node}")
+        if speed <= 0:
+            raise ScenarioSemanticError(f"move for node {node} has speed {speed}")
+        starts, paths = out.setdefault(node, ([], []))
+        if paths:
+            _, _, sx, sy, _, _, arrival = paths[-1]
+            if start < arrival:
+                raise ScenarioSemanticError(
+                    f"node {node}: leg at {start} overlaps one ending at {arrival}")
+        else:
+            sx, sy = initial[node].x, initial[node].y
+        ex, ey = leg.dest.x, leg.dest.y
+        length = math.hypot(sx - ex, sy - ey)
+        starts.append(start)
+        paths.append((sx, sy, ex, ey, speed, length, start + length / speed))
+    return out
+
+
 def _ignore(*frame) -> None:
     """Frame handler of a World no Simulation has wired."""
 
@@ -93,18 +123,20 @@ class World:
     node; the test itself is the exact unit-disk one.
     """
 
-    def __init__(self, engine: Engine, node_positions: list[Position],
-                 radio: RadioModel = RadioModel(), seed: int = 0):
+    def __init__(self, engine: Engine, node_positions: list[Position], radio: RadioModel,
+                 legs=(), seed: int = 0):
+        """legs are Movements, in time order per node; see tracks."""
         self.engine = engine
         self.radio = radio
         self.rng = random.Random(seed)
         self.jitter = radio.hop_latency * JITTER_FRACTION
         self._initial = list(node_positions)
-        # node with legs -> (leg start times, (sx, sy, ex, ey, speed, length, arrival) per leg)
-        self._tracks: dict[int, tuple[list[float], list[tuple]]] = {}
+        self._tracks = tracks(self._initial, legs)
         # (x, y) of the nodes that never move, None for the ones that do
-        self._fixed: list[tuple[float, float] | None] = [(p.x, p.y) for p in node_positions]
-        self._v_max = 0.0
+        self._fixed: list[tuple[float, float] | None] = [
+            None if node in self._tracks else (p.x, p.y) for node, p in enumerate(self._initial)]
+        self._v_max = max((path[4] for _, paths in self._tracks.values() for path in paths),
+                          default=0.0)
         self._cache_t: float | None = None
         self._cache: list[tuple[float, float] | None] = []
         self._grid: tuple[dict, list] | None = None
@@ -118,31 +150,6 @@ class World:
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self._initial):
             raise UnknownNodeError(f"node {node} not deployed")
-
-    # -- mobility ----------------------------------------------------------
-
-    def apply_movement(self, leg: Movement) -> None:
-        """Register a leg; position_at reflects it from start_time onward."""
-        node = leg.node
-        self._check_node(node)
-        if leg.speed <= 0:
-            raise ValueError("leg speed must be positive")
-        starts, paths = self._tracks.setdefault(node, ([], []))
-        if paths and leg.start_time < paths[-1][-1]:
-            raise OverlappingLegError(
-                f"node {node}: leg at {leg.start_time} overlaps one ending "
-                f"at {paths[-1][-1]}")
-        sx, sy = self._locate(node, leg.start_time)
-        ex, ey = leg.dest.x, leg.dest.y
-        total = math.hypot(sx - ex, sy - ey)
-        starts.append(leg.start_time)
-        paths.append((sx, sy, ex, ey, leg.speed, total,
-                      leg.start_time + total / leg.speed))
-        self._fixed[node] = None
-        if leg.speed > self._v_max:
-            self._v_max = leg.speed
-        self._cache_t = None
-        self._grid = None
 
     def _locate(self, node: int, t: float) -> tuple[float, float]:
         """Uncached position of a node with legs: along the last leg started

@@ -172,10 +172,16 @@ def test_hello_interval_below_one_clock_tick_is_a_usage_error(value, capsys):
     assert len(err.splitlines()) == 1 and "--hello-interval" in err
 
 
+# move lines that world.tracks rejects, after node 0 at (1, 1) and node 1 at (50, 1)
+LEG_FAULTS = {"overlapping-legs": "move 1.0 1 500 1 50\nmove 2.0 1 100 1 50\n",
+              "move-unknown-node": "move 1.0 7 500 1 50\n",
+              "move-zero-speed": "move 1.0 1 500 1 0\n"}
+
+
 @pytest.mark.parametrize("case", ["window-zero", "negative-range", "file-range-zero",
                                   "file-range-negative", "hello-negative", "hello-nan",
                                   "flow-above-one-packet-per-tick", "out-is-a-file",
-                                  "non-utf8-scenario"])
+                                  "non-utf8-scenario", *LEG_FAULTS])
 def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
     out = tmp_path / "out"
     args = ["run", "--scenario", "scenario1", "--out", str(out)]
@@ -197,6 +203,10 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
         scn.write_text("area 800 800\nnode 0 1 1\nnode 1 50 1\n"
                        "flow 0 1 2000000 512 0.0 0.001\nend 1\n")
         args[2] = str(scn)
+    elif case in LEG_FAULTS:
+        scn = tmp_path / "legs.scn"
+        scn.write_text(f"area 800 800\nnode 0 1 1\nnode 1 50 1\n{LEG_FAULTS[case]}end 5\n")
+        args[2] = str(scn)
     elif case == "out-is-a-file":
         out.write_text("")
     else:
@@ -210,5 +220,7 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error" in err
+    if case in LEG_FAULTS:
+        assert "ScenarioSemanticError" in err
     if case != "out-is-a-file":
         assert not out.exists()

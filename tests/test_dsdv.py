@@ -1,6 +1,11 @@
+import math
 import random
 
-from conftest import assert_loop_free, build_sim, random_scenario
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
+                      random_scenario)
 from manetsim.dsdv import UpdatePacket
 from manetsim.metrics import EventKind, LedgerEvent
 from manetsim.packets import DataPacket
@@ -189,3 +194,53 @@ def test_dsdv_overhead_exceeds_aodv_on_builtins():
             aodv = Simulation(spec, "aodv", seed=seed).run().report()
             dsdv = Simulation(spec, "dsdv", seed=seed).run().report()
             assert dsdv.control_tx["total"] > aodv.control_tx["total"]
+
+
+# -- convergence to shortest paths ---------------------------------------------------
+
+def oracle_hops(pts, radio_range, src):
+    """Hop count from src to every node it reaches, by BFS over the
+    positions alone: nodes hear each other iff hypot(...) <= range."""
+    level = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in range(len(pts)):
+                if v not in level and math.hypot(pts[u][0] - pts[v][0],
+                                                 pts[u][1] - pts[v][1]) <= radio_range:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return level
+
+
+def assert_converges_to_bfs(pts, area, seed):
+    """Halfway between full-table dumps, every node of a static connected
+    layout holds an unbroken entry with the BFS hop count for every node."""
+    spec = build_spec(pts, end=5.5, area=area)
+    sim = Simulation(spec, protocol="dsdv", seed=seed)
+    hops = [oracle_hops(pts, spec.radio.range, node) for node in range(len(pts))]
+    # the jitter bound: past 19 hops a longer flood copy may arrive first
+    assert all(len(h) == len(pts) and max(h.values()) <= 19 for h in hops)
+    for k in range(1, 6):
+        sim.engine.run_until(k + 0.5)
+        for node in sim.nodes:
+            got = {dst: (e.hop_count, e.broken) for dst, e in node.table.items()}
+            assert got == {dst: (h, False) for dst, h in hops[node.node_id].items()}, \
+                f"node {node.node_id} at t={k + 0.5}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(0, 999))
+def test_converges_to_bfs_hop_counts_on_static_layouts(layout_seed, n, sim_seed):
+    pts = random_connected_positions(random.Random(layout_seed), n)
+    assert_converges_to_bfs(pts, (800.0, 800.0), sim_seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [120, 160, 200])
+def test_converges_to_bfs_hop_counts_on_long_strips(n):
+    area = (15.0 * n, 600.0)
+    pts = random_connected_positions(random.Random(n), n, area=area)
+    assert_converges_to_bfs(pts, area, seed=1)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_spec
+from manetsim.engine import Engine
 from manetsim.errors import (ScenarioSemanticError, ScenarioSyntaxError,
                              UnknownScenarioError)
 from manetsim.scenario import TrafficFlow, builtin, parse, serialize
 from manetsim.simulation import Simulation
-from manetsim.world import Movement, Position
+from manetsim.world import Movement, Position, World
 
 VALID = """\
 # toy layout
@@ -157,6 +158,18 @@ def test_overlapping_legs_rejected():
                          "move 1.0 1 500 400 50\nmove 2.0 1 100 400 50\n")
     with pytest.raises(ScenarioSemanticError):
         parse(text)
+
+
+def test_parse_builds_no_engine_or_world(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse built a simulator object")
+
+    monkeypatch.setattr(Engine, "__init__", refuse)
+    monkeypatch.setattr(World, "__init__", refuse)
+    # node 1's first leg arrives at 5.0
+    assert len(parse(VALID.replace("end 5.0", "move 5.0 1 100 400 50\nend 9.0")).movements) == 2
+    with pytest.raises(ScenarioSemanticError, match="overlaps"):
+        parse(VALID.replace("end 5.0", "move 4.9 1 100 400 50\nend 9.0"))
 
 
 def test_back_to_back_legs_start_exactly_at_the_previous_destination():

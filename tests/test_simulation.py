@@ -98,16 +98,31 @@ def test_loop_freedom_on_builtin_scenarios():
 
 
 class RecordingTable(dict):
-    """Route table that logs (node, dst) whenever an entry is stored."""
+    """Route table that logs (node, dst) to each of its logs whenever an
+    entry is stored."""
 
-    def __init__(self, entries, node_id, log):
+    def __init__(self, entries, node_id):
         super().__init__(entries)
         self.node_id = node_id
-        self.log = log
+        self.logs = []
 
     def __setitem__(self, dst, entry):
         super().__setitem__(dst, entry)
-        self.log.append((self.node_id, dst))
+        for log in self.logs:
+            log.append((self.node_id, dst))
+
+
+def recording_tables(sim):
+    """Every node's route table, in id order, made a RecordingTable once."""
+    attr = "routes" if sim.protocol == "aodv" else "table"
+    tables = []
+    for node in sim.nodes:
+        table = getattr(node, attr)
+        if not isinstance(table, RecordingTable):
+            table = RecordingTable(table, node.node_id)
+            setattr(node, attr, table)
+        tables.append(table)
+    return tables
 
 
 def watch_new_next_hops(sim):
@@ -117,9 +132,8 @@ def watch_new_next_hops(sim):
     one), so a new loop toward dst must pass through a node logged for it
     and the walk from that node finds it."""
     log = []
-    for node in sim.nodes:
-        attr = "routes" if sim.protocol == "aodv" else "table"
-        setattr(node, attr, RecordingTable(getattr(node, attr), node.node_id, log))
+    for table in recording_tables(sim):
+        table.logs.append(log)
 
     def check():
         for start, dst in log:
@@ -128,6 +142,49 @@ def watch_new_next_hops(sim):
                 assert cur not in seen, f"routing loop toward {dst} at t={sim.engine.now}"
                 seen.add(cur)
                 cur = sim.nodes[cur].next_hop_for(dst)
+        log.clear()
+
+    return check
+
+
+# the only methods that change a stored entry's dst_seq in place, besides
+# the DSDV dump that raises a node's own entry (its own test pins that)
+IN_PLACE_SEQUENCE_CHANGES = ("on_link_break", "handle_rerr", "mark_broken")
+
+
+def watch_sequences(sim):
+    """Hook asserting, at every event boundary, that no node's dst_seq for
+    any destination went down. A sequence number changes only when an entry
+    is stored or in IN_PLACE_SEQUENCE_CHANGES, so each check reads only the
+    entries stored since the last boundary and the tables of the nodes that
+    ran one of those methods."""
+    tables = recording_tables(sim)
+    log, touched, last = [], set(), {}
+    for table in tables:
+        table.logs.append(log)
+
+    def noting(node_id, method):
+        def wrapper(*args):
+            touched.add(node_id)
+            return method(*args)
+        return wrapper
+
+    for node in sim.nodes:
+        for name in IN_PLACE_SEQUENCE_CHANGES:
+            if hasattr(node, name):
+                setattr(node, name, noting(node.node_id, getattr(node, name)))
+
+    def check():
+        for node_id in touched:
+            log.extend((node_id, dst) for dst in tables[node_id])
+        touched.clear()
+        for key in log:
+            node_id, dst = key
+            seq = tables[node_id][dst].dst_seq
+            assert seq >= last.get(key, seq), (
+                f"node {node_id}'s sequence number for {dst} fell from {last[key]} "
+                f"to {seq} at t={sim.engine.now}")
+            last[key] = seq
         log.clear()
 
     return check
@@ -143,6 +200,15 @@ def test_conservation_and_loop_freedom_up_to_50_nodes(scenario_seed, protocol, s
     led = result.ledger
     assert led.sent == led.received + led.dropped_data + result.unresolved_census
     assert_loop_free(sim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PROTOCOLS), st.integers(0, 999))
+def test_no_sequence_number_decreases_on_random_scenarios(scenario_seed, protocol, sim_seed):
+    spec = random_scenario(random.Random(scenario_seed), max_nodes=30, end=4.0)
+    sim = Simulation(spec, protocol, seed=sim_seed)
+    sim.event_hooks.append(watch_sequences(sim))
+    sim.run()
 
 
 @pytest.mark.slow
@@ -166,7 +232,7 @@ def test_conservation_and_loop_freedom_at_scale_random_waypoint(protocol, nodes,
             last[0] = counts
             assert led.unresolved == sim.unresolved_census(), f"t={sim.engine.now}"
 
-    sim.event_hooks += [watch_new_next_hops(sim), conserved]
+    sim.event_hooks += [watch_new_next_hops(sim), watch_sequences(sim), conserved]
     result = sim.run()
     assert led.received > 0
     assert led.unresolved == result.unresolved_census

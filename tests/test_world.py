@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_sim
 from manetsim.aodv import Hello
 from manetsim.engine import Engine
-from manetsim.errors import OverlappingLegError, UnknownNodeError
+from manetsim.errors import ScenarioSemanticError, UnknownNodeError
 from manetsim.packets import DataPacket, MessageKind
 from manetsim.world import (GRID_WINDOW, Movement, Position, RadioModel, UnicastOutcome,
-                            World, grid_cell)
+                            World, grid_cell, tracks)
 
 
-def make_world(positions, radio=RadioModel()):
+def make_world(positions, radio=RadioModel(), legs=()):
     eng = Engine()
-    world = World(eng, [Position(*p) for p in positions], radio)
+    world = World(eng, [Position(*p) for p in positions], radio, legs)
     world.jitter = 0.0
     return eng, world
 
@@ -33,46 +33,42 @@ def test_stationary_node_keeps_initial_position():
 
 
 def test_linear_interpolation_along_leg():
-    _, w = make_world([(0, 0)])
-    w.apply_movement(Movement(1.0, 0, Position(100, 0), 50))
+    _, w = make_world([(0, 0)], legs=[Movement(1.0, 0, Position(100, 0), 50)])
     assert w.position_at(0, 2.0) == Position(50, 0)
 
 
 def test_position_clamped_at_leg_destination():
-    _, w = make_world([(0, 0)])
-    w.apply_movement(Movement(1.0, 0, Position(100, 0), 50))
+    _, w = make_world([(0, 0)], legs=[Movement(1.0, 0, Position(100, 0), 50)])
     assert w.position_at(0, 10.0) == Position(100, 0)
 
 
 def test_position_before_leg_start_is_prior_position():
-    _, w = make_world([(0, 0)])
-    w.apply_movement(Movement(1.0, 0, Position(100, 0), 50))
+    _, w = make_world([(0, 0)], legs=[Movement(1.0, 0, Position(100, 0), 50)])
     assert w.position_at(0, 0.5) == Position(0, 0)
 
 
 def test_sequential_legs_chain_positions():
-    _, w = make_world([(0, 0)])
-    w.apply_movement(Movement(0.0, 0, Position(100, 0), 100))
-    w.apply_movement(Movement(2.0, 0, Position(100, 50), 50))
+    _, w = make_world([(0, 0)], legs=[Movement(0.0, 0, Position(100, 0), 100),
+                                      Movement(2.0, 0, Position(100, 50), 50)])
     assert w.position_at(0, 1.5) == Position(100, 0)
     assert w.position_at(0, 2.5) == Position(100, 25)
 
 
 def test_overlapping_legs_rejected():
-    _, w = make_world([(0, 0)])
-    w.apply_movement(Movement(1.0, 0, Position(100, 0), 50))
-    with pytest.raises(OverlappingLegError):
-        w.apply_movement(Movement(2.0, 0, Position(0, 0), 50))
+    origin = [Position(0, 0)]
+    first = Movement(1.0, 0, Position(100, 0), 50)
+    with pytest.raises(ScenarioSemanticError):
+        tracks(origin, [first, Movement(2.0, 0, Position(0, 0), 50)])
+    # a leg that starts exactly at the arrival does not overlap
+    assert tracks(origin, [first, Movement(3.0, 0, Position(0, 0), 50)])[0][0] == [1.0, 3.0]
 
 
 def test_overlap_message_gives_the_arrival_at_full_precision():
-    _, w = make_world([(0, 0)])
     leg = Movement(0.01, 0, Position(0.800039912193175, 0), 100.0)
-    w.apply_movement(leg)
     arrival = 0.01 + 0.800039912193175 / 100.0
     assert repr(arrival) == "0.01800039912193175"
-    with pytest.raises(OverlappingLegError) as exc:
-        w.apply_movement(Movement(0.018, 0, Position(0, 0), 1.0))
+    with pytest.raises(ScenarioSemanticError) as exc:
+        tracks([Position(0, 0)], [leg, Movement(0.018, 0, Position(0, 0), 1.0)])
     assert str(exc.value) == (
         "node 0: leg at 0.018 overlaps one ending at 0.01800039912193175")
 
@@ -87,18 +83,19 @@ def test_unknown_node_raises():
 
 def test_movement_never_teleports():
     rnd = random.Random(5)
-    _, w = make_world([(400, 400)])
     t = 0.0
     here = Position(400, 400)
     max_speed = 0.0
+    legs = []
     for _ in range(4):
         speed = rnd.uniform(10, 200)
         max_speed = max(max_speed, speed)
         leg = Movement(t + rnd.uniform(0, 1), 0,
                        Position(rnd.uniform(0, 800), rnd.uniform(0, 800)), speed)
-        w.apply_movement(leg)
+        legs.append(leg)
         t = leg.start_time + math.hypot(here.x - leg.dest.x, here.y - leg.dest.y) / speed
         here = leg.dest
+    _, w = make_world([(400, 400)], legs=legs)
     samples = [i * 0.37 for i in range(60)]
     for t1, t2 in zip(samples, samples[1:]):
         a, b = w.position_at(0, t1), w.position_at(0, t2)
@@ -146,9 +143,7 @@ def test_connectivity_is_exactly_the_unit_disk_graph():
 def test_scenario1_nodes_4_and_5_out_of_range_at_3s():
     from manetsim.scenario import builtin
     spec = builtin("scenario1")
-    _, w = make_world([(p.x, p.y) for p in spec.nodes], radio=spec.radio)
-    for m in spec.movements:
-        w.apply_movement(m)
+    _, w = make_world([(p.x, p.y) for p in spec.nodes], spec.radio, spec.movements)
     assert w.in_range(4, 5, 2.0)
     assert not w.in_range(4, 5, 3.0)
 
@@ -241,9 +236,7 @@ def test_control_broadcast_recorded_as_control_tx():
 def test_scenario2_node3_to_5_breaks_at_2_3():
     from manetsim.scenario import builtin
     spec = builtin("scenario2")
-    eng, w = make_world([(p.x, p.y) for p in spec.nodes], radio=spec.radio)
-    for m in spec.movements:
-        w.apply_movement(m)
+    eng, w = make_world([(p.x, p.y) for p in spec.nodes], spec.radio, spec.movements)
     eng.run_until(2.3)
     assert w.unicast(3, 5, pkt()) is UnicastOutcome.LINK_BREAK
 
@@ -284,12 +277,13 @@ def oracle_neighbors(coords, legs, radio_range, node, t):
     return out
 
 
+def movements(legs):
+    return [Movement(start, node, Position(*dest), speed)
+            for node, node_legs in enumerate(legs) for start, dest, speed in node_legs]
+
+
 def mobile_world(coords, legs, radio_range):
-    _, w = make_world(coords, radio=RadioModel(range=radio_range))
-    for node, node_legs in enumerate(legs):
-        for start, dest, speed in node_legs:
-            w.apply_movement(Movement(start, node, Position(*dest), speed))
-    return w
+    return make_world(coords, RadioModel(range=radio_range), movements(legs))[1]
 
 
 coordinate = st.floats(0, 2000, allow_nan=False).map(lambda v: round(v, 3))
@@ -336,31 +330,6 @@ def test_neighbors_match_brute_force_when_time_goes_backwards(layout, times):
     coords, legs, radio_range = layout
     w = mobile_world(coords, legs, radio_range)
     for t in sorted(times, reverse=True):
-        for node in range(len(coords)):
-            assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range,
-                                                               node, t)
-
-
-@PROPERTY
-@given(mobile_layouts(), st.data())
-def test_neighbors_follow_legs_registered_after_queries(layout, data):
-    coords, legs, radio_range = layout
-    w = mobile_world(coords, legs, radio_range)
-    mover = data.draw(st.integers(0, len(coords) - 1))
-    begin = 0.0
-    if legs[mover]:     # after the last leg ends: no leg is longer than the field's diagonal
-        start, _, speed = legs[mover][-1]
-        begin = start + 2830.0 / speed
-    leg = (data.draw(st.floats(begin, begin + 5)), (data.draw(coordinate),
-                                                    data.draw(coordinate)),
-           data.draw(st.floats(1, 300)))
-    times = [leg[0] + dt for dt in (0.0, 0.2, 1.0, 3.0, 3.1)]
-    for t in times:     # positions and grids from before the new leg
-        for node in range(len(coords)):
-            w.neighbors_of(node, t)
-    w.apply_movement(Movement(leg[0], mover, Position(*leg[1]), leg[2]))
-    legs[mover].append(leg)
-    for t in reversed(times):
         for node in range(len(coords)):
             assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range,
                                                                node, t)
@@ -435,9 +404,7 @@ def oracle_hops(coords, legs, radio_range, src, dst, t):
 @given(mobile_layouts(max_nodes=12), st.lists(query_time, min_size=1, max_size=5))
 def test_bfs_hops_match_oracle(layout, times):
     coords, legs, radio_range = layout
-    movements = [Movement(start, node, Position(*dest), speed)
-                 for node, node_legs in enumerate(legs) for start, dest, speed in node_legs]
-    sim = build_sim(coords, movements=movements, radio_range=radio_range, end=40.0)
+    sim = build_sim(coords, movements=movements(legs), radio_range=radio_range, end=40.0)
     n = len(coords)
     for t in times:
         sim.engine.now = t
