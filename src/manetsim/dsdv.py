@@ -86,31 +86,28 @@ class DsdvNode:
         return pkt
 
     def handle_update(self, sender: int, pkt: UpdatePacket) -> int:
-        """Adopt fresher or shorter advertisements; re-flood what changed."""
-        table, me = self.table, self.node_id
+        """Adopt fresher or shorter advertisements; re-flood what changed.
+
+        Most entries change nothing, so a stale sequence, or an equal one
+        that is odd, unreachable or not shorter, is dropped first.
+        """
+        table = self.table
         changed: list[DsdvEntry] = []
         for dst, seq, hops in pkt.entries:
-            if dst == me:
-                continue
-            broken = seq % 2 == 1 or hops is None
-            metric = None if broken else hops + 1
             existing = table.get(dst)
-            if existing is None:
-                if broken:
-                    continue    # nothing to tear down for an unknown destination
-                adopt = True
-            elif seq > existing.dst_seq:
-                adopt = True
-            elif (seq == existing.dst_seq and not broken
-                  and existing.dst_seq % 2 == 0 and metric < existing.hop_count):
-                adopt = True
-            else:
-                adopt = False
-            if adopt:
-                entry = DsdvEntry(dst, sender, metric, seq)
-                table[dst] = entry
-                self.sim.route_changed(dst)
-                changed.append(entry)
+            if existing is not None:
+                old = existing.dst_seq
+                if seq <= old and (seq < old or seq % 2 or hops is None
+                                   or hops + 1 >= existing.hop_count):
+                    continue
+            if dst == self.node_id:
+                continue
+            metric = None if seq % 2 or hops is None else hops + 1
+            if metric is None and existing is None:
+                continue    # nothing to tear down for an unknown destination
+            entry = table[dst] = DsdvEntry(dst, sender, metric, seq)
+            self.sim.route_changed(dst)
+            changed.append(entry)
         if changed:
             self.triggered_update(changed)
         return len(changed)

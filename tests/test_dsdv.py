@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
                       random_scenario)
-from manetsim.dsdv import UpdatePacket
+from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket
 from manetsim.metrics import EventKind, LedgerEvent
 from manetsim.packets import DataPacket
 from manetsim.simulation import Simulation
@@ -147,6 +147,109 @@ def test_equal_seq_better_metric_adopted():
     assert node.handle_update(0, UpdatePacket(0, [(0, 4, 0)],
                                               sim.next_uid())) == 1
     assert node.table[0].hop_count == 1
+
+
+# -- handle_update against the adopt rule written out -------------------------
+
+def adopts(existing, me, dst, seq, hops):
+    """The adopt rule, one branch per case. existing is the (dst_seq,
+    hop_count) the receiver holds for dst, or None."""
+    if dst == me:
+        return False
+    broken = seq % 2 == 1 or hops is None
+    if existing is None:
+        return not broken   # nothing to tear down for an unknown destination
+    old_seq, old_hops = existing
+    if seq > old_seq:
+        return True
+    return seq == old_seq and not broken and old_seq % 2 == 0 and hops + 1 < old_hops
+
+
+class Recorder:
+    """The three Simulation calls handle_update makes, recorded."""
+
+    def __init__(self):
+        self.route_changes, self.sent = [], []
+
+    def route_changed(self, dst):
+        self.route_changes.append(dst)
+
+    def next_uid(self):
+        return 0
+
+    def broadcast(self, sender, pkt):
+        self.sent.append(pkt.entries)
+
+
+def check_adopt_rule(me, rows, sender, entries):
+    """handle_update on a table of rows {dst: (next_hop, hop_count, dst_seq)}
+    against adopts: final table, route_changed order, triggered update and
+    adopted count."""
+    table = dict(rows)
+    changes = []
+    for dst, seq, hops in entries:
+        if adopts((table[dst][2], table[dst][1]) if dst in table else None, me, dst, seq, hops):
+            table[dst] = (sender, None if seq % 2 or hops is None else hops + 1, seq)
+            changes.append((dst, seq, table[dst][1]))
+
+    sim = Recorder()
+    node = DsdvNode(me, sim)
+    node.table = {dst: DsdvEntry(dst, *row) for dst, row in rows.items()}
+    adopted = node.handle_update(sender, UpdatePacket(sender, list(entries), uid=0))
+    assert {dst: (e.next_hop, e.hop_count, e.dst_seq) for dst, e in node.table.items()} == table
+    assert sim.route_changes == [dst for dst, _, _ in changes]
+    assert sim.sent == ([changes] if changes else [])
+    assert adopted == len(changes)
+    return adopted
+
+
+@st.composite
+def adopt_cases(draw, ids=6):
+    """(me, rows, sender, entries): an even sequence carries a hop count and
+    an odd one marks a break, as the protocol keeps them; a packet names
+    each destination at most once, and may name the receiver."""
+    me = draw(st.integers(0, ids - 1))
+    rows = {me: (me, 0, 2 * draw(st.integers(0, 1)))}
+    for dst in draw(st.sets(st.integers(0, ids - 1))) - {me}:
+        seq = draw(st.integers(0, 3))
+        rows[dst] = (draw(st.integers(0, ids - 1)), None if seq % 2 else draw(st.integers(1, 3)),
+                     seq)
+    sender = draw(st.integers(0, ids - 1).filter(lambda s: s != me))
+    entries = []
+    for dst in draw(st.lists(st.integers(0, ids - 1), unique=True, max_size=ids)):
+        if dst in rows and draw(st.booleans()):
+            # most of a neighbour's dump echoes the receiver's entry: the same
+            # sequence, one hop shorter than it, or equal, or longer
+            _, hop_count, seq = rows[dst]
+            hops = None if hop_count is None else hop_count - 1 + draw(st.integers(-1, 1))
+        else:
+            seq, hops = draw(st.integers(0, 3)), draw(st.none() | st.integers(0, 2))
+        entries.append((dst, seq, hops))
+    return me, rows, sender, entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(adopt_cases())
+def test_handle_update_follows_the_adopt_rule(case):
+    check_adopt_rule(*case)
+
+
+@pytest.mark.parametrize("entries, adopted", [
+    ([(0, 7, 1)], 0),                   # odd sequence for the receiver, above its own
+    ([(0, 6, 0)], 0),                   # even sequence for the receiver, above its own
+    ([(5, 3, None)], 0),                # broken entry for an unknown destination
+    ([(5, 4, None)], 0),                # unreachable entry for an unknown destination
+    ([(2, 5, 0)], 0),                   # equal sequence against a broken entry
+    ([(2, 5, None)], 0),
+    ([(2, 7, None)], 1),                # fresher break of a broken entry
+    ([(3, 4, 1)], 0),                   # equal sequence, equal metric
+    ([(3, 4, 0)], 1),                   # equal sequence, shorter metric
+    ([(3, 4, 2), (2, 6, 1), (4, 2, 0)], 2),
+], ids=["own-odd", "own-even", "unknown-broken", "unknown-unreachable", "equal-broken",
+        "equal-broken-unreachable", "fresher-break", "equal-metric", "shorter-metric", "mixed"])
+def test_adopt_rule_cases(entries, adopted):
+    rows = {0: (0, 0, 4), 2: (1, None, 5), 3: (1, 2, 4)}
+    assert check_adopt_rule(0, rows, 1, entries) == adopted
 
 
 # -- forwarding ---------------------------------------------------------------------

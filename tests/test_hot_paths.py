@@ -18,8 +18,8 @@ from manetsim.simulation import Simulation
 from manetsim.world import World
 
 BANNED = {"MessageKind", "EventKind", "UnicastOutcome", "RreqAction", "value"}
-HOT = [AodvNode.on_receive, AodvNode.handle_rreq, DsdvNode.on_receive,
-       Simulation.send_unicast, Simulation._deliver, Simulation.emit_data,
+HOT = [AodvNode.on_receive, AodvNode.handle_rreq, DsdvNode.on_receive, DsdvNode.handle_update,
+       World.neighbors_of, Simulation.send_unicast, Simulation._deliver, Simulation.emit_data,
        Simulation.data_received, Simulation.dropped, Simulation.broadcast, Simulation._log,
        World.unicast, metrics.MetricsLedger.record, metrics.throughput_series,
        metrics.delay_series, metrics.cumulative_series, metrics.write_trace]

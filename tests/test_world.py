@@ -9,8 +9,8 @@ from manetsim.aodv import Hello
 from manetsim.engine import Engine
 from manetsim.errors import ScenarioSemanticError, UnknownNodeError
 from manetsim.packets import DataPacket, MessageKind
-from manetsim.world import (GRID_WINDOW, Movement, Position, RadioModel, UnicastOutcome,
-                            World, grid_cell, tracks)
+from manetsim.world import (GRID_SLACK, GRID_WINDOW, Movement, Position, RadioModel,
+                            UnicastOutcome, World, grid_cell, tracks)
 
 
 def make_world(positions, radio=RadioModel(), legs=()):
@@ -384,6 +384,105 @@ def test_nodes_on_cell_edges_match_brute_force(cells, radio_range):
     for node in range(len(coords)):
         assert w.neighbors_of(node, 0.0) == oracle_neighbors(coords, static, radio_range,
                                                              node, 0.0)
+
+
+# A node's first query in a grid window splits its block into Verlet lists
+# (World._lists[node] is (t1, sure, shell)); later queries in the window test
+# only the shell. These pin the lists against the oracle and the saving.
+
+@PROPERTY
+@given(mobile_layouts(), query_time, st.lists(st.floats(0, GRID_WINDOW), max_size=6))
+def test_neighbors_match_brute_force_inside_one_grid_window(layout, start, offsets):
+    coords, legs, radio_range = layout
+    w = mobile_world(coords, legs, radio_range)
+    for t in [start] + sorted(start + dt for dt in offsets):
+        for node in range(len(coords)):
+            assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range,
+                                                               node, t)
+    assert [lists[0] for lists in w._lists] == [start] * len(coords)
+
+
+def closing_pair():
+    """Node 1 heads for node 0 at 100 m/s: 255 m apart at 0.1 s, 225 m at 0.4 s."""
+    coords = [(0.0, 0.0), (265.0, 0.0)]
+    legs = [[], [(0.0, (0.0, 0.0), 100.0)]]
+    return coords, legs, mobile_world(coords, legs, 250.0)
+
+
+def test_a_query_back_in_time_inside_a_window_rebuilds_the_lists():
+    coords, legs, w = closing_pair()
+    assert w.neighbors_of(1, 0.0) == []     # builds the grid at 0.0
+    assert w.neighbors_of(0, 0.4) == [1]
+    assert w._lists[0] == (0.4, [1], [])    # 225 m is within range - slack
+    assert w.neighbors_of(0, 0.1) == [] == oracle_neighbors(coords, legs, 250.0, 0, 0.1)
+    assert w._lists[0][0] == 0.1
+
+
+@pytest.mark.parametrize("speed", [1.0, 20.0, 100.0])
+@pytest.mark.parametrize("offset, lists", [(-1e-9, ([1], [])), (1e-6, ([], [1]))])
+def test_a_pair_separating_at_top_speed_from_the_sure_edge_stays_in_range(speed, offset, lists):
+    """Both nodes move apart at v_max from range - slack + offset apart: the
+    pair is sure just inside that edge and in the shell just outside it, and
+    at the window's end it is still inside range. A far node fixes the
+    largest coordinate and so the rounding margin."""
+    radio_range, x, far = 250.0, 1000.0, 5000.0
+    margin = GRID_SLACK * (grid_cell(radio_range, speed, far) + far)
+    gap = radio_range - 2 * speed * GRID_WINDOW - margin + offset
+    coords = [(x, 0.0), (x + gap, 0.0), (far, far)]
+    legs = [[(0.0, (0.0, 0.0), speed)], [(0.0, (x + far, 0.0), speed)], []]
+    w = mobile_world(coords, legs, radio_range)
+    for k in range(11):
+        t = GRID_WINDOW * k / 10
+        assert w.neighbors_of(0, t) == [1] == oracle_neighbors(coords, legs, radio_range, 0, t)
+    assert w._lists[0] == (0.0, *lists)
+
+
+def test_static_layout_matches_brute_force_across_many_windows():
+    rnd = random.Random(7)
+    coords = [(rnd.uniform(0, 1500), rnd.uniform(0, 300)) for _ in range(30)]
+    static = [[] for _ in coords]
+    _, w = make_world(coords)
+    for t in (0.0, 0.3, 0.7, 2.5, 9.9, 10.0, 31.4):
+        for node in range(len(coords)):
+            assert w.neighbors_of(node, t) == oracle_neighbors(coords, static, 250.0, node, t)
+    assert [lists[0] for lists in w._lists] == [0.0] * len(coords)
+
+
+def counting(monkeypatch, name):
+    """Record (node, t) of every call to the World method name."""
+    calls = []
+    real = getattr(World, name)
+    monkeypatch.setattr(World, name, lambda self, node, t: calls.append((node, t))
+                        or real(self, node, t))
+    return calls
+
+
+def test_a_repeat_query_with_an_empty_shell_locates_no_node(monkeypatch):
+    """Nodes 0 and 1 move side by side 100 m apart; node 2 is far away."""
+    coords = [(0.0, 0.0), (0.0, 100.0), (3000.0, 0.0)]
+    legs = [[(0.0, (5000.0, 0.0), 10.0)], [(0.0, (5000.0, 100.0), 10.0)],
+            [(0.0, (3000.0, 300.0), 10.0)]]
+    w = mobile_world(coords, legs, 250.0)
+    locate = counting(monkeypatch, "_locate")
+    assert w.neighbors_of(0, 0.0) == [1]
+    assert len(locate) == 3                 # the grid's one pass over every node
+    assert w._lists[0] == (0.0, [1], [])
+    locate.clear()
+    for t in (0.1, 0.25, 0.4, GRID_WINDOW):
+        assert w.neighbors_of(0, t) == [1]
+    assert locate == []
+
+
+def test_later_windows_of_a_static_layout_look_up_no_position(monkeypatch):
+    coords = [(0.0, 0.0), (200.0, 0.0), (400.0, 0.0), (400.0, 200.0), (900.0, 900.0)]
+    _, w = make_world(coords)
+    for node in range(len(coords)):
+        w.neighbors_of(node, 0.0)
+    locate, xy = counting(monkeypatch, "_locate"), counting(monkeypatch, "_xy")
+    for t in (0.5, 1.0, 7.25, 60.0):
+        assert [w.neighbors_of(node, t) for node in range(len(coords))] == [
+            [1], [0, 2], [1, 3], [2], []]
+    assert locate == [] and xy == []
 
 
 def oracle_hops(coords, legs, radio_range, src, dst, t):
