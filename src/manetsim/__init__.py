@@ -5,12 +5,12 @@ from .dsdv import DsdvNode
 from .engine import Engine
 from .metrics import MetricsLedger
 from .scenario import ScenarioSpec, builtin, load, parse, serialize
-from .simulation import RunReport, RunResult, Simulation
+from .simulation import RunReport, Simulation
 from .world import Movement, Position, RadioModel, World
 
 __all__ = [
     "AodvNode", "DsdvNode", "Engine", "MetricsLedger", "Movement", "Position",
-    "RadioModel", "RunReport", "RunResult", "ScenarioSpec", "Simulation", "World",
+    "RadioModel", "RunReport", "ScenarioSpec", "Simulation", "World",
     "builtin", "load", "parse", "serialize",
 ]
 

@@ -13,13 +13,12 @@ from .engine import TICK
 from .errors import SimError
 from .metrics import (EventKind, SeriesPoint, cumulative_series, delay_series,
                       emit_plot_datasets, throughput_series, write_trace)
-from .simulation import (PROTOCOLS, RunReport, RunResult, Simulation,
-                         valid_hello_interval)
+from .simulation import PROTOCOLS, RunReport, Simulation, valid_hello_interval
 
 PLOTS = ("received_lost.xg", "throughput.xg", "delay.xg")
 
 
-def plot_series(result: RunResult, window: float) -> dict[str, list[list[SeriesPoint]]]:
+def plot_series(result: Simulation, window: float) -> dict[str, list[list[SeriesPoint]]]:
     """Each plot file's datasets for one run; the report reuses these series."""
     led = result.ledger
     return {"received_lost.xg": [cumulative_series(led, EventKind.RECEIVED),
@@ -28,7 +27,7 @@ def plot_series(result: RunResult, window: float) -> dict[str, list[list[SeriesP
             "delay.xg": [delay_series(led)]}
 
 
-def write_outputs(result: RunResult, out_dir: Path, window: float,
+def write_outputs(result: Simulation, out_dir: Path, window: float,
                   series: dict[str, list[list[SeriesPoint]]] | None = None) -> RunReport:
     """Trace, report and plots of one run; `series` is its plot_series, if derived."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -85,9 +84,8 @@ def _load_spec(args) -> scenario_mod.ScenarioSpec:
 
 
 def cmd_run(args) -> int:
-    sim = Simulation(_load_spec(args), protocol=args.protocol, seed=args.seed,
-                     hello_interval=args.hello_interval)
-    result = sim.run()
+    result = Simulation(_load_spec(args), protocol=args.protocol, seed=args.seed,
+                        hello_interval=args.hello_interval).run()
     stem = Path(result.spec.name).stem
     out_dir = Path(args.out or f"runs/{stem}_{args.protocol}_seed{args.seed}")
     report = write_outputs(result, out_dir, args.window)

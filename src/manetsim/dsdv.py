@@ -69,21 +69,20 @@ class DsdvNode:
 
     # -- advertisements ----------------------------------------------------
 
-    def periodic_dump(self) -> UpdatePacket:
+    def periodic_dump(self) -> None:
         """Advertise the full table with a fresh (still even) own sequence."""
         self.table[self.node_id].dst_seq += 2
-        return self._advertise(e for _, e in sorted(self.table.items()))
+        self._advertise(e for _, e in sorted(self.table.items()))
 
-    def triggered_update(self, changes: list[DsdvEntry]) -> UpdatePacket:
+    def triggered_update(self, changes: list[DsdvEntry]) -> None:
         """Flood changed entries immediately; breaks carry odd sequences."""
-        return self._advertise(changes)
+        self._advertise(changes)
 
-    def _advertise(self, entries) -> UpdatePacket:
+    def _advertise(self, entries) -> None:
         pkt = UpdatePacket(src=self.node_id,
                            entries=[(e.dst, e.dst_seq, e.hop_count) for e in entries],
                            uid=self.sim.next_uid())
         self.sim.broadcast(self.node_id, pkt)
-        return pkt
 
     def handle_update(self, sender: int, pkt: UpdatePacket) -> int:
         """Adopt fresher or shorter advertisements; re-flood what changed.

@@ -19,10 +19,10 @@ is provably exact. quantize is the plain round(t, 6) reference. Only an
 event that some code may cancel goes through schedule, which wraps it
 in an EventHandle and files that with post_all.
 
-after_event runs after every processed event, unless a watch is set:
-then it runs only after an event that left the watch non-empty.
-Simulation sets its route observer as after_event, and for a run
-without event_hooks the set of changed destinations as the watch.
+after_event runs only after an event that left the watch non-empty;
+Simulation sets its route observer as after_event, and the set of
+changed destinations as the watch. The callables in event_hooks run
+after every processed event, after after_event.
 """
 from __future__ import annotations
 
@@ -38,8 +38,6 @@ TICK = 10 ** -TIME_RESOLUTION_DIGITS
 TICKS_PER_S = 10.0 ** TIME_RESOLUTION_DIGITS
 HALF_EVEN = 1.5 * 2.0 ** 52    # see Engine.post_all
 TICK_LIMIT = 2.0 ** 50
-# after every event, as opposed to never (no after_event) or a watch
-_ALWAYS = (True,)
 
 
 def quantize(t: float) -> float:
@@ -89,11 +87,11 @@ class Engine:
         # so a reference taken once keeps seeing the live queue
         self._queue: list[float] = []
         self._buckets: dict[float, deque[Callable[[], None]]] = {}
-        # the slot of Simulation's route observer, and its watch (see above);
-        # invariant checkers go in Simulation.event_hooks. run_until reads
-        # both once, as it starts
+        # the slot of Simulation's route observer, its watch and the hooks
+        # (see above); run_until reads all three once, as it starts
         self.after_event: Callable[[], None] | None = None
-        self.watch: Collection | None = None
+        self.watch: Collection = ()
+        self.event_hooks: list[Callable[[], None]] = []
 
     def schedule(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
         handle = EventHandle(fire_at, action)
@@ -148,11 +146,7 @@ class Engine:
             raise PastTimeError(f"run_until({t_end}) before clock {self.now}")
         steps = 0
         queue, buckets = self._queue, self._buckets
-        after_event, watch = self.after_event, self.watch
-        if after_event is None:
-            watch = ()
-        elif watch is None:
-            watch = _ALWAYS
+        after_event, watch, hooks = self.after_event, self.watch, self.event_hooks
         while queue and queue[0] <= t_end:
             fire_at = queue[0]
             bucket = buckets[fire_at]
@@ -164,6 +158,9 @@ class Engine:
                 steps += 1
                 if watch:
                     after_event()
+                if hooks:   # skips making an iterator when there are none
+                    for hook in hooks:
+                        hook()
             heapq.heappop(queue)
             del buckets[fire_at]
         self.now = t_end

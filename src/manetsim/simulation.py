@@ -17,7 +17,7 @@ the DATA in-flight count.
 from __future__ import annotations
 
 import gc
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from . import scenario as scenario_mod
@@ -65,46 +65,6 @@ class RunReport:
         return asdict(self)
 
 
-@dataclass
-class RunResult:
-    spec: ScenarioSpec
-    protocol: str
-    seed: int
-    ledger: MetricsLedger
-    route_history: dict[tuple[int, int], list[tuple[float, list[int]]]]
-    unresolved_census: int
-    route_stretch_samples: list[float] = field(default_factory=list)
-
-    def route_paths(self, flow: TrafficFlow | None = None) -> list[list[int]]:
-        """Distinct complete routes a flow used, in order of appearance."""
-        key = (flow.src, flow.dst) if flow else next(iter(self.route_history), None)
-        return [path for _, path in self.route_history.get(key, [])]
-
-    def report(self, window: float = 0.5) -> RunReport:
-        """Summary with throughput averaged over sliding windows of `window` s."""
-        return self.summarize(throughput_series(self.ledger, window, t_end=self.spec.end_time),
-                              delay_series(self.ledger))
-
-    def summarize(self, tput: list[SeriesPoint], delays: list[SeriesPoint]) -> RunReport:
-        """Summary from this run's throughput and delay series, already derived."""
-        led = self.ledger
-        changes = sum(max(0, len(h) - 1) for h in self.route_history.values())
-        stretch = (sum(self.route_stretch_samples) / len(self.route_stretch_samples)
-                   if self.route_stretch_samples else 0.0)
-        return RunReport(
-            scenario=self.spec.name, protocol=self.protocol, seed=self.seed,
-            sent=led.sent, received=led.received, dropped=led.dropped_data,
-            unresolved=led.unresolved, lost=led.lost,
-            delivery_ratio=delivery_ratio(led),
-            transmission_efficiency=transmission_efficiency(led),
-            mean_throughput_bps=mean_value(tput),
-            mean_delay_s=mean_value(delays),
-            mean_route_stretch=stretch,
-            control_tx=control_overhead(led),
-            route_changes=changes,
-        )
-
-
 class Simulation:
     """One deterministic run of a scenario under one protocol."""
 
@@ -133,8 +93,10 @@ class Simulation:
             (f.src, f.dst): [] for f in self.flows}
         self.route_stretch_samples: list[float] = []
         self.changed_dsts: set[int] = set()   # filled by route_changed
-        self.event_hooks = []   # callables run after every processed event
         self.engine.after_event = self._after_event
+        self.engine.watch = self.changed_dsts
+        # callables run after every processed event: the engine's own list
+        self.event_hooks = self.engine.event_hooks
         self._compiled = scenario_mod.compile(spec, self)
         # after the traffic, so an emission fires before a tick due at its time
         for node in self.nodes:
@@ -201,12 +163,11 @@ class Simulation:
             self.in_flight_data -= 1
         self.nodes[receiver].on_receive(sender, msg)
 
-    def emit_data(self, flow: TrafficFlow) -> DataPacket:
+    def emit_data(self, flow: TrafficFlow) -> None:
         pkt = DataPacket(uid=self.next_uid(), src=flow.src, dst=flow.dst,
                          size=flow.packet_size)
         self._log(SENT, flow.src, pkt)
         self.nodes[flow.src].originate_data(pkt)
-        return pkt
 
     def _after_event(self) -> None:
         # Only flows toward a destination whose entries changed are walked.
@@ -215,20 +176,17 @@ class Simulation:
         # is never recorded; so refreshing the expiry of an already-active
         # entry needs no route_changed call.
         changed = self.changed_dsts
-        if changed:
-            t = self.engine.now
-            for key, history in self.route_history.items():
-                if key[1] not in changed:
-                    continue
-                path = self.walk_route(*key)
-                if path is not None and (not history or history[-1][1] != path):
-                    history.append((t, path))
-                    shortest = self._bfs_hops(*key)
-                    if shortest is not None:
-                        self.route_stretch_samples.append(len(path) - 1 - shortest)
-            changed.clear()
-        for hook in self.event_hooks:
-            hook()
+        t = self.engine.now
+        for key, history in self.route_history.items():
+            if key[1] not in changed:
+                continue
+            path = self.walk_route(*key)
+            if path is not None and (not history or history[-1][1] != path):
+                history.append((t, path))
+                shortest = self._bfs_hops(*key)
+                if shortest is not None:
+                    self.route_stretch_samples.append(len(path) - 1 - shortest)
+        changed.clear()
 
     # -- inspection ----------------------------------------------------------
 
@@ -274,14 +232,15 @@ class Simulation:
                 graph[node.node_id] = nxt
         return graph
 
+    @property
     def unresolved_census(self) -> int:
         """Packets still buffered at nodes or in flight when the run ended."""
         return self.in_flight_data + sum(n.queued_count() for n in self.nodes)
 
     # -- running -------------------------------------------------------------
 
-    def run(self) -> RunResult:
-        """Run to the scenario's end with the cyclic collector paused.
+    def run(self) -> Simulation:
+        """Run to the scenario's end with the cyclic collector paused; return self.
 
         The simulator's own code makes no reference cycles during a run
         (tests/test_simulation.py guards this), so pausing the collector
@@ -290,20 +249,45 @@ class Simulation:
         a hook makes stays in memory until the collector runs after run().
 
         The route observer has nothing to do after an event that changed no
-        route, so unless event_hooks holds a callable when run() starts, the
-        engine calls it only after an event that left changed_dsts non-empty;
-        with a hook it runs, and runs the hooks, after every event.
+        route, so the engine calls it only after an event that left
+        changed_dsts non-empty, whether or not event_hooks holds a callable.
         """
         collecting = gc.isenabled()
         gc.disable()
-        self.engine.watch = None if self.event_hooks else self.changed_dsts
         try:
             self.engine.run_until(self.spec.end_time)
         finally:
-            self.engine.watch = None
             if collecting:
                 gc.enable()
-        return RunResult(spec=self.spec, protocol=self.protocol, seed=self.seed,
-                         ledger=self.ledger, route_history=self.route_history,
-                         unresolved_census=self.unresolved_census(),
-                         route_stretch_samples=self.route_stretch_samples)
+        return self
+
+    # -- results -------------------------------------------------------------
+
+    def route_paths(self, flow: TrafficFlow | None = None) -> list[list[int]]:
+        """Distinct complete routes a flow used, in order of appearance."""
+        key = (flow.src, flow.dst) if flow else next(iter(self.route_history), None)
+        return [path for _, path in self.route_history.get(key, [])]
+
+    def report(self, window: float = 0.5) -> RunReport:
+        """Summary with throughput averaged over sliding windows of `window` s."""
+        return self.summarize(throughput_series(self.ledger, window, t_end=self.spec.end_time),
+                              delay_series(self.ledger))
+
+    def summarize(self, tput: list[SeriesPoint], delays: list[SeriesPoint]) -> RunReport:
+        """Summary from this run's throughput and delay series, already derived."""
+        led = self.ledger
+        changes = sum(max(0, len(h) - 1) for h in self.route_history.values())
+        stretch = (sum(self.route_stretch_samples) / len(self.route_stretch_samples)
+                   if self.route_stretch_samples else 0.0)
+        return RunReport(
+            scenario=self.spec.name, protocol=self.protocol, seed=self.seed,
+            sent=led.sent, received=led.received, dropped=led.dropped_data,
+            unresolved=led.unresolved, lost=led.lost,
+            delivery_ratio=delivery_ratio(led),
+            transmission_efficiency=transmission_efficiency(led),
+            mean_throughput_bps=mean_value(tput),
+            mean_delay_s=mean_value(delays),
+            mean_route_stretch=stretch,
+            control_tx=control_overhead(led),
+            route_changes=changes,
+        )

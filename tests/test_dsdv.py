@@ -44,7 +44,10 @@ def test_isolated_node_dump_still_counted_as_overhead():
 def test_dump_keeps_own_sequence_even_and_growing():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[0]
-    seqs = [node.periodic_dump() and node.table[0].dst_seq for _ in range(3)]
+    seqs = []
+    for _ in range(3):
+        node.periodic_dump()
+        seqs.append(node.table[0].dst_seq)
     assert seqs == [2, 4, 6]
 
 

@@ -187,13 +187,33 @@ def test_random_batches_replay_identically():
 
 
 def test_after_event_hook_runs_per_event():
+    # the hooks run after every event, in order, and after after_event
+    eng = Engine()
+    watch, log = set(), []
+    eng.watch = watch
+
+    def observe():
+        log.append(("observer", eng.now))
+        watch.clear()
+
+    eng.after_event = observe
+    eng.event_hooks += [lambda: log.append(("first", eng.now)),
+                        lambda: log.append(("second", eng.now))]
+    eng.schedule(1.0, lambda: None)
+    eng.post_all([(2.0, lambda: watch.add("route"))])
+    assert eng.run_until(3.0) == 2
+    assert log == [("first", 1.0), ("second", 1.0),
+                   ("observer", 2.0), ("first", 2.0), ("second", 2.0)]
+
+
+def test_after_event_whose_watch_stays_empty_never_runs():
     eng = Engine()
     hits = []
     eng.after_event = lambda: hits.append(eng.now)
     eng.schedule(1.0, lambda: None)
-    eng.schedule(2.0, lambda: None)
-    eng.run_until(3.0)
-    assert hits == [1.0, 2.0]
+    eng.post_all([(2.0, lambda: None)])
+    assert eng.run_until(3.0) == 2
+    assert hits == []
 
 
 def test_with_a_watch_after_event_runs_only_after_events_that_leave_it_non_empty():
@@ -276,12 +296,14 @@ def test_events_scheduled_for_now_run_after_those_already_queued():
 def test_cancelled_event_counts_no_step_and_runs_no_after_event():
     eng = Engine()
     hits = []
-    eng.after_event = lambda: hits.append(eng.now)
+    eng.watch = {"never emptied"}     # after_event runs after every event
+    eng.after_event = lambda: hits.append(("observer", eng.now))
+    eng.event_hooks.append(lambda: hits.append(("hook", eng.now)))
     eng.schedule(1.0, lambda: None)
     eng.cancel(eng.schedule(1.0, lambda: None))
     eng.cancel(eng.schedule(1.5, lambda: None))   # leaves its bucket empty
     assert eng.run_until(2.0) == 1
-    assert hits == [1.0]
+    assert hits == [("observer", 1.0), ("hook", 1.0)]
 
 
 def test_event_cancels_a_later_one_due_at_the_same_microsecond():
@@ -367,6 +389,8 @@ class ReferenceEngine:
         self._queue = []
         self._seq = 0
         self.after_event = None
+        self.watch = ()
+        self.event_hooks = []
 
     def schedule(self, fire_at, action):
         fire_at = quantize(fire_at)
@@ -402,8 +426,10 @@ class ReferenceEngine:
             self.now = fire_at
             handle.action()
             steps += 1
-            if self.after_event is not None:
+            if self.watch:
                 self.after_event()
+            for hook in self.event_hooks:
+                hook()
         self.now = t_end
         return steps
 
@@ -431,17 +457,27 @@ PROGRAMS = st.lists(st.one_of(ops(CALLBACKS),
 
 def execute(engine, program):
     """Log of every firing with the clock, every run_until's steps, clock,
-    pending count and handle states, every cancel's result, and the
-    after_event count."""
-    log, handles, after = [], [], []
+    pending count and handle states, every cancel's result, and the clocks
+    of every after_event and every hook call; every other event fills the
+    watch, and after_event empties it."""
+    log, handles, after, hooked = [], [], [], []
     ids = itertools.count()
-    engine.after_event = lambda: after.append(engine.now)
+    watch = engine.watch = set()
+
+    def observe():
+        after.append(engine.now)
+        watch.clear()
+
+    engine.after_event = observe
+    engine.event_hooks.append(lambda: hooked.append(engine.now))
 
     def event(callback):
         eid = next(ids)
 
         def action():
             log.append(("fire", eid, engine.now))
+            if eid % 2:
+                watch.add(eid)
             for op in callback:
                 apply(op)
         return action
@@ -470,7 +506,7 @@ def execute(engine, program):
     for op in program:
         apply(op)
     apply(("run", 100.0))
-    return log, len(after)
+    return log, after, hooked
 
 
 @settings(max_examples=300, deadline=None)
