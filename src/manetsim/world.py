@@ -118,16 +118,16 @@ UNICAST_SENT, LINK_BREAK = UnicastOutcome
 class World:
     """Geometry, mobility and frame delivery for one engine instance.
 
-    Positions are cached for the last query time. A node's first neighbour
-    query in a grid window, at t1, splits the nodes of the 3x3 grid cells
-    around it into Verlet lists: `sure` within range - slack and `shell`
-    within range + slack, where slack is 2 * v_max * (window end - t1) plus
-    the grid's rounding margin. Two nodes' distance changes by at most
-    2 * v_max * dt, and the margin, a 1e-6 share of cell + extent, is ten
-    orders of magnitude above the rounding error of _locate and hypot. So
-    until the window ends every sure node is in range and no node outside
-    both lists is: later queries run the exact unit-disk test on the shell
-    only, and return the list a test of every node would give.
+    Positions are cached for the last query time. A grid keeps the
+    positions of its start t0, and a node's first neighbour query in the
+    grid's window splits its 3x3 block by them into Verlet lists: `sure`
+    within range - slack and `shell` within range + slack, the grid's
+    reach. slack is 2 * v_max * GRID_WINDOW plus the grid's rounding
+    margin, a 1e-6 share of cell + extent, ten orders of magnitude above
+    the rounding error of positions and distances. Two nodes' distance
+    changes by at most 2 * v_max * (t - t0), so at every query in the
+    window, in any order, every sure node is in range and no node outside
+    both lists is: queries run the exact unit-disk test on the shell.
     """
 
     def __init__(self, engine: Engine, node_positions: list[Position], radio: RadioModel,
@@ -148,10 +148,10 @@ class World:
         self._cache: list[tuple[float, float] | None] = []
         self._grid: tuple[dict, list] | None = None
         self._grid_span = (0.0, 0.0)
-        # GRID_SLACK * (cell + extent) of the grid, and per node its (t1,
-        # sure, shell) lists in the grid's window; see the class docstring
-        self._grid_margin = 0.0
-        self._lists: list[tuple[float, list[int], list[int]] | None] = []
+        # the grid's positions at t0 and slack, and per node its (sure,
+        # shell) lists in the grid's window; see the class docstring
+        self._coords, self._slack = [], 0.0
+        self._lists: list[tuple[list[int], list[int]] | None] = []
         # wired by the simulation: deliver(receiver, sender, message) takes
         # unicast frames, and on_receive[r](sender, message) node r's
         # broadcast frames; until then frames are dropped on arrival
@@ -228,19 +228,21 @@ class World:
         self._grid = blocks, home
         self._grid_span = ((t, t + GRID_WINDOW) if self._v_max > 0
                            else (-math.inf, math.inf))
-        self._grid_margin = GRID_SLACK * (cell + extent)
+        self._coords = coords
+        self._slack = 2 * self._v_max * GRID_WINDOW + GRID_SLACK * (cell + extent)
         self._lists = [None] * len(home)
         return self._grid
 
     def neighbors_of(self, node: int, t: float) -> list[int]:
-        """Nodes within range of node at t, in ascending id order; the
-        Verlet lists the World docstring describes are built here."""
+        """Nodes within range of node at t, in ascending id order, from the
+        node's Verlet lists, split from the grid's positions and kept for
+        the grid's window; see the World docstring."""
         self._check_node(node)
         blocks, home = self._grid_at(t)
         lists = self._lists[node]
-        if lists is None or t < lists[0]:
-            lists = self._lists[node] = self._split(node, t, blocks[home[node]])
-        _, sure, shell = lists
+        if lists is None:
+            lists = self._lists[node] = self._split(node, blocks[home[node]])
+        sure, shell = lists
         found = sure.copy()
         if shell:
             x, y = self._xy(node, t)
@@ -254,19 +256,17 @@ class World:
             found.sort()
         return found
 
-    def _split(self, node: int, t: float, block: list[int]) -> tuple[float, list[int], list[int]]:
-        """(t, sure, shell): the Verlet lists of node, built from its block at t."""
-        x, y = self._xy(node, t)
-        r = self.radio.range
-        # min() keeps a static world's endless window from making 0 * inf
-        slack = 2 * self._v_max * min(self._grid_span[1] - t, GRID_WINDOW) + self._grid_margin
+    def _split(self, node: int, block: list[int]) -> tuple[list[int], list[int]]:
+        """(sure, shell): node's Verlet lists, split by the grid's positions."""
+        coords, dist = self._coords, math.dist
+        here = coords[node]
+        inner, outer = self.radio.range - self._slack, self.radio.range + self._slack
         sure, shell = [], []
         for m in block:
-            mx, my = self._xy(m, t)
-            d = math.hypot(x - mx, y - my)
-            if m != node and d <= r + slack:
-                (sure if d <= r - slack else shell).append(m)
-        return t, sure, shell
+            d = dist(here, coords[m])
+            if d <= outer and m != node:
+                (sure if d <= inner else shell).append(m)
+        return sure, shell
 
     # -- frame delivery ----------------------------------------------------
 

@@ -53,3 +53,8 @@ FRAME_PATH = [Engine.post_all, World.broadcast, World.unicast]
 @pytest.mark.parametrize("fn", FRAME_PATH, ids=lambda fn: fn.__qualname__)
 def test_frame_path_calls_no_quantize_check_node_or_post_frames(fn):
     assert not loads(fn, CALLS)
+
+
+def test_splitting_a_nodes_verlet_lists_looks_up_no_position():
+    """World._split sorts a block by the positions the grid already holds."""
+    assert not loads(World._split, {"_xy", "_locate"})

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_sim
+from conftest import build_sim, random_waypoint_scenario
 from manetsim.aodv import Hello
 from manetsim.engine import Engine
 from manetsim.errors import ScenarioSemanticError, UnknownNodeError
@@ -386,20 +386,52 @@ def test_nodes_on_cell_edges_match_brute_force(cells, radio_range):
                                                              node, 0.0)
 
 
-# A node's first query in a grid window splits its block into Verlet lists
-# (World._lists[node] is (t1, sure, shell)); later queries in the window test
-# only the shell. These pin the lists against the oracle and the saving.
+# A node's first query in a grid window splits its block by the grid's
+# positions into Verlet lists (World._lists[node] is (sure, shell)); every
+# query in the window, in any order, tests only the shell. These pin the
+# lists against the oracle and the saving.
 
 @PROPERTY
-@given(mobile_layouts(), query_time, st.lists(st.floats(0, GRID_WINDOW), max_size=6))
-def test_neighbors_match_brute_force_inside_one_grid_window(layout, start, offsets):
+@given(mobile_layouts(), query_time, st.lists(st.floats(0, GRID_WINDOW), max_size=6),
+       st.randoms(use_true_random=False))
+def test_neighbors_match_brute_force_inside_one_grid_window(layout, start, offsets, rnd):
     coords, legs, radio_range = layout
     w = mobile_world(coords, legs, radio_range)
-    for t in [start] + sorted(start + dt for dt in offsets):
+    times = [start + dt for dt in offsets]
+    rnd.shuffle(times)          # so that some queries go back in time
+    split_at_start = None
+    for t in [start] + times:
         for node in range(len(coords)):
             assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range,
                                                                node, t)
-    assert [lists[0] for lists in w._lists] == [start] * len(coords)
+        split_at_start = split_at_start or list(w._lists)
+    assert all(now is then for now, then in zip(w._lists, split_at_start, strict=True))
+
+
+@pytest.mark.slow
+def test_neighbors_match_brute_force_on_200_random_waypoint_nodes():
+    """About 40 random query times per node over 10 s: the windows in
+    shuffled order, and the queries inside each window shuffled too, so
+    that grids are rebuilt back in time and lists serve earlier queries."""
+    rnd = random.Random(19)
+    spec = random_waypoint_scenario(rnd, 200, 1700.0, 10.0)
+    coords = [(p.x, p.y) for p in spec.nodes]
+    legs = [[] for _ in coords]
+    for leg in spec.movements:
+        legs[leg.node].append((leg.start_time, (leg.dest.x, leg.dest.y), leg.speed))
+    w = World(Engine(), spec.nodes, spec.radio, spec.movements)
+    windows = {}
+    for node in range(len(coords)):
+        for _ in range(40):
+            t = rnd.uniform(0.0, 10.0)
+            windows.setdefault(t // GRID_WINDOW, []).append((node, t))
+    order = list(windows.values())
+    rnd.shuffle(order)
+    for queries in order:
+        rnd.shuffle(queries)
+        for node, t in queries:
+            assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, spec.radio.range,
+                                                               node, t)
 
 
 def closing_pair():
@@ -409,13 +441,14 @@ def closing_pair():
     return coords, legs, mobile_world(coords, legs, 250.0)
 
 
-def test_a_query_back_in_time_inside_a_window_rebuilds_the_lists():
+def test_a_query_back_in_time_inside_a_window_keeps_the_lists():
     coords, legs, w = closing_pair()
     assert w.neighbors_of(1, 0.0) == []     # builds the grid at 0.0
-    assert w.neighbors_of(0, 0.4) == [1]
-    assert w._lists[0] == (0.4, [1], [])    # 225 m is within range - slack
+    assert w.neighbors_of(0, 0.4) == [1] == oracle_neighbors(coords, legs, 250.0, 0, 0.4)
+    lists = w._lists[0]
+    assert lists == ([], [1])               # 265 m apart at 0.0: the shell
     assert w.neighbors_of(0, 0.1) == [] == oracle_neighbors(coords, legs, 250.0, 0, 0.1)
-    assert w._lists[0][0] == 0.1
+    assert w._lists[0] is lists
 
 
 @pytest.mark.parametrize("speed", [1.0, 20.0, 100.0])
@@ -434,7 +467,7 @@ def test_a_pair_separating_at_top_speed_from_the_sure_edge_stays_in_range(speed,
     for k in range(11):
         t = GRID_WINDOW * k / 10
         assert w.neighbors_of(0, t) == [1] == oracle_neighbors(coords, legs, radio_range, 0, t)
-    assert w._lists[0] == (0.0, *lists)
+    assert w._lists[0] == lists
 
 
 def test_static_layout_matches_brute_force_across_many_windows():
@@ -445,7 +478,10 @@ def test_static_layout_matches_brute_force_across_many_windows():
     for t in (0.0, 0.3, 0.7, 2.5, 9.9, 10.0, 31.4):
         for node in range(len(coords)):
             assert w.neighbors_of(node, t) == oracle_neighbors(coords, static, 250.0, node, t)
-    assert [lists[0] for lists in w._lists] == [0.0] * len(coords)
+    # one window without end: the lists split at 0.0, and no pair is within
+    # the rounding margin of range, so the shell is empty
+    assert w._lists == [(oracle_neighbors(coords, static, 250.0, node, 0.0), [])
+                        for node in range(len(coords))]
 
 
 def counting(monkeypatch, name):
@@ -466,11 +502,36 @@ def test_a_repeat_query_with_an_empty_shell_locates_no_node(monkeypatch):
     locate = counting(monkeypatch, "_locate")
     assert w.neighbors_of(0, 0.0) == [1]
     assert len(locate) == 3                 # the grid's one pass over every node
-    assert w._lists[0] == (0.0, [1], [])
+    assert w._lists[0] == ([1], [])
     locate.clear()
     for t in (0.1, 0.25, 0.4, GRID_WINDOW):
         assert w.neighbors_of(0, t) == [1]
     assert locate == []
+
+
+def test_a_first_query_after_the_grid_is_built_looks_up_no_position(monkeypatch):
+    """The lists come from the grid's positions at 0.0: node 0's first query,
+    at 0.4, with node 1 sure and node 2 out of the block, looks up none."""
+    coords = [(0.0, 0.0), (0.0, 100.0), (3000.0, 0.0)]
+    legs = [[(0.0, (5000.0, 0.0), 10.0)], [(0.0, (5000.0, 100.0), 10.0)],
+            [(0.0, (3000.0, 300.0), 10.0)]]
+    w = mobile_world(coords, legs, 250.0)
+    assert w.neighbors_of(1, 0.0) == [0]    # builds the grid at 0.0
+    locate, xy = counting(monkeypatch, "_locate"), counting(monkeypatch, "_xy")
+    assert w.neighbors_of(0, 0.4) == [1] == oracle_neighbors(coords, legs, 250.0, 0, 0.4)
+    assert locate == [] and xy == []
+    assert w._lists[0] == ([1], [])
+
+
+def test_a_first_query_at_the_window_end_with_an_overflowing_top_speed():
+    """2 * v_max overflows to inf; a slack of inf * 0.0 at the window's end
+    was NaN and dropped every neighbour."""
+    coords = [(0.0, 0.0), (100.0, 0.0), (500.0, 0.0)]
+    legs = [[], [], [(0.0, (200.0, 0.0), 1e308)]]
+    w = World(Engine(), [Position(*p) for p in coords], RadioModel(250.0), movements(legs))
+    assert w.neighbors_of(1, 0.0) == [0] == oracle_neighbors(coords, legs, 250.0, 1, 0.0)
+    assert w.neighbors_of(0, GRID_WINDOW) == [1, 2] == oracle_neighbors(
+        coords, legs, 250.0, 0, GRID_WINDOW)
 
 
 def test_later_windows_of_a_static_layout_look_up_no_position(monkeypatch):
