@@ -120,7 +120,7 @@ def parse(text: str, name: str = "custom") -> ScenarioSpec:
     spec = ScenarioSpec(
         area=area,
         radio=RadioModel() if radio_range is None else RadioModel(range=radio_range),
-        nodes=[nodes[i] for i in sorted(nodes)] if nodes else [],
+        nodes=[nodes[i] for i in sorted(nodes)],
         movements=sorted(movements, key=lambda m: (m.start_time, m.node)),
         flows=flows,
         end_time=end_time,

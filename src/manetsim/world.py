@@ -118,16 +118,16 @@ UNICAST_SENT, LINK_BREAK = UnicastOutcome
 class World:
     """Geometry, mobility and frame delivery for one engine instance.
 
-    Positions are cached for the last query time. A grid keeps the
-    positions of its start t0, and a node's first neighbour query in the
-    grid's window splits its 3x3 block by them into Verlet lists: `sure`
-    within range - slack and `shell` within range + slack, the grid's
-    reach. slack is 2 * v_max * GRID_WINDOW plus the grid's rounding
-    margin, a 1e-6 share of cell + extent, ten orders of magnitude above
-    the rounding error of positions and distances. Two nodes' distance
-    changes by at most 2 * v_max * (t - t0), so at every query in the
-    window, in any order, every sure node is in range and no node outside
-    both lists is: queries run the exact unit-disk test on the shell.
+    A node that never moves is at its fixed point, any other where its legs put
+    it; no position is kept per query time. A grid keeps the positions of its
+    start t0, and a node's first neighbour query in the grid's window splits its
+    3x3 block by them into Verlet lists: `sure` within range - slack and `shell`
+    within range + slack, the grid's reach. slack is 2 * v_max * GRID_WINDOW
+    plus the grid's rounding margin, a 1e-6 share of cell + extent, ten orders
+    of magnitude above the rounding error of positions and distances. Two nodes'
+    distance changes by at most 2 * v_max * (t - t0), so at every query in the
+    window, in any order, every sure node is in range and no node outside both
+    lists is: queries run the exact unit-disk test on the shell.
     """
 
     def __init__(self, engine: Engine, node_positions: list[Position], radio: RadioModel,
@@ -144,10 +144,8 @@ class World:
             None if node in self._tracks else (p.x, p.y) for node, p in enumerate(self._initial)]
         self._v_max = max((path[4] for _, paths in self._tracks.values() for path in paths),
                           default=0.0)
-        self._cache_t: float | None = None
-        self._cache: list[tuple[float, float] | None] = []
         self._grid: tuple[dict, list] | None = None
-        self._grid_span = (0.0, 0.0)
+        self._grid_span = (math.inf, -math.inf)   # empty until a grid is built
         # the grid's positions at t0 and slack, and per node its (sure,
         # shell) lists in the grid's window; see the class docstring
         self._coords, self._slack = [], 0.0
@@ -163,8 +161,8 @@ class World:
             raise UnknownNodeError(f"node {node} not deployed")
 
     def _locate(self, node: int, t: float) -> tuple[float, float]:
-        """Uncached position of a node with legs: along the last leg started
-        by t, exactly at its destination from its arrival on."""
+        """Position of a node with legs: along the last leg started by t,
+        exactly at its destination from its arrival on."""
         starts, paths = self._tracks[node]
         i = bisect_right(starts, t)
         if i == 0:
@@ -177,14 +175,8 @@ class World:
         return sx + (ex - sx) * f, sy + (ey - sy) * f
 
     def _xy(self, node: int, t: float) -> tuple[float, float]:
-        """Position of a known node at t, computed at most once per query time."""
-        if t != self._cache_t:
-            self._cache_t = t
-            self._cache = self._fixed.copy()
-        p = self._cache[node]
-        if p is None:
-            p = self._cache[node] = self._locate(node, t)
-        return p
+        """Position of a known node at t; see the class docstring."""
+        return self._fixed[node] or self._locate(node, t)
 
     def position_at(self, node: int, t: float) -> Position:
         """Linear interpolation along the active leg, clamped at its end."""
@@ -212,7 +204,7 @@ class World:
         cells. Without mobility the grid never expires.
         """
         start, stop = self._grid_span
-        if self._grid is not None and start <= t <= stop:
+        if start <= t <= stop:
             return self._grid
         coords = [self._xy(node, t) for node in range(len(self._initial))]
         extent = max((max(abs(x), abs(y)) for x, y in coords), default=0.0)
@@ -236,7 +228,7 @@ class World:
     def neighbors_of(self, node: int, t: float) -> list[int]:
         """Nodes within range of node at t, in ascending id order, from the
         node's Verlet lists, split from the grid's positions and kept for
-        the grid's window; see the World docstring."""
+        the grid's window; see the World docstring. The shell loop inlines _xy."""
         self._check_node(node)
         blocks, home = self._grid_at(t)
         lists = self._lists[node]
@@ -246,11 +238,9 @@ class World:
         found = sure.copy()
         if shell:
             x, y = self._xy(node, t)
-            cache, locate, hypot, r = self._cache, self._locate, math.hypot, self.radio.range
+            fixed, locate, hypot, r = self._fixed, self._locate, math.hypot, self.radio.range
             for m in shell:
-                p = cache[m]
-                if p is None:
-                    p = cache[m] = locate(m, t)
+                p = fixed[m] or locate(m, t)
                 if hypot(x - p[0], y - p[1]) <= r:
                     found.append(m)
             found.sort()

@@ -58,3 +58,11 @@ def test_frame_path_calls_no_quantize_check_node_or_post_frames(fn):
 def test_splitting_a_nodes_verlet_lists_looks_up_no_position():
     """World._split sorts a block by the positions the grid already holds."""
     assert not loads(World._split, {"_xy", "_locate"})
+
+
+@pytest.mark.parametrize("fn", [World._xy, World._linked, World.unicast],
+                         ids=lambda fn: fn.__qualname__)
+def test_a_link_check_copies_no_position_list(fn):
+    """A position is read from the node's fixed point or leg table; nothing
+    copies the fixed positions per query time."""
+    assert not loads(fn, {"copy"})

@@ -242,10 +242,11 @@ def test_scenario2_node3_to_5_breaks_at_2_3():
 
 
 # -- neighbour queries against brute force ----------------------------------
-# The world prunes neighbour candidates with a position grid and caches
-# positions per query time. These properties compare it with the plain
-# definition: positions from the waypoint semantics written out here, and
-# every other node tested with hypot(...) <= range, in ascending id order.
+# The world prunes neighbour candidates with a position grid and reads
+# positions from each node's fixed point or leg table. These properties
+# compare it with the plain definition: positions from the waypoint
+# semantics written out here, and every other node tested with
+# hypot(...) <= range, in ascending id order.
 
 PROPERTY = settings(max_examples=75, deadline=None)
 
@@ -401,9 +402,17 @@ def test_neighbors_match_brute_force_inside_one_grid_window(layout, start, offse
     rnd.shuffle(times)          # so that some queries go back in time
     split_at_start = None
     for t in [start] + times:
+        w.engine.now = t
         for node in range(len(coords)):
-            assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range,
-                                                               node, t)
+            expected = oracle_neighbors(coords, legs, radio_range, node, t)
+            assert w.neighbors_of(node, t) == expected
+            assert w.position_at(node, t) == Position(*oracle_position(coords[node],
+                                                                        legs[node], t))
+            for m in range(len(coords)):
+                if m != node:
+                    assert w.in_range(node, m, t) == (m in expected)
+                    assert w.unicast(node, m, pkt()) is (UnicastOutcome.SENT if m in expected
+                                                         else UnicastOutcome.LINK_BREAK)
         split_at_start = split_at_start or list(w._lists)
     assert all(now is then for now, then in zip(w._lists, split_at_start, strict=True))
 
