@@ -3,8 +3,8 @@
 Routes are built only when traffic needs them: a source floods a route
 request, the destination (or a node with a fresh-enough cached route)
 unicasts a reply back along the stored reverse path, and data then
-follows the installed next hops. Link breaks poison the affected
-entries and push route errors upstream to the precursors.
+follows the installed next hops. Link breaks and route errors share one
+rule, `_invalidate`: the entries go inactive and the precursors are warned.
 """
 from __future__ import annotations
 
@@ -340,7 +340,7 @@ class AodvNode:
     # -- maintenance -------------------------------------------------------
 
     def on_link_break(self, dead_neighbor: int) -> None:
-        """Invalidate routes through a lost neighbor and warn the precursors."""
+        """Break the active routes through a lost neighbor, one seq up."""
         affected = [e for e in self.routes.values()
                     if self.route_is_active(e.dst) and e.next_hop == dead_neighbor]
         # either detection path (failed unicast, hello silence) may fire first;
@@ -348,36 +348,30 @@ class AodvNode:
         self.hello_last_heard.pop(dead_neighbor, None)
         if not affected:
             return
-        unreachable = []
-        precursors: set[int] = set()
         for e in affected:
-            e.active = False
-            e.dst_seq += 1          # poison stale copies downstream of us
-            self.sim.route_changed(e.dst)
-            unreachable.append((e.dst, e.dst_seq))
-            precursors |= e.precursors
-        for dst, _ in unreachable:
-            self._drop_queued(dst)
+            self._drop_queued(e.dst)
         self.sim.next_uid()   # unused draw; uid numbering is pinned by the golden traces
-        self._send_rerrs(precursors, unreachable)
+        self._invalidate((e, e.dst_seq + 1) for e in affected)  # poisons stale copies downstream
 
     def handle_rerr(self, sender: int, rerr: Rerr) -> None:
-        invalidated = []
-        precursors: set[int] = set()
-        for dst, seq in rerr.unreachable:
-            e = self.routes.get(dst)
-            if (e is not None and e.active and e.next_hop == sender
-                    and e.dst_seq <= seq):
-                e.active = False
-                e.dst_seq = seq
-                self.sim.route_changed(dst)
-                invalidated.append((dst, seq))
-                precursors |= e.precursors
-        if invalidated:
-            self._send_rerrs(precursors, invalidated)
+        """Break each active route via sender that rerr lists at a seq no lower than ours."""
+        # lazy, so a destination listed twice is tested after its first break
+        self._invalidate((e, seq) for dst, seq in rerr.unreachable
+                         if (e := self.routes.get(dst)) is not None and e.active
+                         and e.next_hop == sender and e.dst_seq <= seq)
 
-    def _send_rerrs(self, precursors: set[int], unreachable: list[tuple[int, int]]) -> None:
-        """Warn each precursor, in id order, with one Rerr listing unreachable."""
+    def _invalidate(self, broken) -> None:
+        """The one rule for breaking routes: each (entry, new_seq) in broken
+        goes inactive at new_seq, then each precursor, in id order, gets one
+        Rerr listing them all, and a source with an active flow rediscovers."""
+        unreachable = []
+        precursors: set[int] = set()
+        for e, seq in broken:
+            e.active = False
+            e.dst_seq = seq
+            self.sim.route_changed(e.dst)
+            unreachable.append((e.dst, seq))
+            precursors |= e.precursors
         for p in sorted(precursors):
             self.sim.send_unicast(self.node_id, p, Rerr(unreachable=list(unreachable),
                                                         uid=self.sim.next_uid(),

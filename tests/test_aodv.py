@@ -369,6 +369,53 @@ def test_rerr_from_non_next_hop_ignored():
     assert node.routes[3].active
 
 
+def rerrs_sent(sim):
+    """(sender, precursor, size) of every RERR on the ledger."""
+    return [(e.node, e.dst, e.size) for e in sim.ledger.events if e.subkind == "RERR"]
+
+
+# The two ways a route breaks filter their entries differently: handle_rerr
+# does not test expiry and on_link_break does. No golden case or benchmark
+# suite sends a RERR for an expired entry, so these pin both filters as
+# they are.
+
+def test_rerr_breaks_an_expired_route_and_warns_its_precursor():
+    sim = build_sim(CHAIN)
+    mid = sim.nodes[2]
+    install_route(mid, 3, next_hop=3, dst_seq=4, ttl=0.0, precursors=[1])
+    assert not mid.route_is_active(3)               # expired at the clock's 0.0
+    mid.handle_rerr(3, Rerr(unreachable=[(3, 6)], uid=sim.next_uid()))
+    assert not mid.routes[3].active
+    assert mid.routes[3].dst_seq == 6               # the advertised seq
+    assert rerrs_sent(sim) == [(2, 1, 12)]
+
+
+def test_link_break_through_an_expired_route_changes_nothing():
+    sim = build_sim(CHAIN)
+    mid = sim.nodes[2]
+    install_route(mid, 3, next_hop=3, dst_seq=4, ttl=0.0, precursors=[1])
+    before = sim.next_uid()
+    mid.on_link_break(3)
+    assert mid.routes[3] == RouteEntry(dst=3, next_hop=3, hop_count=1, dst_seq=4,
+                                       expires_at=0.0, precursors={1})
+    assert sim.ledger.events == []
+    assert sim.next_uid() == before + 1             # not even the unused draw
+
+
+def test_rerr_listing_a_destination_twice_breaks_it_once():
+    """Each listed pair is tested after the ones before it broke their
+    entries, so the second (3, 3) finds the route already inactive."""
+    sim = build_sim(CHAIN)
+    mid = sim.nodes[2]
+    install_route(mid, 3, next_hop=3, dst_seq=2, precursors=[1])
+    changed = []
+    sim.route_changed = changed.append
+    mid.handle_rerr(3, Rerr(unreachable=[(3, 3), (3, 3)], uid=sim.next_uid()))
+    assert changed == [3]
+    assert (mid.routes[3].active, mid.routes[3].dst_seq) == (False, 3)
+    assert rerrs_sent(sim) == [(2, 1, 12)]          # one destination: 4 + 8 bytes
+
+
 # -- hello beaconing --------------------------------------------------------------------------
 
 def test_silent_neighbor_declared_broken_after_allowance():

@@ -1,10 +1,18 @@
 import hashlib
+import importlib.resources
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from manetsim import scenario
-from manetsim.cli import build_parser, main
+from manetsim.cli import PLOTS, build_parser, main
+from manetsim.errors import SimError
 
 
 def read(path):
@@ -224,3 +232,61 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
         assert "ScenarioSemanticError" in err
     if case != "out-is-a-file":
         assert not out.exists()
+
+
+# -- scenario fuzzer ----------------------------------------------------------------------------
+
+# the builtins' directive lines; their comments would soak up most mutations
+BUILTIN_DIRECTIVES = [re.sub(r"(?m)^#.*\n", "", importlib.resources.files("manetsim.data")
+                        .joinpath(f"{name}.scn").read_text())
+                 for name in scenario.BUILTIN_NAMES]
+# every value of the builtins, values at and past the edges of each rule, and
+# text that is no number; an insertion may also add a directive, a comment
+# mark or a line break
+VALUES = sorted({t for text in BUILTIN_DIRECTIVES for t in text.split() if not t.isalpha()} | {
+    "0", "-0", "-1", "1e-7", "1e308", "nan", "inf", "1_0", "0x10", "x"})
+TOKENS = VALUES + ["area", "range", "node", "move", "flow", "end", "#", "\n"]
+
+
+@st.composite
+def mutated_builtins(draw):
+    """A builtin's directive lines after one to three mutations: mostly a
+    token replaced by a value, else one inserted or deleted, which changes
+    the arity of its line."""
+    tokens = re.findall(r"\n|\S+", draw(st.sampled_from(BUILTIN_DIRECTIVES)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from(["replace"] * 4 + ["insert", "delete"]))
+        if op == "replace":
+            tokens[i] = draw(st.sampled_from(VALUES))
+        elif op == "insert":
+            tokens.insert(i, draw(st.sampled_from(TOKENS)))
+        else:
+            del tokens[i]
+    return " ".join(tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_builtins())
+def test_a_mutated_builtin_runs_or_fails_on_one_line_without_outputs(text):
+    try:
+        spec = scenario.parse(text)
+    except SimError:
+        pass                    # main must report it on one line
+    else:
+        # valid, but maybe practically endless: cap this test's own cost
+        assume(spec.end_time <= 10.0)
+        assume(sum((f.stop - f.start) * f.rate for f in spec.flows) <= 1000)
+    with tempfile.TemporaryDirectory() as tmp:
+        scn, out = Path(tmp, "mutant.scn"), Path(tmp, "out")
+        scn.write_text(text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(["run", "--scenario", str(scn), "--out", str(out)])
+        if rc == 0:
+            for name in ("trace.txt", "report.json", *(f"plots/{plot}" for plot in PLOTS)):
+                assert (out / name).is_file()
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert not out.exists()

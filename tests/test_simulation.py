@@ -147,9 +147,11 @@ def watch_new_next_hops(sim):
     return check
 
 
-# the only methods that change a stored entry's dst_seq in place, besides
-# the DSDV dump that raises a node's own entry (its own test pins that)
-IN_PLACE_SEQUENCE_CHANGES = ("on_link_break", "handle_rerr", "mark_broken")
+# the only methods that write a stored entry's dst_seq in place: AODV's
+# _invalidate, which both link breaks and RERRs call, and DSDV's
+# mark_broken; besides them only the DSDV dump raises a node's own entry
+# (its own test pins that)
+IN_PLACE_SEQUENCE_CHANGES = ("_invalidate", "mark_broken")
 
 
 def watch_sequences(sim):
