@@ -11,24 +11,25 @@ from pathlib import Path
 from . import scenario as scenario_mod
 from .engine import TICK
 from .errors import SimError
-from .metrics import (EventKind, SeriesPoint, cumulative_series, delay_series,
-                      emit_plot_datasets, throughput_series, write_trace)
+from .metrics import Series, emit_plot_datasets, run_series, write_trace
+# unused here, but perfbench/tracer.py patches these names in this module
+# (ROADMAP item 3 moves the tracer off them)
+from .metrics import cumulative_series, delay_series, throughput_series  # noqa: F401
 from .simulation import PROTOCOLS, RunReport, Simulation, valid_hello_interval
 
 PLOTS = ("received_lost.xg", "throughput.xg", "delay.xg")
 
 
-def plot_series(result: Simulation, window: float) -> dict[str, list[list[SeriesPoint]]]:
+def plot_series(result: Simulation, window: float) -> dict[str, list[Series]]:
     """Each plot file's datasets for one run; the report reuses these series."""
-    led = result.ledger
-    return {"received_lost.xg": [cumulative_series(led, EventKind.RECEIVED),
-                                 cumulative_series(led, EventKind.DROPPED)],
-            "throughput.xg": [throughput_series(led, window, t_end=result.spec.end_time)],
-            "delay.xg": [delay_series(led)]}
+    series = run_series(result.ledger, window, t_end=result.spec.end_time)
+    return {"received_lost.xg": [series.received, series.dropped],
+            "throughput.xg": [series.throughput],
+            "delay.xg": [series.delay]}
 
 
 def write_outputs(result: Simulation, out_dir: Path, window: float,
-                  series: dict[str, list[list[SeriesPoint]]] | None = None) -> RunReport:
+                  series: dict[str, list[Series]] | None = None) -> RunReport:
     """Trace, report and plots of one run; `series` is its plot_series, if derived."""
     out_dir.mkdir(parents=True, exist_ok=True)
     plots = out_dir / "plots"

@@ -25,9 +25,11 @@ from .aodv import AodvNode
 from .dsdv import DsdvNode
 from .engine import TICK, Engine, valid_period
 from .metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, EventKind,
-                      LedgerEvent, MetricsLedger, SeriesPoint, control_overhead,
-                      delay_series, delivery_ratio, mean_value, throughput_series,
-                      transmission_efficiency)
+                      MetricsLedger, Series, control_overhead, delivery_ratio, mean_value,
+                      run_series, transmission_efficiency)
+# unused here, but perfbench/tracer.py patches these names in this module
+# (ROADMAP item 3 moves the tracer off them)
+from .metrics import delay_series, throughput_series  # noqa: F401
 from .packets import DATA, DataPacket
 from .scenario import ScenarioSpec, TrafficFlow
 from .world import UNICAST_SENT, World
@@ -152,9 +154,12 @@ class Simulation:
         return True
 
     def _log(self, kind: EventKind, node: int, msg) -> None:
-        """Record one row for msg; every message type carries these fields."""
-        self.ledger.record(LedgerEvent(self.engine.now, kind, node, msg.kind._value_,
-                                       msg.size, msg.uid, msg.src, msg.dst))
+        """Record one row for msg; every message type carries these fields.
+
+        The row is a plain tuple in LedgerEvent's field order: the ledger
+        packs it into columns soon, and a tuple is the cheapest to build."""
+        self.ledger.record((self.engine.now, kind, node, msg.kind._value_, msg.size,
+                            msg.uid, msg.src, msg.dst))
 
     # -- engine plumbing -----------------------------------------------------
 
@@ -270,10 +275,10 @@ class Simulation:
 
     def report(self, window: float = 0.5) -> RunReport:
         """Summary with throughput averaged over sliding windows of `window` s."""
-        return self.summarize(throughput_series(self.ledger, window, t_end=self.spec.end_time),
-                              delay_series(self.ledger))
+        series = run_series(self.ledger, window, t_end=self.spec.end_time)
+        return self.summarize(series.throughput, series.delay)
 
-    def summarize(self, tput: list[SeriesPoint], delays: list[SeriesPoint]) -> RunReport:
+    def summarize(self, tput: Series, delays: Series) -> RunReport:
         """Summary from this run's throughput and delay series, already derived."""
         led = self.ledger
         changes = sum(max(0, len(h) - 1) for h in self.route_history.values())

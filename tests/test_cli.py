@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from manetsim import scenario
+from manetsim import metrics, scenario
 from manetsim.cli import PLOTS, build_parser, main
 from manetsim.errors import SimError
 
@@ -133,6 +133,30 @@ def test_custom_scenario_file_via_cli(tmp_path):
     report = json.loads(read(out / "report.json"))
     assert report["sent"] == 25
     assert report["received"] == 25
+
+
+# scenario1 with 1e30-byte packets: a valid flow whose size no packed int
+# column holds. The digests were taken when the ledger kept every row as a
+# LedgerEvent; the throughput digest is of the plot below its title line.
+HUGE_SIZE_TRACE_SHA256 = "df8ffb1d7e5426ba4868eabe5fe6c5b199c5ed028b258e3f79d8ba13b1032ca0"
+HUGE_SIZE_THROUGHPUT_SHA256 = "27832808510b6707555e038e82fe4dc7b24362aa6b936beb300217b5a240b049"
+
+
+@pytest.mark.parametrize("chunk", [16, metrics.CHUNK])
+def test_a_packet_size_wider_than_a_column_keeps_its_chunk_as_rows(chunk, tmp_path,
+                                                                  monkeypatch):
+    monkeypatch.setattr(metrics, "CHUNK", chunk)
+    text = importlib.resources.files("manetsim.data").joinpath("scenario1.scn").read_text()
+    scn = tmp_path / "huge.scn"
+    scn.write_text(text.replace("flow 0 5 10 512 1.0 5.0", "flow 0 5 10 1e30 1.0 5.0"))
+    out = tmp_path / "huge"
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "trace.txt").read_bytes()).hexdigest() == \
+        HUGE_SIZE_TRACE_SHA256
+    body = (out / "plots" / "throughput.xg").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == HUGE_SIZE_THROUGHPUT_SHA256
+    assert json.loads(read(out / "report.json"))["mean_throughput_bps"] == 6.434782608695652e31
 
 
 def test_run_without_out_writes_under_runs_by_file_stem(tmp_path, monkeypatch):

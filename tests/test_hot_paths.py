@@ -21,8 +21,10 @@ BANNED = {"MessageKind", "EventKind", "UnicastOutcome", "RreqAction", "value"}
 HOT = [AodvNode.on_receive, AodvNode.handle_rreq, DsdvNode.on_receive, DsdvNode.handle_update,
        World.neighbors_of, Simulation.send_unicast, Simulation._deliver, Simulation.emit_data,
        Simulation.data_received, Simulation.dropped, Simulation.broadcast, Simulation._log,
-       World.unicast, metrics.MetricsLedger.record, metrics.throughput_series,
-       metrics.delay_series, metrics.cumulative_series, metrics.write_trace]
+       World.unicast, metrics.MetricsLedger.record, metrics.MetricsLedger._mark,
+       metrics.MetricsLedger._uid_bits, metrics.MetricsLedger._pack,
+       metrics.MetricsLedger.rows, metrics.run_series, metrics.throughput_series, metrics.delay_series,
+       metrics.cumulative_series, metrics.write_trace]
 
 
 def instructions(code):

@@ -1,15 +1,18 @@
 import io
 import math
+import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manetsim import metrics
 from manetsim.errors import LedgerConsistencyError, LedgerOrderError
-from manetsim.metrics import (EventKind, LedgerEvent, MetricsLedger, SeriesPoint,
-                              control_overhead, delay_series, delivery_ratio,
-                              emit_plot_datasets, parse_trace, throughput_series,
-                              transmission_efficiency, write_trace)
+from manetsim.metrics import (THROUGHPUT_STEP, EventKind, LedgerEvent, MetricsLedger,
+                              SeriesPoint, control_overhead, delay_series, delivery_ratio,
+                              emit_plot_datasets, mean_value, parse_trace, run_series,
+                              throughput_series, transmission_efficiency, write_trace)
 
 
 def ev(t, kind, node=0, subkind="DATA", size=512, uid=1, src=0, dst=5):
@@ -301,7 +304,8 @@ ints = st.integers(-1, 2**40)
 def test_trace_row_equals_the_str_format_row(t, kind, node, subkind, size, uid, src, dst):
     e = LedgerEvent(t, kind, node, subkind, size, uid, src, dst)
     led = MetricsLedger()
-    led.events.append(e)        # one row; record() would check uids
+    led._tail.append(e)         # one row, packed if it fits; record() would check uids
+    led._pack()
     buf = io.StringIO()
     write_trace(led, buf)
     assert buf.getvalue() == OLD_TRACE_FMT.format(
@@ -310,10 +314,11 @@ def test_trace_row_equals_the_str_format_row(t, kind, node, subkind, size, uid, 
 
 
 @st.composite
-def consistent_ledgers(draw):
-    """A ledger record() accepts, at microsecond times as the engine quantizes."""
-    times = sorted(draw(st.lists(st.integers(0, 10**8), max_size=60)))
-    led = MetricsLedger()
+def consistent_rows(draw, ints=ints, span=st.just(10**8)):
+    """Rows record() accepts, in order, at microsecond times as the engine
+    quantizes, up to `span` microseconds."""
+    times = sorted(draw(st.lists(st.integers(0, draw(span)), max_size=60)))
+    rows = []
     data, control = [], []
     for uid, us in enumerate(times, start=1):
         t = us / 1e6
@@ -321,21 +326,25 @@ def consistent_ledgers(draw):
         if step == "control":
             subkind = draw(st.sampled_from(SUBKINDS[1:]))
             if control and draw(st.booleans()):
-                led.record(ev(t, EventKind.DROPPED, subkind=subkind, dst=-1,
-                              uid=draw(st.sampled_from(control))))
+                rows.append(ev(t, EventKind.DROPPED, subkind=subkind, dst=-1,
+                               uid=draw(st.sampled_from(control))))
             else:
                 control.append(uid)
-                led.record(ev(t, EventKind.CONTROL_TX, subkind=subkind, size=draw(ints),
-                              uid=uid, dst=-1))
+                rows.append(ev(t, EventKind.CONTROL_TX, subkind=subkind, size=draw(ints),
+                               uid=uid, dst=-1))
         elif step == "send" or not data:
             data.append(uid)
-            led.record(ev(t, EventKind.SENT, node=draw(ints), uid=uid))
+            rows.append(ev(t, EventKind.SENT, node=draw(ints), uid=uid))
         else:
             kind = {"data": EventKind.DATA_TX, "receive": EventKind.RECEIVED,
                     "drop": EventKind.DROPPED}[step]
-            led.record(ev(t, kind, node=draw(ints), uid=draw(st.sampled_from(data)),
-                          size=draw(ints), src=draw(ints), dst=draw(ints)))
-    return led
+            rows.append(ev(t, kind, node=draw(ints), uid=draw(st.sampled_from(data)),
+                           size=draw(ints), src=draw(ints), dst=draw(ints)))
+    return rows
+
+
+def consistent_ledgers():
+    return consistent_rows().map(lambda rows: ledger_with(*rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -361,6 +370,86 @@ def test_parse_trace_reproduces_the_written_ledger(led):
     assert (reparsed.sent, reparsed.received, reparsed.dropped_data,
             reparsed.data_tx, reparsed.control_tx) == \
         (led.sent, led.received, led.dropped_data, led.data_tx, led.control_tx)
+
+
+# -- packed chunks ------------------------------------------------------------------
+
+def row_at_a_time_outputs(rows, window, t_end):
+    """The trace and the three plot files of a list of rows, derived one row at a
+    time and one walk per series, as a ledger that kept every row derived them."""
+    trace = "".join(OLD_TRACE_FMT.format(kind=e.kind.value, t=e.t, node=e.node,
+                                         subkind=e.subkind, size=e.size, uid=e.uid,
+                                         src=e.src, dst=e.dst) for e in rows)
+
+    def cumulative(kind):
+        points, count = [], 0
+        for e in rows:
+            if e.kind is kind and e.subkind == "DATA":
+                count += 1
+                if points and points[-1].t == e.t:
+                    points[-1] = SeriesPoint(e.t, count)
+                else:
+                    points.append(SeriesPoint(e.t, count))
+        return points
+
+    sent_at = {e.uid: e.t for e in rows if e.kind is EventKind.SENT}
+    delay = [SeriesPoint(*p) for p in sorted((e.t, e.t - sent_at[e.uid]) for e in rows
+                                             if e.kind is EventKind.RECEIVED)]
+    tput = quadratic_throughput(SimpleNamespace(events=rows), window, THROUGHPUT_STEP, t_end)
+
+    def plot(datasets):
+        return "TitleText: t\n" + "\n".join(
+            "".join(f"{p.t:.6f} {p.value:.6f}\n" for p in points) for points in datasets)
+
+    return trace, [plot([cumulative(EventKind.RECEIVED), cumulative(EventKind.DROPPED)]),
+                   plot([tput]), plot([delay])], tuple(
+        sum(p.value for p in points) / len(points) if points else 0.0
+        for points in (tput, delay))
+
+
+# node, size, uid, src and dst values: mostly small, some wider than a packed column
+mixed_ints = st.one_of(st.integers(-1, 50), st.integers(-1, 2**40), st.just(10**30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), consistent_rows(mixed_ints, st.sampled_from([300, 10**7])),
+       st.sampled_from(WINDOWS), st.one_of(st.none(), st.floats(0.0, 12.0)))
+def test_any_chunk_size_streams_the_rows_and_outputs_of_a_row_list(chunk, rows, window,
+                                                                   t_end):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "CHUNK", chunk)
+        led = ledger_with(*rows)
+    assert list(led.rows()) == rows
+    assert led.events == rows and all(type(e) is LedgerEvent for e in led.events)
+    buf = io.StringIO()
+    write_trace(led, buf)
+    series = run_series(led, window, t_end=t_end)
+    plots = []
+    for datasets in ([series.received, series.dropped], [series.throughput], [series.delay]):
+        out = io.StringIO()
+        emit_plot_datasets(datasets, "t", out)
+        plots.append(out.getvalue())
+    assert (buf.getvalue(), plots, (mean_value(series.throughput), mean_value(series.delay))) \
+        == row_at_a_time_outputs(rows, window, t_end)
+
+
+def test_a_far_or_negative_uid_is_checked_without_a_map_entry():
+    far = 2**40
+    lines = [f"s 1.000000 0 DATA 512 {far} 0 5", f"r 1.500000 5 DATA 512 {far} 0 5",
+             "c 1.600000 0 RREQ 24 -1 0 5", "d 1.700000 3 RREQ 24 -1 0 5"]
+    tracemalloc.start()
+    try:
+        led = parse_trace(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (led.sent, led.received, led.control_tx) == (1, 1, {"RREQ": 1})
+    assert delay_series(led) == [SeriesPoint(1.5, 0.5)]
+    with pytest.raises(LedgerConsistencyError):
+        led.record(ev(2.0, EventKind.SENT, uid=far))
+    with pytest.raises(LedgerConsistencyError):
+        led.record(ev(2.0, EventKind.RECEIVED, uid=-1))
 
 
 @pytest.mark.parametrize("value", [ev(1.0, EventKind.SENT), SeriesPoint(1.0, 2.0)],

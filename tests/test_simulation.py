@@ -1,6 +1,11 @@
 import gc
 import io
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +17,8 @@ from manetsim.dsdv import UpdatePacket
 from manetsim.engine import Engine
 from manetsim.metrics import EventKind, LedgerEvent, write_trace
 from manetsim.packets import DataPacket
-from manetsim.scenario import TrafficFlow, builtin, parse
+import manetsim
+from manetsim.scenario import TrafficFlow, builtin, parse, serialize
 from manetsim.simulation import PROTOCOLS, Simulation
 
 
@@ -239,6 +245,54 @@ def test_conservation_and_loop_freedom_at_scale_random_waypoint(protocol, nodes,
     assert led.received > 0
     assert led.unresolved == result.unresolved_census
     assert_loop_free(sim)
+
+
+# -- long runs: memory that does not grow with every ledger row ------------------------
+
+# one `manetsim run`, printing the peak RSS of its process in KiB
+PEAK_RSS_RUN = """
+import resource, sys
+from contextlib import redirect_stdout
+from manetsim.cli import main
+with redirect_stdout(sys.stderr):
+    main(["run", "--scenario", sys.argv[1], "--protocol", "dsdv", "--seed", "1",
+          "--out", sys.argv[2]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def long_run_spec(end):
+    """DSDV's workload for long runs: 50 random-waypoint nodes at Broch's density."""
+    return random_waypoint_scenario(random.Random(50), 50, 670.0, end, flows=5)
+
+
+@pytest.mark.slow
+def test_a_16x_longer_run_peaks_under_twice_the_memory(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(manetsim.__file__).parents[1]))
+    peaks = {}
+    for end in (10.0, 160.0):
+        scn = tmp_path / f"rwp{end:g}.scn"
+        scn.write_text(serialize(long_run_spec(end)))
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_RUN, str(scn),
+                               str(tmp_path / f"out{end:g}")],
+                              env=env, capture_output=True, text=True, check=True)
+        peaks[end] = int(proc.stdout.split()[-1])
+    assert peaks[160.0] <= 2 * peaks[10.0], peaks
+
+
+@pytest.mark.slow
+def test_the_ledger_holds_a_row_in_at_most_64_bytes():
+    tracemalloc.start()
+    try:
+        sim = Simulation(long_run_spec(10.0), "dsdv", seed=1).run()
+        rows = len(sim.ledger)
+        held = tracemalloc.get_traced_memory()[0]
+        sim.ledger = None       # what this frees is the ledger's own memory
+        ledger_bytes = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows > 20_000
+    assert ledger_bytes / rows <= 64
 
 
 # -- cyclic garbage and the collector ----------------------------------------------------
