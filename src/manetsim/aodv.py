@@ -334,7 +334,7 @@ class AodvNode:
         if not q:
             return
         # one frame per serialization slot keeps FIFO order on the air
-        now, drain = self.sim.engine.now, partial(self._drain_one, dst)
+        now, drain = self.sim.engine.now, (self._drain_one, (dst,))
         self.sim.engine.post_all([(now + k * FLUSH_GAP, drain) for k in range(len(q))])
 
     # -- maintenance -------------------------------------------------------

@@ -13,11 +13,11 @@ at one microsecond share one heap entry, and lets a zero delay be
 scheduled between runs.
 
 A time t is quantized to round(t, 6), the float nearest a whole number
-of microseconds. post_all is the one routine that files an event, as a
-plain callable; it gets that float through integer ticks wherever that
-is provably exact. quantize is the plain round(t, 6) reference. Only an
-event that some code may cancel goes through schedule, which wraps it
-in an EventHandle and files that with post_all.
+of microseconds. post_all is the one routine that files an event, as an
+entry (fn, args) run as fn(*args); it gets that float through integer
+ticks wherever that is provably exact. quantize is the plain round(t, 6)
+reference. Only an event that some code may cancel goes through
+schedule, which files (action, ()) and returns an EventHandle keeping it.
 
 after_event runs only after an event that left the watch non-empty;
 Simulation sets its route observer as after_event, and the set of
@@ -38,6 +38,7 @@ TICK = 10 ** -TIME_RESOLUTION_DIGITS
 TICKS_PER_S = 10.0 ** TIME_RESOLUTION_DIGITS
 HALF_EVEN = 1.5 * 2.0 ** 52    # see Engine.post_all
 TICK_LIMIT = 2.0 ** 50
+Entry = tuple[Callable[..., None], tuple]   # (fn, args), run as fn(*args)
 
 
 def quantize(t: float) -> float:
@@ -53,21 +54,17 @@ def valid_period(value: float) -> bool:
 
 
 class EventHandle:
-    """The handle of a cancellable event; calling it runs the action.
+    """The handle of a cancellable event. It keeps the event's entry, which
+    holds the action, not the handle (that would be a reference cycle); the
+    entry sits in its fire time's bucket until it fires or is cancelled,
+    so the event is pending exactly while the bucket holds it."""
 
-    The handle sits in its fire time's bucket until it fires or is
-    cancelled, so it is pending exactly while the bucket holds it.
-    """
+    __slots__ = ("_at", "_entry", "_bucket")
 
-    __slots__ = ("_at", "action", "_bucket")
-
-    def __init__(self, at: float, action: Callable[[], None]):
+    def __init__(self, at: float, entry: Entry):
         self._at = at   # as asked; quantized only when fire_at is read
-        self.action = action
-        # _bucket is set by Engine.schedule, which queues the handle
-
-    def __call__(self) -> None:
-        self.action()
+        self._entry = entry
+        # _bucket is set by Engine.schedule, which queues the entry
 
     @property
     def fire_at(self) -> float:
@@ -75,7 +72,7 @@ class EventHandle:
 
     @property
     def pending(self) -> bool:
-        return self in self._bucket
+        return any(queued is self._entry for queued in self._bucket)   # see cancel
 
 
 class Engine:
@@ -86,7 +83,7 @@ class Engine:
         # heap of the distinct fire times that have a bucket; never rebound,
         # so a reference taken once keeps seeing the live queue
         self._queue: list[float] = []
-        self._buckets: dict[float, deque[Callable[[], None]]] = {}
+        self._buckets: dict[float, deque[Entry]] = {}
         # the slot of Simulation's route observer, its watch and the hooks
         # (see above); run_until reads all three once, as it starts
         self.after_event: Callable[[], None] | None = None
@@ -94,17 +91,17 @@ class Engine:
         self.event_hooks: list[Callable[[], None]] = []
 
     def schedule(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
-        handle = EventHandle(fire_at, action)
-        handle._bucket = self.post_all(((fire_at, handle),))
+        handle = EventHandle(fire_at, (action, ()))
+        handle._bucket = self.post_all(((fire_at, handle._entry),))
         return handle
 
-    def post_all(self, pairs: Iterable[tuple[float, Callable[[], None]]]) -> deque | None:
-        """Queue each (fire_at, action) pair in order, without a handle, and
+    def post_all(self, pairs: Iterable[tuple[float, Entry]]) -> deque | None:
+        """Queue each (fire_at, entry) pair in order, without a handle, and
         return the bucket of the last one, or None for no pairs; the pairs
         before one that raises PastTimeError stay queued."""
         now, queue, buckets = self.now, self._queue, self._buckets
         bucket = None
-        for fire_at, action in pairs:
+        for fire_at, entry in pairs:
             # quantize(fire_at), exactly. x + HALF_EVEN - HALF_EVEN is x
             # rounded to an integer k, half to even, for |x| < 2**51. For
             # |x| < 2**50, x is off the exact fire_at * 10**6 by at most 1/16,
@@ -124,16 +121,18 @@ class Engine:
             if bucket is None:
                 bucket = buckets[fire_at] = deque()
                 heapq.heappush(queue, fire_at)
-            bucket.append(action)
+            bucket.append(entry)
         return bucket
 
     def cancel(self, handle: EventHandle) -> bool:
         """True if the event was pending and is now dequeued."""
-        try:
-            handle._bucket.remove(handle)
-        except ValueError:
-            return False
-        return True
+        # by identity: equal actions make equal entries, and one may refuse ==
+        bucket = handle._bucket
+        for i, queued in enumerate(bucket):
+            if queued is handle._entry:
+                del bucket[i]
+                return True
+        return False
 
     def pending_count(self) -> int:
         return sum(map(len, self._buckets.values()))
@@ -154,7 +153,8 @@ class Engine:
             # popped before it runs, so an action that raises leaves the
             # rest of the bucket queued for the next run_until
             while bucket:
-                bucket.popleft()()
+                fn, args = bucket.popleft()
+                fn(*args)
                 steps += 1
                 if watch:
                     after_event()

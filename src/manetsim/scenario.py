@@ -14,9 +14,8 @@ from __future__ import annotations
 import importlib.resources
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
-from .engine import TICK, valid_period
+from .engine import TICK, TICK_LIMIT, TICKS_PER_S, valid_period
 from .errors import ScenarioSemanticError, ScenarioSyntaxError, UnknownScenarioError
 from .world import Movement, Position, RadioModel, tracks
 
@@ -136,6 +135,8 @@ def _validate(spec: ScenarioSpec, raw_nodes: dict[int, Position]) -> None:
         raise ScenarioSemanticError("area dimensions must be positive")
     if spec.end_time <= 0:
         raise ScenarioSemanticError("end time must be positive")
+    if spec.end_time * TICKS_PER_S >= TICK_LIMIT:   # moves and flows end by then
+        raise ScenarioSemanticError(f"end {spec.end_time} s is not under 2**50 us (35.7 years)")
     if not raw_nodes:
         raise ScenarioSemanticError("scenario declares no nodes")
     n = len(raw_nodes)
@@ -215,7 +216,7 @@ def compile(spec: ScenarioSpec, sim) -> CompiledScenario:
     from its construction, so traffic is all this schedules."""
     emissions = 0
     for flow in spec.flows:
-        emit, k, pairs = partial(sim.emit_data, flow), 0, []
+        emit, k, pairs = (sim.emit_data, (flow,)), 0, []
         while (t := flow.start + k / flow.rate) < flow.stop - 1e-9:
             pairs.append((t, emit))
             k += 1

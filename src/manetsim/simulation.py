@@ -1,9 +1,9 @@
 """Wiring of engine, world, ledger and per-node protocol instances.
 
 One Simulation owns one run; nothing is shared between instances. The
-Engine keeps the clock and queue and files every timer and frame through
-one routine, Engine.post_all, onto the microsecond grid of
-engine.quantize, the round(t, 6) reference. The World keeps geometry and
+Engine keeps the clock and queue and files every timer and frame, an
+entry (fn, args), through one routine, Engine.post_all, onto the
+microsecond grid of engine.quantize. The World keeps geometry and
 frame delivery, and the Simulation alone the run's record: ledger,
 message uids, in-flight census and route history. Each protocol node
 holds its Simulation and acts through it: `engine` for the clock and
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import gc
 from dataclasses import asdict, dataclass
-from functools import partial
 
 from . import scenario as scenario_mod
 from .aodv import AodvNode
@@ -109,16 +108,16 @@ class Simulation:
     def every(self, first_at: float, action, interval: float) -> None:
         """Run action at first_at, then every interval while within the run.
 
-        Nothing cancels the chain, so each tick is a plain callable."""
-        self.engine.post_all(((first_at, partial(self._tick, action, interval)),))
+        Nothing cancels the chain, so no tick has a handle."""
+        self.engine.post_all(((first_at, (self._tick, (action, interval))),))
 
     def _tick(self, action, interval: float) -> None:
-        # re-armed with a fresh partial: a closure that scheduled itself
+        # re-armed with a fresh entry: a closure that scheduled itself
         # would be a reference cycle left behind when its chain ends
         action()
         next_at = self.engine.now + interval
         if next_at <= self.spec.end_time:
-            self.engine.post_all(((next_at, partial(self._tick, action, interval)),))
+            self.engine.post_all(((next_at, (self._tick, (action, interval))),))
 
     def route_changed(self, dst: int) -> None:
         """Tell the route observer a node installed or invalidated dst."""

@@ -8,8 +8,9 @@ traversal costs hop_latency plus a jitter of up to JITTER_FRACTION of
 it, drawn from the world's own seeded RNG, and there is no contention
 or loss beyond being out of range. Frames go onto the event queue
 through Engine.post_all, the engine's one filing routine, in one call
-per transmission. The world keeps no record of the run: the Simulation
-that sends a frame logs it.
+per transmission, as (handler, args) entries; a broadcast's receivers
+share one (sender, msg). The world keeps no record of the run: the
+Simulation that sends a frame logs it.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable
 
 from .engine import Engine
@@ -270,9 +270,9 @@ class World:
         """
         now = self.engine.now
         receivers = self.neighbors_of(sender, now)
-        handlers, draw = self.on_receive, self.rng.random
+        handlers, draw, frame = self.on_receive, self.rng.random, (sender, msg)
         latency, jitter = self.radio.hop_latency, self.jitter
-        self.engine.post_all([(now + (latency + jitter * draw()), partial(handlers[r], sender, msg))
+        self.engine.post_all([(now + (latency + jitter * draw()), (handlers[r], frame))
                               for r in receivers])
         return receivers
 
@@ -291,5 +291,5 @@ class World:
         if not self._linked(sender, next_hop, now):
             return LINK_BREAK
         self.engine.post_all(((now + (self.radio.hop_latency + self.jitter * self.rng.random()),
-                               partial(self.deliver, next_hop, sender, msg)),))
+                               (self.deliver, (next_hop, sender, msg))),))
         return UNICAST_SENT

@@ -213,7 +213,7 @@ LEG_FAULTS = {"overlapping-legs": "move 1.0 1 500 1 50\nmove 2.0 1 100 1 50\n",
 @pytest.mark.parametrize("case", ["window-zero", "negative-range", "file-range-zero",
                                   "file-range-negative", "hello-negative", "hello-nan",
                                   "flow-above-one-packet-per-tick", "out-is-a-file",
-                                  "non-utf8-scenario", *LEG_FAULTS])
+                                  "non-utf8-scenario", "end-2e9", *LEG_FAULTS])
 def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
     out = tmp_path / "out"
     args = ["run", "--scenario", "scenario1", "--out", str(out)]
@@ -235,6 +235,10 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
         scn.write_text("area 800 800\nnode 0 1 1\nnode 1 50 1\n"
                        "flow 0 1 2000000 512 0.0 0.001\nend 1\n")
         args[2] = str(scn)
+    elif case == "end-2e9":
+        scn = tmp_path / "endless.scn"
+        scn.write_text("area 800 800\nnode 0 1 1\nnode 1 50 1\nend 2e9\n")
+        args[2] = str(scn)
     elif case in LEG_FAULTS:
         scn = tmp_path / "legs.scn"
         scn.write_text(f"area 800 800\nnode 0 1 1\nnode 1 50 1\n{LEG_FAULTS[case]}end 5\n")
@@ -252,7 +256,7 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error" in err
-    if case in LEG_FAULTS:
+    if case in LEG_FAULTS or case == "end-2e9":
         assert "ScenarioSemanticError" in err
     if case != "out-is-a-file":
         assert not out.exists()

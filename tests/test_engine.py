@@ -1,3 +1,4 @@
+import functools
 import heapq
 import itertools
 import math
@@ -8,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from manetsim.engine import Engine, quantize
 from manetsim.errors import PastTimeError
+
+
+def noop():
+    """The action of an event that does nothing."""
 
 
 def test_schedule_enqueues_and_returns_handle():
@@ -114,10 +119,11 @@ def quantized_times(t):
     one a post_all files t under between pairs at other times."""
     single, multi = Engine(), Engine()
     single.now = multi.now = -math.inf
-    single.post_all([(t, lambda: None)])
-    mark = lambda: None
-    multi.post_all([(1.5, lambda: None), (t, mark), (-2.25, lambda: None)])
-    [filed] = [at for at, bucket in multi._buckets.items() if mark in bucket]
+    single.post_all([(t, (noop, ()))])
+    mark = (noop, ())
+    multi.post_all([(1.5, (noop, ())), (t, mark), (-2.25, (noop, ()))])
+    [filed] = [at for at, bucket in multi._buckets.items()
+               if any(entry is mark for entry in bucket)]
     return [quantize(t), single._queue[0], filed]
 
 
@@ -200,7 +206,7 @@ def test_after_event_hook_runs_per_event():
     eng.event_hooks += [lambda: log.append(("first", eng.now)),
                         lambda: log.append(("second", eng.now))]
     eng.schedule(1.0, lambda: None)
-    eng.post_all([(2.0, lambda: watch.add("route"))])
+    eng.post_all([(2.0, (watch.add, ("route",)))])
     assert eng.run_until(3.0) == 2
     assert log == [("first", 1.0), ("second", 1.0),
                    ("observer", 2.0), ("first", 2.0), ("second", 2.0)]
@@ -211,7 +217,7 @@ def test_after_event_whose_watch_stays_empty_never_runs():
     hits = []
     eng.after_event = lambda: hits.append(eng.now)
     eng.schedule(1.0, lambda: None)
-    eng.post_all([(2.0, lambda: None)])
+    eng.post_all([(2.0, (noop, ()))])
     assert eng.run_until(3.0) == 2
     assert hits == []
 
@@ -228,7 +234,7 @@ def test_with_a_watch_after_event_runs_only_after_events_that_leave_it_non_empty
     eng.after_event = observe
     eng.schedule(1.0, lambda: watch.add("route"))
     eng.schedule(2.0, lambda: None)
-    eng.post_all([(3.0, lambda: watch.add("route")), (3.0, lambda: None)])
+    eng.post_all([(3.0, (watch.add, ("route",))), (3.0, (noop, ()))])
     assert eng.run_until(4.0) == 4
     assert hits == [1.0, 3.0]
     # a watch left non-empty calls it after every later event
@@ -331,14 +337,14 @@ def test_action_that_raises_leaves_the_rest_of_its_bucket_queued():
         raise RuntimeError("boom")
 
     eng.schedule(1.0, lambda: log.append("a"))
-    eng.post_all([(1.0, boom), (1.0, lambda: log.append("c"))])
+    eng.post_all([(1.0, (boom, ())), (1.0, (log.append, ("c",)))])
     eng.schedule(2.0, boom)                        # last of its bucket
     eng.schedule(3.0, lambda: log.append("d"))
     with pytest.raises(RuntimeError):
         eng.run_until(5.0)
     assert log == ["a", "boom"] and eng.now == 1.0
     assert eng.pending_count() == 3
-    eng.post_all([(1.0, lambda: log.append("added at 1.0"))])
+    eng.post_all([(1.0, (log.append, ("added at 1.0",)))])
     with pytest.raises(RuntimeError):
         eng.run_until(5.0)
     assert log == ["a", "boom", "c", "added at 1.0", "boom"] and eng.now == 2.0
@@ -350,7 +356,7 @@ def test_action_that_raises_leaves_the_rest_of_its_bucket_queued():
 def test_queue_holds_one_entry_per_distinct_fire_time():
     eng = Engine()
     queue = eng._queue
-    eng.post_all((t, lambda: None) for t in (1.0, 1.0, 1.0000004, 2.0, 2.0))
+    eng.post_all((t, (noop, ())) for t in (1.0, 1.0, 1.0000004, 2.0, 2.0))
     assert eng.pending_count() == 5 and len(queue) == 2
     eng.run_until(1.0)
     assert eng._queue is queue and len(queue) == 1
@@ -359,7 +365,7 @@ def test_queue_holds_one_entry_per_distinct_fire_time():
 def test_post_all_returns_the_bucket_of_its_last_pair():
     eng = Engine()
     assert eng.post_all([]) is None and eng._queue == []
-    last = eng.post_all([(2.0, lambda: None), (1.0000004, lambda: None)])
+    last = eng.post_all([(2.0, (noop, ())), (1.0000004, (noop, ()))])
     assert last is eng._buckets[1.0] and len(last) == 1
     handle = eng.schedule(2.0, lambda: None)
     assert handle._bucket is eng._buckets[2.0] and len(handle._bucket) == 2
@@ -402,8 +408,8 @@ class ReferenceEngine:
         return handle
 
     def post_all(self, pairs):
-        for fire_at, action in pairs:
-            self.schedule(fire_at, action)
+        for fire_at, (fn, args) in pairs:
+            self.schedule(fire_at, functools.partial(fn, *args))
 
     def cancel(self, handle):
         if not handle.pending:
@@ -471,16 +477,12 @@ def execute(engine, program):
     engine.after_event = observe
     engine.event_hooks.append(lambda: hooked.append(engine.now))
 
-    def event(callback):
-        eid = next(ids)
-
-        def action():
-            log.append(("fire", eid, engine.now))
-            if eid % 2:
-                watch.add(eid)
-            for op in callback:
-                apply(op)
-        return action
+    def fire(eid, callback):
+        log.append(("fire", eid, engine.now))
+        if eid % 2:
+            watch.add(eid)
+        for op in callback:
+            apply(op)
 
     def cancel(candidates, k):
         if candidates:
@@ -489,9 +491,10 @@ def execute(engine, program):
     def apply(op):
         kind = op[0]
         if kind == "schedule":
-            handles.append(engine.schedule(engine.now + op[1], event(op[2])))
+            handles.append(engine.schedule(engine.now + op[1],
+                                           functools.partial(fire, next(ids), op[2])))
         elif kind == "post_all":
-            engine.post_all([(engine.now + op[1], event(op[2]))])
+            engine.post_all([(engine.now + op[1], (fire, (next(ids), op[2])))])
         elif kind == "cancel":
             cancel(handles, op[1])
         elif kind == "cancel_due_now":

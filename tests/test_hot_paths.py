@@ -1,12 +1,15 @@
 """Per-frame code compares against enum members bound once at module level,
-and queues a frame without a Python call between the sender and its bucket.
+and queues a frame, as a (handler, args) entry, without a Python call
+between the sender and its bucket.
 
 On CPython 3.11 `EventKind.SENT` and `kind.value` are descriptor lookups
 of 150-200 ns, and a Python function call costs about 0.1 µs; the
 functions below run once per frame or ledger row.
 """
 import dis
+import random
 import types
+from functools import partial
 
 import pytest
 
@@ -14,8 +17,9 @@ from manetsim import metrics
 from manetsim.aodv import AodvNode
 from manetsim.dsdv import DsdvNode
 from manetsim.engine import Engine
+from manetsim.packets import DataPacket
 from manetsim.simulation import Simulation
-from manetsim.world import World
+from manetsim.world import Position, RadioModel, World
 
 BANNED = {"MessageKind", "EventKind", "UnicastOutcome", "RreqAction", "value"}
 HOT = [AodvNode.on_receive, AodvNode.handle_rreq, DsdvNode.on_receive, DsdvNode.handle_update,
@@ -68,3 +72,33 @@ def test_a_link_check_copies_no_position_list(fn):
     """A position is read from the node's fixed point or leg table; nothing
     copies the fixed positions per query time."""
     assert not loads(fn, {"copy"})
+
+
+@pytest.mark.parametrize("fn", [World.broadcast, World.unicast, Engine.run_until],
+                         ids=lambda fn: fn.__qualname__)
+def test_frame_path_builds_no_partial(fn):
+    """A frame is queued as a (handler, args) tuple and run as fn(*args)."""
+    assert not loads(fn, {"partial"})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_broadcast_files_one_entry_per_receiver_sharing_one_frame(seed):
+    # a line of nodes 100 m apart: node 3 hears 1, 2, 4 and 5
+    eng = Engine()
+    eng.now = 2.5
+    w = World(eng, [Position(100.0 * i, 0.0) for i in range(8)], RadioModel(), seed=seed)
+    w.on_receive = [lambda *frame: None for _ in range(8)]   # eight distinct handlers
+    posted = []
+    eng.post_all = posted.extend
+    msg = DataPacket(uid=1, src=3, dst=5, size=512)
+    receivers = w.broadcast(3, msg)
+    assert receivers == [1, 2, 4, 5]
+    assert [handler for _, (handler, _) in posted] == [w.on_receive[r] for r in receivers]
+    [frame] = {id(args): args for _, (_, args) in posted}.values()
+    assert frame == (3, msg) and frame[1] is msg
+    # the fire times of the partial form this replaced, same seed and draws
+    draw = random.Random(seed).random
+    latency, jitter = w.radio.hop_latency, w.jitter
+    old = [(2.5 + (latency + jitter * draw()), partial(w.on_receive[r], 3, msg))
+           for r in receivers]
+    assert [float.hex(at) for at, _ in posted] == [float.hex(at) for at, _ in old]

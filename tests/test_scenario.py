@@ -107,6 +107,17 @@ def test_fractional_node_id_or_packet_size_is_syntax_error(directive):
     assert exc.value.line == lineno
 
 
+@pytest.mark.parametrize("end", ["1125899906.842624", "2e9", "1e308"])
+def test_end_at_or_beyond_two_to_the_fifty_ticks_rejected(end):
+    # 2**50 us, about 35.7 years: a run that long would be practically endless
+    with pytest.raises(ScenarioSemanticError, match=r"2\*\*50"):
+        parse(VALID.replace("end 5.0", f"end {end}"))
+
+
+def test_end_one_tick_under_two_to_the_fifty_ticks_accepted():
+    assert parse(VALID.replace("end 5.0", "end 1125899906.842623")).end_time > 1.1e9
+
+
 def test_unknown_node_in_flow_is_semantic_error():
     text = VALID.replace("flow 0 1", "flow 0 7")
     with pytest.raises(ScenarioSemanticError):
