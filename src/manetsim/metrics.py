@@ -8,17 +8,21 @@ passes plain tuples) and keeps it in a short tail list. Every CHUNK
 rows the tail is packed into typed columns: `d` for the time, a str of
 one-letter kind values, a str of one-character subkind codes and `i`
 for the five ints, about 30 B a row against some 190 B for a kept
-LedgerEvent. A chunk with a value that no column holds, such as a
-packet size wider than 32 bits, is kept as rows. The uid checks read a
-bytearray indexed by uid whose bits are the sent and the transmitted
-control uids; a uid far beyond the row count, or a negative one, goes
-to a dict instead. `rows()` streams the rows back in order, and
-`events` builds a list of LedgerEvents from them, for tests.
+LedgerEvent. The subkind codes are one fixed table over the message
+kinds, the only subkinds the simulator logs. A chunk packs when every
+value fits its column and every subkind is a message kind; otherwise,
+such as with a packet size wider than 32 bits, it stays rows. The uid
+checks read a bytearray indexed by uid whose bits are the sent and the
+transmitted control uids; a uid far beyond the row count, or a
+negative one, goes to a dict instead. `rows()` streams the rows back
+in order, and `events` builds a list of LedgerEvents from them, for
+tests.
 
 The outputs stream from the columns: `write_trace` formats rows into
 blocks of BLOCK lines, and `run_series` derives every series of the
-plots and the report in one walk. A Series is two float columns; the
-`*_series` functions are views that return SeriesPoint lists.
+plots and the report in one walk, the throughput from running sums of
+the received bits. A Series is two float columns; the `*_series`
+functions are views that return SeriesPoint lists.
 
 Code that runs once per row compares kinds against the member names
 bound next to EventKind and reads a kind's code as `kind._value_`,
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right, insort
 from enum import Enum
 from itertools import chain, islice
 from operator import attrgetter
@@ -36,6 +41,7 @@ from struct import error as struct_error, pack
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import LedgerConsistencyError, LedgerOrderError
+from .packets import MessageKind
 
 THROUGHPUT_STEP = 0.1   # seconds between sliding-window throughput points
 CHUNK = 1024            # rows packed into columns at a time
@@ -55,6 +61,8 @@ class EventKind(Enum):
 
 SENT, RECEIVED, DROPPED, CONTROL_TX, DATA_TX = EventKind
 KIND_OF = {k._value_: k for k in EventKind}     # a packed kind letter -> its member
+SUBKIND_CODE = {k._value_: chr(i) for i, k in enumerate(MessageKind)}  # subkind -> code
+SUBKIND_OF = {code: subkind for subkind, code in SUBKIND_CODE.items()}
 
 
 class LedgerEvent(NamedTuple):
@@ -73,19 +81,6 @@ class SeriesPoint(NamedTuple):
     value: float
 
 
-class _Codes(dict):
-    """subkind -> its one-character code in a packed column, made on first use."""
-
-    def __init__(self):
-        super().__init__()
-        self.names: dict[str, str] = {}     # code -> subkind
-
-    def __missing__(self, subkind: str) -> str:
-        code = self[subkind] = chr(len(self))
-        self.names[code] = subkind
-        return code
-
-
 class MetricsLedger:
     """Single-writer event log with running counters."""
 
@@ -96,7 +91,6 @@ class MetricsLedger:
         self._last_t = -math.inf
         self._uid_map = bytearray()         # uid -> its SENT_UID and CONTROL_UID bits
         self._far_uids: dict[int, int] = {}     # the same for uids the map does not cover
-        self._subkind_codes = _Codes()
         self.sent = 0
         self.received = 0
         self.dropped_data = 0
@@ -156,7 +150,7 @@ class MetricsLedger:
 
     def _pack(self) -> None:
         """Move the tail into one chunk of columns, or keep it as rows if a
-        value fits no column."""
+        value fits no column or a subkind is not a message kind."""
         rows, self._tail = self._tail, []
         t, kinds, node, subkinds, size, uid, src, dst = zip(*rows)
         ints = f"{len(rows)}i"
@@ -164,10 +158,10 @@ class MetricsLedger:
             chunk = (array("d", pack(f"{len(rows)}d", *t)),
                      "".join(map(attrgetter("_value_"), kinds)),
                      array("i", pack(ints, *node)),
-                     "".join(map(self._subkind_codes.__getitem__, subkinds)),
+                     "".join(map(SUBKIND_CODE.__getitem__, subkinds)),
                      array("i", pack(ints, *size)), array("i", pack(ints, *uid)),
                      array("i", pack(ints, *src)), array("i", pack(ints, *dst)))
-        except struct_error:
+        except (KeyError, struct_error):
             chunk = rows
         self._chunks.append(chunk)
         self._packed += len(rows)
@@ -175,13 +169,12 @@ class MetricsLedger:
     def _columns(self) -> Iterator[tuple]:
         """Per chunk, then the tail, its eight columns in field order, each
         kind as its letter and each subkind as itself."""
-        names = self._subkind_codes.names
         for chunk in self._chunks:
             if type(chunk) is list:
                 yield self._transpose(chunk)
             else:
                 t, kinds, node, subkinds, size, uid, src, dst = chunk
-                yield t, kinds, node, map(names.__getitem__, subkinds), size, uid, src, dst
+                yield t, kinds, node, map(SUBKIND_OF.__getitem__, subkinds), size, uid, src, dst
         if self._tail:
             yield self._transpose(self._tail)
 
@@ -252,7 +245,6 @@ class Series:
         """A running count's point at t; replaces the last point if it is at t."""
         times = self.times
         if times and times[-1] == t:
-            times[-1] = t
             self.values[-1] = count
         else:
             times.append(t)
@@ -277,43 +269,28 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
 
     `received` and `dropped` hold one point per time at which a data
     packet was delivered or dropped: the running count after that time.
-    `throughput` is the delivered payload bits per second over a
-    sliding window, one point per window position at its trailing edge
-    t, counting the receives at rt with t - window < rt <= t, up to
-    t_end (the last row's time if None). Rows are time-ordered, so the
-    walk settles each edge's running bit count as the first receive
-    after it arrives. `delay` holds one point per delivered packet,
-    (receive time, end-to-end delay), ordered by time and then delay.
+    `delay` holds one point per delivered packet, (receive time,
+    end-to-end delay), ordered by time and then delay. `throughput` is
+    the delivered payload bits per second over a sliding window, one
+    point per window position at its trailing edge t, counting the
+    receives at rt with t - window < rt <= t, up to t_end (the last
+    row's time if None): the running sum of received bits up to t,
+    less the running sum up to t - window, each found by bisecting the
+    delay series' receive times.
     """
     if window <= 0:
         raise ValueError("window must be positive")
     if t_end is None:
         t_end = ledger.last_t
-    ends: list[float] = []      # the trailing edge of each window
-    k = 0
-    while window + k * step <= t_end + 1e-9:
-        ends.append(window + k * step)
-        k += 1
-    starts = [t - window for t in ends]
-    bits_to_end: list[int] = []     # payload bits received at or before each edge
-    bits_to_start: list[int] = []
-    n_edges = len(ends)
-    bits = n_received = n_dropped = 0
+    n_received = n_dropped = 0
+    bits = [0]      # payload bits in the first i receives, at index i
     out = RunSeries(Series(), Series(), Series(), Series())
+    receive_times, delays = out.delay.times, out.delay.values
     # the send time of each uid the ledger's uid map covers, at its index,
     # and of any other uid in a dict
     covered = len(ledger._uid_map)
     sent_at = array("d", bytes(8 * covered))
     far_sent_at: dict[int, float] = {}
-    same_t: list[tuple[float, float]] = []  # (t, delay) of the receives at one time
-
-    def flush_delays():
-        same_t.sort()
-        for t, delay in same_t:
-            out.delay.times.append(t)
-            out.delay.values.append(delay)
-        same_t.clear()
-
     sent, received, dropped = SENT._value_, RECEIVED._value_, DROPPED._value_
     for t_col, kinds, _, subkinds, sizes, uids, _, _ in ledger._columns():
         for t, kind, subkind, size, uid in zip(t_col, kinds, subkinds, sizes, uids):
@@ -323,27 +300,25 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
                 else:
                     far_sent_at[uid] = t
             elif kind == received:
-                while len(bits_to_end) < n_edges and ends[len(bits_to_end)] < t:
-                    bits_to_end.append(bits)
-                while len(bits_to_start) < n_edges and starts[len(bits_to_start)] < t:
-                    bits_to_start.append(bits)
-                bits += size * 8
-                if same_t and t != same_t[0][0]:
-                    flush_delays()
-                same_t.append((t, t - (sent_at[uid] if 0 <= uid < covered
-                                       else far_sent_at[uid])))
+                bits.append(bits[-1] + size * 8)
+                # every point from bisect_left on is at t, so the delay goes
+                # in sorted place among them
+                insort(delays, t - (sent_at[uid] if 0 <= uid < covered else far_sent_at[uid]),
+                       bisect_left(receive_times, t))
+                receive_times.append(t)
                 if subkind == "DATA":
                     n_received += 1
                     out.received.step(t, n_received)
             elif kind == dropped and subkind == "DATA":
                 n_dropped += 1
                 out.dropped.step(t, n_dropped)
-    flush_delays()
-    bits_to_end += [bits] * (n_edges - len(bits_to_end))
-    bits_to_start += [bits] * (n_edges - len(bits_to_start))
-    out.throughput.times.extend(ends)
-    out.throughput.values.extend([(hi - lo) / window
-                                  for hi, lo in zip(bits_to_end, bits_to_start)])
+    k = 0
+    while (edge := window + k * step) <= t_end + 1e-9:
+        out.throughput.times.append(edge)
+        out.throughput.values.append((bits[bisect_right(receive_times, edge)]
+                                      - bits[bisect_right(receive_times, edge - window)])
+                                     / window)
+        k += 1
     return out
 
 

@@ -314,7 +314,8 @@ def test_trace_row_equals_the_str_format_row(t, kind, node, subkind, size, uid, 
 
 
 @st.composite
-def consistent_rows(draw, ints=ints, span=st.just(10**8)):
+def consistent_rows(draw, ints=ints, span=st.just(10**8),
+                    control_subkinds=st.sampled_from(SUBKINDS[1:])):
     """Rows record() accepts, in order, at microsecond times as the engine
     quantizes, up to `span` microseconds."""
     times = sorted(draw(st.lists(st.integers(0, draw(span)), max_size=60)))
@@ -324,7 +325,7 @@ def consistent_rows(draw, ints=ints, span=st.just(10**8)):
         t = us / 1e6
         step = draw(st.sampled_from(("send", "control", "data", "receive", "drop")))
         if step == "control":
-            subkind = draw(st.sampled_from(SUBKINDS[1:]))
+            subkind = draw(control_subkinds)
             if control and draw(st.booleans()):
                 rows.append(ev(t, EventKind.DROPPED, subkind=subkind, dst=-1,
                                uid=draw(st.sampled_from(control))))
@@ -409,10 +410,13 @@ def row_at_a_time_outputs(rows, window, t_end):
 
 # node, size, uid, src and dst values: mostly small, some wider than a packed column
 mixed_ints = st.one_of(st.integers(-1, 50), st.integers(-1, 2**40), st.just(10**30))
+# control subkinds: the message kinds, and one outside them that keeps its chunk as rows
+mixed_subkinds = st.sampled_from(SUBKINDS[1:] + ("X-LOCAL",))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5), consistent_rows(mixed_ints, st.sampled_from([300, 10**7])),
+@given(st.integers(1, 5), consistent_rows(mixed_ints, st.sampled_from([300, 10**7]),
+                                          mixed_subkinds),
        st.sampled_from(WINDOWS), st.one_of(st.none(), st.floats(0.0, 12.0)))
 def test_any_chunk_size_streams_the_rows_and_outputs_of_a_row_list(chunk, rows, window,
                                                                    t_end):

@@ -225,7 +225,8 @@ def test_no_sequence_number_decreases_on_random_scenarios(scenario_seed, protoco
     ("aodv", 100, 1200.0, 10.0), ("dsdv", 100, 1200.0, 10.0),
     ("aodv", 200, 1700.0, 10.0), ("dsdv", 200, 1700.0, 10.0),
     # long runs: many route expiries, rediscoveries and full-table dumps
-    ("aodv", 25, 800.0, 200.0), ("dsdv", 25, 800.0, 200.0)])
+    ("aodv", 25, 800.0, 200.0), ("dsdv", 25, 800.0, 200.0),
+    ("dsdv", 200, 1700.0, 60.0), ("aodv", 200, 1700.0, 60.0)])
 def test_conservation_and_loop_freedom_at_scale_random_waypoint(protocol, nodes, side, end):
     spec = random_waypoint_scenario(random.Random(nodes), nodes, side, end, flows=5)
     sim = Simulation(spec, protocol, seed=1)
