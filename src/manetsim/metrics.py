@@ -3,45 +3,34 @@
 All reported numbers are pure functions of the ledger, so a persisted
 trace can be parsed back and must reproduce them bit-identically.
 
-`record` takes a row as a tuple of LedgerEvent's fields (the simulator
-passes plain tuples) and keeps it in a short tail list. Every CHUNK
-rows the tail is packed into typed columns: `d` for the time, a str of
-one-letter kind values, a str of one-character subkind codes and `i`
-for the five ints, about 30 B a row against some 190 B for a kept
-LedgerEvent. The subkind codes are one fixed table over the message
-kinds, the only subkinds the simulator logs. A chunk packs when every
-value fits its column and every subkind is a message kind; otherwise,
-such as with a packet size wider than 32 bits, it stays rows. The uid
-checks read a bytearray indexed by uid whose bits are the sent and the
-transmitted control uids; a uid far beyond the row count, or a
-negative one, goes to a dict instead. `rows()` streams the rows back
-in order, and `events` builds a list of LedgerEvents from them, for
-tests.
+A row is a tuple of LedgerEvent's fields. Its kind is one of the
+letters below and its subkind a message kind: the strings the trace
+prints, held as the same strings in memory and in the packed columns.
+`record` compares kinds by identity, so a row's kind is one of these
+constants. It keeps rows in a short tail list, and every CHUNK rows
+packs the tail into typed columns: `d` for the time, a str of the kind
+letters, a str of one-character subkind codes and `i` for the five
+ints, about 30 B a row against some 190 B for a kept LedgerEvent. A
+chunk with a value that fits no column, such as a packet size wider
+than 32 bits, stays rows. The uid checks read a bytearray indexed by
+uid whose bits are the sent and the transmitted control uids; a uid
+far beyond the row count, or a negative one, goes to a dict instead.
 
 The outputs stream from the columns: `write_trace` formats rows into
 blocks of BLOCK lines, and `run_series` derives every series of the
-plots and the report in one walk, the throughput from running sums of
-the received bits. A Series is two float columns; the `*_series`
-functions are views that return SeriesPoint lists.
-
-Code that runs once per row compares kinds against the member names
-bound next to EventKind and reads a kind's code as `kind._value_`,
-never through `EventKind.X` or `.value`, which are descriptor lookups
-on CPython 3.11.
+plots and the report in one walk.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from enum import Enum
 from itertools import chain, islice
-from operator import attrgetter
 from struct import error as struct_error, pack
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import LedgerConsistencyError, LedgerOrderError
-from .packets import MessageKind
+from .packets import DATA, MESSAGE_KINDS
 
 THROUGHPUT_STEP = 0.1   # seconds between sliding-window throughput points
 CHUNK = 1024            # rows packed into columns at a time
@@ -50,24 +39,19 @@ TRACE_LINE = "%s %.6f %d %s %d %d %d %d\n"    # kind letter, then the fields fro
 UID_SLACK = 1 << 16     # uids the uid map may cover beyond twice the row count
 SENT_UID, CONTROL_UID = 1, 2    # bits of a uid's byte in the uid map
 
-
-class EventKind(Enum):
-    SENT = "s"          # application-level origination, once per packet
-    RECEIVED = "r"      # consumed at its destination
-    DROPPED = "d"       # lost, with the subkind saying what was lost
-    CONTROL_TX = "c"    # one protocol-message transmission
-    DATA_TX = "f"       # one per-hop data-frame transmission
-
-
-SENT, RECEIVED, DROPPED, CONTROL_TX, DATA_TX = EventKind
-KIND_OF = {k._value_: k for k in EventKind}     # a packed kind letter -> its member
-SUBKIND_CODE = {k._value_: chr(i) for i, k in enumerate(MessageKind)}  # subkind -> code
+SENT = "s"          # application-level origination, once per packet
+RECEIVED = "r"      # consumed at its destination
+DROPPED = "d"       # lost, with the subkind saying what was lost
+CONTROL_TX = "c"    # one protocol-message transmission
+DATA_TX = "f"       # one per-hop data-frame transmission
+KINDS = (SENT, RECEIVED, DROPPED, CONTROL_TX, DATA_TX)
+SUBKIND_CODE = {k: chr(i) for i, k in enumerate(MESSAGE_KINDS)}  # subkind -> packed code
 SUBKIND_OF = {code: subkind for subkind, code in SUBKIND_CODE.items()}
 
 
 class LedgerEvent(NamedTuple):
     t: float
-    kind: EventKind
+    kind: str           # one of KINDS
     node: int
     subkind: str        # DATA or a control-message name
     size: int
@@ -110,7 +94,7 @@ class MetricsLedger:
                 raise LedgerConsistencyError(f"received unknown uid {uid}")
             self.received += 1
         elif kind is DROPPED:
-            if subkind == "DATA":
+            if subkind == DATA:
                 if not self._uid_bits(uid) & SENT_UID:
                     raise LedgerConsistencyError(f"dropped unknown uid {uid}")
                 self.dropped_data += 1
@@ -150,43 +134,37 @@ class MetricsLedger:
 
     def _pack(self) -> None:
         """Move the tail into one chunk of columns, or keep it as rows if a
-        value fits no column or a subkind is not a message kind."""
+        value fits no column: a kind that is not one letter, a subkind that
+        is not a message kind or an int wider than 32 bits."""
         rows, self._tail = self._tail, []
         t, kinds, node, subkinds, size, uid, src, dst = zip(*rows)
+        kinds = "".join(kinds)
         ints = f"{len(rows)}i"
         try:
-            chunk = (array("d", pack(f"{len(rows)}d", *t)),
-                     "".join(map(attrgetter("_value_"), kinds)),
-                     array("i", pack(ints, *node)),
+            chunk = (array("d", pack(f"{len(rows)}d", *t)), kinds, array("i", pack(ints, *node)),
                      "".join(map(SUBKIND_CODE.__getitem__, subkinds)),
                      array("i", pack(ints, *size)), array("i", pack(ints, *uid)),
                      array("i", pack(ints, *src)), array("i", pack(ints, *dst)))
         except (KeyError, struct_error):
             chunk = rows
-        self._chunks.append(chunk)
+        self._chunks.append(chunk if len(kinds) == len(rows) else rows)
         self._packed += len(rows)
 
     def _columns(self) -> Iterator[tuple]:
-        """Per chunk, then the tail, its eight columns in field order, each
-        kind as its letter and each subkind as itself."""
+        """Per chunk, then the tail, its eight columns in field order."""
         for chunk in self._chunks:
             if type(chunk) is list:
-                yield self._transpose(chunk)
+                yield zip(*chunk)
             else:
                 t, kinds, node, subkinds, size, uid, src, dst = chunk
                 yield t, kinds, node, map(SUBKIND_OF.__getitem__, subkinds), size, uid, src, dst
         if self._tail:
-            yield self._transpose(self._tail)
-
-    @staticmethod
-    def _transpose(rows: list[tuple]) -> tuple:
-        t, kinds, *rest = zip(*rows)
-        return (t, map(attrgetter("_value_"), kinds), *rest)
+            yield zip(*self._tail)
 
     def rows(self) -> Iterator[tuple]:
         """Every row in the order recorded, as a tuple of LedgerEvent's fields."""
-        for t, kinds, *rest in self._columns():
-            yield from zip(t, map(KIND_OF.__getitem__, kinds), *rest)
+        for columns in self._columns():
+            yield from zip(*columns)
 
     @property
     def events(self) -> list[LedgerEvent]:
@@ -291,25 +269,24 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
     covered = len(ledger._uid_map)
     sent_at = array("d", bytes(8 * covered))
     far_sent_at: dict[int, float] = {}
-    sent, received, dropped = SENT._value_, RECEIVED._value_, DROPPED._value_
     for t_col, kinds, _, subkinds, sizes, uids, _, _ in ledger._columns():
         for t, kind, subkind, size, uid in zip(t_col, kinds, subkinds, sizes, uids):
-            if kind == sent:
+            if kind == SENT:
                 if 0 <= uid < covered:
                     sent_at[uid] = t
                 else:
                     far_sent_at[uid] = t
-            elif kind == received:
+            elif kind == RECEIVED:
                 bits.append(bits[-1] + size * 8)
                 # every point from bisect_left on is at t, so the delay goes
                 # in sorted place among them
                 insort(delays, t - (sent_at[uid] if 0 <= uid < covered else far_sent_at[uid]),
                        bisect_left(receive_times, t))
                 receive_times.append(t)
-                if subkind == "DATA":
+                if subkind == DATA:
                     n_received += 1
                     out.received.step(t, n_received)
-            elif kind == dropped and subkind == "DATA":
+            elif kind == DROPPED and subkind == DATA:
                 n_dropped += 1
                 out.dropped.step(t, n_dropped)
     k = 0
@@ -334,7 +311,7 @@ def delay_series(ledger: MetricsLedger) -> list[SeriesPoint]:
     return run_series(ledger).delay.points()
 
 
-def cumulative_series(ledger: MetricsLedger, kind: EventKind) -> list[SeriesPoint]:
+def cumulative_series(ledger: MetricsLedger, kind: str) -> list[SeriesPoint]:
     """Running count of the delivered (RECEIVED) or dropped (DROPPED) data packets."""
     series = run_series(ledger)
     return {RECEIVED: series.received, DROPPED: series.dropped}[kind].points()
@@ -371,15 +348,31 @@ def write_trace(ledger: MetricsLedger, out: TextIO) -> None:
 
 
 def parse_trace(lines: Iterable[str]) -> MetricsLedger:
-    """Rebuild a ledger from its persisted trace."""
+    """Rebuild a ledger from its persisted trace.
+
+    A line without eight fields, with an unknown kind letter, a field
+    that is not a number or a time that is not finite raises
+    LedgerConsistencyError naming the line."""
     ledger = MetricsLedger()
-    for raw in lines:
+    kinds = dict(zip(KINDS, KINDS))     # a letter -> the kind constant itself
+    for lineno, raw in enumerate(lines, 1):
         raw = raw.strip()
         if not raw:
             continue
-        kind, t, node, subkind, size, uid, src, dst = raw.split(" ")
-        ledger.record(LedgerEvent(float(t), KIND_OF[kind], int(node), subkind,
-                                  int(size), int(uid), int(src), int(dst)))
+        fields = raw.split(" ")
+        if len(fields) != 8:
+            raise LedgerConsistencyError(f"line {lineno}: {len(fields)} fields, not 8")
+        kind, t, node, subkind, size, uid, src, dst = fields
+        if kind not in kinds:
+            raise LedgerConsistencyError(f"line {lineno}: unknown kind {kind!r}")
+        try:
+            row = (float(t), kinds[kind], int(node), subkind, int(size), int(uid), int(src),
+                   int(dst))
+        except ValueError:
+            raise LedgerConsistencyError(f"line {lineno}: a field is not a number") from None
+        if not math.isfinite(row[0]):
+            raise LedgerConsistencyError(f"line {lineno}: time {t} is not finite")
+        ledger.record(row)
     return ledger
 
 

@@ -1,25 +1,15 @@
-"""Data packets and the message-kind taxonomy shared by both protocols.
+"""Data packets and the message kinds shared by both protocols.
 
-Per-frame code compares `msg.kind` against the module-level member names
-bound below, never `MessageKind.X`: on CPython 3.11 every class-attribute
-lookup of an enum member goes through a descriptor, a global does not.
+A kind is the string `trace.txt` prints as a row's subkind. Every
+message class binds one of the constants below as its `kind`, so
+protocol code may compare kinds with `is`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-
-class MessageKind(Enum):
-    DATA = "DATA"
-    RREQ = "RREQ"
-    RREP = "RREP"
-    RERR = "RERR"
-    HELLO = "HELLO"
-    DSDV_UPDATE = "DSDV-UPDATE"
-
-
-DATA, RREQ, RREP, RERR, HELLO, DSDV_UPDATE = MessageKind
+DATA, RREQ, RREP, RERR, HELLO, DSDV_UPDATE = "DATA", "RREQ", "RREP", "RERR", "HELLO", "DSDV-UPDATE"
+MESSAGE_KINDS = (DATA, RREQ, RREP, RERR, HELLO, DSDV_UPDATE)
 
 
 @dataclass

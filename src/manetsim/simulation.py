@@ -23,9 +23,9 @@ from . import scenario as scenario_mod
 from .aodv import AodvNode
 from .dsdv import DsdvNode
 from .engine import TICK, Engine, valid_period
-from .metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, EventKind,
-                      MetricsLedger, Series, control_overhead, delivery_ratio, mean_value,
-                      run_series, transmission_efficiency)
+from .metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, MetricsLedger, Series,
+                      control_overhead, delivery_ratio, mean_value, run_series,
+                      transmission_efficiency)
 # unused here, but perfbench/tracer.py patches these names in this module
 # (ROADMAP item 3 moves the tracer off them)
 from .metrics import delay_series, throughput_series  # noqa: F401
@@ -152,12 +152,12 @@ class Simulation:
             self._log(CONTROL_TX, sender, msg)
         return True
 
-    def _log(self, kind: EventKind, node: int, msg) -> None:
+    def _log(self, kind: str, node: int, msg) -> None:
         """Record one row for msg; every message type carries these fields.
 
         The row is a plain tuple in LedgerEvent's field order: the ledger
         packs it into columns soon, and a tuple is the cheapest to build."""
-        self.ledger.record((self.engine.now, kind, node, msg.kind._value_, msg.size,
+        self.ledger.record((self.engine.now, kind, node, msg.kind, msg.size,
                             msg.uid, msg.src, msg.dst))
 
     # -- engine plumbing -----------------------------------------------------

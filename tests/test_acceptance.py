@@ -10,8 +10,8 @@ import time
 from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
                       random_scenario)
 from manetsim.dsdv import UPDATE_INTERVAL
-from manetsim.metrics import (EventKind, control_overhead, delay_series,
-                              delivery_ratio, emit_plot_datasets, parse_trace,
+from manetsim.metrics import (DATA_TX, DROPPED, RECEIVED, SENT, control_overhead,
+                              delay_series, delivery_ratio, emit_plot_datasets, parse_trace,
                               throughput_series, write_trace)
 from manetsim.scenario import TrafficFlow, builtin
 from manetsim.simulation import Simulation
@@ -40,7 +40,7 @@ def run_builtin(name, protocol, seed):
 
 def data_drop_times(result):
     return [e.t for e in result.ledger.events
-            if e.kind is EventKind.DROPPED and e.subkind == "DATA"]
+            if e.kind == DROPPED and e.subkind == "DATA"]
 
 
 def delivered_paths_from_trace(result):
@@ -51,11 +51,11 @@ def delivered_paths_from_trace(result):
     for e in result.ledger.events:
         if e.subkind != "DATA":
             continue
-        if e.kind is EventKind.SENT:
+        if e.kind == SENT:
             order.append(e.uid)
-        elif e.kind is EventKind.DATA_TX:
+        elif e.kind == DATA_TX:
             hops.setdefault(e.uid, []).append(e.node)
-        elif e.kind is EventKind.RECEIVED:
+        elif e.kind == RECEIVED:
             done[e.uid] = hops[e.uid] + [e.node]
     distinct = []
     for uid in order:
@@ -219,11 +219,11 @@ def test_criterion_7_conservation_and_identities():
             for e in led.events:
                 if e.subkind != "DATA":
                     continue
-                if e.kind is EventKind.SENT:
+                if e.kind == SENT:
                     sent_at[e.uid] = e.t
-                elif e.kind is EventKind.DATA_TX:
+                elif e.kind == DATA_TX:
                     hops[e.uid] = hops.get(e.uid, 0) + 1
-                elif e.kind is EventKind.RECEIVED:
+                elif e.kind == RECEIVED:
                     assert e.t - sent_at[e.uid] >= hops[e.uid] * 0.001 - 1e-12
             reparsed = parse_trace(trace_bytes(result).splitlines())
             assert reparsed.events == led.events

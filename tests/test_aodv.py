@@ -6,7 +6,7 @@ from conftest import build_sim
 from manetsim.aodv import (ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, DISCOVERY_RETRIES,
                            PATH_DISCOVERY_TIME, REVERSE_PATH_LIFETIME, Rerr, RouteEntry,
                            Rrep, Rreq, RreqAction)
-from manetsim.metrics import EventKind, LedgerEvent
+from manetsim.metrics import CONTROL_TX, DATA_TX, DROPPED, SENT, LedgerEvent
 from manetsim.packets import DataPacket
 from manetsim.scenario import TrafficFlow
 
@@ -17,7 +17,7 @@ def packet(sim, src, dst):
     """Application packet with its Sent event on the ledger, like emit_data."""
     pkt = DataPacket(uid=sim.next_uid(), src=src, dst=dst,
                      size=512)
-    sim.ledger.record(LedgerEvent(sim.engine.now, EventKind.SENT, src, "DATA",
+    sim.ledger.record(LedgerEvent(sim.engine.now, SENT, src, "DATA",
                                   pkt.size, pkt.uid, src, dst))
     return pkt
 
@@ -28,7 +28,7 @@ def control_count(sim, subkind):
 
 def data_drops(sim):
     return [e for e in sim.ledger.events
-            if e.kind is EventKind.DROPPED and e.subkind == "DATA"]
+            if e.kind == DROPPED and e.subkind == "DATA"]
 
 
 def install_route(node, dst, next_hop, hop_count=1, dst_seq=2, ttl=100.0,
@@ -265,7 +265,7 @@ def test_source_flushes_buffered_packets_fifo():
         src.originate_data(p)
     sim.engine.run_until(1.0)   # discovery completes, queue drains
     forwards = [e.uid for e in sim.ledger.events
-                if e.kind is EventKind.DATA_TX and e.node == 0]
+                if e.kind == DATA_TX and e.node == 0]
     assert forwards == [p1.uid, p2.uid, p3.uid]
     assert src.pending == {}
 
@@ -294,10 +294,10 @@ def test_rrep_dropped_when_reverse_path_expired():
     sim.engine.run_until(REVERSE_PATH_LIFETIME + 0.5)   # reverse path now stale
     rrep = Rrep(src=0, dst=3, dst_seq=2, hop_count=0, lifetime=3.0, uid=77)
     sim.ledger.record(  # the copy we are about to drop was transmitted to us
-        LedgerEvent(sim.engine.now, EventKind.CONTROL_TX, 3, "RREP", 20, 77, 0, 3))
+        LedgerEvent(sim.engine.now, CONTROL_TX, 3, "RREP", 20, 77, 0, 3))
     mid.handle_rrep(3, rrep)
     drops = [e for e in sim.ledger.events
-             if e.kind is EventKind.DROPPED and e.subkind == "RREP"]
+             if e.kind == DROPPED and e.subkind == "RREP"]
     assert len(drops) == 1
     assert control_count(sim, "RREP") == 1          # only the hand-recorded copy
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
                       random_scenario)
 from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket
-from manetsim.metrics import EventKind, LedgerEvent
+from manetsim.metrics import SENT, LedgerEvent
 from manetsim.packets import DataPacket
 from manetsim.simulation import Simulation
 
@@ -17,7 +17,7 @@ CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]
 def packet(sim, src, dst):
     pkt = DataPacket(uid=sim.next_uid(), src=src, dst=dst,
                      size=512)
-    sim.ledger.record(LedgerEvent(sim.engine.now, EventKind.SENT, src, "DATA",
+    sim.ledger.record(LedgerEvent(sim.engine.now, SENT, src, "DATA",
                                   pkt.size, pkt.uid, src, dst))
     return pkt
 

@@ -1,10 +1,12 @@
-"""Per-frame code compares against enum members bound once at module level,
-and queues a frame, as a (handler, args) entry, without a Python call
-between the sender and its bucket.
+"""Per-frame code loads no Enum class and no `.value`, and queues a frame,
+as a (handler, args) entry, without a Python call between the sender and
+its bucket.
 
-On CPython 3.11 `EventKind.SENT` and `kind.value` are descriptor lookups
-of 150-200 ns, and a Python function call costs about 0.1 µs; the
-functions below run once per frame or ledger row.
+Message and ledger kinds are plain strings; only `UnicastOutcome` and
+`RreqAction` are still Enums, and on CPython 3.11 a member lookup such as
+`UnicastOutcome.SENT` or a `.value` read is a descriptor lookup of
+150-200 ns. A Python function call costs about 0.1 µs. The functions
+below run once per frame or ledger row.
 """
 import dis
 import random

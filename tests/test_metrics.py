@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from manetsim import metrics
 from manetsim.errors import LedgerConsistencyError, LedgerOrderError
-from manetsim.metrics import (THROUGHPUT_STEP, EventKind, LedgerEvent, MetricsLedger,
-                              SeriesPoint, control_overhead, delay_series, delivery_ratio,
-                              emit_plot_datasets, mean_value, parse_trace, run_series,
-                              throughput_series, transmission_efficiency, write_trace)
+from manetsim.metrics import (CONTROL_TX, DATA_TX, DROPPED, KINDS, RECEIVED, SENT,
+                              THROUGHPUT_STEP, LedgerEvent, MetricsLedger, SeriesPoint,
+                              control_overhead, delay_series, delivery_ratio, emit_plot_datasets,
+                              mean_value, parse_trace, run_series, throughput_series,
+                              transmission_efficiency, write_trace)
 
 
 def ev(t, kind, node=0, subkind="DATA", size=512, uid=1, src=0, dst=5):
@@ -29,34 +30,34 @@ def ledger_with(*events):
 # -- record -----------------------------------------------------------------
 
 def test_sent_then_received_counts_one_delivery():
-    led = ledger_with(ev(1.0, EventKind.SENT), ev(1.1, EventKind.RECEIVED, node=5))
+    led = ledger_with(ev(1.0, SENT), ev(1.1, RECEIVED, node=5))
     assert led.sent == 1 and led.received == 1
 
 
 def test_received_for_unknown_uid_rejected():
     led = MetricsLedger()
     with pytest.raises(LedgerConsistencyError):
-        led.record(ev(1.0, EventKind.RECEIVED, uid=99))
+        led.record(ev(1.0, RECEIVED, uid=99))
 
 
 def test_control_tx_leaves_data_counters_alone():
-    led = ledger_with(ev(1.0, EventKind.CONTROL_TX, subkind="RREQ", size=24))
+    led = ledger_with(ev(1.0, CONTROL_TX, subkind="RREQ", size=24))
     assert led.control_tx == {"RREQ": 1}
     assert led.sent == 0 and led.data_tx == 0
 
 
 def test_out_of_order_rejected():
-    led = ledger_with(ev(2.0, EventKind.SENT))
+    led = ledger_with(ev(2.0, SENT))
     with pytest.raises(LedgerOrderError):
-        led.record(ev(1.0, EventKind.SENT, uid=2))
+        led.record(ev(1.0, SENT, uid=2))
 
 
 def test_control_drop_must_reference_transmitted_control():
     led = MetricsLedger()
     with pytest.raises(LedgerConsistencyError):
-        led.record(ev(1.0, EventKind.DROPPED, subkind="RREP", uid=7))
-    led.record(ev(1.0, EventKind.CONTROL_TX, subkind="RREP", uid=7))
-    led.record(ev(1.1, EventKind.DROPPED, subkind="RREP", uid=7))
+        led.record(ev(1.0, DROPPED, subkind="RREP", uid=7))
+    led.record(ev(1.0, CONTROL_TX, subkind="RREP", uid=7))
+    led.record(ev(1.1, DROPPED, subkind="RREP", uid=7))
     assert led.events[-1].subkind == "RREP" and led.dropped_data == 0
 
 
@@ -65,9 +66,9 @@ def test_control_drop_must_reference_transmitted_control():
 def test_delivery_ratio_eight_of_ten():
     led = MetricsLedger()
     for uid in range(1, 11):
-        led.record(ev(uid * 0.1, EventKind.SENT, uid=uid))
+        led.record(ev(uid * 0.1, SENT, uid=uid))
     for uid in range(1, 9):
-        led.record(ev(2.0 + uid * 0.1, EventKind.RECEIVED, uid=uid, node=5))
+        led.record(ev(2.0 + uid * 0.1, RECEIVED, uid=uid, node=5))
     assert delivery_ratio(led) == pytest.approx(0.8)
 
 
@@ -79,25 +80,25 @@ def test_delivery_ratio_vacuous_without_traffic():
 
 def test_efficiency_one_packet_three_hops():
     led = ledger_with(
-        ev(1.0, EventKind.SENT),
-        ev(1.0, EventKind.DATA_TX, node=0),
-        ev(1.001, EventKind.DATA_TX, node=1),
-        ev(1.002, EventKind.DATA_TX, node=2),
-        ev(1.003, EventKind.RECEIVED, node=5),
+        ev(1.0, SENT),
+        ev(1.0, DATA_TX, node=0),
+        ev(1.001, DATA_TX, node=1),
+        ev(1.002, DATA_TX, node=2),
+        ev(1.003, RECEIVED, node=5),
     )
     assert transmission_efficiency(led) == pytest.approx(1 / 3)
 
 
 def test_efficiency_drop_after_two_hops_plus_two_hop_delivery():
     led = ledger_with(
-        ev(1.0, EventKind.SENT, uid=1),
-        ev(1.0, EventKind.DATA_TX, uid=1),
-        ev(1.001, EventKind.DATA_TX, uid=1),
-        ev(1.002, EventKind.DROPPED, uid=1, node=2),
-        ev(2.0, EventKind.SENT, uid=2),
-        ev(2.0, EventKind.DATA_TX, uid=2),
-        ev(2.001, EventKind.DATA_TX, uid=2),
-        ev(2.002, EventKind.RECEIVED, uid=2, node=5),
+        ev(1.0, SENT, uid=1),
+        ev(1.0, DATA_TX, uid=1),
+        ev(1.001, DATA_TX, uid=1),
+        ev(1.002, DROPPED, uid=1, node=2),
+        ev(2.0, SENT, uid=2),
+        ev(2.0, DATA_TX, uid=2),
+        ev(2.001, DATA_TX, uid=2),
+        ev(2.002, RECEIVED, uid=2, node=5),
     )
     assert transmission_efficiency(led) == pytest.approx(1 / 4)
 
@@ -111,22 +112,22 @@ def test_efficiency_undefined_without_transmissions():
 def test_throughput_four_packets_in_half_second_window():
     led = MetricsLedger()
     for uid, t in enumerate([0.1, 0.2, 0.3, 0.4], start=1):
-        led.record(ev(t, EventKind.SENT, uid=uid))
-        led.record(ev(t + 0.05, EventKind.RECEIVED, uid=uid, node=5))
+        led.record(ev(t, SENT, uid=uid))
+        led.record(ev(t + 0.05, RECEIVED, uid=uid, node=5))
     pts = throughput_series(led, window=0.5, step=0.5, t_end=0.5)
     assert pts == [SeriesPoint(0.5, 4 * 512 * 8 / 0.5)]
     assert pts[0].value == 32768.0
 
 
 def test_throughput_empty_window_is_zero():
-    led = ledger_with(ev(0.1, EventKind.SENT))
+    led = ledger_with(ev(0.1, SENT))
     pts = throughput_series(led, window=0.5, step=0.5, t_end=1.0)
     assert [p.value for p in pts] == [0.0, 0.0]
 
 
 def quadratic_throughput(ledger, window=0.5, step=0.1, t_end=None):
     """Oracle: the original rescan of every receive for each window position."""
-    receives = [(e.t, e.size) for e in ledger.events if e.kind is EventKind.RECEIVED]
+    receives = [(e.t, e.size) for e in ledger.events if e.kind == RECEIVED]
     if t_end is None:
         t_end = ledger.events[-1].t if ledger.events else 0.0
     points = []
@@ -160,9 +161,9 @@ def receive_ledgers(draw):
     times += draw(st.lists(st.sampled_from(times), max_size=10)) if times else []
     led = MetricsLedger()
     for uid in range(1, len(times) + 1):
-        led.record(ev(min(times), EventKind.SENT, uid=uid))
+        led.record(ev(min(times), SENT, uid=uid))
     for uid, t in enumerate(sorted(times), start=1):
-        led.record(ev(t, EventKind.RECEIVED, node=5, uid=uid,
+        led.record(ev(t, RECEIVED, node=5, uid=uid,
                       size=draw(st.integers(1, 1500))))
     t_end = draw(st.one_of(st.none(), edge, st.floats(0.0, span, allow_nan=False)))
     return led, window, step, t_end
@@ -179,24 +180,24 @@ def test_throughput_equals_the_quadratic_rescan(case):
 # -- delay -----------------------------------------------------------------------
 
 def test_delay_three_hops_one_ms_each():
-    led = ledger_with(ev(1.0, EventKind.SENT),
-                      ev(1.003, EventKind.RECEIVED, node=5))
+    led = ledger_with(ev(1.0, SENT),
+                      ev(1.003, RECEIVED, node=5))
     pts = delay_series(led)
     assert len(pts) == 1
     assert pts[0].value == pytest.approx(0.003)
 
 
 def test_delay_includes_discovery_buffering():
-    led = ledger_with(ev(1.0, EventKind.SENT),
-                      ev(1.052, EventKind.RECEIVED, node=5))
+    led = ledger_with(ev(1.0, SENT),
+                      ev(1.052, RECEIVED, node=5))
     assert delay_series(led)[0].value == pytest.approx(0.052)
 
 
 def test_delay_points_ordered_by_receive_time():
     led = ledger_with(
-        ev(1.0, EventKind.SENT, uid=1), ev(1.1, EventKind.SENT, uid=2),
-        ev(1.2, EventKind.RECEIVED, uid=1, node=5),
-        ev(1.25, EventKind.RECEIVED, uid=2, node=5),
+        ev(1.0, SENT, uid=1), ev(1.1, SENT, uid=2),
+        ev(1.2, RECEIVED, uid=1, node=5),
+        ev(1.25, RECEIVED, uid=2, node=5),
     )
     pts = delay_series(led)
     assert [p.t for p in pts] == [1.2, 1.25]
@@ -204,9 +205,9 @@ def test_delay_points_ordered_by_receive_time():
 
 def test_delay_points_at_one_receive_time_ordered_by_delay():
     led = ledger_with(
-        ev(1.0, EventKind.SENT, uid=1), ev(1.1, EventKind.SENT, uid=2),
-        ev(1.2, EventKind.RECEIVED, uid=1, node=5),
-        ev(1.2, EventKind.RECEIVED, uid=2, node=6),
+        ev(1.0, SENT, uid=1), ev(1.1, SENT, uid=2),
+        ev(1.2, RECEIVED, uid=1, node=5),
+        ev(1.2, RECEIVED, uid=2, node=6),
     )
     assert [(p.t, p.value) for p in delay_series(led)] == [(1.2, 1.2 - 1.1),
                                                            (1.2, 1.2 - 1.0)]
@@ -216,9 +217,9 @@ def test_delay_points_at_one_receive_time_ordered_by_delay():
 
 def test_control_overhead_counts_by_subkind():
     led = ledger_with(
-        ev(1.0, EventKind.CONTROL_TX, subkind="RREQ", uid=1),
-        ev(1.1, EventKind.CONTROL_TX, subkind="RREQ", uid=2),
-        ev(1.2, EventKind.CONTROL_TX, subkind="RREP", uid=3),
+        ev(1.0, CONTROL_TX, subkind="RREQ", uid=1),
+        ev(1.1, CONTROL_TX, subkind="RREQ", uid=2),
+        ev(1.2, CONTROL_TX, subkind="RREP", uid=3),
     )
     assert control_overhead(led) == {"RREP": 1, "RREQ": 2, "total": 3}
 
@@ -257,13 +258,13 @@ def test_emit_plot_datasets_blank_line_separated():
 
 def _busy_ledger():
     led = MetricsLedger()
-    led.record(ev(1.000001, EventKind.SENT, uid=1))
-    led.record(ev(1.000001, EventKind.CONTROL_TX, subkind="RREQ", size=24, uid=2, dst=-1))
-    led.record(ev(1.001234, EventKind.DATA_TX, uid=1))
-    led.record(ev(1.00246, EventKind.DATA_TX, uid=1, node=2))
-    led.record(ev(1.003743, EventKind.RECEIVED, uid=1, node=5))
-    led.record(ev(2.5, EventKind.SENT, uid=3))
-    led.record(ev(2.601, EventKind.DROPPED, uid=3, node=4))
+    led.record(ev(1.000001, SENT, uid=1))
+    led.record(ev(1.000001, CONTROL_TX, subkind="RREQ", size=24, uid=2, dst=-1))
+    led.record(ev(1.001234, DATA_TX, uid=1))
+    led.record(ev(1.00246, DATA_TX, uid=1, node=2))
+    led.record(ev(1.003743, RECEIVED, uid=1, node=5))
+    led.record(ev(2.5, SENT, uid=3))
+    led.record(ev(2.601, DROPPED, uid=3, node=4))
     return led
 
 
@@ -286,6 +287,35 @@ def test_series_recomputed_from_trace_bit_identical():
     assert delivery_ratio(reparsed) == delivery_ratio(led)
 
 
+def parse_with_line_3(line):
+    """parse_trace over a good line, a blank one and `line`; the error must name line 3."""
+    with pytest.raises(LedgerConsistencyError, match=r"^line 3: "):
+        parse_trace(["s 5.000000 0 DATA 512 1 0 5", "", line, "s 1.000000 0 DATA 512 3 0 5"])
+
+
+@pytest.mark.parametrize("line", ["s 5.5 0 DATA 512 2 0", "s 5.5 0 DATA 512 2 0 5 9",
+                                  "s  5.5 0 DATA 512 2 0 5"])
+def test_parse_trace_rejects_a_line_without_eight_fields(line):
+    parse_with_line_3(line)
+
+
+@pytest.mark.parametrize("line", ["s five 0 DATA 512 2 0 5", "s 5.5 x DATA 512 2 0 5",
+                                  "s 5.5 0 DATA 1.5 2 0 5", "s 5.5 0 DATA 512 2 0 -"])
+def test_parse_trace_rejects_a_field_that_is_not_a_number(line):
+    parse_with_line_3(line)
+
+
+@pytest.mark.parametrize("kind", ["x", "S", "sent", "EventKind.SENT"])
+def test_parse_trace_rejects_an_unknown_kind_letter(kind):
+    parse_with_line_3(f"{kind} 5.5 0 DATA 512 2 0 5")
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1e400"])
+def test_parse_trace_rejects_a_time_that_is_not_finite(t):
+    """A nan time once passed, and switched the order check off for every later row."""
+    parse_with_line_3(f"s {t} 0 DATA 512 2 0 5")
+
+
 OLD_TRACE_FMT = "{kind} {t:.6f} {node} {subkind} {size} {uid} {src} {dst}\n"
 SUBKINDS = ("DATA", "RREQ", "RREP", "RERR", "HELLO", "DSDV-UPDATE")
 
@@ -299,7 +329,7 @@ ints = st.integers(-1, 2**40)
 
 
 @settings(max_examples=500, deadline=None)
-@given(trace_times, st.sampled_from(list(EventKind)), ints, st.sampled_from(SUBKINDS),
+@given(trace_times, st.sampled_from(KINDS), ints, st.sampled_from(SUBKINDS),
        ints, ints, ints, ints)
 def test_trace_row_equals_the_str_format_row(t, kind, node, subkind, size, uid, src, dst):
     e = LedgerEvent(t, kind, node, subkind, size, uid, src, dst)
@@ -309,7 +339,7 @@ def test_trace_row_equals_the_str_format_row(t, kind, node, subkind, size, uid, 
     buf = io.StringIO()
     write_trace(led, buf)
     assert buf.getvalue() == OLD_TRACE_FMT.format(
-        kind=kind.value, t=t, node=node, subkind=subkind, size=size, uid=uid,
+        kind=kind, t=t, node=node, subkind=subkind, size=size, uid=uid,
         src=src, dst=dst)
 
 
@@ -327,18 +357,18 @@ def consistent_rows(draw, ints=ints, span=st.just(10**8),
         if step == "control":
             subkind = draw(control_subkinds)
             if control and draw(st.booleans()):
-                rows.append(ev(t, EventKind.DROPPED, subkind=subkind, dst=-1,
+                rows.append(ev(t, DROPPED, subkind=subkind, dst=-1,
                                uid=draw(st.sampled_from(control))))
             else:
                 control.append(uid)
-                rows.append(ev(t, EventKind.CONTROL_TX, subkind=subkind, size=draw(ints),
+                rows.append(ev(t, CONTROL_TX, subkind=subkind, size=draw(ints),
                                uid=uid, dst=-1))
         elif step == "send" or not data:
             data.append(uid)
-            rows.append(ev(t, EventKind.SENT, node=draw(ints), uid=uid))
+            rows.append(ev(t, SENT, node=draw(ints), uid=uid))
         else:
-            kind = {"data": EventKind.DATA_TX, "receive": EventKind.RECEIVED,
-                    "drop": EventKind.DROPPED}[step]
+            kind = {"data": DATA_TX, "receive": RECEIVED,
+                    "drop": DROPPED}[step]
             rows.append(ev(t, kind, node=draw(ints), uid=draw(st.sampled_from(data)),
                            size=draw(ints), src=draw(ints), dst=draw(ints)))
     return rows
@@ -352,13 +382,13 @@ def consistent_ledgers():
 @given(consistent_ledgers())
 def test_record_counters_equal_a_recount_of_the_rows(led):
     def recount(kind, data=None):
-        return sum(1 for e in led.events if e.kind.value == kind.value
+        return sum(1 for e in led.events if e.kind == kind
                    and data in (None, e.subkind == "DATA"))
     control = Counter(e.subkind for e in led.events
-                      if e.kind.value == EventKind.CONTROL_TX.value)
+                      if e.kind == CONTROL_TX)
     assert (led.sent, led.received, led.dropped_data, led.data_tx, led.control_tx) == \
-        (recount(EventKind.SENT), recount(EventKind.RECEIVED),
-         recount(EventKind.DROPPED, True), recount(EventKind.DATA_TX), dict(control))
+        (recount(SENT), recount(RECEIVED),
+         recount(DROPPED, True), recount(DATA_TX), dict(control))
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,14 +408,14 @@ def test_parse_trace_reproduces_the_written_ledger(led):
 def row_at_a_time_outputs(rows, window, t_end):
     """The trace and the three plot files of a list of rows, derived one row at a
     time and one walk per series, as a ledger that kept every row derived them."""
-    trace = "".join(OLD_TRACE_FMT.format(kind=e.kind.value, t=e.t, node=e.node,
+    trace = "".join(OLD_TRACE_FMT.format(kind=e.kind, t=e.t, node=e.node,
                                          subkind=e.subkind, size=e.size, uid=e.uid,
                                          src=e.src, dst=e.dst) for e in rows)
 
     def cumulative(kind):
         points, count = [], 0
         for e in rows:
-            if e.kind is kind and e.subkind == "DATA":
+            if e.kind == kind and e.subkind == "DATA":
                 count += 1
                 if points and points[-1].t == e.t:
                     points[-1] = SeriesPoint(e.t, count)
@@ -393,16 +423,16 @@ def row_at_a_time_outputs(rows, window, t_end):
                     points.append(SeriesPoint(e.t, count))
         return points
 
-    sent_at = {e.uid: e.t for e in rows if e.kind is EventKind.SENT}
+    sent_at = {e.uid: e.t for e in rows if e.kind == SENT}
     delay = [SeriesPoint(*p) for p in sorted((e.t, e.t - sent_at[e.uid]) for e in rows
-                                             if e.kind is EventKind.RECEIVED)]
+                                             if e.kind == RECEIVED)]
     tput = quadratic_throughput(SimpleNamespace(events=rows), window, THROUGHPUT_STEP, t_end)
 
     def plot(datasets):
         return "TitleText: t\n" + "\n".join(
             "".join(f"{p.t:.6f} {p.value:.6f}\n" for p in points) for points in datasets)
 
-    return trace, [plot([cumulative(EventKind.RECEIVED), cumulative(EventKind.DROPPED)]),
+    return trace, [plot([cumulative(RECEIVED), cumulative(DROPPED)]),
                    plot([tput]), plot([delay])], tuple(
         sum(p.value for p in points) / len(points) if points else 0.0
         for points in (tput, delay))
@@ -437,6 +467,14 @@ def test_any_chunk_size_streams_the_rows_and_outputs_of_a_row_list(chunk, rows, 
         == row_at_a_time_outputs(rows, window, t_end)
 
 
+def test_a_kind_that_is_not_one_letter_keeps_its_chunk_as_rows(monkeypatch):
+    """Packed kinds are one str of letters; a longer kind would shift the rows after it."""
+    monkeypatch.setattr(metrics, "CHUNK", 3)
+    rows = [ev(1.0, SENT), ev(1.1, "sx", uid=2), ev(1.2, RECEIVED, node=5)]
+    led = ledger_with(*rows)
+    assert led._chunks == [rows] and led.events == rows
+
+
 def test_a_far_or_negative_uid_is_checked_without_a_map_entry():
     far = 2**40
     lines = [f"s 1.000000 0 DATA 512 {far} 0 5", f"r 1.500000 5 DATA 512 {far} 0 5",
@@ -451,12 +489,12 @@ def test_a_far_or_negative_uid_is_checked_without_a_map_entry():
     assert (led.sent, led.received, led.control_tx) == (1, 1, {"RREQ": 1})
     assert delay_series(led) == [SeriesPoint(1.5, 0.5)]
     with pytest.raises(LedgerConsistencyError):
-        led.record(ev(2.0, EventKind.SENT, uid=far))
+        led.record(ev(2.0, SENT, uid=far))
     with pytest.raises(LedgerConsistencyError):
-        led.record(ev(2.0, EventKind.RECEIVED, uid=-1))
+        led.record(ev(2.0, RECEIVED, uid=-1))
 
 
-@pytest.mark.parametrize("value", [ev(1.0, EventKind.SENT), SeriesPoint(1.0, 2.0)],
+@pytest.mark.parametrize("value", [ev(1.0, SENT), SeriesPoint(1.0, 2.0)],
                          ids=["LedgerEvent", "SeriesPoint"])
 def test_rows_and_points_are_immutable(value):
     for name in type(value).__annotations__:
@@ -465,9 +503,9 @@ def test_rows_and_points_are_immutable(value):
 
 
 def test_equal_rows_hash_equal():
-    a, b = ev(1.0, EventKind.DROPPED, subkind="RREQ"), ev(1.0, EventKind.DROPPED, subkind="RREQ")
+    a, b = ev(1.0, DROPPED, subkind="RREQ"), ev(1.0, DROPPED, subkind="RREQ")
     assert a == b and a is not b and hash(a) == hash(b)
-    assert len({a, b, ev(1.0, EventKind.DROPPED, subkind="RREP")}) == 2
+    assert len({a, b, ev(1.0, DROPPED, subkind="RREP")}) == 2
 
 
 def test_conservation_identity_on_hand_ledger():

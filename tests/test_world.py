@@ -8,7 +8,7 @@ from conftest import build_sim, random_waypoint_scenario
 from manetsim.aodv import Hello
 from manetsim.engine import Engine
 from manetsim.errors import ScenarioSemanticError, UnknownNodeError
-from manetsim.packets import DataPacket, MessageKind
+from manetsim.packets import HELLO, DataPacket
 from manetsim.world import (GRID_SLACK, GRID_WINDOW, Movement, Position, RadioModel,
                             UnicastOutcome, World, grid_cell, tracks)
 
@@ -154,7 +154,7 @@ def test_isolated_broadcast_delivers_nothing_but_counts_once():
     sim = build_sim([(0, 0), (600, 600)])
     receivers = sim.broadcast(0, Hello(src=0, uid=sim.next_uid()))
     assert receivers == []
-    assert sim.ledger.control_tx == {MessageKind.HELLO.value: 1}
+    assert sim.ledger.control_tx == {HELLO: 1}
     assert sim.engine.pending_count() == 0
 
 
@@ -177,7 +177,7 @@ def test_all_neighbors_one_transmission():
     sim = build_sim([(0, 0), (50, 0), (0, 50), (50, 50)])
     receivers = sim.broadcast(0, Hello(src=0, uid=sim.next_uid()))
     assert len(receivers) == 3
-    assert sim.ledger.control_tx == {MessageKind.HELLO.value: 1}
+    assert sim.ledger.control_tx == {HELLO: 1}
 
 
 def test_unicast_in_range_delivers_after_hop_latency():
@@ -229,7 +229,7 @@ def test_unicast_to_an_undeployed_next_hop_raises(next_hop):
 def test_control_broadcast_recorded_as_control_tx():
     sim = build_sim([(0, 0), (10, 0)])
     sim.broadcast(0, Hello(src=0, uid=sim.next_uid()))
-    assert sim.ledger.control_tx == {MessageKind.HELLO.value: 1}
+    assert sim.ledger.control_tx == {HELLO: 1}
     assert sim.ledger.data_tx == 0
 
 
