@@ -30,7 +30,7 @@ FLUSH_GAP = 0.0001          # frame serialization while draining a buffer
 PATH_DISCOVERY_TIME = 5.6   # seconds a (src, bcast_id) is remembered (RFC 3561 §10)
 
 
-@dataclass
+@dataclass(slots=True)
 class Rreq:
     """Flooded route request; (src, bcast_id) identifies one discovery."""
 
@@ -46,7 +46,7 @@ class Rreq:
     size = RREQ_SIZE
 
 
-@dataclass
+@dataclass(slots=True)
 class Rrep:
     """Route reply, unicast hop by hop back toward the discovery source."""
 
@@ -61,7 +61,7 @@ class Rrep:
     size = RREP_SIZE
 
 
-@dataclass
+@dataclass(slots=True)
 class Rerr:
     """Route error listing destinations that became unreachable."""
 
@@ -77,7 +77,7 @@ class Rerr:
         return RERR_BASE_SIZE + RERR_PER_DEST_SIZE * len(self.unreachable)
 
 
-@dataclass
+@dataclass(slots=True)
 class Hello:
     """Periodic beacon; receipt only refreshes neighbor liveness."""
 
@@ -89,7 +89,7 @@ class Hello:
     size = HELLO_SIZE
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
     dst: int
     next_hop: int
@@ -100,13 +100,13 @@ class RouteEntry:
     precursors: set[int] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReversePathEntry:
     via: int            # neighbor the request arrived from
     expires_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingDiscovery:
     retries_left: int
     timer: object

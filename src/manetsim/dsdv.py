@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .packets import DATA, DSDV_UPDATE, DataPacket
+from .packets import DSDV_UPDATE, DataPacket
 
 UPDATE_BASE_SIZE = 8
 UPDATE_PER_ENTRY_SIZE = 12
 UPDATE_INTERVAL = 1.0       # seconds between full-table dumps
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdatePacket:
     """Route advertisement; hops is None for an unreachable marker."""
 
@@ -33,7 +33,7 @@ class UpdatePacket:
         return UPDATE_BASE_SIZE + UPDATE_PER_ENTRY_SIZE * len(self.entries)
 
 
-@dataclass
+@dataclass(slots=True)
 class DsdvEntry:
     dst: int
     next_hop: int
@@ -141,10 +141,6 @@ class DsdvNode:
             self.triggered_update(changed)
         return changed
 
-    def on_receive(self, sender: int, msg) -> None:
-        # updates are nearly every frame a DSDV node hears, so test them first
-        kind = msg.kind
-        if kind is DSDV_UPDATE:
-            self.handle_update(sender, msg)
-        elif kind is DATA:
-            self.forward_data(msg)
+    def on_receive(self, sender: int, msg: DataPacket) -> None:
+        """A unicast frame, always DATA: updates are broadcast to handle_update."""
+        self.forward_data(msg)

@@ -3,18 +3,18 @@
 All reported numbers are pure functions of the ledger, so a persisted
 trace can be parsed back and must reproduce them bit-identically.
 
-A row is a tuple of LedgerEvent's fields. Its kind is one of the
-letters below and its subkind a message kind: the strings the trace
-prints, held as the same strings in memory and in the packed columns.
-`record` compares kinds by identity, so a row's kind is one of these
-constants. It keeps rows in a short tail list, and every CHUNK rows
-packs the tail into typed columns: `d` for the time, a str of the kind
-letters, a str of one-character subkind codes and `i` for the five
-ints, about 30 B a row against some 190 B for a kept LedgerEvent. A
-chunk with a value that fits no column, such as a packet size wider
-than 32 bits, stays rows. The uid checks read a bytearray indexed by
-uid whose bits are the sent and the transmitted control uids; a uid
-far beyond the row count, or a negative one, goes to a dict instead.
+A row is a tuple of LedgerEvent's fields. Its kind is one of the letters
+below and its subkind a message kind: the strings the trace prints, held
+as the same strings in memory and in the packed columns. `record`
+refuses any other kind and compares kinds by identity, so a row's kind
+is one of these constants. It keeps rows in a short tail list, and every
+CHUNK rows packs the tail into typed columns: `d` for the time, a str of
+the kind letters, a str of one-character subkind codes and `i` for the
+five ints, about 30 B a row against some 190 B for a kept LedgerEvent. A
+chunk with a value that fits no column, such as a packet size wider than
+32 bits, stays rows. The uid checks read a bytearray indexed by uid
+whose bits are the sent and the transmitted control uids; a uid far
+beyond the row count, or a negative one, goes to a dict instead.
 
 The outputs stream from the columns: `write_trace` formats rows into
 blocks of BLOCK lines, and `run_series` derives every series of the
@@ -85,7 +85,13 @@ class MetricsLedger:
         t, kind, _, subkind, _, uid, _, _ = ev
         if t < self._last_t:
             raise LedgerOrderError(f"event at {t} after {self._last_t}")
-        if kind is SENT:
+        # the kinds in order of how often a run records them
+        if kind is CONTROL_TX:
+            self._mark(uid, CONTROL_UID)
+            self.control_tx[subkind] = self.control_tx.get(subkind, 0) + 1
+        elif kind is DATA_TX:
+            self.data_tx += 1
+        elif kind is SENT:
             if self._mark(uid, SENT_UID) & SENT_UID:
                 raise LedgerConsistencyError(f"duplicate sent uid {uid}")
             self.sent += 1
@@ -100,11 +106,8 @@ class MetricsLedger:
                 self.dropped_data += 1
             elif not self._uid_bits(uid) & CONTROL_UID:
                 raise LedgerConsistencyError(f"dropped unknown control uid {uid}")
-        elif kind is CONTROL_TX:
-            self._mark(uid, CONTROL_UID)
-            self.control_tx[subkind] = self.control_tx.get(subkind, 0) + 1
-        elif kind is DATA_TX:
-            self.data_tx += 1
+        else:
+            raise LedgerConsistencyError(f"unknown kind {kind!r}")
         self._last_t = t
         tail = self._tail
         tail.append(ev)
@@ -134,8 +137,8 @@ class MetricsLedger:
 
     def _pack(self) -> None:
         """Move the tail into one chunk of columns, or keep it as rows if a
-        value fits no column: a kind that is not one letter, a subkind that
-        is not a message kind or an int wider than 32 bits."""
+        value fits no column: a subkind that is not a message kind or an int
+        wider than 32 bits. `record` admits only the one-letter KINDS."""
         rows, self._tail = self._tail, []
         t, kinds, node, subkinds, size, uid, src, dst = zip(*rows)
         kinds = "".join(kinds)
@@ -147,7 +150,7 @@ class MetricsLedger:
                      array("i", pack(ints, *src)), array("i", pack(ints, *dst)))
         except (KeyError, struct_error):
             chunk = rows
-        self._chunks.append(chunk if len(kinds) == len(rows) else rows)
+        self._chunks.append(chunk)
         self._packed += len(rows)
 
     def _columns(self) -> Iterator[tuple]:
@@ -352,7 +355,8 @@ def parse_trace(lines: Iterable[str]) -> MetricsLedger:
 
     A line without eight fields, with an unknown kind letter, a field
     that is not a number or a time that is not finite raises
-    LedgerConsistencyError naming the line."""
+    LedgerConsistencyError naming the line, and a line the ledger refuses
+    its error (LedgerOrderError or LedgerConsistencyError) naming it."""
     ledger = MetricsLedger()
     kinds = dict(zip(KINDS, KINDS))     # a letter -> the kind constant itself
     for lineno, raw in enumerate(lines, 1):
@@ -372,7 +376,10 @@ def parse_trace(lines: Iterable[str]) -> MetricsLedger:
             raise LedgerConsistencyError(f"line {lineno}: a field is not a number") from None
         if not math.isfinite(row[0]):
             raise LedgerConsistencyError(f"line {lineno}: time {t} is not finite")
-        ledger.record(row)
+        try:
+            ledger.record(row)
+        except (LedgerOrderError, LedgerConsistencyError) as e:
+            raise type(e)(f"line {lineno}: {e}") from None
     return ledger
 
 

@@ -12,7 +12,7 @@ DATA, RREQ, RREP, RERR, HELLO, DSDV_UPDATE = "DATA", "RREQ", "RREP", "RERR", "HE
 MESSAGE_KINDS = (DATA, RREQ, RREP, RERR, HELLO, DSDV_UPDATE)
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     """One application payload travelling from src to dst."""
 

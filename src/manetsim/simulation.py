@@ -11,8 +11,8 @@ timers, and the methods below to number and send frames, record what it
 did or tell the route observer a route changed. Once the traffic is
 scheduled, each node's `start()` arms its own periodic work through
 `every`. Broadcast frames go from the engine straight to the receiving
-node's `on_receive`; unicast frames pass through `_deliver`, which keeps
-the DATA in-flight count.
+node's handler in BROADCAST_HANDLERS; unicast frames pass through
+`_deliver`, which keeps the DATA in-flight count, to its `on_receive`.
 """
 from __future__ import annotations
 
@@ -34,6 +34,9 @@ from .scenario import ScenarioSpec, TrafficFlow
 from .world import UNICAST_SENT, World
 
 NODE_CLASSES = {"aodv": AodvNode, "dsdv": DsdvNode}
+# the method a protocol's nodes take broadcast frames with: AODV's on_receive
+# runs hello supervision on every frame, and DSDV broadcasts only updates
+BROADCAST_HANDLERS = {"aodv": "on_receive", "dsdv": "handle_update"}
 PROTOCOLS = tuple(NODE_CLASSES)
 
 
@@ -88,7 +91,8 @@ class Simulation:
         self.flows = list(spec.flows)
         self.hello_interval = hello_interval
         self.nodes = [NODE_CLASSES[protocol](i, self) for i in range(spec.node_count)]
-        self.world.on_receive = [node.on_receive for node in self.nodes]
+        handler = BROADCAST_HANDLERS[protocol]
+        self.world.on_receive = [getattr(node, handler) for node in self.nodes]
         self.in_flight_data = 0
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
             (f.src, f.dst): [] for f in self.flows}
@@ -224,17 +228,6 @@ class Simulation:
             seen.add(nxt)
             current = nxt
         return path
-
-    def next_hop_graph(self, dst: int) -> dict[int, int]:
-        """node -> active next hop toward dst, for loop-freedom checks."""
-        graph = {}
-        for node in self.nodes:
-            if node.node_id == dst:
-                continue
-            nxt = node.next_hop_for(dst)
-            if nxt is not None:
-                graph[node.node_id] = nxt
-        return graph
 
     @property
     def unresolved_census(self) -> int:

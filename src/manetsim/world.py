@@ -28,7 +28,7 @@ from .errors import ScenarioSemanticError, UnknownNodeError
 # beats a (k+1)-hop copy while k * 1.05 < k + 1, that is for k <= 19; see
 # the shortest-path discovery invariant
 JITTER_FRACTION = 0.05
-# simulated seconds one neighbour grid stays valid; see World._grid_at
+# simulated seconds one neighbour grid stays valid; see World._build_grid
 GRID_WINDOW = 0.5
 # grid cells are widened by this share of (reach + largest coordinate) so
 # float rounding of positions can never move a neighbour two cells away
@@ -193,8 +193,9 @@ class World:
         self._check_node(b)
         return self._linked(a, b, t)
 
-    def _grid_at(self, t: float) -> tuple[dict, list]:
-        """(cell -> sorted nodes of its 3x3 block, cell of each node), valid at t.
+    def _build_grid(self, t: float) -> None:
+        """Bin every node at t: _grid is (cell -> sorted nodes of its 3x3
+        block, cell of each node), valid in _grid_span.
 
         A grid built at t0 serves [t0, t0 + GRID_WINDOW]. In that window a
         node moves at most v_max * GRID_WINDOW from where it was binned
@@ -203,9 +204,6 @@ class World:
         that wide (plus a margin for float rounding) put them in adjacent
         cells. Without mobility the grid never expires.
         """
-        start, stop = self._grid_span
-        if start <= t <= stop:
-            return self._grid
         coords = [self._xy(node, t) for node in range(len(self._initial))]
         extent = max((max(abs(x), abs(y)) for x, y in coords), default=0.0)
         cell = grid_cell(self.radio.range, self._v_max, extent)
@@ -223,27 +221,31 @@ class World:
         self._coords = coords
         self._slack = 2 * self._v_max * GRID_WINDOW + GRID_SLACK * (cell + extent)
         self._lists = [None] * len(home)
-        return self._grid
 
     def neighbors_of(self, node: int, t: float) -> list[int]:
         """Nodes within range of node at t, in ascending id order, from the
         node's Verlet lists, split from the grid's positions and kept for
-        the grid's window; see the World docstring. The shell loop inlines _xy."""
-        self._check_node(node)
-        blocks, home = self._grid_at(t)
+        the grid's window; see the World docstring. Inlines _check_node and _xy."""
+        if not 0 <= node < len(self._initial):
+            raise UnknownNodeError(f"node {node} not deployed")
+        start, stop = self._grid_span
+        if not start <= t <= stop:
+            self._build_grid(t)
         lists = self._lists[node]
         if lists is None:
+            blocks, home = self._grid
             lists = self._lists[node] = self._split(node, blocks[home[node]])
         sure, shell = lists
         found = sure.copy()
         if shell:
-            x, y = self._xy(node, t)
             fixed, locate, hypot, r = self._fixed, self._locate, math.hypot, self.radio.range
+            x, y = fixed[node] or locate(node, t)
             for m in shell:
                 p = fixed[m] or locate(m, t)
                 if hypot(x - p[0], y - p[1]) <= r:
                     found.append(m)
-            found.sort()
+            if len(found) > len(sure):
+                found.sort()
         return found
 
     def _split(self, node: int, block: list[int]) -> tuple[list[int], list[int]]:

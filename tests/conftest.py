@@ -25,10 +25,22 @@ def build_sim(positions, protocol="aodv", seed=0, flows=(), movements=(),
     return sim
 
 
+def next_hop_graph(sim, dst):
+    """node -> active next hop toward dst, for loop-freedom checks."""
+    graph = {}
+    for node in sim.nodes:
+        if node.node_id == dst:
+            continue
+        nxt = node.next_hop_for(dst)
+        if nxt is not None:
+            graph[node.node_id] = nxt
+    return graph
+
+
 def assert_loop_free(sim):
     """No node's chain of next hops toward any destination revisits a node."""
     for dst in range(len(sim.nodes)):
-        graph = sim.next_hop_graph(dst)
+        graph = next_hop_graph(sim, dst)
         for start in graph:
             cur, seen = start, set()
             while cur in graph:

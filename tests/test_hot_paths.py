@@ -16,12 +16,15 @@ from functools import partial
 import pytest
 
 from manetsim import metrics
-from manetsim.aodv import AodvNode
-from manetsim.dsdv import DsdvNode
+from manetsim.aodv import (AodvNode, Hello, PendingDiscovery, ReversePathEntry, Rerr, RouteEntry,
+                           Rrep, Rreq)
+from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket
 from manetsim.engine import Engine
 from manetsim.packets import DataPacket
 from manetsim.simulation import Simulation
 from manetsim.world import Position, RadioModel, World
+
+from conftest import build_spec
 
 BANNED = {"MessageKind", "EventKind", "UnicastOutcome", "RreqAction", "value"}
 HOT = [AodvNode.on_receive, AodvNode.handle_rreq, DsdvNode.on_receive, DsdvNode.handle_update,
@@ -53,14 +56,33 @@ def test_hot_path_loads_no_enum_class_and_no_value(fn):
 
 
 # post_all, the one routine that files an event, quantizes inline; World
-# checks next_hop inline and builds a broadcast's frames in one comprehension
+# checks node ids inline and builds a broadcast's frames in one comprehension
 CALLS = {"quantize", "_check_node", "_post_frames"}
-FRAME_PATH = [Engine.post_all, World.broadcast, World.unicast]
+FRAME_PATH = [Engine.post_all, World.broadcast, World.unicast, World.neighbors_of]
 
 
 @pytest.mark.parametrize("fn", FRAME_PATH, ids=lambda fn: fn.__qualname__)
 def test_frame_path_calls_no_quantize_check_node_or_post_frames(fn):
     assert not loads(fn, CALLS)
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "dsdv"])
+def test_a_broadcast_frame_goes_straight_to_its_handler(protocol):
+    """DSDV broadcasts only updates, so no on_receive hop sits before
+    handle_update; AODV's on_receive supervises hellos on every frame."""
+    sim = Simulation(build_spec([(0, 0), (100, 0), (200, 0)]), protocol=protocol)
+    handler = {"aodv": "on_receive", "dsdv": "handle_update"}[protocol]
+    assert all(sim.world.on_receive[r] == getattr(node, handler)
+               for r, node in enumerate(sim.nodes))
+
+
+@pytest.mark.parametrize("cls", [DataPacket, UpdatePacket, DsdvEntry, Rreq, Rrep, Rerr, Hello,
+                                 RouteEntry, ReversePathEntry, PendingDiscovery],
+                         ids=lambda cls: cls.__name__)
+def test_a_per_frame_record_is_slotted(cls):
+    """Built per frame or per route entry: slots make its fields cheaper to
+    read and build, and it carries no __dict__."""
+    assert "__slots__" in vars(cls) and "__dict__" not in dir(cls)
 
 
 def test_splitting_a_nodes_verlet_lists_looks_up_no_position():

@@ -316,6 +316,16 @@ def test_parse_trace_rejects_a_time_that_is_not_finite(t):
     parse_with_line_3(f"s {t} 0 DATA 512 2 0 5")
 
 
+@pytest.mark.parametrize("line, error", [
+    ("s 4.000000 0 DATA 512 2 0 5", LedgerOrderError),
+    ("s 5.000000 0 DATA 512 1 0 5", LedgerConsistencyError),     # uid 1 sent twice
+    ("r 5.000000 5 DATA 512 2 0 5", LedgerConsistencyError),     # uid 2 never sent
+], ids=["out-of-order", "duplicate-sent-uid", "unknown-received-uid"])
+def test_parse_trace_names_the_line_of_a_row_the_ledger_refuses(line, error):
+    with pytest.raises(error, match=r"^line 3: "):
+        parse_trace(["s 5.000000 0 DATA 512 1 0 5", "", line])
+
+
 OLD_TRACE_FMT = "{kind} {t:.6f} {node} {subkind} {size} {uid} {src} {dst}\n"
 SUBKINDS = ("DATA", "RREQ", "RREP", "RERR", "HELLO", "DSDV-UPDATE")
 
@@ -467,12 +477,15 @@ def test_any_chunk_size_streams_the_rows_and_outputs_of_a_row_list(chunk, rows, 
         == row_at_a_time_outputs(rows, window, t_end)
 
 
-def test_a_kind_that_is_not_one_letter_keeps_its_chunk_as_rows(monkeypatch):
-    """Packed kinds are one str of letters; a longer kind would shift the rows after it."""
-    monkeypatch.setattr(metrics, "CHUNK", 3)
-    rows = [ev(1.0, SENT), ev(1.1, "sx", uid=2), ev(1.2, RECEIVED, node=5)]
-    led = ledger_with(*rows)
-    assert led._chunks == [rows] and led.events == rows
+@pytest.mark.parametrize("kind", ["x", "sx", "S"])
+def test_record_rejects_a_kind_outside_kinds_and_stores_nothing(kind):
+    """Such a row was once stored, counted nowhere and written as a trace
+    line that parse_trace refuses."""
+    led = ledger_with(ev(1.0, SENT))
+    with pytest.raises(LedgerConsistencyError, match="unknown kind"):
+        led.record(ev(1.1, kind, uid=2))
+    assert led.events == [ev(1.0, SENT)] and led.sent == 1
+    led.record(ev(1.05, RECEIVED, node=5))    # the refused row moved no clock
 
 
 def test_a_far_or_negative_uid_is_checked_without_a_map_entry():
