@@ -177,7 +177,8 @@ class AodvNode:
 
     def originate_data(self, packet: DataPacket) -> None:
         """Send along an active route, or buffer and start discovery."""
-        if self.route_is_active(packet.dst):
+        entry = self.routes.get(packet.dst)
+        if entry is not None and entry.active and entry.expires_at > self.sim.engine.now:
             self._transmit(packet)
             return
         self._enqueue(packet)
@@ -197,24 +198,34 @@ class AodvNode:
         while q:
             self.sim.dropped(self.node_id, q.popleft())
 
-    def _transmit(self, packet: DataPacket) -> bool:
+    def _transmit(self, packet: DataPacket) -> None:
         entry = self.routes[packet.dst]
         if self.sim.send_unicast(self.node_id, entry.next_hop, packet):
             entry.expires_at = self.sim.engine.now + ACTIVE_ROUTE_TIMEOUT
-            return True
-        self.sim.dropped(self.node_id, packet)
-        self.on_link_break(entry.next_hop)
-        return False
+        else:
+            self.sim.dropped(self.node_id, packet)
+            self.on_link_break(entry.next_hop)
 
-    def _handle_data(self, packet: DataPacket) -> None:
-        if packet.dst == self.node_id:
+    def handle_data(self, sender: int, packet: DataPacket) -> None:
+        """Deliver a DATA frame here or forward it. Every data hop runs this,
+        so the active-route test and the send are written out here."""
+        now = self.sim.engine.now
+        heard = self.hello_last_heard
+        if sender in heard:
+            heard[sender] = now
+        dst = packet.dst
+        if dst == self.node_id:
             self.sim.data_received(self.node_id, packet)
             return
-        if self.route_is_active(packet.dst):
-            self._transmit(packet)
-        else:
+        entry = self.routes.get(dst)
+        if entry is None or not entry.active or entry.expires_at <= now:
             # no repair at relays; only the source rediscovers
             self.sim.dropped(self.node_id, packet)
+        elif self.sim.send_unicast(self.node_id, entry.next_hop, packet):
+            entry.expires_at = now + ACTIVE_ROUTE_TIMEOUT
+        else:
+            self.sim.dropped(self.node_id, packet)
+            self.on_link_break(entry.next_hop)
 
     def _drain_one(self, dst: int) -> None:
         q = self.queues.get(dst)
@@ -265,6 +276,8 @@ class AodvNode:
 
     def handle_rreq(self, sender: int, rreq: Rreq) -> RreqAction:
         now = self.sim.engine.now
+        if sender in self.hello_last_heard:
+            self.hello_last_heard[sender] = now
         order = self._seen_order
         while order and order[0][0] <= now:
             self.seen_rreqs.discard(order.popleft()[1])
@@ -305,6 +318,8 @@ class AodvNode:
 
     def handle_rrep(self, sender: int, rrep: Rrep) -> None:
         now = self.sim.engine.now
+        if sender in self.hello_last_heard:
+            self.hello_last_heard[sender] = now
         installed = self.update_route(RouteEntry(dst=rrep.dst, next_hop=sender,
                                                  hop_count=rrep.hop_count + 1,
                                                  dst_seq=rrep.dst_seq,
@@ -355,6 +370,8 @@ class AodvNode:
 
     def handle_rerr(self, sender: int, rerr: Rerr) -> None:
         """Break each active route via sender that rerr lists at a seq no lower than ours."""
+        if sender in self.hello_last_heard:
+            self.hello_last_heard[sender] = self.sim.engine.now
         # lazy, so a destination listed twice is tested after its first break
         self._invalidate((e, seq) for dst, seq in rerr.unreachable
                          if (e := self.routes.get(dst)) is not None and e.active
@@ -393,18 +410,24 @@ class AodvNode:
         if any(map(self.route_is_active, self.routes)):
             self.sim.broadcast(self.node_id, Hello(src=self.node_id, uid=self.sim.next_uid()))
 
+    def handle_hello(self, sender: int, hello: Hello) -> None:
+        """A beacon puts its sender under supervision, or refreshes it."""
+        self.hello_last_heard[sender] = self.sim.engine.now
+
     # -- dispatch ----------------------------------------------------------
 
     def on_receive(self, sender: int, msg) -> None:
+        """Hand msg to its kind's handler; the engine calls the RREQ, HELLO and
+        DATA handlers directly. Each handler refreshes hello supervision itself,
+        since any frame shows its sender is still there (RFC 3561 §6.10)."""
         kind = msg.kind
-        # any frame from a supervised neighbor proves it is still there
-        if kind is HELLO or sender in self.hello_last_heard:
-            self.hello_last_heard[sender] = self.sim.engine.now
         if kind is DATA:
-            self._handle_data(msg)
+            self.handle_data(sender, msg)
         elif kind is RREQ:
             self.handle_rreq(sender, msg)
         elif kind is RREP:
             self.handle_rrep(sender, msg)
         elif kind is RERR:
             self.handle_rerr(sender, msg)
+        elif kind is HELLO:
+            self.handle_hello(sender, msg)

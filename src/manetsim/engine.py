@@ -134,9 +134,6 @@ class Engine:
                 return True
         return False
 
-    def pending_count(self) -> int:
-        return sum(map(len, self._buckets.values()))
-
     def run_until(self, t_end: float) -> int:
         """Process every event due at or before t_end, quantized like every
         fire time; leaves the clock there."""

@@ -10,9 +10,11 @@ holds its Simulation and acts through it: `engine` for the clock and
 timers, and the methods below to number and send frames, record what it
 did or tell the route observer a route changed. Once the traffic is
 scheduled, each node's `start()` arms its own periodic work through
-`every`. Broadcast frames go from the engine straight to the receiving
-node's handler in BROADCAST_HANDLERS; unicast frames pass through
-`_deliver`, which keeps the DATA in-flight count, to its `on_receive`.
+`every`. A broadcast frame goes from the engine straight to the
+receiving node's handler for its kind, from BROADCAST_HANDLERS. A
+unicast frame goes to `_deliver`, which keeps the DATA in-flight count
+and hands a DATA frame straight to the node's handler in DATA_HANDLERS,
+and an AODV RREP or RERR to `on_receive`.
 """
 from __future__ import annotations
 
@@ -29,14 +31,16 @@ from .metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, MetricsLedge
 # unused here, but perfbench/tracer.py patches these names in this module
 # (ROADMAP item 3 moves the tracer off them)
 from .metrics import delay_series, throughput_series  # noqa: F401
-from .packets import DATA, DataPacket
+from .packets import DATA, DSDV_UPDATE, HELLO, RREQ, DataPacket
 from .scenario import ScenarioSpec, TrafficFlow
 from .world import UNICAST_SENT, World
 
 NODE_CLASSES = {"aodv": AodvNode, "dsdv": DsdvNode}
-# the method a protocol's nodes take broadcast frames with: AODV's on_receive
-# runs hello supervision on every frame, and DSDV broadcasts only updates
-BROADCAST_HANDLERS = {"aodv": "on_receive", "dsdv": "handle_update"}
+# per protocol, the method its nodes take each broadcast kind with, and the
+# one they take DATA frames with; AODV handlers supervise hellos themselves
+BROADCAST_HANDLERS = {"aodv": {RREQ: "handle_rreq", HELLO: "handle_hello"},
+                      "dsdv": {DSDV_UPDATE: "handle_update"}}
+DATA_HANDLERS = {"aodv": "handle_data", "dsdv": "on_receive"}
 PROTOCOLS = tuple(NODE_CLASSES)
 
 
@@ -91,8 +95,10 @@ class Simulation:
         self.flows = list(spec.flows)
         self.hello_interval = hello_interval
         self.nodes = [NODE_CLASSES[protocol](i, self) for i in range(spec.node_count)]
-        handler = BROADCAST_HANDLERS[protocol]
-        self.world.on_receive = [getattr(node, handler) for node in self.nodes]
+        # looked up as the run is built, so a wrapper patched onto the class is wired
+        self.world.on_receive = {kind: [getattr(node, name) for node in self.nodes]
+                                 for kind, name in BROADCAST_HANDLERS[protocol].items()}
+        self._data_handler = getattr(NODE_CLASSES[protocol], DATA_HANDLERS[protocol])
         self.in_flight_data = 0
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
             (f.src, f.dst): [] for f in self.flows}
@@ -136,7 +142,9 @@ class Simulation:
         return self._uid_counter
 
     def data_received(self, node: int, pkt: DataPacket) -> None:
-        self._log(RECEIVED, node, pkt)
+        # the row _log would build, built here: every delivered packet ends here
+        self.ledger.record((self.engine.now, RECEIVED, node, DATA, pkt.size, pkt.uid,
+                            pkt.src, pkt.dst))
 
     def dropped(self, node: int, msg) -> None:
         self._log(DROPPED, node, msg)
@@ -147,13 +155,15 @@ class Simulation:
         return self.world.broadcast(sender, msg)
 
     def send_unicast(self, sender: int, next_hop: int, msg) -> bool:
+        """Unicast and record msg; False on a link break. Every data hop runs
+        this, so it builds the row _log would build itself."""
         if self.world.unicast(sender, next_hop, msg) is not UNICAST_SENT:
             return False
-        if msg.kind is DATA:
+        kind = msg.kind
+        if kind is DATA:
             self.in_flight_data += 1
-            self._log(DATA_TX, sender, msg)
-        else:
-            self._log(CONTROL_TX, sender, msg)
+        self.ledger.record((self.engine.now, DATA_TX if kind is DATA else CONTROL_TX, sender,
+                            kind, msg.size, msg.uid, msg.src, msg.dst))
         return True
 
     def _log(self, kind: str, node: int, msg) -> None:
@@ -169,13 +179,17 @@ class Simulation:
     def _deliver(self, receiver: int, sender: int, msg) -> None:
         if msg.kind is DATA:
             self.in_flight_data -= 1
-        self.nodes[receiver].on_receive(sender, msg)
+            self._data_handler(self.nodes[receiver], sender, msg)
+        else:
+            self.nodes[receiver].on_receive(sender, msg)
 
     def emit_data(self, flow: TrafficFlow) -> None:
-        pkt = DataPacket(uid=self.next_uid(), src=flow.src, dst=flow.dst,
-                         size=flow.packet_size)
-        self._log(SENT, flow.src, pkt)
-        self.nodes[flow.src].originate_data(pkt)
+        """Send one packet of flow. Every packet starts here, so it numbers the
+        packet and builds its row itself, as next_uid and _log would."""
+        self._uid_counter = uid = self._uid_counter + 1
+        src, dst, size = flow.src, flow.dst, flow.packet_size
+        self.ledger.record((self.engine.now, SENT, src, DATA, size, uid, src, dst))
+        self.nodes[src].originate_data(DataPacket(uid, src, dst, size))
 
     def _after_event(self) -> None:
         # Only flows toward a destination whose entries changed are walked.

@@ -23,6 +23,7 @@ from typing import Callable
 
 from .engine import Engine
 from .errors import ScenarioSemanticError, UnknownNodeError
+from .packets import MESSAGE_KINDS
 
 # jitter adds at most this share of hop_latency per hop, so a k-hop flood
 # beats a (k+1)-hop copy while k * 1.05 < k + 1, that is for k <= 19; see
@@ -151,10 +152,11 @@ class World:
         self._coords, self._slack = [], 0.0
         self._lists: list[tuple[list[int], list[int]] | None] = []
         # wired by the simulation: deliver(receiver, sender, message) takes
-        # unicast frames, and on_receive[r](sender, message) node r's
-        # broadcast frames; until then frames are dropped on arrival
+        # unicast frames, and on_receive[kind][r](sender, message) node r's
+        # broadcast frames of that kind; until then frames are dropped on arrival
         self.deliver: Callable[[int, int, object], None] = _ignore
-        self.on_receive: list[Callable[[int, object], None]] = [_ignore] * len(node_positions)
+        self.on_receive: dict[str, list[Callable[[int, object], None]]] = {
+            kind: [_ignore] * len(node_positions) for kind in MESSAGE_KINDS}
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self._initial):
@@ -265,14 +267,14 @@ class World:
     def broadcast(self, sender: int, msg) -> list[int]:
         """Deliver to every node currently in range; one transmission.
 
-        Each frame goes straight to the receiver's on_receive handler, one
-        hop_latency plus a jitter draw from now. rng.uniform(0.0, j) is
-        0.0 + j * rng.random(): the draw is the same float, and the
-        parentheses keep the sum's rounding.
+        Each frame goes straight to the receiver's handler for msg's kind,
+        looked up once per broadcast, one hop_latency plus a jitter draw
+        from now. rng.uniform(0.0, j) is 0.0 + j * rng.random(): the draw
+        is the same float, and the parentheses keep the sum's rounding.
         """
         now = self.engine.now
         receivers = self.neighbors_of(sender, now)
-        handlers, draw, frame = self.on_receive, self.rng.random, (sender, msg)
+        handlers, draw, frame = self.on_receive[msg.kind], self.rng.random, (sender, msg)
         latency, jitter = self.radio.hop_latency, self.jitter
         self.engine.post_all([(now + (latency + jitter * draw()), (handlers[r], frame))
                               for r in receivers])
@@ -283,14 +285,19 @@ class World:
 
         sender is the calling node's own id; next_hop is checked, so a bad
         routing entry raises instead of indexing another node. The frame
-        arrives like a broadcast frame, after the same jitter draw.
+        arrives like a broadcast frame, after the same jitter draw. Every
+        data hop runs this, so it inlines _linked and _xy; math.dist(a, b)
+        is math.hypot of the coordinate differences, computed the same way.
         """
         if not 0 <= next_hop < len(self._initial):
             raise UnknownNodeError(f"node {next_hop} not deployed")
         if sender == next_hop:
             raise ValueError("unicast to self")
         now = self.engine.now
-        if not self._linked(sender, next_hop, now):
+        fixed = self._fixed
+        a = fixed[sender] or self._locate(sender, now)
+        b = fixed[next_hop] or self._locate(next_hop, now)
+        if not math.dist(a, b) <= self.radio.range:
             return LINK_BREAK
         self.engine.post_all(((now + (self.radio.hop_latency + self.jitter * self.rng.random()),
                                (self.deliver, (next_hop, sender, msg))),))

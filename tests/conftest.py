@@ -25,6 +25,11 @@ def build_sim(positions, protocol="aodv", seed=0, flows=(), movements=(),
     return sim
 
 
+def pending_count(engine):
+    """Events an Engine has queued and not yet run."""
+    return sum(map(len, engine._buckets.values()))
+
+
 def next_hop_graph(sim, dst):
     """node -> active next hop toward dst, for loop-freedom checks."""
     graph = {}

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from conftest import build_sim
+from conftest import build_sim, pending_count
 from manetsim.aodv import (ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, DISCOVERY_RETRIES,
-                           PATH_DISCOVERY_TIME, REVERSE_PATH_LIFETIME, Rerr, RouteEntry,
+                           PATH_DISCOVERY_TIME, REVERSE_PATH_LIFETIME, Hello, Rerr, RouteEntry,
                            Rrep, Rreq, RreqAction)
 from manetsim.metrics import CONTROL_TX, DATA_TX, DROPPED, SENT, LedgerEvent
 from manetsim.packets import DataPacket
@@ -109,11 +109,11 @@ def test_second_discovery_for_same_destination_raises():
     node = sim.nodes[0]
     node.start_discovery(3)
     timer = node.pending[3].timer
-    scheduled = sim.engine.pending_count()
+    scheduled = pending_count(sim.engine)
     with pytest.raises(RuntimeError):
         node.start_discovery(3)
     assert node.pending[3].timer is timer and timer.pending
-    assert sim.engine.pending_count() == scheduled  # no second timer, no second flood
+    assert pending_count(sim.engine) == scheduled  # no second timer, no second flood
     assert control_count(sim, "RREQ") == 1
 
 
@@ -441,6 +441,40 @@ def test_hello_refreshes_timestamp_without_route_change():
     sim.engine.run_until(5.0)
     assert src.route_is_active(1)
     assert src.hello_last_heard[1] >= 4.0
+
+
+def send_frame(sim, kind):
+    """Send node 0 one frame of kind from node 1, by broadcast or unicast."""
+    if kind == "DATA":
+        return sim.send_unicast(1, 0, packet(sim, 1, 0))
+    if kind == "RREQ":
+        return sim.broadcast(1, Rreq(src=1, src_seq=1, bcast_id=1, dst=0, dst_last_seq=0,
+                                     hop_count=0, uid=sim.next_uid()))
+    if kind == "RREP":
+        return sim.send_unicast(1, 0, Rrep(src=0, dst=1, dst_seq=1, hop_count=0,
+                                           lifetime=ACTIVE_ROUTE_TIMEOUT, uid=sim.next_uid()))
+    if kind == "RERR":
+        return sim.send_unicast(1, 0, Rerr(unreachable=[(1, 3)], uid=sim.next_uid(),
+                                           src=1, dst=0))
+    return sim.broadcast(1, Hello(src=1, uid=sim.next_uid()))
+
+
+@pytest.mark.parametrize("supervised", [True, False], ids=["supervised", "unsupervised"])
+@pytest.mark.parametrize("kind", ["DATA", "RREQ", "RREP", "RERR", "HELLO"])
+def test_any_frame_from_a_supervised_neighbor_refreshes_it(kind, supervised):
+    """RFC 3561 §6.10: any packet from a neighbor shows it is still there,
+    but only a hello puts an unsupervised sender under supervision."""
+    sim = build_sim([(0, 0), (100, 0)])
+    node = sim.nodes[0]
+    sim.engine.run_until(1.0)
+    if supervised:
+        node.hello_last_heard[1] = 0.5
+    assert send_frame(sim, kind)
+    sim.engine.run_until(1.5)
+    if supervised or kind == "HELLO":
+        assert node.hello_last_heard == {1: 1.001}     # heard on arrival, jitter off
+    else:
+        assert node.hello_last_heard == {}
 
 
 def test_unicast_break_then_hello_timeout_single_rerr():

@@ -1,6 +1,6 @@
-"""Per-frame code loads no Enum class and no `.value`, and queues a frame,
-as a (handler, args) entry, without a Python call between the sender and
-its bucket.
+"""Per-frame code loads no Enum class and no `.value`, queues a frame, as
+a (handler, args) entry, without a Python call between the sender and
+its bucket, and the engine runs a frame's handler with no dispatch hop.
 
 Message and ledger kinds are plain strings; only `UnicastOutcome` and
 `RreqAction` are still Enums, and on CPython 3.11 a member lookup such as
@@ -20,14 +20,16 @@ from manetsim.aodv import (AodvNode, Hello, PendingDiscovery, ReversePathEntry, 
                            Rrep, Rreq)
 from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket
 from manetsim.engine import Engine
-from manetsim.packets import DataPacket
+from manetsim.packets import DATA, DSDV_UPDATE, HELLO, RREQ, DataPacket
+from manetsim.scenario import TrafficFlow, builtin
 from manetsim.simulation import Simulation
 from manetsim.world import Position, RadioModel, World
 
 from conftest import build_spec
 
 BANNED = {"MessageKind", "EventKind", "UnicastOutcome", "RreqAction", "value"}
-HOT = [AodvNode.on_receive, AodvNode.handle_rreq, DsdvNode.on_receive, DsdvNode.handle_update,
+HOT = [AodvNode.on_receive, AodvNode.handle_rreq, AodvNode.handle_data, AodvNode.handle_hello,
+       DsdvNode.on_receive, DsdvNode.handle_update,
        World.neighbors_of, Simulation.send_unicast, Simulation._deliver, Simulation.emit_data,
        Simulation.data_received, Simulation.dropped, Simulation.broadcast, Simulation._log,
        World.unicast, metrics.MetricsLedger.record, metrics.MetricsLedger._mark,
@@ -66,14 +68,57 @@ def test_frame_path_calls_no_quantize_check_node_or_post_frames(fn):
     assert not loads(fn, CALLS)
 
 
+# the method each kind a protocol broadcasts goes to, with no dispatch hop
+BROADCAST = {"aodv": {RREQ: "handle_rreq", HELLO: "handle_hello"},
+             "dsdv": {DSDV_UPDATE: "handle_update"}}
+
+
 @pytest.mark.parametrize("protocol", ["aodv", "dsdv"])
 def test_a_broadcast_frame_goes_straight_to_its_handler(protocol):
-    """DSDV broadcasts only updates, so no on_receive hop sits before
-    handle_update; AODV's on_receive supervises hellos on every frame."""
-    sim = Simulation(build_spec([(0, 0), (100, 0), (200, 0)]), protocol=protocol)
-    handler = {"aodv": "on_receive", "dsdv": "handle_update"}[protocol]
-    assert all(sim.world.on_receive[r] == getattr(node, handler)
-               for r, node in enumerate(sim.nodes))
+    """Every kind a protocol broadcasts is wired to its handler, with no dispatch hop."""
+    sim = Simulation(builtin("scenario1"), protocol=protocol, hello_interval=1.0)
+    kinds = set()
+    broadcast = sim.world.broadcast
+
+    def recording(sender, msg):
+        kinds.add(msg.kind)
+        return broadcast(sender, msg)
+
+    sim.world.broadcast = recording
+    sim.run()
+    assert kinds == set(BROADCAST[protocol]) == set(sim.world.on_receive)
+    for kind, name in BROADCAST[protocol].items():
+        assert sim.world.on_receive[kind] == [getattr(node, name) for node in sim.nodes]
+
+
+def test_a_data_frame_reaches_handle_data_without_on_receive(monkeypatch):
+    def on_receive(self, sender, msg):
+        raise AssertionError(f"{msg.kind} frame went through on_receive")
+
+    monkeypatch.setattr(AodvNode, "on_receive", on_receive)
+    sim = Simulation(build_spec([(0, 0), (100, 0), (200, 0)]))
+    sim.nodes[0].routes[2] = RouteEntry(dst=2, next_hop=1, hop_count=2, dst_seq=1,
+                                        expires_at=5.0)
+    sim.nodes[1].routes[2] = RouteEntry(dst=2, next_hop=2, hop_count=1, dst_seq=1,
+                                        expires_at=5.0)
+    sim.emit_data(TrafficFlow(0, 2, rate=1.0, packet_size=512, start=0.0, stop=1.0))
+    sim.engine.run_until(0.5)
+    assert (sim.ledger.data_tx, sim.ledger.received) == (2, 1)
+
+
+# helpers the data path writes out itself: it runs once per hop or per packet
+NOT_ON_DATA_PATH = [(World.unicast, {"_linked", "_xy"}),
+                    (AodvNode.handle_data, {"route_is_active", "_transmit"}),
+                    (Simulation.send_unicast, {"_log"}),
+                    (Simulation.emit_data, {"next_uid", "_log"}),
+                    (Simulation.data_received, {"_log"}),
+                    (AodvNode.originate_data, {"route_is_active"})]
+
+
+@pytest.mark.parametrize("fn, names", NOT_ON_DATA_PATH,
+                         ids=[fn.__qualname__ for fn, _ in NOT_ON_DATA_PATH])
+def test_a_data_hop_calls_no_helper(fn, names):
+    assert not loads(fn, names)
 
 
 @pytest.mark.parametrize("cls", [DataPacket, UpdatePacket, DsdvEntry, Rreq, Rrep, Rerr, Hello,
@@ -111,18 +156,19 @@ def test_a_broadcast_files_one_entry_per_receiver_sharing_one_frame(seed):
     eng = Engine()
     eng.now = 2.5
     w = World(eng, [Position(100.0 * i, 0.0) for i in range(8)], RadioModel(), seed=seed)
-    w.on_receive = [lambda *frame: None for _ in range(8)]   # eight distinct handlers
+    handlers = [lambda *frame: None for _ in range(8)]   # eight distinct handlers
+    w.on_receive = {DATA: handlers}
     posted = []
     eng.post_all = posted.extend
     msg = DataPacket(uid=1, src=3, dst=5, size=512)
     receivers = w.broadcast(3, msg)
     assert receivers == [1, 2, 4, 5]
-    assert [handler for _, (handler, _) in posted] == [w.on_receive[r] for r in receivers]
+    assert [handler for _, (handler, _) in posted] == [handlers[r] for r in receivers]
     [frame] = {id(args): args for _, (_, args) in posted}.values()
     assert frame == (3, msg) and frame[1] is msg
     # the fire times of the partial form this replaced, same seed and draws
     draw = random.Random(seed).random
     latency, jitter = w.radio.hop_latency, w.jitter
-    old = [(2.5 + (latency + jitter * draw()), partial(w.on_receive[r], 3, msg))
+    old = [(2.5 + (latency + jitter * draw()), partial(handlers[r], 3, msg))
            for r in receivers]
     assert [float.hex(at) for at, _ in posted] == [float.hex(at) for at, _ in old]

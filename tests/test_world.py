@@ -1,14 +1,15 @@
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_sim, random_waypoint_scenario
+from conftest import build_sim, pending_count, random_waypoint_scenario
 from manetsim.aodv import Hello
 from manetsim.engine import Engine
 from manetsim.errors import ScenarioSemanticError, UnknownNodeError
-from manetsim.packets import HELLO, DataPacket
+from manetsim.packets import DATA, HELLO, MESSAGE_KINDS, DataPacket
 from manetsim.world import (GRID_SLACK, GRID_WINDOW, Movement, Position, RadioModel,
                             UnicastOutcome, World, grid_cell, tracks)
 
@@ -155,22 +156,33 @@ def test_isolated_broadcast_delivers_nothing_but_counts_once():
     receivers = sim.broadcast(0, Hello(src=0, uid=sim.next_uid()))
     assert receivers == []
     assert sim.ledger.control_tx == {HELLO: 1}
-    assert sim.engine.pending_count() == 0
+    assert pending_count(sim.engine) == 0
 
 
 def test_broadcast_reaches_exactly_in_range_nodes():
     got = []
     eng, w = make_world([(0, 0), (100, 0), (200, 0), (600, 0)])
-    w.on_receive = [lambda s, m, r=r: got.append((r, s)) for r in range(4)]
+    w.on_receive = {DATA: [lambda s, m, r=r: got.append((r, s)) for r in range(4)]}
     receivers = w.broadcast(0, pkt())
     assert receivers == [1, 2]
     eng.run_until(1.0)
     assert sorted(got) == [(1, 0), (2, 0)]
 
 
-def test_broadcast_never_delivers_to_sender():
+def test_an_unwired_world_drops_a_frame_of_every_kind():
     eng, w = make_world([(0, 0), (10, 0)])
+    for kind in MESSAGE_KINDS:
+        assert w.broadcast(0, types.SimpleNamespace(kind=kind)) == [1]
+    assert eng.run_until(1.0) == len(MESSAGE_KINDS)
+
+
+def test_broadcast_never_delivers_to_sender():
+    got = []
+    eng, w = make_world([(0, 0), (10, 0)])
+    w.on_receive = {DATA: [lambda s, m, r=r: got.append(r) for r in range(2)]}
     assert 0 not in w.broadcast(0, pkt())
+    eng.run_until(1.0)
+    assert got == [1]
 
 
 def test_all_neighbors_one_transmission():
@@ -201,6 +213,7 @@ def test_delivery_times_match_the_uniform_draw_oracle(seed, jitter, hop_latency,
     w = World(eng, [Position(10.0 * i, 0.0) for i in range(k + 1)],
               RadioModel(hop_latency=hop_latency), seed=seed)
     w.jitter = jitter
+    w.on_receive = {DATA: [lambda s, m: None] * (k + 1)}
     posted = []
     eng.post_all = lambda pairs: posted.extend(fire_at for fire_at, _ in pairs)
     assert w.broadcast(0, pkt()) == list(range(1, k + 1))
@@ -223,7 +236,7 @@ def test_unicast_to_an_undeployed_next_hop_raises(next_hop):
     sim = build_sim([(0, 0), (10, 0)])
     with pytest.raises(UnknownNodeError):
         sim.send_unicast(0, next_hop, pkt())
-    assert sim.ledger.events == [] and sim.engine.pending_count() == 0
+    assert sim.ledger.events == [] and pending_count(sim.engine) == 0
 
 
 def test_control_broadcast_recorded_as_control_tx():
