@@ -125,6 +125,12 @@ DUPLICATE, REPLIED, FORWARDED = RreqAction
 class AodvNode:
     """One node's routing state, driven entirely by the engine loop."""
 
+    # the method a node takes each kind of frame with, which Simulation wires
+    # every frame straight to; each refreshes hello supervision (RFC 3561
+    # §6.10). RREP and RERR pass on_receive, which perfbench times for AODV
+    HANDLERS = {DATA: "handle_data", RREQ: "handle_rreq", HELLO: "handle_hello",
+                RREP: "on_receive", RERR: "on_receive"}
+
     def __init__(self, node_id: int, sim):
         self.node_id = node_id
         self.sim = sim
@@ -417,17 +423,8 @@ class AodvNode:
     # -- dispatch ----------------------------------------------------------
 
     def on_receive(self, sender: int, msg) -> None:
-        """Hand msg to its kind's handler; the engine calls the RREQ, HELLO and
-        DATA handlers directly. Each handler refreshes hello supervision itself,
-        since any frame shows its sender is still there (RFC 3561 §6.10)."""
-        kind = msg.kind
-        if kind is DATA:
-            self.handle_data(sender, msg)
-        elif kind is RREQ:
-            self.handle_rreq(sender, msg)
-        elif kind is RREP:
+        """Take a RREP or RERR, the two kinds HANDLERS sends here."""
+        if msg.kind is RREP:
             self.handle_rrep(sender, msg)
-        elif kind is RERR:
+        else:
             self.handle_rerr(sender, msg)
-        elif kind is HELLO:
-            self.handle_hello(sender, msg)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .packets import DSDV_UPDATE, DataPacket
+from .packets import DATA, DSDV_UPDATE, DataPacket
 
 UPDATE_BASE_SIZE = 8
 UPDATE_PER_ENTRY_SIZE = 12
@@ -47,6 +47,9 @@ class DsdvEntry:
 
 class DsdvNode:
     """One node's table plus the periodic/triggered advertisement logic."""
+
+    # the method a node takes each kind of frame with; see AodvNode.HANDLERS
+    HANDLERS = {DATA: "on_receive", DSDV_UPDATE: "handle_update"}
 
     def __init__(self, node_id: int, sim):
         self.node_id = node_id
@@ -142,5 +145,5 @@ class DsdvNode:
         return changed
 
     def on_receive(self, sender: int, msg: DataPacket) -> None:
-        """A unicast frame, always DATA: updates are broadcast to handle_update."""
+        """Take a DATA frame, the kind HANDLERS sends here."""
         self.forward_data(msg)

@@ -115,7 +115,7 @@ class Engine:
                 fire_at = k / TICKS_PER_S
             else:
                 fire_at = round(fire_at, TIME_RESOLUTION_DIGITS)
-            if fire_at < now:
+            if not fire_at >= now:     # NaN too: it would stall the queue
                 raise PastTimeError(f"schedule at {fire_at} before clock {now}")
             bucket = buckets.get(fire_at)
             if bucket is None:
@@ -138,7 +138,7 @@ class Engine:
         """Process every event due at or before t_end, quantized like every
         fire time; leaves the clock there."""
         t_end = quantize(t_end)
-        if t_end < self.now:
+        if not t_end >= self.now:   # NaN too: it would leave the clock NaN
             raise PastTimeError(f"run_until({t_end}) before clock {self.now}")
         steps = 0
         queue, buckets = self._queue, self._buckets

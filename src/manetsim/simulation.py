@@ -10,11 +10,11 @@ holds its Simulation and acts through it: `engine` for the clock and
 timers, and the methods below to number and send frames, record what it
 did or tell the route observer a route changed. Once the traffic is
 scheduled, each node's `start()` arms its own periodic work through
-`every`. A broadcast frame goes from the engine straight to the
-receiving node's handler for its kind, from BROADCAST_HANDLERS. A
-unicast frame goes to `_deliver`, which keeps the DATA in-flight count
-and hands a DATA frame straight to the node's handler in DATA_HANDLERS,
-and an AODV RREP or RERR to `on_receive`.
+`every`. Each node class declares one table, HANDLERS, of the method
+its nodes take each kind of frame with, and `world.on_receive` holds
+those methods per kind and receiver. A broadcast frame goes from the
+engine straight to the receiver's handler; a unicast frame passes
+`_deliver`, which keeps the DATA in-flight count, on its way there.
 """
 from __future__ import annotations
 
@@ -31,16 +31,11 @@ from .metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, MetricsLedge
 # unused here, but perfbench/tracer.py patches these names in this module
 # (ROADMAP item 3 moves the tracer off them)
 from .metrics import delay_series, throughput_series  # noqa: F401
-from .packets import DATA, DSDV_UPDATE, HELLO, RREQ, DataPacket
+from .packets import DATA, DataPacket
 from .scenario import ScenarioSpec, TrafficFlow
 from .world import UNICAST_SENT, World
 
 NODE_CLASSES = {"aodv": AodvNode, "dsdv": DsdvNode}
-# per protocol, the method its nodes take each broadcast kind with, and the
-# one they take DATA frames with; AODV handlers supervise hellos themselves
-BROADCAST_HANDLERS = {"aodv": {RREQ: "handle_rreq", HELLO: "handle_hello"},
-                      "dsdv": {DSDV_UPDATE: "handle_update"}}
-DATA_HANDLERS = {"aodv": "handle_data", "dsdv": "on_receive"}
 PROTOCOLS = tuple(NODE_CLASSES)
 
 
@@ -94,11 +89,11 @@ class Simulation:
         self.world.deliver = self._deliver
         self.flows = list(spec.flows)
         self.hello_interval = hello_interval
-        self.nodes = [NODE_CLASSES[protocol](i, self) for i in range(spec.node_count)]
+        node_class = NODE_CLASSES[protocol]
+        self.nodes = [node_class(i, self) for i in range(spec.node_count)]
         # looked up as the run is built, so a wrapper patched onto the class is wired
         self.world.on_receive = {kind: [getattr(node, name) for node in self.nodes]
-                                 for kind, name in BROADCAST_HANDLERS[protocol].items()}
-        self._data_handler = getattr(NODE_CLASSES[protocol], DATA_HANDLERS[protocol])
+                                 for kind, name in node_class.HANDLERS.items()}
         self.in_flight_data = 0
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
             (f.src, f.dst): [] for f in self.flows}
@@ -177,11 +172,10 @@ class Simulation:
     # -- engine plumbing -----------------------------------------------------
 
     def _deliver(self, receiver: int, sender: int, msg) -> None:
-        if msg.kind is DATA:
+        kind = msg.kind
+        if kind is DATA:
             self.in_flight_data -= 1
-            self._data_handler(self.nodes[receiver], sender, msg)
-        else:
-            self.nodes[receiver].on_receive(sender, msg)
+        self.world.on_receive[kind][receiver](sender, msg)
 
     def emit_data(self, flow: TrafficFlow) -> None:
         """Send one packet of flow. Every packet starts here, so it numbers the

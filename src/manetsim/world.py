@@ -48,8 +48,8 @@ class RadioModel:
     hop_latency: float = 0.001
 
     def __post_init__(self):
-        if self.range <= 0 or self.hop_latency <= 0:
-            raise ValueError("radio range and hop latency must be positive")
+        if not (0 < self.range < math.inf and 0 < self.hop_latency < math.inf):
+            raise ValueError("radio range and hop latency must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,30 @@ def test_schedule_in_the_past_rejected():
         eng.schedule(0.5, lambda: None)
 
 
+def test_a_nan_fire_time_is_refused_and_stalls_no_later_event():
+    # queued, a NaN would top the heap and fail every `<= t_end` test after it
+    eng = Engine()
+    fired = []
+    eng.post_all([(1.0, (fired.append, (1.0,)))])
+    with pytest.raises(PastTimeError):
+        eng.post_all([(math.nan, (fired.append, ("nan",)))])
+    with pytest.raises(PastTimeError):
+        eng.schedule(math.nan, lambda: fired.append("nan"))
+    eng.post_all([(0.5, (fired.append, (0.5,)))])
+    assert eng.run_until(10.0) == 2
+    assert fired == [0.5, 1.0] and pending_count(eng) == 0
+
+
+def test_run_until_nan_is_refused_and_leaves_the_clock_where_it_was():
+    eng = Engine()
+    eng.run_until(2.0)
+    with pytest.raises(PastTimeError):
+        eng.run_until(math.nan)
+    assert eng.now == 2.0
+    with pytest.raises(PastTimeError):
+        eng.schedule(-5.0, noop)
+
+
 def test_equal_times_fire_in_insertion_order():
     eng = Engine()
     log = []
@@ -147,7 +171,12 @@ def test_quantize_at_zero_infinity_and_beyond_two_to_the_fifty_ticks(t):
 
 
 def test_quantize_of_nan_is_nan():
-    assert all(math.isnan(q) for q in quantized_times(math.nan))
+    assert math.isnan(quantize(math.nan))
+    # post_all quantizes it to NaN as well, and refuses to file it there
+    with pytest.raises(PastTimeError, match="schedule at nan before"):
+        Engine().post_all([(math.nan, (noop, ()))])
+    with pytest.raises(PastTimeError, match="schedule at nan before"):
+        Engine().post_all([(1.5, (noop, ())), (math.nan, (noop, ()))])
 
 
 @settings(max_examples=1000, deadline=None)

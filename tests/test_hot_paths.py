@@ -20,9 +20,9 @@ from manetsim.aodv import (AodvNode, Hello, PendingDiscovery, ReversePathEntry, 
                            Rrep, Rreq)
 from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket
 from manetsim.engine import Engine
-from manetsim.packets import DATA, DSDV_UPDATE, HELLO, RREQ, DataPacket
+from manetsim.packets import DATA, RERR, RREP, DataPacket
 from manetsim.scenario import TrafficFlow, builtin
-from manetsim.simulation import Simulation
+from manetsim.simulation import NODE_CLASSES, PROTOCOLS, Simulation
 from manetsim.world import Position, RadioModel, World
 
 from conftest import build_spec
@@ -68,27 +68,42 @@ def test_frame_path_calls_no_quantize_check_node_or_post_frames(fn):
     assert not loads(fn, CALLS)
 
 
-# the method each kind a protocol broadcasts goes to, with no dispatch hop
-BROADCAST = {"aodv": {RREQ: "handle_rreq", HELLO: "handle_hello"},
-             "dsdv": {DSDV_UPDATE: "handle_update"}}
-
-
-@pytest.mark.parametrize("protocol", ["aodv", "dsdv"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_a_broadcast_frame_goes_straight_to_its_handler(protocol):
-    """Every kind a protocol broadcasts is wired to its handler, with no dispatch hop."""
+    """Every kind a run sends, broadcast or unicast, is wired to the method
+    its node class's HANDLERS names, and to nothing else."""
     sim = Simulation(builtin("scenario1"), protocol=protocol, hello_interval=1.0)
     kinds = set()
-    broadcast = sim.world.broadcast
+    broadcast, send_unicast = sim.broadcast, sim.send_unicast
 
-    def recording(sender, msg):
+    def broadcasting(sender, msg):
         kinds.add(msg.kind)
         return broadcast(sender, msg)
 
-    sim.world.broadcast = recording
+    def unicasting(sender, next_hop, msg):
+        kinds.add(msg.kind)
+        return send_unicast(sender, next_hop, msg)
+
+    sim.broadcast, sim.send_unicast = broadcasting, unicasting
     sim.run()
-    assert kinds == set(BROADCAST[protocol]) == set(sim.world.on_receive)
-    for kind, name in BROADCAST[protocol].items():
+    handlers = NODE_CLASSES[protocol].HANDLERS
+    assert kinds == set(handlers) == set(sim.world.on_receive)
+    for kind, name in handlers.items():
         assert sim.world.on_receive[kind] == [getattr(node, name) for node in sim.nodes]
+
+
+def test_on_receive_takes_the_rreps_and_rerrs_and_nothing_else(monkeypatch):
+    received = []
+    on_receive = AodvNode.on_receive
+
+    def recording(self, sender, msg):
+        received.append(msg.kind)
+        on_receive(self, sender, msg)
+
+    monkeypatch.setattr(AodvNode, "on_receive", recording)
+    sim = Simulation(builtin("scenario1"), hello_interval=1.0).run()
+    assert sorted(set(received)) == [RERR, RREP]
+    assert len(received) == sim.ledger.control_tx[RREP] + sim.ledger.control_tx[RERR]
 
 
 def test_a_data_frame_reaches_handle_data_without_on_receive(monkeypatch):

@@ -1,9 +1,13 @@
-"""Whole runs against a brute-force world: the same trace bytes and routes.
+"""Whole runs against a brute-force world and a plain-heap engine: the same
+trace bytes and routes.
 
 The production World answers neighbour queries from a grid and Verlet
 lists. ReferenceWorld tests every node at oracle_position, the waypoint
 semantics written out in tests/test_world.py, and uses it for every
-link check too. The per-function oracles pin each lever on its own; a
+link check too. The production Engine files events in per-time buckets
+with an inlined quantization; ReferenceEngine, from tests/test_engine.py,
+keeps one heap entry per event and quantizes with round(t, 6). The
+per-function oracles pin each lever on its own; a
 whole run compared byte for byte (differential testing: McKeeman,
 Digital Technical Journal 10(1), 1998) also catches a lever whose error
 only shows once frames, timers and routes build on it.
@@ -18,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_waypoint_scenario
 from manetsim import simulation
 from manetsim.metrics import write_trace
+from manetsim.scenario import builtin
 from manetsim.simulation import PROTOCOLS, Simulation
+from test_engine import ReferenceEngine
 from test_world import oracle_neighbors, oracle_position
 
 
@@ -61,10 +67,12 @@ def first_mismatch(trace, reference):
     return None
 
 
-def assert_same_run(spec, protocol, seed):
+def assert_same_run(spec, protocol, seed, name="World", reference_class=ReferenceWorld):
+    """The run with simulation's class `name` replaced by reference_class
+    gives the production run's trace, route history and stretch samples."""
     production = outcome(spec, protocol, seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulation, "World", ReferenceWorld)
+        patch.setattr(simulation, name, reference_class)
         reference = outcome(spec, protocol, seed)
     assert first_mismatch(production[0], reference[0]) is None
     assert production[1:] == reference[1:]
@@ -77,6 +85,21 @@ def test_random_waypoint_runs_match_the_reference_world(scenario_seed, n, protoc
     spec = random_waypoint_scenario(random.Random(scenario_seed), n,
                                     math.sqrt(n * 25_000.0), 3.0, flows=5)
     assert_same_run(spec, protocol, seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 40), st.sampled_from(PROTOCOLS),
+       st.integers(0, 999))
+def test_random_waypoint_runs_match_the_reference_engine(scenario_seed, n, protocol, seed):
+    spec = random_waypoint_scenario(random.Random(scenario_seed), n,
+                                    math.sqrt(n * 25_000.0), 3.0, flows=5)
+    assert_same_run(spec, protocol, seed, "Engine", ReferenceEngine)
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_builtin_runs_match_the_reference_engine(name, protocol):
+    assert_same_run(builtin(name), protocol, 1, "Engine", ReferenceEngine)
 
 
 @pytest.mark.slow

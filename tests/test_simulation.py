@@ -15,8 +15,9 @@ from conftest import (assert_loop_free, build_sim, build_spec, random_connected_
 from manetsim.aodv import Hello, Rerr, Rrep, Rreq
 from manetsim.dsdv import UpdatePacket
 from manetsim.engine import Engine
-from manetsim.metrics import KINDS, LedgerEvent, write_trace
-from manetsim.packets import DataPacket
+from manetsim.metrics import (CONTROL_TX, DATA_TX, DROPPED, KINDS, RECEIVED, SENT, LedgerEvent,
+                              write_trace)
+from manetsim.packets import DATA, DataPacket
 import manetsim
 from manetsim.scenario import TrafficFlow, builtin, parse, serialize
 from manetsim.simulation import PROTOCOLS, Simulation
@@ -634,6 +635,37 @@ def test_logged_row_equals_the_reference_row(msg, kind):
     sim._log(kind, 1, msg)
     assert rows == [LedgerEvent(0.25, kind, 1, msg.kind, msg.size, msg.uid,
                                 msg.src, msg.dst)]
+
+
+@pytest.mark.parametrize("msg", ROW_MESSAGES, ids=lambda m: type(m).__name__)
+def test_every_recorder_builds_the_reference_row(msg):
+    """send_unicast and data_received build their rows inline, not through _log."""
+    sim = build_sim([(0, 0), (100, 0)])
+    sim.engine.run_until(0.25)
+    sim.world.broadcast = lambda sender, msg: []    # no handler takes some of these kinds
+    rows = []
+    sim.ledger.record = rows.append
+    sim.dropped(1, msg)
+    sim.broadcast(1, msg)
+    assert sim.send_unicast(1, 0, msg)
+    kinds = [DROPPED, CONTROL_TX, DATA_TX if msg.kind is DATA else CONTROL_TX]
+    if msg.kind is DATA:
+        sim.data_received(1, msg)
+        kinds.append(RECEIVED)
+    assert rows == [LedgerEvent(0.25, kind, 1, msg.kind, msg.size, msg.uid, msg.src, msg.dst)
+                    for kind in kinds]
+
+
+def test_emit_data_builds_the_reference_row_under_the_next_uid():
+    sim = build_sim([(0, 0), (100, 0)])
+    sim.engine.run_until(0.25)
+    for _ in range(4):
+        sim.next_uid()
+    rows = []
+    sim.ledger.record = rows.append
+    sim.emit_data(TrafficFlow(1, 0, rate=1.0, packet_size=300, start=0.0, stop=1.0))
+    assert rows[0] == LedgerEvent(0.25, SENT, 1, DATA, 300, 5, 1, 0)
+    assert sim.next_uid() == 7     # the RREQ the packet's discovery floods took 6
 
 
 def test_report_consistent_with_ledger():
