@@ -5,6 +5,17 @@ known destination, re-broadcasts its full table periodically, and
 floods incremental updates the moment anything changes. Freshness is
 carried by per-destination sequence numbers; even numbers mean
 reachable, odd numbers mark a break.
+
+Every entry also carries its rank, one integer that orders routes the
+way the adopt rule does: rank(seq, metric) is seq * RANK_SPAN for a
+break (odd seq, or no metric) and seq * RANK_SPAN + RANK_SPAN - 1 -
+metric otherwise. A rank lies in [seq * RANK_SPAN, (seq + 1) *
+RANK_SPAN), so a fresher sequence always ranks higher; at an equal even
+sequence the shorter metric ranks higher, and at an equal odd one
+neither does. An advertisement carries, per entry, the rank the
+receiver would store: rank - 1 for a reachable entry, one hop longer,
+and the rank itself for a break. A receiver adopts exactly the entries
+that offer more than the rank it holds: one integer compare per entry.
 """
 from __future__ import annotations
 
@@ -15,14 +26,23 @@ from .packets import DATA, DSDV_UPDATE, DataPacket
 UPDATE_BASE_SIZE = 8
 UPDATE_PER_ENTRY_SIZE = 12
 UPDATE_INTERVAL = 1.0       # seconds between full-table dumps
+RANK_SPAN = 2 ** 32         # ranks per sequence number: above every hop count
+
+
+def rank(seq: int, metric: int | None) -> int:
+    """The adopt order of a route; see the module docstring."""
+    if seq % 2 or metric is None:
+        return seq * RANK_SPAN
+    return seq * RANK_SPAN + RANK_SPAN - 1 - metric
 
 
 @dataclass(slots=True)
 class UpdatePacket:
-    """Route advertisement; hops is None for an unreachable marker."""
+    """Route advertisement; hops is None for an unreachable marker, and
+    offer is the rank a receiver stores for the entry; see rank."""
 
     src: int
-    entries: list[tuple[int, int, int | None]]  # (dst, dst_seq, hops)
+    entries: list[tuple[int, int, int | None, int]]  # (dst, dst_seq, hops, offer)
     uid: int
     dst: int = -1
 
@@ -39,6 +59,7 @@ class DsdvEntry:
     next_hop: int
     hop_count: int | None   # None once the route is marked broken
     dst_seq: int
+    rank: int               # rank(dst_seq, hop_count), kept in step with both
 
     @property
     def broken(self) -> bool:
@@ -55,7 +76,7 @@ class DsdvNode:
         self.node_id = node_id
         self.sim = sim
         self.table: dict[int, DsdvEntry] = {
-            node_id: DsdvEntry(node_id, node_id, 0, 0)}
+            node_id: DsdvEntry(node_id, node_id, 0, 0, rank(0, 0))}
 
     def start(self) -> None:
         """Arm the full-table dump at 0.0 and every UPDATE_INTERVAL after."""
@@ -74,7 +95,9 @@ class DsdvNode:
 
     def periodic_dump(self) -> None:
         """Advertise the full table with a fresh (still even) own sequence."""
-        self.table[self.node_id].dst_seq += 2
+        own = self.table[self.node_id]
+        own.dst_seq += 2
+        own.rank += 2 * RANK_SPAN
         self._advertise(e for _, e in sorted(self.table.items()))
 
     def triggered_update(self, changes: list[DsdvEntry]) -> None:
@@ -82,36 +105,41 @@ class DsdvNode:
         self._advertise(changes)
 
     def _advertise(self, entries) -> None:
+        """Broadcast entries; a reachable one offers its rank one hop longer.
+        A break's rank is a multiple of RANK_SPAN and a reachable rank is not."""
         pkt = UpdatePacket(src=self.node_id,
-                           entries=[(e.dst, e.dst_seq, e.hop_count) for e in entries],
+                           entries=[(e.dst, e.dst_seq, e.hop_count,
+                                     e.rank - 1 if e.rank % RANK_SPAN else e.rank)
+                                    for e in entries],
                            uid=self.sim.next_uid())
         self.sim.broadcast(self.node_id, pkt)
 
     def handle_update(self, sender: int, pkt: UpdatePacket) -> int:
         """Adopt fresher or shorter advertisements; re-flood what changed.
 
-        Most entries change nothing, so a stale sequence, or an equal one
-        that is odd, unreachable or not shorter, is dropped first.
+        Most entries change nothing, so an offer no higher than the rank
+        held is dropped first, by one compare; see the module docstring.
         """
-        table = self.table
-        changed: list[DsdvEntry] = []
-        for dst, seq, hops in pkt.entries:
+        table, me = self.table, self.node_id
+        changed = None
+        for dst, seq, hops, offer in pkt.entries:
             existing = table.get(dst)
-            if existing is not None:
-                old = existing.dst_seq
-                if seq <= old and (seq < old or seq % 2 or hops is None
-                                   or hops + 1 >= existing.hop_count):
-                    continue
-            if dst == self.node_id:
+            if existing is not None and offer <= existing.rank:
+                continue
+            if dst == me:
                 continue
             metric = None if seq % 2 or hops is None else hops + 1
             if metric is None and existing is None:
                 continue    # nothing to tear down for an unknown destination
-            entry = table[dst] = DsdvEntry(dst, sender, metric, seq)
+            entry = table[dst] = DsdvEntry(dst, sender, metric, seq, offer)
             self.sim.route_changed(dst)
-            changed.append(entry)
-        if changed:
-            self.triggered_update(changed)
+            if changed is None:
+                changed = [entry]
+            else:
+                changed.append(entry)
+        if changed is None:
+            return 0
+        self.triggered_update(changed)
         return len(changed)
 
     # -- data path ---------------------------------------------------------
@@ -138,6 +166,7 @@ class DsdvNode:
             if e.dst != self.node_id and not e.broken and e.next_hop == dead_neighbor:
                 e.dst_seq += 1
                 e.hop_count = None
+                e.rank = e.dst_seq * RANK_SPAN
                 self.sim.route_changed(e.dst)
                 changed.append(e)
         if changed:

@@ -102,17 +102,19 @@ class Engine:
         now, queue, buckets = self.now, self._queue, self._buckets
         bucket = None
         for fire_at, entry in pairs:
-            # quantize(fire_at), exactly. x + HALF_EVEN - HALF_EVEN is x
-            # rounded to an integer k, half to even, for |x| < 2**51. For
-            # |x| < 2**50, x is off the exact fire_at * 10**6 by at most 1/16,
-            # so |x - k| < 0.49 makes k its half-even rounding as well, and
-            # k / 1e6, the correctly rounded quotient of two exact floats, is
-            # round(fire_at, 6). round decides a time that rounds to 0 (-0.0
-            # if negative) and the rest, NaN and the infinities included
+            # quantize(fire_at), exactly. For 0 < x < 2**50, x + HALF_EVEN
+            # - HALF_EVEN is x rounded to an integer k, and r = x - k is
+            # exact, so x - r is k. r is a multiple of ulp(x), so |r| < 0.5
+            # gives |r| <= 0.5 - ulp(x); x is off the exact fire_at * 10**6
+            # by at most ulp(x) / 2, which cannot carry it past the tie, so k
+            # is its rounding too, and k / 1e6, the correctly rounded
+            # quotient of two exact floats, is round(fire_at, 6). The square
+            # test asks |r| < 0.49, inside that. round decides the rest: 0.0
+            # and -0.0, negative times, NaN and the infinities
             x = fire_at * TICKS_PER_S
-            k = x + HALF_EVEN - HALF_EVEN
-            if k and -0.49 < x - k < 0.49 and -TICK_LIMIT < x < TICK_LIMIT:
-                fire_at = k / TICKS_PER_S
+            r = x - (x + HALF_EVEN - HALF_EVEN)
+            if 0.0 < x < TICK_LIMIT and r * r < 0.2401:
+                fire_at = (x - r) / TICKS_PER_S
             else:
                 fire_at = round(fire_at, TIME_RESOLUTION_DIGITS)
             if not fire_at >= now:     # NaN too: it would stall the queue

@@ -97,6 +97,12 @@ class Simulation:
         self.in_flight_data = 0
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
             (f.src, f.dst): [] for f in self.flows}
+        # route_history's (key, history) pairs in flow order, and per
+        # destination the positions of its pairs; see _after_event
+        self._observed = list(self.route_history.items())
+        self._flows_to: dict[int, list[int]] = {}
+        for i, ((_, dst), _) in enumerate(self._observed):
+            self._flows_to.setdefault(dst, []).append(i)
         self.route_stretch_samples: list[float] = []
         self.changed_dsts: set[int] = set()   # filled by route_changed
         self.engine.after_event = self._after_event
@@ -145,8 +151,10 @@ class Simulation:
         self._log(DROPPED, node, msg)
 
     def broadcast(self, sender: int, msg) -> list[int]:
-        """Send a control message to every node in range; one transmission."""
-        self._log(CONTROL_TX, sender, msg)
+        """Send a control message to every node in range; one transmission.
+        Every flood hop runs this, so it builds the row _log would build."""
+        self.ledger.record((self.engine.now, CONTROL_TX, sender, msg.kind, msg.size,
+                            msg.uid, msg.src, msg.dst))
         return self.world.broadcast(sender, msg)
 
     def send_unicast(self, sender: int, next_hop: int, msg) -> bool:
@@ -190,12 +198,15 @@ class Simulation:
         # With next hops fixed, time passing can only turn a complete path
         # into None (expiry), never into a different complete path, and None
         # is never recorded; so refreshing the expiry of an already-active
-        # entry needs no route_changed call.
+        # entry needs no route_changed call. The flows are walked in flow
+        # order, so the stretch samples keep it.
         changed = self.changed_dsts
         t = self.engine.now
-        for key, history in self.route_history.items():
-            if key[1] not in changed:
-                continue
+        flows_to, observed = self._flows_to, self._observed
+        found = [i for dst in changed for i in flows_to.get(dst, ())]
+        found.sort()
+        for i in found:
+            key, history = observed[i]
             path = self.walk_route(*key)
             if path is not None and (not history or history[-1][1] != path):
                 history.append((t, path))

@@ -29,8 +29,13 @@ from .packets import MESSAGE_KINDS
 # beats a (k+1)-hop copy while k * 1.05 < k + 1, that is for k <= 19; see
 # the shortest-path discovery invariant
 JITTER_FRACTION = 0.05
-# simulated seconds one neighbour grid stays valid; see World._build_grid
-GRID_WINDOW = 0.5
+# simulated seconds one neighbour grid stays valid; see World._build_grid.
+# A query locates every member of the Verlet shell, 2 * v_max * GRID_WINDOW
+# wide on each side of the range: 2 m at 20 m/s, not 20 m as at 0.5 s.
+# Floods follow the synchronized 1 s dumps, so a short window adds few grid
+# builds: on dsdv-rwp-40, 0.5 -> 0.05 s cut the shell members tested from
+# 188,219 to 17,693 for 78 builds instead of 59. Shorter ran no faster.
+GRID_WINDOW = 0.05
 # grid cells are widened by this share of (reach + largest coordinate) so
 # float rounding of positions can never move a neighbour two cells away
 GRID_SLACK = 1e-6

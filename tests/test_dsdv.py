@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
                       random_scenario)
-from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket
+from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket, rank
 from manetsim.metrics import SENT, LedgerEvent
 from manetsim.packets import DataPacket
 from manetsim.simulation import Simulation
@@ -24,6 +24,13 @@ def packet(sim, src, dst):
 
 def update_count(sim):
     return sim.ledger.control_tx.get("DSDV-UPDATE", 0)
+
+
+def advert(dst, seq, hops):
+    """One update entry (dst, seq, hops, offer), its offer computed the way
+    _advertise does: the rank a receiver installs at hops + 1, which is the
+    sender's rank - 1 for a reachable entry and its rank for a break."""
+    return dst, seq, hops, rank(seq, None if hops is None else hops + 1)
 
 
 # -- periodic dumps -----------------------------------------------------------
@@ -108,7 +115,7 @@ def test_no_change_no_triggered_update():
     sim.engine.run_until(1.5)   # fully converged
     node = sim.nodes[1]
     before = update_count(sim)
-    stale = UpdatePacket(src=0, entries=[(0, node.table[0].dst_seq, 0)],
+    stale = UpdatePacket(src=0, entries=[advert(0, node.table[0].dst_seq, 0)],
                          uid=sim.next_uid())
     assert node.handle_update(0, stale) == 0
     assert update_count(sim) == before
@@ -119,7 +126,7 @@ def test_no_change_no_triggered_update():
 def test_newer_seq_adopted_and_readvertised():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    pkt = UpdatePacket(src=0, entries=[(0, 4, 0)],
+    pkt = UpdatePacket(src=0, entries=[advert(0, 4, 0)],
                        uid=sim.next_uid())
     assert node.handle_update(0, pkt) == 1
     assert node.table[0].next_hop == 0 and node.table[0].hop_count == 1
@@ -129,16 +136,16 @@ def test_newer_seq_adopted_and_readvertised():
 def test_stale_seq_ignored():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], sim.next_uid()))
-    assert node.handle_update(0, UpdatePacket(0, [(0, 2, 0)],
+    node.handle_update(0, UpdatePacket(0, [advert(0, 4, 0)], sim.next_uid()))
+    assert node.handle_update(0, UpdatePacket(0, [advert(0, 2, 0)],
                                               sim.next_uid())) == 0
 
 
 def test_equal_seq_worse_metric_ignored():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    node.handle_update(0, UpdatePacket(0, [(0, 4, 0)], sim.next_uid()))
-    assert node.handle_update(2, UpdatePacket(0, [(0, 4, 3)],
+    node.handle_update(0, UpdatePacket(0, [advert(0, 4, 0)], sim.next_uid()))
+    assert node.handle_update(2, UpdatePacket(0, [advert(0, 4, 3)],
                                               sim.next_uid())) == 0
     assert node.table[0].next_hop == 0
 
@@ -146,8 +153,8 @@ def test_equal_seq_worse_metric_ignored():
 def test_equal_seq_better_metric_adopted():
     sim = build_sim(CHAIN, protocol="dsdv")
     node = sim.nodes[1]
-    node.handle_update(2, UpdatePacket(0, [(0, 4, 3)], sim.next_uid()))
-    assert node.handle_update(0, UpdatePacket(0, [(0, 4, 0)],
+    node.handle_update(2, UpdatePacket(0, [advert(0, 4, 3)], sim.next_uid()))
+    assert node.handle_update(0, UpdatePacket(0, [advert(0, 4, 0)],
                                               sim.next_uid())) == 1
     assert node.table[0].hop_count == 1
 
@@ -197,11 +204,14 @@ def check_adopt_rule(me, rows, sender, entries):
 
     sim = Recorder()
     node = DsdvNode(me, sim)
-    node.table = {dst: DsdvEntry(dst, *row) for dst, row in rows.items()}
-    adopted = node.handle_update(sender, UpdatePacket(sender, list(entries), uid=0))
+    node.table = {dst: DsdvEntry(dst, next_hop, hops, seq, rank(seq, hops))
+                  for dst, (next_hop, hops, seq) in rows.items()}
+    adopted = node.handle_update(sender, UpdatePacket(sender, [advert(*e) for e in entries],
+                                                      uid=0))
     assert {dst: (e.next_hop, e.hop_count, e.dst_seq) for dst, e in node.table.items()} == table
+    assert all(e.rank == rank(e.dst_seq, e.hop_count) for e in node.table.values())
     assert sim.route_changes == [dst for dst, _, _ in changes]
-    assert sim.sent == ([changes] if changes else [])
+    assert sim.sent == ([[advert(*change) for change in changes]] if changes else [])
     assert adopted == len(changes)
     return adopted
 
@@ -253,6 +263,41 @@ def test_handle_update_follows_the_adopt_rule(case):
 def test_adopt_rule_cases(entries, adopted):
     rows = {0: (0, 0, 4), 2: (1, None, 5), 3: (1, 2, 4)}
     assert check_adopt_rule(0, rows, 1, entries) == adopted
+
+
+def test_an_offer_above_the_rank_held_is_the_adopt_rule():
+    """handle_update adopts an entry for a known destination other than
+    itself exactly when its offer is above the rank it holds: every case of
+    small sequences and hop counts, the held hop count None exactly when
+    its sequence is odd, as the protocol keeps them."""
+    cases = 0
+    for old_seq in range(6):
+        for old_hops in ([None] if old_seq % 2 else range(6)):
+            held = rank(old_seq, old_hops)
+            for seq in range(6):
+                for hops in (None, -1, 0, 1, 2, 3, 4):
+                    offer = advert(1, seq, hops)[3]
+                    assert (offer > held) == adopts((old_seq, old_hops), 0, 1, seq, hops), (
+                        old_seq, old_hops, seq, hops)
+                    cases += 1
+    assert cases == (3 + 3 * 6) * 6 * 7
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_every_stored_rank_follows_its_sequence_and_hop_count_in_a_run(name):
+    """Checked after every event; the run breaks routes as well as installing them."""
+    from manetsim.scenario import builtin
+    sim = Simulation(builtin(name), protocol="dsdv", seed=1)
+    broken = []
+
+    def check():
+        entries = [e for node in sim.nodes for e in node.table.values()]
+        assert all(e.rank == rank(e.dst_seq, e.hop_count) for e in entries)
+        broken.append(any(e.broken for e in entries))
+
+    sim.event_hooks.append(check)
+    sim.run()
+    assert any(broken) and len(broken) > 400
 
 
 # -- forwarding ---------------------------------------------------------------------

@@ -163,9 +163,26 @@ def test_quantize_is_round_to_six_digits_on_every_float(t):
     assert_rounds_like_round(t)
 
 
+def edges_of_the_tick_branch():
+    """Times where post_all's integer-tick test is decided at its edges: a
+    remainder of just under and just over 0.49 of a tick either side of k
+    ticks, and times just under 2**50 ticks; ±0.0 and 5e-324 are listed
+    beside them."""
+    times = [-5e-324]
+    for k in (0, 1, 2, 999_999, 10 ** 9, 2 ** 49 - 1, 2 ** 50 - 1):
+        for t in ((k + 0.49) / 1e6, (k - 0.49) / 1e6):
+            times += [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+    under = 2.0 ** 50 / 1e6
+    for _ in range(3):
+        under = math.nextafter(under, 0.0)
+        times.append(under)
+    return times
+
+
 @pytest.mark.parametrize("t", [0.0, -0.0, math.inf, -math.inf, 4e-7, -4e-7, 5e-7, -5e-7,
                                2.0 ** 50 / 1e6, 2.0 ** 50 / 1e6 + 0.25, 2.0 ** 51 / 1e6,
-                               -(2.0 ** 50) / 1e6, 1e12, 1e300, 5e-324])
+                               -(2.0 ** 50) / 1e6, 1e12, 1e300, 5e-324,
+                               *edges_of_the_tick_branch()])
 def test_quantize_at_zero_infinity_and_beyond_two_to_the_fifty_ticks(t):
     assert_rounds_like_round(t)
 

@@ -125,6 +125,7 @@ def test_a_data_frame_reaches_handle_data_without_on_receive(monkeypatch):
 NOT_ON_DATA_PATH = [(World.unicast, {"_linked", "_xy"}),
                     (AodvNode.handle_data, {"route_is_active", "_transmit"}),
                     (Simulation.send_unicast, {"_log"}),
+                    (Simulation.broadcast, {"_log"}),
                     (Simulation.emit_data, {"next_uid", "_log"}),
                     (Simulation.data_received, {"_log"}),
                     (AodvNode.originate_data, {"route_is_active"})]
@@ -134,6 +135,13 @@ NOT_ON_DATA_PATH = [(World.unicast, {"_linked", "_xy"}),
                          ids=[fn.__qualname__ for fn, _ in NOT_ON_DATA_PATH])
 def test_a_data_hop_calls_no_helper(fn, names):
     assert not loads(fn, names)
+
+
+def test_an_advertised_entry_is_judged_by_its_rank_alone():
+    """handle_update runs once per received update and loops over its
+    entries; it compares each offer with the rank held, and reads neither
+    the sequence number nor the hop count of a stored entry."""
+    assert not loads(DsdvNode.handle_update, {"dst_seq", "hop_count"})
 
 
 @pytest.mark.parametrize("cls", [DataPacket, UpdatePacket, DsdvEntry, Rreq, Rrep, Rerr, Hello,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_sim, pending_count, random_waypoint_scenario
+from manetsim import world
 from manetsim.aodv import Hello
 from manetsim.engine import Engine
 from manetsim.errors import ScenarioSemanticError, UnknownNodeError
@@ -333,17 +334,34 @@ def mobile_layouts(draw, max_nodes=14):
 
 
 query_time = st.floats(0, 30, allow_nan=False)
+# the Verlet lists are exact at any window: the tests below run each case
+# at the module's window, one ten times longer and one ten times shorter
+WINDOWS = [0.5, 0.05, 0.005]
+
+
+def at_each_window(check):
+    """Run check(window) with world.GRID_WINDOW patched to each of WINDOWS."""
+    for window in WINDOWS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(world, "GRID_WINDOW", window)
+            check(window)
 
 
 @PROPERTY
 @given(mobile_layouts(), st.lists(st.tuples(st.integers(0, 99), query_time), max_size=12))
 def test_neighbors_match_brute_force_on_mobile_layouts(layout, queries):
     coords, legs, radio_range = layout
-    w = mobile_world(coords, legs, radio_range)
-    for node, t in queries:
-        node %= len(coords)
-        assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range, node, t)
-        assert w.position_at(node, t) == Position(*oracle_position(coords[node], legs[node], t))
+
+    def check(window):
+        w = mobile_world(coords, legs, radio_range)
+        for node, t in queries:
+            node %= len(coords)
+            assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, radio_range,
+                                                               node, t), window
+            assert w.position_at(node, t) == Position(*oracle_position(coords[node],
+                                                                        legs[node], t))
+
+    at_each_window(check)
 
 
 @PROPERTY
@@ -414,12 +432,18 @@ def test_nodes_on_cell_edges_match_brute_force(cells, radio_range):
 # lists against the oracle and the saving.
 
 @PROPERTY
-@given(mobile_layouts(), query_time, st.lists(st.floats(0, GRID_WINDOW), max_size=6),
+@given(mobile_layouts(), query_time, st.lists(st.floats(0, 1), max_size=6),
        st.randoms(use_true_random=False))
-def test_neighbors_match_brute_force_inside_one_grid_window(layout, start, offsets, rnd):
+def test_neighbors_match_brute_force_inside_one_grid_window(layout, start, shares, rnd):
+    """The query times are shares of the window past start, so they follow
+    the patched window."""
+    at_each_window(lambda window: check_one_grid_window(
+        layout, [start + f * window for f in shares], start, rnd))
+
+
+def check_one_grid_window(layout, times, start, rnd):
     coords, legs, radio_range = layout
     w = mobile_world(coords, legs, radio_range)
-    times = [start + dt for dt in offsets]
     rnd.shuffle(times)          # so that some queries go back in time
     split_at_start = None
     for t in [start] + times:
@@ -465,19 +489,21 @@ def test_neighbors_match_brute_force_on_200_random_waypoint_nodes():
 
 
 def closing_pair():
-    """Node 1 heads for node 0 at 100 m/s: 255 m apart at 0.1 s, 225 m at 0.4 s."""
+    """Node 1 heads for node 0, 50 m per grid window: 255 m apart at a fifth
+    of the window, 225 m at four fifths of it."""
     coords = [(0.0, 0.0), (265.0, 0.0)]
-    legs = [[], [(0.0, (0.0, 0.0), 100.0)]]
+    legs = [[], [(0.0, (0.0, 0.0), 50.0 / GRID_WINDOW)]]
     return coords, legs, mobile_world(coords, legs, 250.0)
 
 
 def test_a_query_back_in_time_inside_a_window_keeps_the_lists():
     coords, legs, w = closing_pair()
+    early, late = 0.2 * GRID_WINDOW, 0.8 * GRID_WINDOW
     assert w.neighbors_of(1, 0.0) == []     # builds the grid at 0.0
-    assert w.neighbors_of(0, 0.4) == [1] == oracle_neighbors(coords, legs, 250.0, 0, 0.4)
+    assert w.neighbors_of(0, late) == [1] == oracle_neighbors(coords, legs, 250.0, 0, late)
     lists = w._lists[0]
     assert lists == ([], [1])               # 265 m apart at 0.0: the shell
-    assert w.neighbors_of(0, 0.1) == [] == oracle_neighbors(coords, legs, 250.0, 0, 0.1)
+    assert w.neighbors_of(0, early) == [] == oracle_neighbors(coords, legs, 250.0, 0, early)
     assert w._lists[0] is lists
 
 
@@ -534,21 +560,23 @@ def test_a_repeat_query_with_an_empty_shell_locates_no_node(monkeypatch):
     assert len(locate) == 3                 # the grid's one pass over every node
     assert w._lists[0] == ([1], [])
     locate.clear()
-    for t in (0.1, 0.25, 0.4, GRID_WINDOW):
-        assert w.neighbors_of(0, t) == [1]
+    for share in (0.2, 0.5, 0.8, 1.0):
+        assert w.neighbors_of(0, share * GRID_WINDOW) == [1]
     assert locate == []
 
 
 def test_a_first_query_after_the_grid_is_built_looks_up_no_position(monkeypatch):
     """The lists come from the grid's positions at 0.0: node 0's first query,
-    at 0.4, with node 1 sure and node 2 out of the block, looks up none."""
+    at four fifths of the window, with node 1 sure and node 2 out of the
+    block, looks up none."""
     coords = [(0.0, 0.0), (0.0, 100.0), (3000.0, 0.0)]
     legs = [[(0.0, (5000.0, 0.0), 10.0)], [(0.0, (5000.0, 100.0), 10.0)],
             [(0.0, (3000.0, 300.0), 10.0)]]
     w = mobile_world(coords, legs, 250.0)
     assert w.neighbors_of(1, 0.0) == [0]    # builds the grid at 0.0
     locate, xy = counting(monkeypatch, "_locate"), counting(monkeypatch, "_xy")
-    assert w.neighbors_of(0, 0.4) == [1] == oracle_neighbors(coords, legs, 250.0, 0, 0.4)
+    t = 0.8 * GRID_WINDOW
+    assert w.neighbors_of(0, t) == [1] == oracle_neighbors(coords, legs, 250.0, 0, t)
     assert locate == [] and xy == []
     assert w._lists[0] == ([1], [])
 
