@@ -182,10 +182,16 @@ class AodvNode:
     # -- data path ---------------------------------------------------------
 
     def originate_data(self, packet: DataPacket) -> None:
-        """Send along an active route, or buffer and start discovery."""
+        """Send along an active route, or buffer and start discovery. Every
+        packet starts here, so the send is written out, as in handle_data."""
+        now = self.sim.engine.now
         entry = self.routes.get(packet.dst)
-        if entry is not None and entry.active and entry.expires_at > self.sim.engine.now:
-            self._transmit(packet)
+        if entry is not None and entry.active and entry.expires_at > now:
+            if self.sim.send_unicast(self.node_id, entry.next_hop, packet):
+                entry.expires_at = now + ACTIVE_ROUTE_TIMEOUT
+            else:
+                self.sim.dropped(self.node_id, packet)
+                self.on_link_break(entry.next_hop)
             return
         self._enqueue(packet)
         if packet.dst not in self.pending:

@@ -13,11 +13,14 @@ at one microsecond share one heap entry, and lets a zero delay be
 scheduled between runs.
 
 A time t is quantized to round(t, 6), the float nearest a whole number
-of microseconds. post_all is the one routine that files an event, as an
-entry (fn, args) run as fn(*args); it gets that float through integer
-ticks wherever that is provably exact. quantize is the plain round(t, 6)
-reference. Only an event that some code may cancel goes through
-schedule, which files (action, ()) and returns an EventHandle keeping it.
+of microseconds. An event is filed as an entry (fn, args), run as
+fn(*args). post_all files timers, drains and emissions; it gets that
+float through integer ticks wherever that is provably exact. World files
+its frames itself, with the same arithmetic written out, straight into
+_buckets and _queue. quantize is the plain round(t, 6) reference. Only
+an event that some code may cancel goes through schedule, which files
+(action, ()) and returns an EventHandle keeping it. pending yields every
+queued entry.
 
 after_event runs only after an event that left the watch non-empty;
 Simulation sets its route observer as after_event, and the set of
@@ -29,7 +32,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Callable, Collection, Iterable
+from itertools import chain
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import PastTimeError
 
@@ -125,6 +129,10 @@ class Engine:
                 heapq.heappush(queue, fire_at)
             bucket.append(entry)
         return bucket
+
+    def pending(self) -> Iterator[Entry]:
+        """Every queued entry (fn, args), bucket by bucket in no set order."""
+        return chain.from_iterable(self._buckets.values())
 
     def cancel(self, handle: EventHandle) -> bool:
         """True if the event was pending and is now dequeued."""

@@ -14,7 +14,8 @@ five ints, about 30 B a row against some 190 B for a kept LedgerEvent. A
 chunk with a value that fits no column, such as a packet size wider than
 32 bits, stays rows. The uid checks read a bytearray indexed by uid
 whose bits are the sent and the transmitted control uids; a uid far
-beyond the row count, or a negative one, goes to a dict instead.
+beyond the row count, or a negative one, goes to a dict instead, until
+the map grows over it.
 
 The outputs stream from the columns: `write_trace` formats rows into
 blocks of BLOCK lines, and `run_series` derives every series of the
@@ -92,11 +93,19 @@ class MetricsLedger:
         elif kind is DATA_TX:
             self.data_tx += 1
         elif kind is SENT:
-            if self._mark(uid, SENT_UID) & SENT_UID:
+            # _mark and _uid_bits written out for a uid the map covers
+            uid_map = self._uid_map
+            if 0 <= uid < len(uid_map):
+                old = uid_map[uid]
+                uid_map[uid] = old | SENT_UID
+            else:
+                old = self._mark(uid, SENT_UID)
+            if old & SENT_UID:
                 raise LedgerConsistencyError(f"duplicate sent uid {uid}")
             self.sent += 1
         elif kind is RECEIVED:
-            if not self._uid_bits(uid) & SENT_UID:
+            uid_map = self._uid_map
+            if not (uid_map[uid] if 0 <= uid < len(uid_map) else self._uid_bits(uid)) & SENT_UID:
                 raise LedgerConsistencyError(f"received unknown uid {uid}")
             self.received += 1
         elif kind is DROPPED:
@@ -123,10 +132,13 @@ class MetricsLedger:
 
         The map grows to cover a uid below twice the row count plus
         UID_SLACK, so it stays within a few bytes a row; any other uid,
-        a negative one too, is kept in a dict."""
+        a negative one too, is kept in a dict until the map grows over it."""
         uid_map = self._uid_map
         if not 0 <= uid < len(uid_map) and 0 <= uid < 2 * len(self) + UID_SLACK:
             uid_map.extend(bytes(max(uid + 1, 2 * len(uid_map)) - len(uid_map)))
+            far = self._far_uids
+            for covered in [u for u in far if 0 <= u < len(uid_map)]:
+                uid_map[covered] = far.pop(covered)
         if 0 <= uid < len(uid_map):
             old = uid_map[uid]
             uid_map[uid] = old | bit

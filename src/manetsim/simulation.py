@@ -1,20 +1,21 @@
 """Wiring of engine, world, ledger and per-node protocol instances.
 
 One Simulation owns one run; nothing is shared between instances. The
-Engine keeps the clock and queue and files every timer and frame, an
-entry (fn, args), through one routine, Engine.post_all, onto the
-microsecond grid of engine.quantize. The World keeps geometry and
-frame delivery, and the Simulation alone the run's record: ledger,
-message uids, in-flight census and route history. Each protocol node
+Engine keeps the clock and queue, and files every timer, drain and
+emission, an entry (fn, args), through Engine.post_all onto the
+microsecond grid of engine.quantize. The World keeps geometry and frame
+delivery, and files its frames onto the same grid itself. The
+Simulation alone keeps the run's record: ledger, message uids and route
+history. Each protocol node
 holds its Simulation and acts through it: `engine` for the clock and
 timers, and the methods below to number and send frames, record what it
 did or tell the route observer a route changed. Once the traffic is
 scheduled, each node's `start()` arms its own periodic work through
 `every`. Each node class declares one table, HANDLERS, of the method
 its nodes take each kind of frame with, and `world.on_receive` holds
-those methods per kind and receiver. A broadcast frame goes from the
-engine straight to the receiver's handler; a unicast frame passes
-`_deliver`, which keeps the DATA in-flight count, on its way there.
+those methods per kind and receiver. Every frame, broadcast or unicast,
+goes from the engine straight to the receiver's handler, so the DATA
+frames in flight are the queued entries that carry a DATA message.
 """
 from __future__ import annotations
 
@@ -86,7 +87,6 @@ class Simulation:
         self.ledger = MetricsLedger()
         self._uid_counter = 0
         self.world = World(self.engine, spec.nodes, spec.radio, spec.movements, seed=seed)
-        self.world.deliver = self._deliver
         self.flows = list(spec.flows)
         self.hello_interval = hello_interval
         node_class = NODE_CLASSES[protocol]
@@ -94,7 +94,6 @@ class Simulation:
         # looked up as the run is built, so a wrapper patched onto the class is wired
         self.world.on_receive = {kind: [getattr(node, name) for node in self.nodes]
                                  for kind, name in node_class.HANDLERS.items()}
-        self.in_flight_data = 0
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
             (f.src, f.dst): [] for f in self.flows}
         # route_history's (key, history) pairs in flow order, and per
@@ -163,8 +162,6 @@ class Simulation:
         if self.world.unicast(sender, next_hop, msg) is not UNICAST_SENT:
             return False
         kind = msg.kind
-        if kind is DATA:
-            self.in_flight_data += 1
         self.ledger.record((self.engine.now, DATA_TX if kind is DATA else CONTROL_TX, sender,
                             kind, msg.size, msg.uid, msg.src, msg.dst))
         return True
@@ -178,12 +175,6 @@ class Simulation:
                             msg.uid, msg.src, msg.dst))
 
     # -- engine plumbing -----------------------------------------------------
-
-    def _deliver(self, receiver: int, sender: int, msg) -> None:
-        kind = msg.kind
-        if kind is DATA:
-            self.in_flight_data -= 1
-        self.world.on_receive[kind][receiver](sender, msg)
 
     def emit_data(self, flow: TrafficFlow) -> None:
         """Send one packet of flow. Every packet starts here, so it numbers the
@@ -250,8 +241,11 @@ class Simulation:
 
     @property
     def unresolved_census(self) -> int:
-        """Packets still buffered at nodes or in flight when the run ended."""
-        return self.in_flight_data + sum(n.queued_count() for n in self.nodes)
+        """Packets still buffered at nodes or in flight when the run ended:
+        a frame in flight is a queued entry (handler, (sender, msg))."""
+        in_flight = sum(len(args) == 2 and getattr(args[1], "kind", None) is DATA
+                        for _, args in self.engine.pending())
+        return in_flight + sum(n.queued_count() for n in self.nodes)
 
     # -- running -------------------------------------------------------------
 

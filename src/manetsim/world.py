@@ -6,23 +6,27 @@ medium: two nodes hear each other iff their Euclidean distance is
 within the transmission range (boundary inclusive), every link
 traversal costs hop_latency plus a jitter of up to JITTER_FRACTION of
 it, drawn from the world's own seeded RNG, and there is no contention
-or loss beyond being out of range. Frames go onto the event queue
-through Engine.post_all, the engine's one filing routine, in one call
-per transmission, as (handler, args) entries; a broadcast's receivers
-share one (sender, msg). The world keeps no record of the run: the
-Simulation that sends a frame logs it.
+or loss beyond being out of range. A frame goes onto the event queue
+as the entry (handler, (sender, msg)), to the handler on_receive names
+for its kind and receiver; a broadcast's receivers share one
+(sender, msg). World files its frames itself, quantizing each fire time
+with Engine.post_all's arithmetic written out, so a transmission makes
+no pair list and no call into the engine. The world keeps no record of
+the run: the Simulation that sends a frame logs it.
 """
 from __future__ import annotations
 
 import math
 import random
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappush
 from typing import Callable
 
-from .engine import Engine
-from .errors import ScenarioSemanticError, UnknownNodeError
+from .engine import HALF_EVEN, TICK_LIMIT, TICKS_PER_S, TIME_RESOLUTION_DIGITS, Engine
+from .errors import PastTimeError, ScenarioSemanticError, UnknownNodeError
 from .packets import MESSAGE_KINDS
 
 # jitter adds at most this share of hop_latency per hop, so a k-hop flood
@@ -156,10 +160,8 @@ class World:
         # shell) lists in the grid's window; see the class docstring
         self._coords, self._slack = [], 0.0
         self._lists: list[tuple[list[int], list[int]] | None] = []
-        # wired by the simulation: deliver(receiver, sender, message) takes
-        # unicast frames, and on_receive[kind][r](sender, message) node r's
-        # broadcast frames of that kind; until then frames are dropped on arrival
-        self.deliver: Callable[[int, int, object], None] = _ignore
+        # wired by the simulation: on_receive[kind][r](sender, message) takes
+        # node r's frames of that kind; until then frames are dropped on arrival
         self.on_receive: dict[str, list[Callable[[int, object], None]]] = {
             kind: [_ignore] * len(node_positions) for kind in MESSAGE_KINDS}
 
@@ -268,21 +270,42 @@ class World:
         return sure, shell
 
     # -- frame delivery ----------------------------------------------------
+    #
+    # Both senders file their frames themselves: fire_at = now + (latency +
+    # jitter * draw()), quantized as Engine.post_all quantizes it, whose
+    # comment proves the integer-tick step exact, then appended to its
+    # bucket, whose time goes on the engine's heap if the bucket is new.
+    # rng.uniform(0.0, j) is 0.0 + j * rng.random(): the draw is the same
+    # float, and the parentheses keep the sum's rounding.
 
     def broadcast(self, sender: int, msg) -> list[int]:
         """Deliver to every node currently in range; one transmission.
 
         Each frame goes straight to the receiver's handler for msg's kind,
         looked up once per broadcast, one hop_latency plus a jitter draw
-        from now. rng.uniform(0.0, j) is 0.0 + j * rng.random(): the draw
-        is the same float, and the parentheses keep the sum's rounding.
+        from now, drawn in receiver order.
         """
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         receivers = self.neighbors_of(sender, now)
         handlers, draw, frame = self.on_receive[msg.kind], self.rng.random, (sender, msg)
         latency, jitter = self.radio.hop_latency, self.jitter
-        self.engine.post_all([(now + (latency + jitter * draw()), (handlers[r], frame))
-                              for r in receivers])
+        queue, buckets = engine._queue, engine._buckets
+        for receiver in receivers:
+            fire_at = now + (latency + jitter * draw())
+            x = fire_at * TICKS_PER_S
+            r = x - (x + HALF_EVEN - HALF_EVEN)
+            if 0.0 < x < TICK_LIMIT and r * r < 0.2401:
+                fire_at = (x - r) / TICKS_PER_S
+            else:
+                fire_at = round(fire_at, TIME_RESOLUTION_DIGITS)
+            if not fire_at >= now:
+                raise PastTimeError(f"schedule at {fire_at} before clock {now}")
+            bucket = buckets.get(fire_at)
+            if bucket is None:
+                bucket = buckets[fire_at] = deque()
+                heappush(queue, fire_at)
+            bucket.append((handlers[receiver], frame))
         return receivers
 
     def unicast(self, sender: int, next_hop: int, msg) -> UnicastOutcome:
@@ -290,20 +313,35 @@ class World:
 
         sender is the calling node's own id; next_hop is checked, so a bad
         routing entry raises instead of indexing another node. The frame
-        arrives like a broadcast frame, after the same jitter draw. Every
-        data hop runs this, so it inlines _linked and _xy; math.dist(a, b)
-        is math.hypot of the coordinate differences, computed the same way.
+        goes to next_hop's handler for msg's kind like a broadcast frame,
+        after the same jitter draw. Every data hop runs this, so it inlines
+        _linked and _xy; math.dist(a, b) is math.hypot of the coordinate
+        differences, computed the same way.
         """
         if not 0 <= next_hop < len(self._initial):
             raise UnknownNodeError(f"node {next_hop} not deployed")
         if sender == next_hop:
             raise ValueError("unicast to self")
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         fixed = self._fixed
         a = fixed[sender] or self._locate(sender, now)
         b = fixed[next_hop] or self._locate(next_hop, now)
         if not math.dist(a, b) <= self.radio.range:
             return LINK_BREAK
-        self.engine.post_all(((now + (self.radio.hop_latency + self.jitter * self.rng.random()),
-                               (self.deliver, (next_hop, sender, msg))),))
+        entry = (self.on_receive[msg.kind][next_hop], (sender, msg))
+        fire_at = now + (self.radio.hop_latency + self.jitter * self.rng.random())
+        x = fire_at * TICKS_PER_S
+        r = x - (x + HALF_EVEN - HALF_EVEN)
+        if 0.0 < x < TICK_LIMIT and r * r < 0.2401:
+            fire_at = (x - r) / TICKS_PER_S
+        else:
+            fire_at = round(fire_at, TIME_RESOLUTION_DIGITS)
+        if not fire_at >= now:
+            raise PastTimeError(f"schedule at {fire_at} before clock {now}")
+        bucket = engine._buckets.get(fire_at)
+        if bucket is None:
+            bucket = engine._buckets[fire_at] = deque()
+            heappush(engine._queue, fire_at)
+        bucket.append(entry)
         return UNICAST_SENT

@@ -27,7 +27,7 @@ def build_sim(positions, protocol="aodv", seed=0, flows=(), movements=(),
 
 def pending_count(engine):
     """Events an Engine has queued and not yet run."""
-    return sum(map(len, engine._buckets.values()))
+    return sum(1 for _ in engine.pending())
 
 
 def next_hop_graph(sim, dst):

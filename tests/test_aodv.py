@@ -7,7 +7,7 @@ from manetsim.aodv import (ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, DISCOVERY_RETR
                            PATH_DISCOVERY_TIME, REVERSE_PATH_LIFETIME, Hello, Rerr, RouteEntry,
                            Rrep, Rreq, RreqAction)
 from manetsim.metrics import CONTROL_TX, DATA_TX, DROPPED, SENT, LedgerEvent
-from manetsim.packets import DataPacket
+from manetsim.packets import DATA, DataPacket
 from manetsim.scenario import TrafficFlow
 
 CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]   # 0-1-2-3 line, range 250
@@ -563,7 +563,6 @@ def test_data_arriving_at_relay_without_route_dropped():
     sim = build_sim(CHAIN)
     mid = sim.nodes[1]
     p = packet(sim, 0, 3)
-    sim.in_flight_data += 1
-    sim._deliver(1, 0, p)
+    sim.world.on_receive[DATA][1](0, p)
     assert mid.queued_count() == 0
     assert len(data_drops(sim)) == 1

@@ -418,6 +418,17 @@ def test_post_all_returns_the_bucket_of_its_last_pair():
     assert handle._bucket is eng._buckets[2.0] and len(handle._bucket) == 2
 
 
+def test_pending_yields_each_queued_entry_and_no_fired_or_cancelled_one():
+    eng, fired = Engine(), []
+    first, second, third = ((fired.append, (k,)) for k in (1, 2, 3))
+    eng.post_all([(1.0, first), (2.0, second), (1.0, third)])
+    eng.cancel(eng.schedule(1.0, noop))
+    assert sorted(map(id, eng.pending())) == sorted(map(id, [first, second, third]))
+    eng.post_all([(0.5, (noop, ()))])
+    eng.run_until(1.0)
+    assert fired == [1, 3] and list(eng.pending()) == [second]
+
+
 # -- oracle: the (fire_at, seq) heap engine with three-state handles ---------------
 
 class ReferenceHandle:
@@ -433,6 +444,34 @@ class ReferenceHandle:
         return self.state == "pending"
 
 
+class ReferenceBucket:
+    """What the reference's filing view hands out for a fire time: appending
+    an entry (fn, args) schedules fn(*args) then."""
+
+    __slots__ = ("engine", "fire_at")
+
+    def __init__(self, engine, fire_at):
+        self.engine = engine
+        self.fire_at = fire_at
+
+    def append(self, entry):
+        fn, args = entry
+        self.engine.schedule(self.fire_at, functools.partial(fn, *args))
+
+
+class ReferenceFiling:
+    """The reference's _buckets, for code that files entries itself, as
+    World does: get(t) returns an appender for t, never None, so the filer
+    makes no bucket and pushes no time of its own; every entry it files
+    is ordered by (fire_at, seq) on the reference's own heap."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def get(self, fire_at):
+        return ReferenceBucket(self.engine, fire_at)
+
+
 class ReferenceEngine:
     """One heap entry per event, ordered by (fire_at, seq); a cancelled
     handle stays queued and is skipped when popped."""
@@ -440,6 +479,7 @@ class ReferenceEngine:
     def __init__(self):
         self.now = 0.0
         self._queue = []
+        self._buckets = ReferenceFiling(self)
         self._seq = 0
         self.after_event = None
         self.watch = ()

@@ -1,6 +1,8 @@
 """Per-frame code loads no Enum class and no `.value`, queues a frame, as
 a (handler, args) entry, without a Python call between the sender and
 its bucket, and the engine runs a frame's handler with no dispatch hop.
+A forwarded DATA hop runs four Python functions: handle_data,
+send_unicast, World.unicast and MetricsLedger.record.
 
 Message and ledger kinds are plain strings; only `UnicastOutcome` and
 `RreqAction` are still Enums, and on CPython 3.11 a member lookup such as
@@ -10,6 +12,7 @@ below run once per frame or ledger row.
 """
 import dis
 import random
+import sys
 import types
 from functools import partial
 
@@ -19,7 +22,7 @@ from manetsim import metrics
 from manetsim.aodv import (AodvNode, Hello, PendingDiscovery, ReversePathEntry, Rerr, RouteEntry,
                            Rrep, Rreq)
 from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket
-from manetsim.engine import Engine
+from manetsim.engine import Engine, quantize
 from manetsim.packets import DATA, RERR, RREP, DataPacket
 from manetsim.scenario import TrafficFlow, builtin
 from manetsim.simulation import NODE_CLASSES, PROTOCOLS, Simulation
@@ -30,7 +33,7 @@ from conftest import build_spec
 BANNED = {"MessageKind", "EventKind", "UnicastOutcome", "RreqAction", "value"}
 HOT = [AodvNode.on_receive, AodvNode.handle_rreq, AodvNode.handle_data, AodvNode.handle_hello,
        DsdvNode.on_receive, DsdvNode.handle_update,
-       World.neighbors_of, Simulation.send_unicast, Simulation._deliver, Simulation.emit_data,
+       World.neighbors_of, Simulation.send_unicast, Simulation.emit_data,
        Simulation.data_received, Simulation.dropped, Simulation.broadcast, Simulation._log,
        World.unicast, metrics.MetricsLedger.record, metrics.MetricsLedger._mark,
        metrics.MetricsLedger._uid_bits, metrics.MetricsLedger._pack,
@@ -57,8 +60,8 @@ def test_hot_path_loads_no_enum_class_and_no_value(fn):
     assert not loads(fn, BANNED)
 
 
-# post_all, the one routine that files an event, quantizes inline; World
-# checks node ids inline and builds a broadcast's frames in one comprehension
+# post_all and World's two senders quantize inline, and World checks node
+# ids inline and files each frame in its bucket itself
 CALLS = {"quantize", "_check_node", "_post_frames"}
 FRAME_PATH = [Engine.post_all, World.broadcast, World.unicast, World.neighbors_of]
 
@@ -66,6 +69,13 @@ FRAME_PATH = [Engine.post_all, World.broadcast, World.unicast, World.neighbors_o
 @pytest.mark.parametrize("fn", FRAME_PATH, ids=lambda fn: fn.__qualname__)
 def test_frame_path_calls_no_quantize_check_node_or_post_frames(fn):
     assert not loads(fn, CALLS)
+
+
+@pytest.mark.parametrize("fn", [World.broadcast, World.unicast], ids=lambda fn: fn.__qualname__)
+def test_a_frame_is_filed_without_post_all(fn):
+    """A transmission builds no (fire_at, entry) pair and calls no engine
+    routine: it appends its entry to the bucket of its fire time."""
+    assert not loads(fn, {"post_all", "schedule"})
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -121,6 +131,39 @@ def test_a_data_frame_reaches_handle_data_without_on_receive(monkeypatch):
     assert (sim.ledger.data_tx, sim.ledger.received) == (2, 1)
 
 
+def python_calls(fn, *args) -> list[str]:
+    """The names of the Python functions fn(*args) runs, fn first, in call order."""
+    calls = []
+    sys.setprofile(lambda frame, event, _: event == "call" and calls.append(frame.f_code.co_name))
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_forwarded_data_hop_runs_four_python_functions():
+    """The frame's handler, the send, the link check and filing, and the
+    ledger row; nothing else runs Python code for it."""
+    sim = Simulation(build_spec([(0, 0), (100, 0), (200, 0)]), hello_interval=0)
+    for node, next_hop in ((0, 1), (1, 2)):
+        sim.nodes[node].routes[2] = RouteEntry(dst=2, next_hop=next_hop, hop_count=2 - node,
+                                               dst_seq=1, expires_at=5.0)
+    sim.emit_data(TrafficFlow(0, 2, rate=1.0, packet_size=512, start=0.0, stop=1.0))
+    [(fn, args)] = sim.engine.pending()     # the frame on its way to node 1
+    sim.engine.now = 0.001
+    assert python_calls(fn, *args) == ["handle_data", "send_unicast", "unicast", "record"]
+    assert sim.ledger.data_tx == 2
+
+
+def test_a_covered_uid_is_sent_and_received_without_a_helper_call():
+    led = metrics.MetricsLedger()
+    led.record((1.0, metrics.SENT, 0, DATA, 512, 4, 0, 5))     # the map now covers uids 0..4
+    assert python_calls(led.record, (1.0, metrics.SENT, 0, DATA, 512, 3, 0, 5)) == ["record"]
+    assert python_calls(led.record, (2.0, metrics.RECEIVED, 5, DATA, 512, 3, 0, 5)) == ["record"]
+    assert (led.sent, led.received) == (2, 1)
+
+
 # helpers the data path writes out itself: it runs once per hop or per packet
 NOT_ON_DATA_PATH = [(World.unicast, {"_linked", "_xy"}),
                     (AodvNode.handle_data, {"route_is_active", "_transmit"}),
@@ -128,7 +171,7 @@ NOT_ON_DATA_PATH = [(World.unicast, {"_linked", "_xy"}),
                     (Simulation.broadcast, {"_log"}),
                     (Simulation.emit_data, {"next_uid", "_log"}),
                     (Simulation.data_received, {"_log"}),
-                    (AodvNode.originate_data, {"route_is_active"})]
+                    (AodvNode.originate_data, {"route_is_active", "_transmit"})]
 
 
 @pytest.mark.parametrize("fn, names", NOT_ON_DATA_PATH,
@@ -181,11 +224,13 @@ def test_a_broadcast_files_one_entry_per_receiver_sharing_one_frame(seed):
     w = World(eng, [Position(100.0 * i, 0.0) for i in range(8)], RadioModel(), seed=seed)
     handlers = [lambda *frame: None for _ in range(8)]   # eight distinct handlers
     w.on_receive = {DATA: handlers}
-    posted = []
-    eng.post_all = posted.extend
     msg = DataPacket(uid=1, src=3, dst=5, size=512)
     receivers = w.broadcast(3, msg)
     assert receivers == [1, 2, 4, 5]
+    # the filed (fire_at, entry) pairs in receiver order: the handlers are distinct
+    posted = sorted(((at, entry) for at, bucket in eng._buckets.items() for entry in bucket),
+                    key=lambda pair: handlers.index(pair[1][0]))
+    assert sorted(eng._queue) == sorted(eng._buckets)
     assert [handler for _, (handler, _) in posted] == [handlers[r] for r in receivers]
     [frame] = {id(args): args for _, (_, args) in posted}.values()
     assert frame == (3, msg) and frame[1] is msg
@@ -194,4 +239,4 @@ def test_a_broadcast_files_one_entry_per_receiver_sharing_one_frame(seed):
     latency, jitter = w.radio.hop_latency, w.jitter
     old = [(2.5 + (latency + jitter * draw()), partial(handlers[r], 3, msg))
            for r in receivers]
-    assert [float.hex(at) for at, _ in posted] == [float.hex(at) for at, _ in old]
+    assert [float.hex(at) for at, _ in posted] == [float.hex(quantize(at)) for at, _ in old]

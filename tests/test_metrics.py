@@ -507,6 +507,40 @@ def test_a_far_or_negative_uid_is_checked_without_a_map_entry():
         led.record(ev(2.0, RECEIVED, uid=-1))
 
 
+def far_then_near_rows():
+    """A SENT of uid 70,000 and a control transmission of uid 70,001 as the
+    first rows, both beyond the uid map's reach then, and SENTs of uids
+    1..65,536, over which the map grows past both."""
+    yield ev(1.0, SENT, uid=70_000)
+    yield ev(1.0, CONTROL_TX, subkind="RREQ", size=24, uid=70_001)
+    for uid in range(1, 65_537):
+        yield ev(1.0, SENT, uid=uid)
+
+
+def test_a_far_uid_is_kept_when_the_map_grows_over_it():
+    led = ledger_with(*far_then_near_rows())
+    assert 70_001 < len(led._uid_map) and led._far_uids == {}
+    led.record(ev(2.0, RECEIVED, node=5, uid=70_000))
+    led.record(ev(2.0, DROPPED, subkind="RREQ", size=24, uid=70_001))
+    assert (led.sent, led.received, led.control_tx) == (65_537, 1, {"RREQ": 1})
+    with pytest.raises(LedgerConsistencyError, match="duplicate sent uid 70000"):
+        led.record(ev(3.0, SENT, uid=70_000))
+    assert delay_series(led) == [SeriesPoint(2.0, 1.0)]
+
+
+def test_a_parsed_trace_keeps_a_far_uid_when_the_map_grows_over_it():
+    out = io.StringIO()
+    write_trace(ledger_with(*far_then_near_rows()), out)
+    lines = out.getvalue().splitlines() + ["r 2.000000 5 DATA 512 70000 0 5",
+                                           "d 2.000000 0 RREQ 24 70001 0 5"]
+    led = parse_trace(lines)
+    assert (led.sent, led.received, led.control_tx) == (65_537, 1, {"RREQ": 1})
+    assert delay_series(led) == [SeriesPoint(2.0, 1.0)]
+    with pytest.raises(LedgerConsistencyError,
+                       match=f"line {len(lines) + 1}: duplicate sent uid 70000"):
+        parse_trace(lines + ["s 3.000000 0 DATA 512 70000 0 5"])
+
+
 @pytest.mark.parametrize("value", [ev(1.0, SENT), SeriesPoint(1.0, 2.0)],
                          ids=["LedgerEvent", "SeriesPoint"])
 def test_rows_and_points_are_immutable(value):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
                       random_scenario, random_waypoint_scenario)
-from manetsim.aodv import Hello, Rerr, Rrep, Rreq
+from manetsim.aodv import Hello, Rerr, RouteEntry, Rrep, Rreq
 from manetsim.dsdv import UpdatePacket
 from manetsim.engine import Engine
 from manetsim.metrics import (CONTROL_TX, DATA_TX, DROPPED, KINDS, RECEIVED, SENT, LedgerEvent,
@@ -21,6 +21,7 @@ from manetsim.packets import DATA, DataPacket
 import manetsim
 from manetsim.scenario import TrafficFlow, builtin, parse, serialize
 from manetsim.simulation import PROTOCOLS, Simulation
+from manetsim.world import UNICAST_SENT
 
 
 def run_trace(spec, protocol, seed):
@@ -52,6 +53,22 @@ def test_conservation_exact_on_builtin_runs():
             result = Simulation(builtin(name), protocol, seed=3).run()
             led = result.ledger
             assert led.sent == led.received + led.dropped_data + result.unresolved_census
+
+
+def test_the_census_counts_the_data_frames_on_the_air_and_no_other_entry():
+    sim = build_sim([(0, 0), (100, 0), (200, 0)])
+    for node, next_hop in ((0, 1), (1, 2)):
+        sim.nodes[node].routes[2] = RouteEntry(dst=2, next_hop=next_hop, hop_count=2 - node,
+                                               dst_seq=1, expires_at=5.0)
+    flow = TrafficFlow(0, 2, rate=1.0, packet_size=512, start=0.0, stop=1.0)
+    sim.emit_data(flow)
+    sim.emit_data(flow)
+    sim.broadcast(0, Hello(src=0, uid=sim.next_uid()))
+    assert sim.unresolved_census == sim.ledger.unresolved == 2
+    sim.engine.run_until(0.0015)    # the first hops arrived and were forwarded
+    assert sim.unresolved_census == 2 and sim.ledger.data_tx == 4
+    sim.engine.run_until(0.5)
+    assert sim.unresolved_census == 0 and sim.ledger.received == 2
 
 
 def test_conservation_per_flow_on_random_scenarios():
@@ -235,9 +252,9 @@ def test_conservation_and_loop_freedom_at_scale_random_waypoint(protocol, nodes,
     last = [None]
 
     def conserved():
-        # the census sums every node's buffer, so it is taken only when a
-        # packet was sent, received, dropped or put on or taken off the air
-        counts = (led.sent, led.received, led.dropped_data, sim.in_flight_data)
+        # the census sums every node's buffer and the queue, so it is taken
+        # only when a packet was sent, received, dropped or put on the air
+        counts = (led.sent, led.received, led.dropped_data, led.data_tx)
         if counts != last[0]:
             last[0] = counts
             assert led.unresolved == sim.unresolved_census, f"t={sim.engine.now}"
@@ -642,7 +659,9 @@ def test_every_recorder_builds_the_reference_row(msg):
     """send_unicast and data_received build their rows inline, not through _log."""
     sim = build_sim([(0, 0), (100, 0)])
     sim.engine.run_until(0.25)
-    sim.world.broadcast = lambda sender, msg: []    # no handler takes some of these kinds
+    # no handler takes some of these kinds
+    sim.world.broadcast = lambda sender, msg: []
+    sim.world.unicast = lambda sender, next_hop, msg: UNICAST_SENT
     rows = []
     sim.ledger.record = rows.append
     sim.dropped(1, msg)

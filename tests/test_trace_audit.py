@@ -1,11 +1,13 @@
-"""Trace audit: every DATA hop of the golden corpus checked against timing,
-geometry and loop freedom, from the trace and the scenario alone.
+"""Trace audit: every DATA hop of the golden corpus, and of random-waypoint
+runs of both protocols, checked against timing, geometry and loop freedom,
+from the trace and the scenario alone.
 
 The trace does not name a frame's receiver, so the audit takes it from the
 next row of the same DATA uid: a node forwards, consumes or drops a frame in
 the event that delivers it. Per uid:
 - consecutive hops are hop latency to hop latency * (1 + JITTER_FRACTION)
-  apart, within one microsecond, the trace's resolution
+  apart, within one microsecond, the trace's resolution: World files a
+  frame at now + hop latency + a jitter draw, quantized to the microsecond
 - the sender and the next node are in range at the send time, by the
   brute-force oracle_position of tests/test_world.py
 - no node transmits the uid twice: loop freedom in the data plane
@@ -17,12 +19,16 @@ no receiver.
 """
 import io
 import math
+import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_waypoint_scenario
 from manetsim.metrics import DATA_TX, RECEIVED, write_trace
 from manetsim.packets import DATA
+from manetsim.simulation import PROTOCOLS, Simulation
 from manetsim.world import JITTER_FRACTION
 from test_golden import CASES
 from test_world import oracle_position
@@ -79,6 +85,16 @@ def test_every_golden_trace_passes_the_audit():
             found[case] = violations[:3]
     assert found == {}
     assert hops > 4000      # the corpus delivers thousands of hops
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 40), st.sampled_from(PROTOCOLS),
+       st.integers(0, 999))
+def test_random_waypoint_traces_pass_the_audit(scenario_seed, n, protocol, seed):
+    spec = random_waypoint_scenario(random.Random(scenario_seed), n,
+                                    math.sqrt(n * 25_000.0), 3.0, flows=5)
+    sim = Simulation(spec, protocol, seed=seed).run()
+    assert audit(trace_of(sim), spec)[0] == []
 
 
 # scenario1 under AODV sends uid 1 from node 0 over 2 and 4 to 5:

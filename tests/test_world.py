@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_sim, pending_count, random_waypoint_scenario
 from manetsim import world
 from manetsim.aodv import Hello
-from manetsim.engine import Engine
-from manetsim.errors import ScenarioSemanticError, UnknownNodeError
+from manetsim.engine import TICKS_PER_S, Engine, quantize
+from manetsim.errors import PastTimeError, ScenarioSemanticError, UnknownNodeError
 from manetsim.packets import DATA, HELLO, MESSAGE_KINDS, DataPacket
 from manetsim.world import (GRID_SLACK, GRID_WINDOW, Movement, Position, RadioModel,
                             UnicastOutcome, World, grid_cell, tracks)
@@ -204,7 +204,7 @@ def test_all_neighbors_one_transmission():
 def test_unicast_in_range_delivers_after_hop_latency():
     got = []
     eng, w = make_world([(0, 0), (100, 0)])
-    w.deliver = lambda r, s, m: got.append((eng.now, r))
+    w.on_receive = {DATA: [lambda s, m, r=r: got.append((eng.now, r)) for r in range(2)]}
     assert w.unicast(0, 1, pkt()) is UnicastOutcome.SENT
     eng.run_until(1.0)
     assert got == [(0.001, 1)]
@@ -216,20 +216,82 @@ def test_unicast_in_range_delivers_after_hop_latency():
 def test_delivery_times_match_the_uniform_draw_oracle(seed, jitter, hop_latency, now, k):
     # broadcast and unicast draw inline as j * random(); rng.uniform(0.0, j)
     # is the reference, added to the clock in the same order and grouping.
-    # The fire times are taken as asked, before the engine quantizes them
+    # The fire times are read from the buckets the frames are filed in
     eng = Engine()
     eng.now = now
     w = World(eng, [Position(10.0 * i, 0.0) for i in range(k + 1)],
               RadioModel(hop_latency=hop_latency), seed=seed)
     w.jitter = jitter
-    w.on_receive = {DATA: [lambda s, m: None] * (k + 1)}
-    posted = []
-    eng.post_all = lambda pairs: posted.extend(fire_at for fire_at, _ in pairs)
+    handlers = [lambda s, m: None for _ in range(k + 1)]     # k + 1 distinct handlers
+    w.on_receive = {DATA: handlers}
+    unicast = pkt()
     assert w.broadcast(0, pkt()) == list(range(1, k + 1))
-    assert w.unicast(0, 1, pkt()) is UnicastOutcome.SENT
+    assert w.unicast(0, 1, unicast) is UnicastOutcome.SENT
+    filed = {(handlers.index(fn), args[1] is unicast): at
+             for at, bucket in eng._buckets.items() for fn, args in bucket}
+    posted = [filed[r, False] for r in range(1, k + 1)] + [filed[1, True]]
     oracle = random.Random(seed)
-    assert posted == [now + (hop_latency + oracle.uniform(0.0, jitter))
+    assert posted == [quantize(now + (hop_latency + oracle.uniform(0.0, jitter)))
                       for _ in range(k + 1)]
+
+
+# a clock on the microsecond grid, in ticks: small, or near 2**50 ticks,
+# where a fire time's integer-tick step gives way to round(t, 6)
+NOW_TICKS = st.one_of(st.integers(0, 10**9), st.integers(2**50 - 20_000, 2**50 + 20_000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(NOW_TICKS, st.floats(10.0, 80.0), st.floats(1e-6, 0.01), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1), st.integers(1, 8), st.sets(st.integers(0, 8)))
+def test_world_files_frames_where_post_all_would(ticks, radio_range, hop_latency, jitter_share,
+                                                 seed, k, shared):
+    """World's written-out filing against post_all: a broadcast's frames and
+    a unicast frame land under quantize(now + (latency + jitter * u)) for
+    the same draws u, and every bucket, and the heap of fire times, equals
+    what filing the same (fire_at, entry) pairs with post_all gives. The
+    frames whose index is in `shared` find their bucket already holding an
+    entry, so they are appended behind it."""
+    now = ticks / TICKS_PER_S
+    jitter = hop_latency * jitter_share
+    n = min(k, int(radio_range // 10.0))    # node i sits 10 * i m from node 0
+    u = random.Random(seed)
+    # one draw per broadcast receiver, in id order, then the unicast's
+    times = [now + (hop_latency + jitter * u.random()) for _ in range(n + 1)]
+    engines = []
+    for _ in range(2):
+        eng = Engine()
+        eng.now = now
+        eng.post_all([(times[i], (id, ("before", i))) for i in sorted(shared) if i <= n])
+        engines.append(eng)
+    eng, ref = engines
+    w = World(eng, [Position(10.0 * i, 0.0) for i in range(k + 1)],
+              RadioModel(range=radio_range, hop_latency=hop_latency), seed=seed)
+    w.jitter = jitter
+    handlers = [lambda s, m: None for _ in range(k + 1)]
+    w.on_receive = {DATA: handlers}
+    flooded, sent = pkt(), pkt(uid=2)
+    assert w.broadcast(0, flooded) == list(range(1, n + 1))
+    assert w.unicast(0, 1, sent) is UnicastOutcome.SENT
+    entries = [(handlers[r], (0, flooded)) for r in range(1, n + 1)] + [(handlers[1], (0, sent))]
+    where = {(id(fn), id(args[1])): at for at, bucket in eng._buckets.items()
+             for fn, args in bucket}
+    assert [where[id(fn), id(args[1])] for fn, args in entries] == [quantize(t) for t in times]
+    ref.post_all(zip(times, entries))
+    assert {at: list(bucket) for at, bucket in eng._buckets.items()} == {
+        at: list(bucket) for at, bucket in ref._buckets.items()}
+    assert eng._queue == ref._queue
+
+
+@pytest.mark.parametrize("jitter", [-1e3, math.nan])
+def test_a_frame_due_before_the_clock_is_refused_and_not_filed(jitter):
+    eng, w = make_world([(0, 0), (10, 0)])
+    eng.now = 1.0
+    w.jitter = jitter
+    with pytest.raises(PastTimeError):
+        w.broadcast(0, pkt())
+    with pytest.raises(PastTimeError):
+        w.unicast(0, 1, pkt())
+    assert pending_count(eng) == 0 and eng._queue == []
 
 
 def test_unicast_out_of_range_is_link_break():
