@@ -34,7 +34,7 @@ def write_outputs(result: Simulation, out_dir: Path, window: float,
     out_dir.mkdir(parents=True, exist_ok=True)
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
-    with open(out_dir / "trace.txt", "w") as fh:
+    with open(out_dir / "trace.txt", "wb") as fh:
         write_trace(result.ledger, fh)
     if series is None:
         series = plot_series(result, window)
@@ -44,7 +44,7 @@ def write_outputs(result: Simulation, out_dir: Path, window: float,
         fh.write("\n")
     titles = ("packets received and lost", "throughput", "delay")
     for name, title in zip(PLOTS, titles):
-        with open(plots / name, "w") as fh:
+        with open(plots / name, "wb") as fh:
             emit_plot_datasets(series[name], f"{title}: {report.scenario} {report.protocol}", fh)
     return report
 
@@ -129,7 +129,7 @@ def cmd_compare(args) -> int:
     plots.mkdir(parents=True, exist_ok=True)
     titles = ("received and lost", "throughput", "delay")
     for plot, title in zip(PLOTS, titles):
-        with open(plots / plot, "w") as fh:
+        with open(plots / plot, "wb") as fh:
             emit_plot_datasets([d for p in PROTOCOLS for d in first[p][plot]],
                                f"{title}: {reports['aodv'][0].scenario} aodv vs dsdv", fh)
 

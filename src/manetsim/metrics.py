@@ -17,26 +17,28 @@ whose bits are the sent and the transmitted control uids; a uid far
 beyond the row count, or a negative one, goes to a dict instead, until
 the map grows over it.
 
-The outputs stream from the columns: `write_trace` formats rows into
-blocks of BLOCK lines, and `run_series` derives every series of the
-plots and the report in one walk.
+The outputs are written as bytes, one `%` per chunk, and `run_series`
+picks the sent, received and dropped rows of each chunk with
+`itertools.compress`, with no loop over the rows in Python.
 """
 from __future__ import annotations
 
+import locale
 import math
 from array import array
-from bisect import bisect_left, bisect_right, insort
-from itertools import chain, islice
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import eq, ne, sub
 from struct import error as struct_error, pack
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import LedgerConsistencyError, LedgerOrderError
 from .packets import DATA, MESSAGE_KINDS
 
 THROUGHPUT_STEP = 0.1   # seconds between sliding-window throughput points
 CHUNK = 1024            # rows packed into columns at a time
-BLOCK = 256             # output lines formatted and written at a time
 TRACE_LINE = "%s %.6f %d %s %d %d %d %d\n"    # kind letter, then the fields from t on
+TRACE_BYTES = b"%c %.6f %d %s %d %d %d %d\n"  # the same line from a packed chunk's columns
 UID_SLACK = 1 << 16     # uids the uid map may cover beyond twice the row count
 SENT_UID, CONTROL_UID = 1, 2    # bits of a uid's byte in the uid map
 
@@ -47,7 +49,10 @@ CONTROL_TX = "c"    # one protocol-message transmission
 DATA_TX = "f"       # one per-hop data-frame transmission
 KINDS = (SENT, RECEIVED, DROPPED, CONTROL_TX, DATA_TX)
 SUBKIND_CODE = {k: chr(i) for i, k in enumerate(MESSAGE_KINDS)}  # subkind -> packed code
-SUBKIND_OF = {code: subkind for subkind, code in SUBKIND_CODE.items()}
+SUBKIND_BYTES = [k.encode() for k in MESSAGE_KINDS]    # a packed code's ord -> subkind
+# translate tables: a kind letter -> 1 for one kind, a packed subkind code -> 1 for DATA
+PICK = {kind: bytes(i == ord(kind) for i in range(256)) for kind in KINDS}
+IS_DATA = bytes(i == ord(SUBKIND_CODE[DATA]) for i in range(256))
 
 
 class LedgerEvent(NamedTuple):
@@ -86,14 +91,18 @@ class MetricsLedger:
         t, kind, _, subkind, _, uid, _, _ = ev
         if t < self._last_t:
             raise LedgerOrderError(f"event at {t} after {self._last_t}")
-        # the kinds in order of how often a run records them
+        # the kinds in order of how often a run records them; _mark and
+        # _uid_bits are written out for a uid the map covers
         if kind is CONTROL_TX:
-            self._mark(uid, CONTROL_UID)
+            uid_map = self._uid_map
+            if 0 <= uid < len(uid_map):
+                uid_map[uid] |= CONTROL_UID
+            else:
+                self._mark(uid, CONTROL_UID)
             self.control_tx[subkind] = self.control_tx.get(subkind, 0) + 1
         elif kind is DATA_TX:
             self.data_tx += 1
         elif kind is SENT:
-            # _mark and _uid_bits written out for a uid the map covers
             uid_map = self._uid_map
             if 0 <= uid < len(uid_map):
                 old = uid_map[uid]
@@ -165,21 +174,16 @@ class MetricsLedger:
         self._chunks.append(chunk)
         self._packed += len(rows)
 
-    def _columns(self) -> Iterator[tuple]:
-        """Per chunk, then the tail, its eight columns in field order."""
-        for chunk in self._chunks:
-            if type(chunk) is list:
-                yield zip(*chunk)
-            else:
-                t, kinds, node, subkinds, size, uid, src, dst = chunk
-                yield t, kinds, node, map(SUBKIND_OF.__getitem__, subkinds), size, uid, src, dst
-        if self._tail:
-            yield zip(*self._tail)
-
     def rows(self) -> Iterator[tuple]:
         """Every row in the order recorded, as a tuple of LedgerEvent's fields."""
-        for columns in self._columns():
-            yield from zip(*columns)
+        for chunk in self._chunks:
+            if type(chunk) is list:
+                yield from chunk
+            else:
+                t, kinds, node, subkinds, size, uid, src, dst = chunk
+                yield from zip(t, kinds, node, map(MESSAGE_KINDS.__getitem__, subkinds.encode()),
+                               size, uid, src, dst)
+        yield from self._tail
 
     @property
     def events(self) -> list[LedgerEvent]:
@@ -224,24 +228,15 @@ class Series:
 
     __slots__ = ("times", "values")
 
-    def __init__(self):
-        self.times = array("d")
-        self.values = array("d")
+    def __init__(self, times: Iterable[float] = (), values: Iterable[float] = ()):
+        self.times = array("d", times)
+        self.values = array("d", values)
 
     def __iter__(self) -> Iterator[tuple[float, float]]:
         return zip(self.times, self.values)
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def step(self, t: float, count: int) -> None:
-        """A running count's point at t; replaces the last point if it is at t."""
-        times = self.times
-        if times and times[-1] == t:
-            self.values[-1] = count
-        else:
-            times.append(t)
-            self.values.append(count)
 
     def points(self) -> list[SeriesPoint]:
         return list(map(SeriesPoint._make, self))
@@ -256,62 +251,66 @@ class RunSeries(NamedTuple):
     delay: Series
 
 
+def _running_count(times: array) -> Series:
+    """A running count's points: each distinct time of a nondecreasing array
+    of times, at its first index, and the count at its last index."""
+    last = bytes(map(ne, islice(times, 1, None), times)) + b"\1"[:len(times)]
+    return Series(compress(times, b"\1" + last), compress(count(1), last))
+
+
 def run_series(ledger: MetricsLedger, window: float = 0.5,
                step: float = THROUGHPUT_STEP, t_end: float | None = None) -> RunSeries:
-    """Every series of a run, from one walk over the ledger's rows.
+    """Every series of a run, from the sent, received and dropped rows that
+    `compress` picks from each chunk's columns.
 
-    `received` and `dropped` hold one point per time at which a data
-    packet was delivered or dropped: the running count after that time.
-    `delay` holds one point per delivered packet, (receive time,
-    end-to-end delay), ordered by time and then delay. `throughput` is
-    the delivered payload bits per second over a sliding window, one
-    point per window position at its trailing edge t, counting the
-    receives at rt with t - window < rt <= t, up to t_end (the last
-    row's time if None): the running sum of received bits up to t,
-    less the running sum up to t - window, each found by bisecting the
-    delay series' receive times.
+    `received` and `dropped` count the delivered and the dropped data
+    packets, one point per time at which a count grew. `delay` has one point
+    per delivered packet, (receive time, end-to-end delay), ordered by time
+    and then delay. `throughput` is the delivered payload bits per second
+    over a sliding window, one point per position of its trailing edge t up
+    to t_end (the last row's time if None): the bits received up to t less
+    those up to t - window, found by bisecting the receive times.
     """
     if window <= 0:
         raise ValueError("window must be positive")
     if t_end is None:
         t_end = ledger.last_t
-    n_received = n_dropped = 0
-    bits = [0]      # payload bits in the first i receives, at index i
-    out = RunSeries(Series(), Series(), Series(), Series())
-    receive_times, delays = out.delay.times, out.delay.values
-    # the send time of each uid the ledger's uid map covers, at its index,
-    # and of any other uid in a dict
-    covered = len(ledger._uid_map)
-    sent_at = array("d", bytes(8 * covered))
-    far_sent_at: dict[int, float] = {}
-    for t_col, kinds, _, subkinds, sizes, uids, _, _ in ledger._columns():
-        for t, kind, subkind, size, uid in zip(t_col, kinds, subkinds, sizes, uids):
-            if kind == SENT:
-                if 0 <= uid < covered:
-                    sent_at[uid] = t
-                else:
-                    far_sent_at[uid] = t
-            elif kind == RECEIVED:
-                bits.append(bits[-1] + size * 8)
-                # every point from bisect_left on is at t, so the delay goes
-                # in sorted place among them
-                insort(delays, t - (sent_at[uid] if 0 <= uid < covered else far_sent_at[uid]),
-                       bisect_left(receive_times, t))
-                receive_times.append(t)
-                if subkind == DATA:
-                    n_received += 1
-                    out.received.step(t, n_received)
-            elif kind == DROPPED and subkind == DATA:
-                n_dropped += 1
-                out.dropped.step(t, n_dropped)
-    k = 0
+    sent_at: dict[int, float] = {}
+    # receive times and delays, and the times of the DATA receives and drops
+    r_times, delays, received, dropped = (array("d") for _ in range(4))
+    payload = [0]       # payload bytes in the first i receives, at index i
+    for chunk in chain(ledger._chunks, [ledger._tail]):
+        if type(chunk) is list:
+            t, kinds, _, subkinds, sizes, uids, _, _ = list(zip(*chunk)) or [()] * 8
+            kinds, is_data = "".join(kinds).encode(), bytes(map(eq, subkinds, repeat(DATA)))
+        else:
+            t, kinds, _, subkinds, sizes, uids, _, _ = chunk
+            kinds, is_data = kinds.encode(), subkinds.encode().translate(IS_DATA)
+        pick = kinds.translate(PICK[SENT])
+        sent_at.update(zip(compress(uids, pick), compress(t, pick)))
+        pick = kinds.translate(PICK[RECEIVED])
+        n = len(r_times)
+        r_times.extend(compress(t, pick))
+        delays.extend(map(sub, r_times[n:], map(sent_at.__getitem__, compress(uids, pick))))
+        received.extend(compress(r_times[n:], compress(is_data, pick)))
+        # the chunk's running sums replace the last one, which they start from
+        payload[-1:] = accumulate(compress(sizes, pick), initial=payload[-1])
+        pick = kinds.translate(PICK[DROPPED])
+        dropped.extend(compress(compress(t, pick), compress(is_data, pick)))
+    # receive times never decrease: sort the delays of each run of equal ones
+    end = 0
+    for i in compress(count(1), map(eq, islice(r_times, 1, None), r_times)):
+        if i >= end:
+            end = bisect_right(r_times, r_times[i], i)
+            delays[i - 1:end] = array("d", sorted(delays[i - 1:end]))
+    throughput, k = Series(), 0
     while (edge := window + k * step) <= t_end + 1e-9:
-        out.throughput.times.append(edge)
-        out.throughput.values.append((bits[bisect_right(receive_times, edge)]
-                                      - bits[bisect_right(receive_times, edge - window)])
-                                     / window)
+        throughput.times.append(edge)
+        throughput.values.append((payload[bisect_right(r_times, edge)]
+                                  - payload[bisect_right(r_times, edge - window)]) * 8 / window)
         k += 1
-    return out
+    return RunSeries(_running_count(received), _running_count(dropped), throughput,
+                     Series(r_times, delays))
 
 
 def throughput_series(ledger: MetricsLedger, window: float = 0.5,
@@ -348,18 +347,18 @@ def mean_value(series: Series) -> float:
 # ---------------------------------------------------------------------------
 # persistence: line-oriented trace, xgraph-style plot data
 
-def _write_lines(out: TextIO, line: str, rows: Iterable[tuple], width: int) -> None:
-    """Write `line % row` for each row of `width` fields, BLOCK rows to one
-    format call and one write."""
-    fields = chain.from_iterable(rows)
-    while block := tuple(islice(fields, width * BLOCK)):
-        out.write(line * (len(block) // width) % block)
-
-
-def write_trace(ledger: MetricsLedger, out: TextIO) -> None:
-    """One line per ledger row, streamed from the ledger's columns."""
-    for t, kinds, node, subkinds, size, uid, src, dst in ledger._columns():
-        _write_lines(out, TRACE_LINE, zip(kinds, t, node, subkinds, size, uid, src, dst), 8)
+def write_trace(ledger: MetricsLedger, out: BinaryIO) -> None:
+    """One line per ledger row, each chunk formatted by one `%` and written
+    at once: a packed chunk as bytes from its columns, rows as text."""
+    for chunk in chain(ledger._chunks, [ledger._tail]):
+        if type(chunk) is list:
+            fields = chain.from_iterable((row[1], row[0], *row[2:]) for row in chunk)
+            out.write((TRACE_LINE * len(chunk) % tuple(fields)).encode())
+        else:
+            t, kinds, node, subkinds, size, uid, src, dst = chunk
+            out.write(TRACE_BYTES * len(t) % tuple(chain.from_iterable(zip(
+                kinds.encode(), t, node, map(SUBKIND_BYTES.__getitem__, subkinds.encode()),
+                size, uid, src, dst))))
 
 
 def parse_trace(lines: Iterable[str]) -> MetricsLedger:
@@ -396,10 +395,10 @@ def parse_trace(lines: Iterable[str]) -> MetricsLedger:
 
 
 def emit_plot_datasets(datasets: Iterable[Iterable[tuple[float, float]]], title: str,
-                       out: TextIO) -> None:
-    """Several series in one file, blank-line separated, shared title."""
-    out.write(f"TitleText: {title}\n")
+                       out: BinaryIO) -> None:
+    """Several series in one file, blank-line separated, shared title. The
+    title is encoded as a file opened in text mode encodes it."""
+    out.write(f"TitleText: {title}\n".encode(locale.getpreferredencoding(False)))
     for i, series in enumerate(datasets):
-        if i:
-            out.write("\n")
-        _write_lines(out, "%.6f %.6f\n", series, 2)
+        fields = tuple(chain.from_iterable(series))
+        out.write((b"\n" if i else b"") + b"%.6f %.6f\n" * (len(fields) // 2) % fields)

@@ -66,9 +66,9 @@ def delivered_paths_from_trace(result):
 
 
 def trace_bytes(result):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trace(result.ledger, buf)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -245,10 +245,10 @@ def test_criterion_8_determinism():
             assert trace_bytes(a) == trace_bytes(b)
             for series_fn in (delay_series,
                               lambda led: throughput_series(led, 0.5, 0.1, 5.0)):
-                buf_a, buf_b = io.StringIO(), io.StringIO()
+                buf_a, buf_b = io.BytesIO(), io.BytesIO()
                 emit_plot_datasets([series_fn(a.ledger)], "t", buf_a)
                 emit_plot_datasets([series_fn(b.ledger)], "t", buf_b)
-                assert buf_a.getvalue() == buf_b.getvalue()
+                assert buf_a.getvalue().decode() == buf_b.getvalue().decode()
 
 
 # -- criterion 9 -------------------------------------------------------------

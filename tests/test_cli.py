@@ -159,6 +159,25 @@ def test_a_packet_size_wider_than_a_column_keeps_its_chunk_as_rows(chunk, tmp_pa
     assert json.loads(read(out / "report.json"))["mean_throughput_bps"] == 6.434782608695652e31
 
 
+def test_a_non_ascii_scenario_name_is_titled_as_a_text_mode_file_writes_it(tmp_path):
+    """The plots are written in binary; the title line, which names the
+    scenario file, keeps the bytes open(path, "w") gives it."""
+    scn = tmp_path / "ünï.scn"
+    scn.write_text("area 800 800\nnode 0 100 100\nnode 1 300 100\n"
+                   "flow 0 1 10 512 0.5 1.0\nend 1.0\n")
+    out = tmp_path / "out"
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
+    for plot, title in zip(PLOTS, ("packets received and lost", "throughput", "delay")):
+        with open(tmp_path / "title.txt", "w") as fh:
+            fh.write(f"TitleText: {title}: {scn} aodv\n")
+        head = (tmp_path / "title.txt").read_bytes()
+        written = (out / "plots" / plot).read_bytes()
+        assert not head.isascii()
+        assert written == head + written.split(b"\n", 1)[1]
+        assert written.split(b"\n", 2)[1]    # a data line follows the title
+
+
 def test_run_without_out_writes_under_runs_by_file_stem(tmp_path, monkeypatch):
     (tmp_path / "x.scn").write_text("area 800 800\nnode 0 100 100\nnode 1 300 100\n"
                                     "flow 0 1 10 512 0.5 1.0\nend 1.0\n")

@@ -162,6 +162,9 @@ def test_a_covered_uid_is_sent_and_received_without_a_helper_call():
     assert python_calls(led.record, (1.0, metrics.SENT, 0, DATA, 512, 3, 0, 5)) == ["record"]
     assert python_calls(led.record, (2.0, metrics.RECEIVED, 5, DATA, 512, 3, 0, 5)) == ["record"]
     assert (led.sent, led.received) == (2, 1)
+    assert python_calls(led.record, (2.0, metrics.CONTROL_TX, 1, RREP, 24, 2, 0, 5)) == ["record"]
+    assert led.control_tx == {RREP: 1}
+    led.record((3.0, metrics.DROPPED, 2, RREP, 24, 2, 0, 5))     # the control bit is set
 
 
 # helpers the data path writes out itself: it runs once per hop or per packet

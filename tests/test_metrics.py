@@ -231,24 +231,24 @@ def test_control_overhead_empty():
 # -- plot emission -----------------------------------------------------------------------
 
 def test_emit_plot_empty_series_header_only():
-    buf = io.StringIO()
+    buf = io.BytesIO()
     emit_plot_datasets([[]], "empty", buf)
-    assert buf.getvalue() == "TitleText: empty\n"
+    assert buf.getvalue().decode() == "TitleText: empty\n"
 
 
 def test_emit_plot_two_points_in_order():
-    buf = io.StringIO()
+    buf = io.BytesIO()
     emit_plot_datasets([[SeriesPoint(1.0, 0.8), SeriesPoint(2.0, 0.6)]], "ratio", buf)
-    assert buf.getvalue() == ("TitleText: ratio\n"
+    assert buf.getvalue().decode() == ("TitleText: ratio\n"
                               "1.000000 0.800000\n"
                               "2.000000 0.600000\n")
 
 
 def test_emit_plot_datasets_blank_line_separated():
-    buf = io.StringIO()
+    buf = io.BytesIO()
     emit_plot_datasets([[SeriesPoint(1.0, 1.0)], [SeriesPoint(1.0, 2.0)]],
                        "combined", buf)
-    assert buf.getvalue() == ("TitleText: combined\n"
+    assert buf.getvalue().decode() == ("TitleText: combined\n"
                               "1.000000 1.000000\n"
                               "\n"
                               "1.000000 2.000000\n")
@@ -270,17 +270,17 @@ def _busy_ledger():
 
 def test_trace_round_trip_preserves_events_exactly():
     led = _busy_ledger()
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trace(led, buf)
-    reparsed = parse_trace(buf.getvalue().splitlines())
+    reparsed = parse_trace(buf.getvalue().decode().splitlines())
     assert reparsed.events == led.events
 
 
 def test_series_recomputed_from_trace_bit_identical():
     led = _busy_ledger()
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trace(led, buf)
-    reparsed = parse_trace(buf.getvalue().splitlines())
+    reparsed = parse_trace(buf.getvalue().decode().splitlines())
     assert delay_series(reparsed) == delay_series(led)
     assert throughput_series(reparsed, 0.5, 0.1, 3.0) == throughput_series(led, 0.5, 0.1, 3.0)
     assert control_overhead(reparsed) == control_overhead(led)
@@ -346,9 +346,9 @@ def test_trace_row_equals_the_str_format_row(t, kind, node, subkind, size, uid, 
     led = MetricsLedger()
     led._tail.append(e)         # one row, packed if it fits; record() would check uids
     led._pack()
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trace(led, buf)
-    assert buf.getvalue() == OLD_TRACE_FMT.format(
+    assert buf.getvalue().decode() == OLD_TRACE_FMT.format(
         kind=kind, t=t, node=node, subkind=subkind, size=size, uid=uid,
         src=src, dst=dst)
 
@@ -404,9 +404,9 @@ def test_record_counters_equal_a_recount_of_the_rows(led):
 @settings(max_examples=200, deadline=None)
 @given(consistent_ledgers())
 def test_parse_trace_reproduces_the_written_ledger(led):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trace(led, buf)
-    reparsed = parse_trace(buf.getvalue().splitlines())
+    reparsed = parse_trace(buf.getvalue().decode().splitlines())
     assert reparsed.events == led.events
     assert (reparsed.sent, reparsed.received, reparsed.dropped_data,
             reparsed.data_tx, reparsed.control_tx) == \
@@ -465,15 +465,15 @@ def test_any_chunk_size_streams_the_rows_and_outputs_of_a_row_list(chunk, rows, 
         led = ledger_with(*rows)
     assert list(led.rows()) == rows
     assert led.events == rows and all(type(e) is LedgerEvent for e in led.events)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trace(led, buf)
     series = run_series(led, window, t_end=t_end)
     plots = []
     for datasets in ([series.received, series.dropped], [series.throughput], [series.delay]):
-        out = io.StringIO()
+        out = io.BytesIO()
         emit_plot_datasets(datasets, "t", out)
-        plots.append(out.getvalue())
-    assert (buf.getvalue(), plots, (mean_value(series.throughput), mean_value(series.delay))) \
+        plots.append(out.getvalue().decode())
+    assert (buf.getvalue().decode(), plots, (mean_value(series.throughput), mean_value(series.delay))) \
         == row_at_a_time_outputs(rows, window, t_end)
 
 
@@ -529,9 +529,9 @@ def test_a_far_uid_is_kept_when_the_map_grows_over_it():
 
 
 def test_a_parsed_trace_keeps_a_far_uid_when_the_map_grows_over_it():
-    out = io.StringIO()
+    out = io.BytesIO()
     write_trace(ledger_with(*far_then_near_rows()), out)
-    lines = out.getvalue().splitlines() + ["r 2.000000 5 DATA 512 70000 0 5",
+    lines = out.getvalue().decode().splitlines() + ["r 2.000000 5 DATA 512 70000 0 5",
                                            "d 2.000000 0 RREQ 24 70001 0 5"]
     led = parse_trace(lines)
     assert (led.sent, led.received, led.control_tx) == (65_537, 1, {"RREQ": 1})
@@ -570,9 +570,9 @@ def test_combined_two_scenario_throughput_file():
     for name in ("scenario1", "scenario2"):
         result = Simulation(builtin(name), "aodv", seed=1).run()
         datasets.append(throughput_series(result.ledger, 0.5, 0.1, 5.0))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     emit_plot_datasets(datasets, "throughput by scenario", buf)
-    body = buf.getvalue().split("TitleText: throughput by scenario\n", 1)[1]
+    body = buf.getvalue().decode().split("TitleText: throughput by scenario\n", 1)[1]
     blocks = body.split("\n\n")
     assert len(blocks) == 2
     assert len(blocks[0].strip().splitlines()) == len(datasets[0])

@@ -50,9 +50,9 @@ class ReferenceWorld(simulation.World):
 def outcome(spec, protocol, seed):
     """trace.txt bytes, route history and stretch samples of one run."""
     sim = Simulation(spec, protocol, seed=seed).run()
-    trace = io.StringIO()
+    trace = io.BytesIO()
     write_trace(sim.ledger, trace)
-    return trace.getvalue(), sim.route_history, sim.route_stretch_samples
+    return trace.getvalue().decode(), sim.route_history, sim.route_stretch_samples
 
 
 def first_mismatch(trace, reference):

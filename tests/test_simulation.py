@@ -26,9 +26,9 @@ from manetsim.world import UNICAST_SENT
 
 def run_trace(spec, protocol, seed):
     result = Simulation(spec, protocol=protocol, seed=seed).run()
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trace(result.ledger, buf)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 # -- determinism ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Trace audit: every DATA hop of the golden corpus, and of random-waypoint
-runs of both protocols, checked against timing, geometry and loop freedom,
-from the trace and the scenario alone.
+runs of both protocols (the 200-node ones in the `slow` set), checked
+against timing, geometry and loop freedom, from the trace and the
+scenario alone.
 
 The trace does not name a frame's receiver, so the audit takes it from the
 next row of the same DATA uid: a node forwards, consumes or drops a frame in
@@ -70,9 +71,9 @@ def audit(lines, spec) -> tuple[list[str], int]:
 
 
 def trace_of(sim) -> list[str]:
-    out = io.StringIO()
+    out = io.BytesIO()
     write_trace(sim.ledger, out)
-    return out.getvalue().splitlines()
+    return out.getvalue().decode().splitlines()
 
 
 def test_every_golden_trace_passes_the_audit():
@@ -95,6 +96,16 @@ def test_random_waypoint_traces_pass_the_audit(scenario_seed, n, protocol, seed)
                                     math.sqrt(n * 25_000.0), 3.0, flows=5)
     sim = Simulation(spec, protocol, seed=seed).run()
     assert audit(trace_of(sim), spec)[0] == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_200_node_random_waypoint_traces_pass_the_audit(protocol):
+    spec = random_waypoint_scenario(random.Random(200), 200, 1700.0, 10.0, flows=5)
+    sim = Simulation(spec, protocol, seed=1).run()
+    violations, hops = audit(trace_of(sim), spec)
+    assert violations == []
+    assert hops > 1000
 
 
 # scenario1 under AODV sends uid 1 from node 0 over 2 and 4 to 5:
