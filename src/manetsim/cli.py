@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import locale
 import math
 import sys
 from pathlib import Path
@@ -76,8 +77,14 @@ def print_report(report: RunReport, file=None) -> None:
 
 
 def _load_spec(args) -> scenario_mod.ScenarioSpec:
-    """The scenario named by --scenario, with --range applied."""
+    """The scenario named by --scenario, with --range applied. Its name
+    titles the plots, so a name the locale cannot encode is refused here,
+    before the run writes any output."""
     spec = scenario_mod.load(args.scenario)
+    try:
+        spec.name.encode(locale.getpreferredencoding(False))
+    except UnicodeEncodeError as exc:
+        raise SimError(f"scenario name cannot title the plots: {exc}") from exc
     if args.range is not None:
         spec = dataclasses.replace(
             spec, radio=dataclasses.replace(spec.radio, range=args.range))

@@ -6,16 +6,18 @@ floods incremental updates the moment anything changes. Freshness is
 carried by per-destination sequence numbers; even numbers mean
 reachable, odd numbers mark a break.
 
-Every entry also carries its rank, one integer that orders routes the
-way the adopt rule does: rank(seq, metric) is seq * RANK_SPAN for a
-break (odd seq, or no metric) and seq * RANK_SPAN + RANK_SPAN - 1 -
-metric otherwise. A rank lies in [seq * RANK_SPAN, (seq + 1) *
-RANK_SPAN), so a fresher sequence always ranks higher; at an equal even
-sequence the shorter metric ranks higher, and at an equal odd one
-neither does. An advertisement carries, per entry, the rank the
-receiver would store: rank - 1 for a reachable entry, one hop longer,
-and the rank itself for a break. A receiver adopts exactly the entries
-that offer more than the rank it holds: one integer compare per entry.
+An entry stores its next hop and its rank, one integer that orders
+routes the way the adopt rule does: rank(seq, metric) is seq *
+RANK_SPAN for a break (odd seq, or no metric) and seq * RANK_SPAN +
+RANK_SPAN - 1 - metric otherwise. A rank lies in [seq * RANK_SPAN,
+(seq + 1) * RANK_SPAN), so a fresher sequence always ranks higher; at
+an equal even sequence the shorter metric ranks higher, and at an equal
+odd one neither does. A break's rank is a multiple of RANK_SPAN and a
+reachable rank is not. An advertisement carries (dst, offer) pairs, the
+offer being the rank the receiver would store: rank - 1 for a reachable
+entry, one hop longer, and the rank itself for a break. A receiver
+adopts exactly the entries that offer more than the rank it holds: one
+integer compare per entry.
 """
 from __future__ import annotations
 
@@ -38,11 +40,10 @@ def rank(seq: int, metric: int | None) -> int:
 
 @dataclass(slots=True)
 class UpdatePacket:
-    """Route advertisement; hops is None for an unreachable marker, and
-    offer is the rank a receiver stores for the entry; see rank."""
+    """Route advertisement: (dst, offer) pairs; see the module docstring."""
 
     src: int
-    entries: list[tuple[int, int, int | None, int]]  # (dst, dst_seq, hops, offer)
+    entries: list[tuple[int, int]]
     uid: int
     dst: int = -1
 
@@ -55,15 +56,14 @@ class UpdatePacket:
 
 @dataclass(slots=True)
 class DsdvEntry:
-    dst: int
+    """A route to the destination that keys it in the table."""
+
     next_hop: int
-    hop_count: int | None   # None once the route is marked broken
-    dst_seq: int
-    rank: int               # rank(dst_seq, hop_count), kept in step with both
+    rank: int
 
     @property
     def broken(self) -> bool:
-        return self.dst_seq % 2 == 1
+        return not self.rank % RANK_SPAN
 
 
 class DsdvNode:
@@ -75,8 +75,7 @@ class DsdvNode:
     def __init__(self, node_id: int, sim):
         self.node_id = node_id
         self.sim = sim
-        self.table: dict[int, DsdvEntry] = {
-            node_id: DsdvEntry(node_id, node_id, 0, 0, rank(0, 0))}
+        self.table: dict[int, DsdvEntry] = {node_id: DsdvEntry(node_id, rank(0, 0))}
 
     def start(self) -> None:
         """Arm the full-table dump at 0.0 and every UPDATE_INTERVAL after."""
@@ -95,24 +94,15 @@ class DsdvNode:
 
     def periodic_dump(self) -> None:
         """Advertise the full table with a fresh (still even) own sequence."""
-        own = self.table[self.node_id]
-        own.dst_seq += 2
-        own.rank += 2 * RANK_SPAN
-        self._advertise(e for _, e in sorted(self.table.items()))
+        self.table[self.node_id].rank += 2 * RANK_SPAN
+        self._advertise([(dst, e.rank - 1 if e.rank % RANK_SPAN else e.rank)
+                         for dst, e in sorted(self.table.items())])
 
-    def triggered_update(self, changes: list[DsdvEntry]) -> None:
-        """Flood changed entries immediately; breaks carry odd sequences."""
-        self._advertise(changes)
+    def _advertise(self, offers: list[tuple[int, int]]) -> None:
+        """Broadcast (dst, offer) pairs in one update."""
+        self.sim.broadcast(self.node_id, UpdatePacket(self.node_id, offers, self.sim.next_uid()))
 
-    def _advertise(self, entries) -> None:
-        """Broadcast entries; a reachable one offers its rank one hop longer.
-        A break's rank is a multiple of RANK_SPAN and a reachable rank is not."""
-        pkt = UpdatePacket(src=self.node_id,
-                           entries=[(e.dst, e.dst_seq, e.hop_count,
-                                     e.rank - 1 if e.rank % RANK_SPAN else e.rank)
-                                    for e in entries],
-                           uid=self.sim.next_uid())
-        self.sim.broadcast(self.node_id, pkt)
+    triggered_update = _advertise   # changed entries, flooded as they change
 
     def handle_update(self, sender: int, pkt: UpdatePacket) -> int:
         """Adopt fresher or shorter advertisements; re-flood what changed.
@@ -121,26 +111,20 @@ class DsdvNode:
         held is dropped first, by one compare; see the module docstring.
         """
         table, me = self.table, self.node_id
-        changed = None
-        for dst, seq, hops, offer in pkt.entries:
+        offers = []
+        for dst, offer in pkt.entries:
             existing = table.get(dst)
-            if existing is not None and offer <= existing.rank:
+            if existing is None:
+                if not offer % RANK_SPAN:
+                    continue    # nothing to tear down for an unknown destination
+            elif offer <= existing.rank or dst == me:
                 continue
-            if dst == me:
-                continue
-            metric = None if seq % 2 or hops is None else hops + 1
-            if metric is None and existing is None:
-                continue    # nothing to tear down for an unknown destination
-            entry = table[dst] = DsdvEntry(dst, sender, metric, seq, offer)
+            table[dst] = DsdvEntry(sender, offer)
             self.sim.route_changed(dst)
-            if changed is None:
-                changed = [entry]
-            else:
-                changed.append(entry)
-        if changed is None:
-            return 0
-        self.triggered_update(changed)
-        return len(changed)
+            offers.append((dst, offer - 1 if offer % RANK_SPAN else offer))
+        if offers:
+            self.triggered_update(offers)
+        return len(offers)
 
     # -- data path ---------------------------------------------------------
 
@@ -159,19 +143,17 @@ class DsdvNode:
     # the engine drives both protocols through the same entry points
     originate_data = forward_data
 
-    def mark_broken(self, dead_neighbor: int) -> list[DsdvEntry]:
-        """Poison every route through a lost neighbor and flood the news."""
-        changed = []
-        for e in self.table.values():
-            if e.dst != self.node_id and not e.broken and e.next_hop == dead_neighbor:
-                e.dst_seq += 1
-                e.hop_count = None
-                e.rank = e.dst_seq * RANK_SPAN
-                self.sim.route_changed(e.dst)
-                changed.append(e)
-        if changed:
-            self.triggered_update(changed)
-        return changed
+    def mark_broken(self, dead_neighbor: int) -> None:
+        """Poison every route through a lost neighbor with the next (odd)
+        sequence number and flood the news."""
+        offers = []
+        for dst, e in self.table.items():
+            if e.next_hop == dead_neighbor and dst != self.node_id and e.rank % RANK_SPAN:
+                e.rank = (e.rank // RANK_SPAN + 1) * RANK_SPAN
+                self.sim.route_changed(dst)
+                offers.append((dst, e.rank))
+        if offers:
+            self.triggered_update(offers)
 
     def on_receive(self, sender: int, msg: DataPacket) -> None:
         """Take a DATA frame, the kind HANDLERS sends here."""

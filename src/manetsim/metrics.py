@@ -27,8 +27,9 @@ import locale
 import math
 from array import array
 from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import eq, ne, sub
+from operator import add, eq, ne, sub
 from struct import error as struct_error, pack
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -339,9 +340,10 @@ def control_overhead(ledger: MetricsLedger) -> dict[str, int]:
 
 
 def mean_value(series: Series) -> float:
+    """Added left to right: sum() of floats is compensated from Python 3.12 on."""
     if not series:
         return 0.0
-    return sum(series.values) / len(series)
+    return reduce(add, series.values, 0.0) / len(series)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import importlib.resources
 import io
 import json
+import locale
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -232,8 +233,9 @@ LEG_FAULTS = {"overlapping-legs": "move 1.0 1 500 1 50\nmove 2.0 1 100 1 50\n",
 @pytest.mark.parametrize("case", ["window-zero", "negative-range", "file-range-zero",
                                   "file-range-negative", "hello-negative", "hello-nan",
                                   "flow-above-one-packet-per-tick", "out-is-a-file",
-                                  "non-utf8-scenario", "end-2e9", *LEG_FAULTS])
-def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
+                                  "non-utf8-scenario", "end-2e9", "name-outside-locale",
+                                  *LEG_FAULTS])
+def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     args = ["run", "--scenario", "scenario1", "--out", str(out)]
     if case == "window-zero":
@@ -264,6 +266,13 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
         args[2] = str(scn)
     elif case == "out-is-a-file":
         out.write_text("")
+    elif case == "name-outside-locale":
+        # as under LC_ALL=C PYTHONUTF8=0 PYTHONCOERCECLOCALE=0: the plot
+        # titles, which carry the scenario name, are written in ASCII
+        monkeypatch.setattr(locale, "getpreferredencoding", lambda _=True: "ascii")
+        scn = tmp_path / "\u00fcn\u00ef.scn"
+        scn.write_text("area 800 800\nnode 0 1 1\nnode 1 50 1\nflow 0 1 10 512 0.5 2.0\nend 5\n")
+        args[2] = str(scn)
     else:
         scn = tmp_path / "latin1.scn"
         scn.write_bytes(b"area 800 800\n# caf\xe9\nnode 0 1 1\nend 5\n")
@@ -277,6 +286,8 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "error" in err
     if case in LEG_FAULTS or case == "end-2e9":
         assert "ScenarioSemanticError" in err
+    if case == "name-outside-locale":
+        assert "SimError" in err
     if case != "out-is-a-file":
         assert not out.exists()
 

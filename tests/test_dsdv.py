@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
                       random_scenario)
-from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket, rank
+from manetsim.dsdv import RANK_SPAN, DsdvEntry, DsdvNode, UpdatePacket, rank
 from manetsim.metrics import SENT, LedgerEvent
 from manetsim.packets import DataPacket
 from manetsim.simulation import Simulation
@@ -27,10 +27,17 @@ def update_count(sim):
 
 
 def advert(dst, seq, hops):
-    """One update entry (dst, seq, hops, offer), its offer computed the way
-    _advertise does: the rank a receiver installs at hops + 1, which is the
+    """One update entry (dst, offer) from a sender holding (seq, hops) for
+    dst: the offer is the rank a receiver installs at hops + 1, which is the
     sender's rank - 1 for a reachable entry and its rank for a break."""
-    return dst, seq, hops, rank(seq, None if hops is None else hops + 1)
+    return dst, rank(seq, None if hops is None else hops + 1)
+
+
+def decode(entry):
+    """(dst_seq, hop_count) of a stored entry, read off its rank; the hop
+    count is None for a break."""
+    seq, rest = divmod(entry.rank, RANK_SPAN)
+    return seq, RANK_SPAN - 1 - rest if rest else None
 
 
 # -- periodic dumps -----------------------------------------------------------
@@ -54,8 +61,8 @@ def test_dump_keeps_own_sequence_even_and_growing():
     seqs = []
     for _ in range(3):
         node.periodic_dump()
-        seqs.append(node.table[0].dst_seq)
-    assert seqs == [2, 4, 6]
+        seqs.append(decode(node.table[0]))
+    assert seqs == [(2, 0), (4, 0), (6, 0)]
 
 
 def test_neighbor_learns_all_destinations_from_full_dump():
@@ -71,8 +78,12 @@ def test_link_break_floods_odd_sequence_network_wide():
     sim = build_sim(CHAIN, protocol="dsdv", end=6.0)
     sim.engine.run_until(1.5)   # between dump rounds
     before = update_count(sim)
-    broken = sim.nodes[2].mark_broken(3)
-    assert all(e.broken and e.dst_seq % 2 == 1 for e in broken)
+    table = sim.nodes[2].table
+    through_3 = {dst: decode(e)[0] for dst, e in table.items() if e.next_hop == 3 and dst != 2}
+    sim.nodes[2].mark_broken(3)
+    assert through_3 and {dst: decode(table[dst]) for dst in through_3} == {
+        dst: (seq + 1, None) for dst, seq in through_3.items()}
+    assert all(seq % 2 == 0 and table[dst].broken for dst, seq in through_3.items())
     sim.engine.run_until(1.7)   # let the flood settle
     assert update_count(sim) > before
     # nodes 0 and 1 heard about it even though only 2 noticed the break
@@ -115,7 +126,7 @@ def test_no_change_no_triggered_update():
     sim.engine.run_until(1.5)   # fully converged
     node = sim.nodes[1]
     before = update_count(sim)
-    stale = UpdatePacket(src=0, entries=[advert(0, node.table[0].dst_seq, 0)],
+    stale = UpdatePacket(src=0, entries=[advert(0, decode(node.table[0])[0], 0)],
                          uid=sim.next_uid())
     assert node.handle_update(0, stale) == 0
     assert update_count(sim) == before
@@ -129,7 +140,7 @@ def test_newer_seq_adopted_and_readvertised():
     pkt = UpdatePacket(src=0, entries=[advert(0, 4, 0)],
                        uid=sim.next_uid())
     assert node.handle_update(0, pkt) == 1
-    assert node.table[0].next_hop == 0 and node.table[0].hop_count == 1
+    assert node.table[0].next_hop == 0 and decode(node.table[0]) == (4, 1)
     assert update_count(sim) == 1   # re-broadcast of the adopted change
 
 
@@ -156,7 +167,7 @@ def test_equal_seq_better_metric_adopted():
     node.handle_update(2, UpdatePacket(0, [advert(0, 4, 3)], sim.next_uid()))
     assert node.handle_update(0, UpdatePacket(0, [advert(0, 4, 0)],
                                               sim.next_uid())) == 1
-    assert node.table[0].hop_count == 1
+    assert decode(node.table[0]) == (4, 1)
 
 
 # -- handle_update against the adopt rule written out -------------------------
@@ -204,12 +215,12 @@ def check_adopt_rule(me, rows, sender, entries):
 
     sim = Recorder()
     node = DsdvNode(me, sim)
-    node.table = {dst: DsdvEntry(dst, next_hop, hops, seq, rank(seq, hops))
+    node.table = {dst: DsdvEntry(next_hop, rank(seq, hops))
                   for dst, (next_hop, hops, seq) in rows.items()}
     adopted = node.handle_update(sender, UpdatePacket(sender, [advert(*e) for e in entries],
                                                       uid=0))
-    assert {dst: (e.next_hop, e.hop_count, e.dst_seq) for dst, e in node.table.items()} == table
-    assert all(e.rank == rank(e.dst_seq, e.hop_count) for e in node.table.values())
+    assert {dst: (e.next_hop, e.rank) for dst, e in node.table.items()} == {
+        dst: (next_hop, rank(seq, hops)) for dst, (next_hop, hops, seq) in table.items()}
     assert sim.route_changes == [dst for dst, _, _ in changes]
     assert sim.sent == ([[advert(*change) for change in changes]] if changes else [])
     assert adopted == len(changes)
@@ -276,7 +287,7 @@ def test_an_offer_above_the_rank_held_is_the_adopt_rule():
             held = rank(old_seq, old_hops)
             for seq in range(6):
                 for hops in (None, -1, 0, 1, 2, 3, 4):
-                    offer = advert(1, seq, hops)[3]
+                    offer = advert(1, seq, hops)[1]
                     assert (offer > held) == adopts((old_seq, old_hops), 0, 1, seq, hops), (
                         old_seq, old_hops, seq, hops)
                     cases += 1
@@ -284,19 +295,30 @@ def test_an_offer_above_the_rank_held_is_the_adopt_rule():
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
-def test_every_stored_rank_follows_its_sequence_and_hop_count_in_a_run(name):
-    """Checked after every event; the run breaks routes as well as installing them."""
+def test_every_advertised_offer_follows_the_senders_stored_rank_in_a_run(name):
+    """Every (dst, offer) a node sends, in full-table dumps and triggered
+    updates alike, is the rank a receiver installs from the sender's stored
+    entry: its rank less one, or the rank itself for a break. The run
+    breaks routes as well as installing them."""
     from manetsim.scenario import builtin
     sim = Simulation(builtin(name), protocol="dsdv", seed=1)
-    broken = []
+    broadcast, sent_breaks, broken = sim.broadcast, [], []
 
-    def check():
-        entries = [e for node in sim.nodes for e in node.table.values()]
-        assert all(e.rank == rank(e.dst_seq, e.hop_count) for e in entries)
-        broken.append(any(e.broken for e in entries))
+    def checking(sender, pkt):
+        table = sim.nodes[sender].table
+        for dst, offer in pkt.entries:
+            seq, hops = decode(table[dst])
+            assert offer == advert(dst, seq, hops)[1] == table[dst].rank - (hops is not None)
+            sent_breaks.append(hops is None)
+        return broadcast(sender, pkt)
 
-    sim.event_hooks.append(check)
+    def any_broken():
+        broken.append(any(e.broken for node in sim.nodes for e in node.table.values()))
+
+    sim.broadcast = checking
+    sim.event_hooks.append(any_broken)
     sim.run()
+    assert any(sent_breaks) and not all(sent_breaks)
     assert any(broken) and len(broken) > 400
 
 
@@ -377,7 +399,7 @@ def assert_converges_to_bfs(pts, area, seed):
     for k in range(1, 6):
         sim.engine.run_until(k + 0.5)
         for node in sim.nodes:
-            got = {dst: (e.hop_count, e.broken) for dst, e in node.table.items()}
+            got = {dst: (decode(e)[1], e.broken) for dst, e in node.table.items()}
             assert got == {dst: (h, False) for dst, h in hops[node.node_id].items()}, \
                 f"node {node.node_id} at t={k + 0.5}"
 

@@ -183,11 +183,13 @@ def test_a_data_hop_calls_no_helper(fn, names):
     assert not loads(fn, names)
 
 
-def test_an_advertised_entry_is_judged_by_its_rank_alone():
-    """handle_update runs once per received update and loops over its
-    entries; it compares each offer with the rank held, and reads neither
-    the sequence number nor the hop count of a stored entry."""
-    assert not loads(DsdvNode.handle_update, {"dst_seq", "hop_count"})
+@pytest.mark.parametrize("fn", [DsdvNode.handle_update, DsdvNode.mark_broken,
+                                DsdvNode.periodic_dump], ids=lambda fn: fn.__qualname__)
+def test_a_dsdv_route_is_judged_by_its_rank_alone(fn):
+    """handle_update runs once per received update and compares each offer
+    with the rank held; mark_broken and periodic_dump loop over the table.
+    None of them reads a sequence number or hop count of a stored entry."""
+    assert not loads(fn, {"dst_seq", "hop_count"})
 
 
 @pytest.mark.parametrize("cls", [DataPacket, UpdatePacket, DsdvEntry, Rreq, Rrep, Rerr, Hello,

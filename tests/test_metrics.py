@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from manetsim import metrics
 from manetsim.errors import LedgerConsistencyError, LedgerOrderError
 from manetsim.metrics import (CONTROL_TX, DATA_TX, DROPPED, KINDS, RECEIVED, SENT,
-                              THROUGHPUT_STEP, LedgerEvent, MetricsLedger, SeriesPoint,
+                              THROUGHPUT_STEP, LedgerEvent, MetricsLedger, Series, SeriesPoint,
                               control_overhead, delay_series, delivery_ratio, emit_plot_datasets,
                               mean_value, parse_trace, run_series, throughput_series,
                               transmission_efficiency, write_trace)
@@ -226,6 +226,15 @@ def test_control_overhead_counts_by_subkind():
 
 def test_control_overhead_empty():
     assert control_overhead(MetricsLedger()) == {"total": 0}
+
+
+# -- means ---------------------------------------------------------------------------------
+
+def test_mean_adds_left_to_right_on_every_python_version():
+    """1e16 + 1.0 rounds back to 1e16, so the fold reads 0.0; the
+    compensated sum() of Python 3.12 and later would read 1/3."""
+    assert mean_value(Series((0.0, 1.0, 2.0), (1e16, 1.0, -1e16))) == 0.0
+    assert mean_value(Series()) == 0.0
 
 
 # -- plot emission -----------------------------------------------------------------------

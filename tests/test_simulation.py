@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
                       random_scenario, random_waypoint_scenario)
 from manetsim.aodv import Hello, Rerr, RouteEntry, Rrep, Rreq
-from manetsim.dsdv import UpdatePacket
+from manetsim.dsdv import RANK_SPAN, UpdatePacket
 from manetsim.engine import Engine
 from manetsim.metrics import (CONTROL_TX, DATA_TX, DROPPED, KINDS, RECEIVED, SENT, LedgerEvent,
                               write_trace)
@@ -171,19 +171,25 @@ def watch_new_next_hops(sim):
     return check
 
 
-# the only methods that write a stored entry's dst_seq in place: AODV's
-# _invalidate, which both link breaks and RERRs call, and DSDV's
+# the only methods that write a stored entry's sequence number in place:
+# AODV's _invalidate, which both link breaks and RERRs call, and DSDV's
 # mark_broken; besides them only the DSDV dump raises a node's own entry
 # (its own test pins that)
 IN_PLACE_SEQUENCE_CHANGES = ("_invalidate", "mark_broken")
 
 
+def stored_sequence(entry):
+    """An entry's sequence number: an AODV entry stores it, and a DSDV
+    entry's is the quotient of its rank by RANK_SPAN."""
+    return entry.dst_seq if isinstance(entry, RouteEntry) else entry.rank // RANK_SPAN
+
+
 def watch_sequences(sim):
-    """Hook asserting, at every event boundary, that no node's dst_seq for
-    any destination went down. A sequence number changes only when an entry
-    is stored or in IN_PLACE_SEQUENCE_CHANGES, so each check reads only the
-    entries stored since the last boundary and the tables of the nodes that
-    ran one of those methods."""
+    """Hook asserting, at every event boundary, that no node's sequence
+    number for any destination went down. A sequence number changes only
+    when an entry is stored or in IN_PLACE_SEQUENCE_CHANGES, so each check
+    reads only the entries stored since the last boundary and the tables of
+    the nodes that ran one of those methods."""
     tables = recording_tables(sim)
     log, touched, last = [], set(), {}
     for table in tables:
@@ -206,7 +212,7 @@ def watch_sequences(sim):
         touched.clear()
         for key in log:
             node_id, dst = key
-            seq = tables[node_id][dst].dst_seq
+            seq = stored_sequence(tables[node_id][dst])
             assert seq >= last.get(key, seq), (
                 f"node {node_id}'s sequence number for {dst} fell from {last[key]} "
                 f"to {seq} at t={sim.engine.now}")
