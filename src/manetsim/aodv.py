@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
+from .engine import EventHandle
 from .packets import DATA, HELLO, RERR, RREP, RREQ, DataPacket
 
 RREQ_SIZE = 24
@@ -35,7 +36,6 @@ class Rreq:
     """Flooded route request; (src, bcast_id) identifies one discovery."""
 
     src: int
-    src_seq: int
     bcast_id: int
     dst: int
     dst_last_seq: int
@@ -91,7 +91,6 @@ class Hello:
 
 @dataclass(slots=True)
 class RouteEntry:
-    dst: int
     next_hop: int
     hop_count: int
     dst_seq: int
@@ -104,12 +103,6 @@ class RouteEntry:
 class ReversePathEntry:
     via: int            # neighbor the request arrived from
     expires_at: float
-
-
-@dataclass(slots=True)
-class PendingDiscovery:
-    retries_left: int
-    timer: object
 
 
 class RreqAction(Enum):
@@ -136,12 +129,13 @@ class AodvNode:
         self.sim = sim
         self.own_seq = 0
         self.bcast_id = 0
-        self.routes: dict[int, RouteEntry] = {}
+        self.routes: dict[int, RouteEntry] = {}     # keyed by destination
         self.reverse_paths: dict[int, ReversePathEntry] = {}
         self.seen_rreqs: set[tuple[int, int]] = set()
         # (forget_at, key) in the order keys were added, so oldest first
         self._seen_order: deque[tuple[float, tuple[int, int]]] = deque()
-        self.pending: dict[int, PendingDiscovery] = {}
+        # dst -> its discovery's reply wait, whose entry carries the retries left
+        self.pending: dict[int, EventHandle] = {}
         self.queues: dict[int, deque[DataPacket]] = {}
         self.hello_last_heard: dict[int, float] = {}
 
@@ -162,9 +156,9 @@ class AodvNode:
             return self.routes[dst].next_hop
         return None
 
-    def update_route(self, candidate: RouteEntry) -> bool:
-        """Install candidate iff it is fresher, or equally fresh and shorter."""
-        existing = self.routes.get(candidate.dst)
+    def update_route(self, dst: int, candidate: RouteEntry) -> bool:
+        """Install candidate for dst iff it is fresher, or equally fresh and shorter."""
+        existing = self.routes.get(dst)
         if existing is not None:
             fresher = candidate.dst_seq > existing.dst_seq
             shorter = (candidate.dst_seq == existing.dst_seq
@@ -172,8 +166,8 @@ class AodvNode:
             if not (fresher or shorter):
                 return False
             candidate.precursors |= existing.precursors
-        self.routes[candidate.dst] = candidate
-        self.sim.route_changed(candidate.dst)
+        self.routes[dst] = candidate
+        self.sim.route_changed(dst)
         return True
 
     def queued_count(self) -> int:
@@ -254,29 +248,26 @@ class AodvNode:
         """Flood a fresh RREQ and arm the reply-wait timer."""
         if dst in self.pending:
             raise RuntimeError(f"discovery for {dst} already pending")
-        pd = self.pending[dst] = PendingDiscovery(DISCOVERY_RETRIES, None)
-        return self._broadcast_rreq(dst, pd)
+        return self._broadcast_rreq(dst, DISCOVERY_RETRIES)
 
-    def _broadcast_rreq(self, dst: int, pd: PendingDiscovery) -> Rreq:
-        self.own_seq += 1
+    def _broadcast_rreq(self, dst: int, retries_left: int) -> Rreq:
+        """Flood one attempt and file its reply wait as pending[dst]."""
+        self.own_seq += 1   # RFC 3561 §6.1; read when this node answers as a destination
         self.bcast_id += 1
         last_seq = self.routes[dst].dst_seq if dst in self.routes else 0
-        rreq = Rreq(src=self.node_id, src_seq=self.own_seq, bcast_id=self.bcast_id,
-                    dst=dst, dst_last_seq=last_seq, hop_count=0,
-                    uid=self.sim.next_uid())
+        rreq = Rreq(src=self.node_id, bcast_id=self.bcast_id, dst=dst,
+                    dst_last_seq=last_seq, hop_count=0, uid=self.sim.next_uid())
         self._remember_rreq((self.node_id, self.bcast_id))
         self.sim.broadcast(self.node_id, rreq)
         engine = self.sim.engine
-        pd.timer = engine.schedule(engine.now + RREP_WAIT, partial(self._discovery_timeout, dst))
+        self.pending[dst] = engine.schedule(
+            engine.now + RREP_WAIT, partial(self._discovery_timeout, dst, retries_left))
         return rreq
 
-    def _discovery_timeout(self, dst: int) -> None:
-        pd = self.pending.get(dst)
-        if pd is None:
-            return
-        if pd.retries_left > 0:
-            pd.retries_left -= 1
-            self._broadcast_rreq(dst, pd)
+    def _discovery_timeout(self, dst: int, retries_left: int) -> None:
+        # a reply cancels the wait, so it fires only while pending[dst] is it
+        if retries_left > 0:
+            self._broadcast_rreq(dst, retries_left - 1)
             return
         # retries exhausted: everything waiting for this route is lost
         del self.pending[dst]
@@ -315,9 +306,9 @@ class AodvNode:
                 cached.precursors.add(sender)
             return REPLIED
 
-        fwd = Rreq(src=rreq.src, src_seq=rreq.src_seq, bcast_id=rreq.bcast_id,
-                   dst=rreq.dst, dst_last_seq=rreq.dst_last_seq,
-                   hop_count=rreq.hop_count + 1, uid=self.sim.next_uid())
+        fwd = Rreq(src=rreq.src, bcast_id=rreq.bcast_id, dst=rreq.dst,
+                   dst_last_seq=rreq.dst_last_seq, hop_count=rreq.hop_count + 1,
+                   uid=self.sim.next_uid())
         self.sim.broadcast(self.node_id, fwd)
         return FORWARDED
 
@@ -332,15 +323,14 @@ class AodvNode:
         now = self.sim.engine.now
         if sender in self.hello_last_heard:
             self.hello_last_heard[sender] = now
-        installed = self.update_route(RouteEntry(dst=rrep.dst, next_hop=sender,
-                                                 hop_count=rrep.hop_count + 1,
-                                                 dst_seq=rrep.dst_seq,
-                                                 expires_at=now + rrep.lifetime))
+        installed = self.update_route(rrep.dst, RouteEntry(
+            next_hop=sender, hop_count=rrep.hop_count + 1, dst_seq=rrep.dst_seq,
+            expires_at=now + rrep.lifetime))
         if rrep.src == self.node_id:
             if self.route_is_active(rrep.dst):
-                pd = self.pending.pop(rrep.dst, None)
-                if pd is not None:
-                    self.sim.engine.cancel(pd.timer)
+                wait = self.pending.pop(rrep.dst, None)
+                if wait is not None:
+                    self.sim.engine.cancel(wait)
                 self._flush_queue(rrep.dst)
             return
 
@@ -368,38 +358,39 @@ class AodvNode:
 
     def on_link_break(self, dead_neighbor: int) -> None:
         """Break the active routes through a lost neighbor, one seq up."""
-        affected = [e for e in self.routes.values()
-                    if self.route_is_active(e.dst) and e.next_hop == dead_neighbor]
+        now = self.sim.engine.now
+        affected = [(dst, e) for dst, e in self.routes.items()
+                    if e.next_hop == dead_neighbor and e.active and e.expires_at > now]
         # either detection path (failed unicast, hello silence) may fire first;
         # dropping the supervision entry keeps the second one from re-firing
         self.hello_last_heard.pop(dead_neighbor, None)
         if not affected:
             return
-        for e in affected:
-            self._drop_queued(e.dst)
+        for dst, _ in affected:
+            self._drop_queued(dst)
         self.sim.next_uid()   # unused draw; uid numbering is pinned by the golden traces
-        self._invalidate((e, e.dst_seq + 1) for e in affected)  # poisons stale copies downstream
+        self._invalidate((dst, e, e.dst_seq + 1) for dst, e in affected)  # poisons stale copies
 
     def handle_rerr(self, sender: int, rerr: Rerr) -> None:
         """Break each active route via sender that rerr lists at a seq no lower than ours."""
         if sender in self.hello_last_heard:
             self.hello_last_heard[sender] = self.sim.engine.now
         # lazy, so a destination listed twice is tested after its first break
-        self._invalidate((e, seq) for dst, seq in rerr.unreachable
+        self._invalidate((dst, e, seq) for dst, seq in rerr.unreachable
                          if (e := self.routes.get(dst)) is not None and e.active
                          and e.next_hop == sender and e.dst_seq <= seq)
 
     def _invalidate(self, broken) -> None:
-        """The one rule for breaking routes: each (entry, new_seq) in broken
-        goes inactive at new_seq, then each precursor, in id order, gets one
-        Rerr listing them all, and a source with an active flow rediscovers."""
+        """The one rule for breaking routes: each (dst, entry, new_seq) in
+        broken goes inactive at new_seq, then each precursor, in id order, gets
+        one Rerr listing them all, and a source with an active flow rediscovers."""
         unreachable = []
         precursors: set[int] = set()
-        for e, seq in broken:
+        for dst, e, seq in broken:
             e.active = False
             e.dst_seq = seq
-            self.sim.route_changed(e.dst)
-            unreachable.append((e.dst, seq))
+            self.sim.route_changed(dst)
+            unreachable.append((dst, seq))
             precursors |= e.precursors
         for p in sorted(precursors):
             self.sim.send_unicast(self.node_id, p, Rerr(unreachable=list(unreachable),

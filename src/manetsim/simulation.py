@@ -142,23 +142,25 @@ class Simulation:
         return self._uid_counter
 
     def data_received(self, node: int, pkt: DataPacket) -> None:
-        # the row _log would build, built here: every delivered packet ends here
+        # every delivered packet ends here
         self.ledger.record((self.engine.now, RECEIVED, node, DATA, pkt.size, pkt.uid,
                             pkt.src, pkt.dst))
 
     def dropped(self, node: int, msg) -> None:
-        self._log(DROPPED, node, msg)
+        """Record msg dropped at node. Each recorder builds its row as a plain
+        tuple in LedgerEvent's field order: the ledger packs it into columns
+        soon, and a tuple is the cheapest to build."""
+        self.ledger.record((self.engine.now, DROPPED, node, msg.kind, msg.size,
+                            msg.uid, msg.src, msg.dst))
 
     def broadcast(self, sender: int, msg) -> list[int]:
-        """Send a control message to every node in range; one transmission.
-        Every flood hop runs this, so it builds the row _log would build."""
+        """Send a control message to every node in range; one transmission."""
         self.ledger.record((self.engine.now, CONTROL_TX, sender, msg.kind, msg.size,
                             msg.uid, msg.src, msg.dst))
         return self.world.broadcast(sender, msg)
 
     def send_unicast(self, sender: int, next_hop: int, msg) -> bool:
-        """Unicast and record msg; False on a link break. Every data hop runs
-        this, so it builds the row _log would build itself."""
+        """Unicast and record msg; False on a link break."""
         if self.world.unicast(sender, next_hop, msg) is not UNICAST_SENT:
             return False
         kind = msg.kind
@@ -166,19 +168,11 @@ class Simulation:
                             kind, msg.size, msg.uid, msg.src, msg.dst))
         return True
 
-    def _log(self, kind: str, node: int, msg) -> None:
-        """Record one row for msg; every message type carries these fields.
-
-        The row is a plain tuple in LedgerEvent's field order: the ledger
-        packs it into columns soon, and a tuple is the cheapest to build."""
-        self.ledger.record((self.engine.now, kind, node, msg.kind, msg.size,
-                            msg.uid, msg.src, msg.dst))
-
     # -- engine plumbing -----------------------------------------------------
 
     def emit_data(self, flow: TrafficFlow) -> None:
         """Send one packet of flow. Every packet starts here, so it numbers the
-        packet and builds its row itself, as next_uid and _log would."""
+        packet itself, as next_uid would."""
         self._uid_counter = uid = self._uid_counter + 1
         src, dst, size = flow.src, flow.dst, flow.packet_size
         self.ledger.record((self.engine.now, SENT, src, DATA, size, uid, src, dst))

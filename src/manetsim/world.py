@@ -192,15 +192,12 @@ class World:
         self._check_node(node)
         return Position(*self._xy(node, t))
 
-    def _linked(self, a: int, b: int, t: float) -> bool:
-        xa, ya = self._xy(a, t)
-        xb, yb = self._xy(b, t)
-        return math.hypot(xa - xb, ya - yb) <= self.radio.range
-
     def in_range(self, a: int, b: int, t: float) -> bool:
         self._check_node(a)
         self._check_node(b)
-        return self._linked(a, b, t)
+        xa, ya = self._xy(a, t)
+        xb, yb = self._xy(b, t)
+        return math.hypot(xa - xb, ya - yb) <= self.radio.range
 
     def _build_grid(self, t: float) -> None:
         """Bin every node at t: _grid is (cell -> sorted nodes of its 3x3
@@ -315,8 +312,8 @@ class World:
         routing entry raises instead of indexing another node. The frame
         goes to next_hop's handler for msg's kind like a broadcast frame,
         after the same jitter draw. Every data hop runs this, so it inlines
-        _linked and _xy; math.dist(a, b) is math.hypot of the coordinate
-        differences, computed the same way.
+        in_range's distance test and _xy; math.dist(a, b) is math.hypot of
+        the coordinate differences, computed the same way.
         """
         if not 0 <= next_hop < len(self._initial):
             raise UnknownNodeError(f"node {next_hop} not deployed")

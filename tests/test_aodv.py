@@ -6,9 +6,10 @@ from conftest import build_sim, pending_count
 from manetsim.aodv import (ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, DISCOVERY_RETRIES,
                            PATH_DISCOVERY_TIME, REVERSE_PATH_LIFETIME, Hello, Rerr, RouteEntry,
                            Rrep, Rreq, RreqAction)
-from manetsim.metrics import CONTROL_TX, DATA_TX, DROPPED, SENT, LedgerEvent
+from manetsim.metrics import CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, LedgerEvent
 from manetsim.packets import DATA, DataPacket
 from manetsim.scenario import TrafficFlow
+from manetsim.world import Movement, Position
 
 CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]   # 0-1-2-3 line, range 250
 
@@ -33,7 +34,7 @@ def data_drops(sim):
 
 def install_route(node, dst, next_hop, hop_count=1, dst_seq=2, ttl=100.0,
                   precursors=()):
-    node.routes[dst] = RouteEntry(dst=dst, next_hop=next_hop, hop_count=hop_count,
+    node.routes[dst] = RouteEntry(next_hop=next_hop, hop_count=hop_count,
                                   dst_seq=dst_seq, expires_at=ttl,
                                   precursors=set(precursors))
 
@@ -44,7 +45,7 @@ def test_update_route_fresher_seq_wins_despite_more_hops():
     sim = build_sim(CHAIN)
     node = sim.nodes[0]
     install_route(node, 3, next_hop=1, hop_count=2, dst_seq=4)
-    assert node.update_route(RouteEntry(3, 2, 5, 6, 100.0)) is True
+    assert node.update_route(3, RouteEntry(2, 5, 6, 100.0)) is True
     assert node.routes[3].hop_count == 5
 
 
@@ -52,7 +53,7 @@ def test_update_route_equal_seq_fewer_hops_wins():
     sim = build_sim(CHAIN)
     node = sim.nodes[0]
     install_route(node, 3, next_hop=1, hop_count=4, dst_seq=4)
-    assert node.update_route(RouteEntry(3, 2, 3, 4, 100.0)) is True
+    assert node.update_route(3, RouteEntry(2, 3, 4, 100.0)) is True
     assert node.routes[3].next_hop == 2
 
 
@@ -60,7 +61,7 @@ def test_update_route_lower_seq_kept():
     sim = build_sim(CHAIN)
     node = sim.nodes[0]
     install_route(node, 3, next_hop=1, hop_count=2, dst_seq=4)
-    assert node.update_route(RouteEntry(3, 2, 1, 3, 100.0)) is False
+    assert node.update_route(3, RouteEntry(2, 1, 3, 100.0)) is False
     assert node.routes[3].next_hop == 1
 
 
@@ -68,7 +69,7 @@ def test_update_route_preserves_precursors_across_replacement():
     sim = build_sim(CHAIN)
     node = sim.nodes[1]
     install_route(node, 3, next_hop=2, dst_seq=2, precursors=[0])
-    node.update_route(RouteEntry(3, 2, 1, 5, 100.0))
+    node.update_route(3, RouteEntry(2, 1, 5, 100.0))
     assert 0 in node.routes[3].precursors
 
 
@@ -108,11 +109,11 @@ def test_second_discovery_for_same_destination_raises():
     sim = build_sim(CHAIN)
     node = sim.nodes[0]
     node.start_discovery(3)
-    timer = node.pending[3].timer
+    wait = node.pending[3]
     scheduled = pending_count(sim.engine)
     with pytest.raises(RuntimeError):
         node.start_discovery(3)
-    assert node.pending[3].timer is timer and timer.pending
+    assert node.pending[3] is wait and wait.pending
     assert pending_count(sim.engine) == scheduled  # no second timer, no second flood
     assert control_count(sim, "RREQ") == 1
 
@@ -175,7 +176,7 @@ def test_buffer_overflow_drops_oldest_and_records_loss():
 def test_destination_replies_with_rrep_via_reverse_path():
     sim = build_sim(CHAIN)
     dst_node = sim.nodes[3]
-    rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
+    rreq = Rreq(src=0, bcast_id=1, dst=3, dst_last_seq=0,
                 hop_count=2, uid=sim.next_uid())
     assert dst_node.handle_rreq(2, rreq) is RreqAction.REPLIED
     assert control_count(sim, "RREP") == 1
@@ -185,7 +186,7 @@ def test_destination_replies_with_rrep_via_reverse_path():
 def test_duplicate_rreq_discarded():
     sim = build_sim(CHAIN)
     dst_node = sim.nodes[3]
-    rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
+    rreq = Rreq(src=0, bcast_id=1, dst=3, dst_last_seq=0,
                 hop_count=2, uid=sim.next_uid())
     dst_node.handle_rreq(2, rreq)
     assert dst_node.handle_rreq(2, rreq) is RreqAction.DUPLICATE
@@ -195,7 +196,7 @@ def test_duplicate_rreq_discarded():
 def test_rreq_remembered_for_path_discovery_time():
     sim = build_sim(CHAIN)
     mid = sim.nodes[1]
-    rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
+    rreq = Rreq(src=0, bcast_id=1, dst=3, dst_last_seq=0,
                 hop_count=0, uid=sim.next_uid())
     assert mid.handle_rreq(0, rreq) is RreqAction.FORWARDED
     sim.engine.run_until(PATH_DISCOVERY_TIME - 0.001)
@@ -219,7 +220,7 @@ def test_seen_rreqs_stay_bounded_over_a_long_run():
 def test_intermediary_without_route_rebroadcasts_with_hop_increment():
     sim = build_sim(CHAIN)
     mid = sim.nodes[1]
-    rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
+    rreq = Rreq(src=0, bcast_id=1, dst=3, dst_last_seq=0,
                 hop_count=0, uid=sim.next_uid())
     assert mid.handle_rreq(0, rreq) is RreqAction.FORWARDED
     fwd = [e for e in sim.ledger.events if e.subkind == "RREQ"]
@@ -231,7 +232,7 @@ def test_intermediary_with_fresh_cached_route_replies():
     sim = build_sim(CHAIN)
     mid = sim.nodes[1]
     install_route(mid, 3, next_hop=2, hop_count=2, dst_seq=6)
-    rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=4,
+    rreq = Rreq(src=0, bcast_id=1, dst=3, dst_last_seq=4,
                 hop_count=0, uid=sim.next_uid())
     assert mid.handle_rreq(0, rreq) is RreqAction.REPLIED
     assert 0 in mid.routes[3].precursors
@@ -241,7 +242,7 @@ def test_intermediary_with_stale_cached_route_forwards_instead():
     sim = build_sim(CHAIN)
     mid = sim.nodes[1]
     install_route(mid, 3, next_hop=2, hop_count=2, dst_seq=2)
-    rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=4,
+    rreq = Rreq(src=0, bcast_id=1, dst=3, dst_last_seq=4,
                 hop_count=0, uid=sim.next_uid())
     assert mid.handle_rreq(0, rreq) is RreqAction.FORWARDED
 
@@ -249,7 +250,7 @@ def test_intermediary_with_stale_cached_route_forwards_instead():
 def test_destination_seq_rises_above_poisoned_request():
     sim = build_sim(CHAIN)
     dst_node = sim.nodes[3]
-    rreq = Rreq(src=0, src_seq=5, bcast_id=2, dst=3, dst_last_seq=9,
+    rreq = Rreq(src=0, bcast_id=2, dst=3, dst_last_seq=9,
                 hop_count=1, uid=sim.next_uid())
     dst_node.handle_rreq(2, rreq)
     assert dst_node.own_seq > 9
@@ -270,10 +271,75 @@ def test_source_flushes_buffered_packets_fifo():
     assert src.pending == {}
 
 
+def reply_to_source(sim, dst, next_hop=1, dst_seq=2):
+    """Hand node 0 a reply for dst via next_hop, as if it had just arrived."""
+    sim.nodes[0].handle_rrep(next_hop, Rrep(src=0, dst=dst, dst_seq=dst_seq, hop_count=0,
+                                            lifetime=3.0, uid=sim.next_uid()))
+
+
+def test_a_flush_slot_whose_queue_a_link_break_emptied_sends_nothing():
+    sim = build_sim([(0, 0), (700, 700)])           # the RREQ reaches nobody
+    src = sim.nodes[0]
+    for _ in range(2):
+        src.originate_data(packet(sim, 0, 1))
+    reply_to_source(sim, 1)
+    assert src.pending == {} and pending_count(sim.engine) == 2     # two flush slots
+    src.on_link_break(1)                            # drops both before their slots
+    sim.engine.run_until(5.0)
+    assert len(data_drops(sim)) == 2 and sim.ledger.data_tx == 0
+    assert control_count(sim, "RREQ") == 1 and src.pending == {}
+
+
+def test_a_flush_slot_whose_route_went_inactive_starts_one_discovery():
+    sim = build_sim([(0, 0), (700, 700)])
+    src = sim.nodes[0]
+    for _ in range(2):
+        src.originate_data(packet(sim, 0, 1))
+    reply_to_source(sim, 1)
+    # a RERR breaks the route but keeps the buffer, and with no flow the
+    # source does not rediscover by itself
+    src.handle_rerr(1, Rerr(unreachable=[(1, 3)], uid=sim.next_uid()))
+    assert not src.route_is_active(1) and src.pending == {} and src.queued_count() == 2
+    sim.engine.run_until(0.01)                      # both slots ran
+    assert control_count(sim, "RREQ") == 2          # the first slot's discovery, once
+    assert list(src.pending) == [1] and src.queued_count() == 2
+    sim.engine.run_until(5.0)                       # nobody answers it
+    assert control_count(sim, "RREQ") == 1 + 1 + DISCOVERY_RETRIES
+    assert len(data_drops(sim)) == 2 and sim.ledger.data_tx == 0
+
+
+def test_a_buffered_packet_whose_next_hop_left_is_dropped_and_breaks_the_link():
+    sim = build_sim([(0, 0), (700, 700)])           # the reply names an unreachable hop
+    src = sim.nodes[0]
+    p1, p2 = packet(sim, 0, 1), packet(sim, 0, 1)
+    for p in (p1, p2):
+        src.originate_data(p)
+    reply_to_source(sim, 1, dst_seq=2)
+    sim.engine.run_until(5.0)
+    # the first slot's unicast fails: p1 is dropped, the break drops p2 and
+    # poisons the route, and the second slot finds the buffer empty
+    assert [e.uid for e in data_drops(sim)] == [p1.uid, p2.uid]
+    assert sim.ledger.data_tx == 0 and control_count(sim, "RREQ") == 1
+    assert (src.routes[1].active, src.routes[1].dst_seq) == (False, 3)
+
+
+def test_a_reply_to_the_first_retry_cancels_the_second_wait():
+    # node 1 comes into range between the first RREQ (t = 0) and the first
+    # retry (t = RREP_WAIT), and answers the retry
+    sim = build_sim([(0, 0), (300, 0)], movements=[Movement(0.01, 1, Position(100, 0), 400.0)])
+    src = sim.nodes[0]
+    p = packet(sim, 0, 1)
+    src.originate_data(p)
+    sim.engine.run_until(5.0)
+    assert control_count(sim, "RREQ") == 2          # the first and one retry, no third
+    assert data_drops(sim) == [] and src.pending == {}
+    assert [e.uid for e in sim.ledger.events if e.kind == RECEIVED] == [p.uid]
+
+
 def test_intermediary_installs_route_and_relays_rrep():
     sim = build_sim(CHAIN)
     mid = sim.nodes[2]
-    rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
+    rreq = Rreq(src=0, bcast_id=1, dst=3, dst_last_seq=0,
                 hop_count=1, uid=sim.next_uid())
     mid.handle_rreq(1, rreq)    # learns reverse path toward 0 via 1
     rrep = Rrep(src=0, dst=3, dst_seq=2, hop_count=0, lifetime=3.0,
@@ -288,7 +354,7 @@ def test_rrep_dropped_when_reverse_path_expired():
     # node 2 sits alone so its RREQ rebroadcast reaches nobody
     sim = build_sim([(0, 0), (0, 600), (700, 700), (100, 600)])
     mid = sim.nodes[2]
-    rreq = Rreq(src=0, src_seq=1, bcast_id=1, dst=3, dst_last_seq=0,
+    rreq = Rreq(src=0, bcast_id=1, dst=3, dst_last_seq=0,
                 hop_count=1, uid=sim.next_uid())
     mid.handle_rreq(1, rreq)
     sim.engine.run_until(REVERSE_PATH_LIFETIME + 0.5)   # reverse path now stale
@@ -396,7 +462,7 @@ def test_link_break_through_an_expired_route_changes_nothing():
     install_route(mid, 3, next_hop=3, dst_seq=4, ttl=0.0, precursors=[1])
     before = sim.next_uid()
     mid.on_link_break(3)
-    assert mid.routes[3] == RouteEntry(dst=3, next_hop=3, hop_count=1, dst_seq=4,
+    assert mid.routes[3] == RouteEntry(next_hop=3, hop_count=1, dst_seq=4,
                                        expires_at=0.0, precursors={1})
     assert sim.ledger.events == []
     assert sim.next_uid() == before + 1             # not even the unused draw
@@ -448,7 +514,7 @@ def send_frame(sim, kind):
     if kind == "DATA":
         return sim.send_unicast(1, 0, packet(sim, 1, 0))
     if kind == "RREQ":
-        return sim.broadcast(1, Rreq(src=1, src_seq=1, bcast_id=1, dst=0, dst_last_seq=0,
+        return sim.broadcast(1, Rreq(src=1, bcast_id=1, dst=0, dst_last_seq=0,
                                      hop_count=0, uid=sim.next_uid()))
     if kind == "RREP":
         return sim.send_unicast(1, 0, Rrep(src=0, dst=1, dst_seq=1, hop_count=0,

@@ -19,8 +19,7 @@ from functools import partial
 import pytest
 
 from manetsim import metrics
-from manetsim.aodv import (AodvNode, Hello, PendingDiscovery, ReversePathEntry, Rerr, RouteEntry,
-                           Rrep, Rreq)
+from manetsim.aodv import AodvNode, Hello, ReversePathEntry, Rerr, RouteEntry, Rrep, Rreq
 from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket
 from manetsim.engine import Engine, quantize
 from manetsim.packets import DATA, RERR, RREP, DataPacket
@@ -34,7 +33,7 @@ BANNED = {"MessageKind", "EventKind", "UnicastOutcome", "RreqAction", "value"}
 HOT = [AodvNode.on_receive, AodvNode.handle_rreq, AodvNode.handle_data, AodvNode.handle_hello,
        DsdvNode.on_receive, DsdvNode.handle_update,
        World.neighbors_of, Simulation.send_unicast, Simulation.emit_data,
-       Simulation.data_received, Simulation.dropped, Simulation.broadcast, Simulation._log,
+       Simulation.data_received, Simulation.dropped, Simulation.broadcast,
        World.unicast, metrics.MetricsLedger.record, metrics.MetricsLedger._mark,
        metrics.MetricsLedger._uid_bits, metrics.MetricsLedger._pack,
        metrics.MetricsLedger.rows, metrics.run_series, metrics.throughput_series, metrics.delay_series,
@@ -122,10 +121,8 @@ def test_a_data_frame_reaches_handle_data_without_on_receive(monkeypatch):
 
     monkeypatch.setattr(AodvNode, "on_receive", on_receive)
     sim = Simulation(build_spec([(0, 0), (100, 0), (200, 0)]))
-    sim.nodes[0].routes[2] = RouteEntry(dst=2, next_hop=1, hop_count=2, dst_seq=1,
-                                        expires_at=5.0)
-    sim.nodes[1].routes[2] = RouteEntry(dst=2, next_hop=2, hop_count=1, dst_seq=1,
-                                        expires_at=5.0)
+    sim.nodes[0].routes[2] = RouteEntry(next_hop=1, hop_count=2, dst_seq=1, expires_at=5.0)
+    sim.nodes[1].routes[2] = RouteEntry(next_hop=2, hop_count=1, dst_seq=1, expires_at=5.0)
     sim.emit_data(TrafficFlow(0, 2, rate=1.0, packet_size=512, start=0.0, stop=1.0))
     sim.engine.run_until(0.5)
     assert (sim.ledger.data_tx, sim.ledger.received) == (2, 1)
@@ -147,7 +144,7 @@ def test_a_forwarded_data_hop_runs_four_python_functions():
     ledger row; nothing else runs Python code for it."""
     sim = Simulation(build_spec([(0, 0), (100, 0), (200, 0)]), hello_interval=0)
     for node, next_hop in ((0, 1), (1, 2)):
-        sim.nodes[node].routes[2] = RouteEntry(dst=2, next_hop=next_hop, hop_count=2 - node,
+        sim.nodes[node].routes[2] = RouteEntry(next_hop=next_hop, hop_count=2 - node,
                                                dst_seq=1, expires_at=5.0)
     sim.emit_data(TrafficFlow(0, 2, rate=1.0, packet_size=512, start=0.0, stop=1.0))
     [(fn, args)] = sim.engine.pending()     # the frame on its way to node 1
@@ -168,12 +165,12 @@ def test_a_covered_uid_is_sent_and_received_without_a_helper_call():
 
 
 # helpers the data path writes out itself: it runs once per hop or per packet
-NOT_ON_DATA_PATH = [(World.unicast, {"_linked", "_xy"}),
+NOT_ON_DATA_PATH = [(World.unicast, {"in_range", "_xy"}),
                     (AodvNode.handle_data, {"route_is_active", "_transmit"}),
-                    (Simulation.send_unicast, {"_log"}),
-                    (Simulation.broadcast, {"_log"}),
-                    (Simulation.emit_data, {"next_uid", "_log"}),
-                    (Simulation.data_received, {"_log"}),
+                    (Simulation.send_unicast, {"dropped"}),
+                    (Simulation.broadcast, {"dropped"}),
+                    (Simulation.emit_data, {"next_uid", "dropped"}),
+                    (Simulation.data_received, {"dropped"}),
                     (AodvNode.originate_data, {"route_is_active", "_transmit"})]
 
 
@@ -193,7 +190,7 @@ def test_a_dsdv_route_is_judged_by_its_rank_alone(fn):
 
 
 @pytest.mark.parametrize("cls", [DataPacket, UpdatePacket, DsdvEntry, Rreq, Rrep, Rerr, Hello,
-                                 RouteEntry, ReversePathEntry, PendingDiscovery],
+                                 RouteEntry, ReversePathEntry],
                          ids=lambda cls: cls.__name__)
 def test_a_per_frame_record_is_slotted(cls):
     """Built per frame or per route entry: slots make its fields cheaper to
@@ -206,7 +203,7 @@ def test_splitting_a_nodes_verlet_lists_looks_up_no_position():
     assert not loads(World._split, {"_xy", "_locate"})
 
 
-@pytest.mark.parametrize("fn", [World._xy, World._linked, World.unicast],
+@pytest.mark.parametrize("fn", [World._xy, World.in_range, World.unicast],
                          ids=lambda fn: fn.__qualname__)
 def test_a_link_check_copies_no_position_list(fn):
     """A position is read from the node's fixed point or leg table; nothing

@@ -125,6 +125,12 @@ def test_throughput_empty_window_is_zero():
     assert [p.value for p in pts] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("window", [0.0, -0.5])
+def test_a_window_that_is_not_positive_is_rejected(window):
+    with pytest.raises(ValueError, match="window must be positive"):
+        run_series(ledger_with(ev(1.0, SENT)), window=window)
+
+
 def quadratic_throughput(ledger, window=0.5, step=0.1, t_end=None):
     """Oracle: the original rescan of every receive for each window position."""
     receives = [(e.t, e.size) for e in ledger.events if e.kind == RECEIVED]
@@ -211,6 +217,22 @@ def test_delay_points_at_one_receive_time_ordered_by_delay():
     )
     assert [(p.t, p.value) for p in delay_series(led)] == [(1.2, 1.2 - 1.1),
                                                            (1.2, 1.2 - 1.0)]
+
+
+# -- cumulative counts -------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, expected", [
+    (RECEIVED, [SeriesPoint(1.2, 1), SeriesPoint(1.5, 3)]),
+    (DROPPED, [SeriesPoint(1.3, 1)]),
+])
+def test_cumulative_series_counts_data_packets_once_per_time(kind, expected):
+    led = ledger_with(ev(1.0, SENT, uid=1), ev(1.0, SENT, uid=2), ev(1.1, SENT, uid=3),
+                      ev(1.1, SENT, uid=4), ev(1.2, RECEIVED, uid=1, node=5),
+                      ev(1.3, CONTROL_TX, subkind="RREQ", size=24, uid=9),
+                      ev(1.3, DROPPED, uid=4, node=2),
+                      ev(1.4, DROPPED, subkind="RREQ", size=24, uid=9, node=3),   # not data
+                      ev(1.5, RECEIVED, uid=2, node=5), ev(1.5, RECEIVED, uid=3, node=5))
+    assert metrics.cumulative_series(led, kind) == expected
 
 
 # -- control overhead ---------------------------------------------------------------
@@ -329,7 +351,8 @@ def test_parse_trace_rejects_a_time_that_is_not_finite(t):
     ("s 4.000000 0 DATA 512 2 0 5", LedgerOrderError),
     ("s 5.000000 0 DATA 512 1 0 5", LedgerConsistencyError),     # uid 1 sent twice
     ("r 5.000000 5 DATA 512 2 0 5", LedgerConsistencyError),     # uid 2 never sent
-], ids=["out-of-order", "duplicate-sent-uid", "unknown-received-uid"])
+    ("d 5.000000 3 DATA 512 2 0 5", LedgerConsistencyError),     # uid 2 never sent
+], ids=["out-of-order", "duplicate-sent-uid", "unknown-received-uid", "unknown-dropped-uid"])
 def test_parse_trace_names_the_line_of_a_row_the_ledger_refuses(line, error):
     with pytest.raises(error, match=r"^line 3: "):
         parse_trace(["s 5.000000 0 DATA 512 1 0 5", "", line])

@@ -118,6 +118,23 @@ def test_end_one_tick_under_two_to_the_fifty_ticks_accepted():
     assert parse(VALID.replace("end 5.0", "end 1125899906.842623")).end_time > 1.1e9
 
 
+@pytest.mark.parametrize("text, match", [
+    (VALID.replace("area 800 800\n", ""), "missing 'area'"),
+    (VALID.replace("area 800 800", "area 0 800"), "area dimensions must be positive"),
+    (VALID.replace("end 5.0\n", ""), "missing 'end'"),
+    (VALID.replace("end 5.0", "end 0"), "end time must be positive"),
+    ("area 800 800\nend 5.0\n", "declares no nodes"),
+    (VALID.replace("move 1.0 1 500", "move 1.0 1 900"), "leaves the area"),
+    (VALID.replace("flow 0 1 10 512", "flow 0 1 0 512"), "rate and packet size"),
+    (VALID.replace("flow 0 1 10 512", "flow 0 1 10 0"), "rate and packet size"),
+], ids=["no-area", "area-zero", "no-end", "end-zero", "no-nodes", "move-outside-area",
+        "flow-rate-zero", "flow-size-zero"])
+def test_a_missing_or_zero_setting_is_semantic_error(text, match):
+    # a zero rate must not reach the 1 / rate period check
+    with pytest.raises(ScenarioSemanticError, match=match):
+        parse(text)
+
+
 def test_unknown_node_in_flow_is_semantic_error():
     text = VALID.replace("flow 0 1", "flow 0 7")
     with pytest.raises(ScenarioSemanticError):

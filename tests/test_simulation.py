@@ -58,7 +58,7 @@ def test_conservation_exact_on_builtin_runs():
 def test_the_census_counts_the_data_frames_on_the_air_and_no_other_entry():
     sim = build_sim([(0, 0), (100, 0), (200, 0)])
     for node, next_hop in ((0, 1), (1, 2)):
-        sim.nodes[node].routes[2] = RouteEntry(dst=2, next_hop=next_hop, hop_count=2 - node,
+        sim.nodes[node].routes[2] = RouteEntry(next_hop=next_hop, hop_count=2 - node,
                                                dst_seq=1, expires_at=5.0)
     flow = TrafficFlow(0, 2, rate=1.0, packet_size=512, start=0.0, stop=1.0)
     sim.emit_data(flow)
@@ -559,6 +559,11 @@ def test_hello_interval_below_one_clock_tick_is_rejected(interval):
         Simulation(builtin("scenario1"), hello_interval=interval)
 
 
+def test_an_unknown_protocol_is_rejected():
+    with pytest.raises(ValueError, match="unknown protocol 'olsr'"):
+        Simulation(builtin("scenario1"), protocol="olsr")
+
+
 def test_hello_interval_of_one_clock_tick_advances_the_clock():
     sim = build_sim([(0, 0), (100, 0)], hello_interval=1e-6, end=0.001)
     sim.run()
@@ -638,7 +643,7 @@ def test_route_paths_of_a_run_without_flows_is_empty():
 
 ROW_MESSAGES = [
     DataPacket(uid=7, src=0, dst=1, size=512),
-    Rreq(src=0, src_seq=3, bcast_id=2, dst=1, dst_last_seq=4, hop_count=1, uid=8),
+    Rreq(src=0, bcast_id=2, dst=1, dst_last_seq=4, hop_count=1, uid=8),
     Rrep(src=0, dst=1, dst_seq=6, hop_count=2, lifetime=3.0, uid=9),
     Rerr(unreachable=[(1, 5), (2, 7)], uid=10, src=1, dst=0),
     Hello(src=1, uid=11),
@@ -651,18 +656,40 @@ ROW_MESSAGES = [
                                              ("SENT", "RECEIVED", "DROPPED", "CONTROL_TX", "DATA_TX")])
 @pytest.mark.parametrize("msg", ROW_MESSAGES, ids=lambda m: type(m).__name__)
 def test_logged_row_equals_the_reference_row(msg, kind):
+    """The recorder that logs rows of kind builds msg's reference row. Only a data
+    frame is sent, received or logged as DATA_TX: a control frame sent by unicast
+    is logged as CONTROL_TX."""
     sim = build_sim([(0, 0), (100, 0)])
     sim.engine.run_until(0.25)
+    sim.world.broadcast = lambda sender, msg: []
+    sim.world.unicast = lambda sender, next_hop, msg: UNICAST_SENT
     rows = []
     sim.ledger.record = rows.append
-    sim._log(kind, 1, msg)
-    assert rows == [LedgerEvent(0.25, kind, 1, msg.kind, msg.size, msg.uid,
+    node = 1
+    if kind is DROPPED:
+        sim.dropped(1, msg)
+    elif kind is CONTROL_TX:
+        sim.broadcast(1, msg)
+    elif msg.kind is not DATA:
+        assert sim.send_unicast(1, 0, msg)
+        kind = CONTROL_TX
+    elif kind is SENT:
+        # emit_data builds the packet itself, at its source, under the next uid
+        node, sim._uid_counter = msg.src, msg.uid - 1
+        sim.emit_data(TrafficFlow(msg.src, msg.dst, rate=1.0, packet_size=msg.size,
+                                  start=0.0, stop=1.0))
+        del rows[1:]        # the rows of the discovery the packet starts
+    elif kind is RECEIVED:
+        sim.data_received(1, msg)
+    else:
+        assert sim.send_unicast(1, 0, msg)
+    assert rows == [LedgerEvent(0.25, kind, node, msg.kind, msg.size, msg.uid,
                                 msg.src, msg.dst)]
 
 
 @pytest.mark.parametrize("msg", ROW_MESSAGES, ids=lambda m: type(m).__name__)
 def test_every_recorder_builds_the_reference_row(msg):
-    """send_unicast and data_received build their rows inline, not through _log."""
+    """Each recorder builds its own row; the rows of every kind are the reference rows."""
     sim = build_sim([(0, 0), (100, 0)])
     sim.engine.run_until(0.25)
     # no handler takes some of these kinds

@@ -89,6 +89,8 @@ def test_unknown_node_raises():
         w.position_at(3, 0.0)
     with pytest.raises(UnknownNodeError):
         w.in_range(0, 3, 0.0)
+    with pytest.raises(UnknownNodeError):
+        w.neighbors_of(3, 0.0)
 
 
 def test_movement_never_teleports():
@@ -307,6 +309,13 @@ def test_unicast_to_an_undeployed_next_hop_raises(next_hop):
     sim = build_sim([(0, 0), (10, 0)])
     with pytest.raises(UnknownNodeError):
         sim.send_unicast(0, next_hop, pkt())
+    assert sim.ledger.events == [] and pending_count(sim.engine) == 0
+
+
+def test_unicast_to_itself_raises():
+    sim = build_sim([(0, 0), (10, 0)])
+    with pytest.raises(ValueError, match="unicast to self"):
+        sim.send_unicast(1, 1, pkt())
     assert sim.ledger.events == [] and pending_count(sim.engine) == 0
 
 
