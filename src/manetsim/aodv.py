@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
-from .engine import EventHandle
+from .engine import Handle
 from .packets import DATA, HELLO, RERR, RREP, RREQ, DataPacket
 
 RREQ_SIZE = 24
@@ -99,12 +99,6 @@ class RouteEntry:
     precursors: set[int] = field(default_factory=set)
 
 
-@dataclass(slots=True)
-class ReversePathEntry:
-    via: int            # neighbor the request arrived from
-    expires_at: float
-
-
 class RreqAction(Enum):
     DUPLICATE = "duplicate"
     REPLIED = "replied"
@@ -130,12 +124,13 @@ class AodvNode:
         self.own_seq = 0
         self.bcast_id = 0
         self.routes: dict[int, RouteEntry] = {}     # keyed by destination
-        self.reverse_paths: dict[int, ReversePathEntry] = {}
+        # src -> (via, expires_at): the neighbor its request arrived from
+        self.reverse_paths: dict[int, tuple[int, float]] = {}
         self.seen_rreqs: set[tuple[int, int]] = set()
         # (forget_at, key) in the order keys were added, so oldest first
         self._seen_order: deque[tuple[float, tuple[int, int]]] = deque()
         # dst -> its discovery's reply wait, whose entry carries the retries left
-        self.pending: dict[int, EventHandle] = {}
+        self.pending: dict[int, Handle] = {}
         self.queues: dict[int, deque[DataPacket]] = {}
         self.hello_last_heard: dict[int, float] = {}
 
@@ -204,14 +199,6 @@ class AodvNode:
         while q:
             self.sim.dropped(self.node_id, q.popleft())
 
-    def _transmit(self, packet: DataPacket) -> None:
-        entry = self.routes[packet.dst]
-        if self.sim.send_unicast(self.node_id, entry.next_hop, packet):
-            entry.expires_at = self.sim.engine.now + ACTIVE_ROUTE_TIMEOUT
-        else:
-            self.sim.dropped(self.node_id, packet)
-            self.on_link_break(entry.next_hop)
-
     def handle_data(self, sender: int, packet: DataPacket) -> None:
         """Deliver a DATA frame here or forward it. Every data hop runs this,
         so the active-route test and the send are written out here."""
@@ -238,7 +225,12 @@ class AodvNode:
         if not q:
             return
         if self.route_is_active(dst):
-            self._transmit(q.popleft())
+            packet, entry = q.popleft(), self.routes[dst]
+            if self.sim.send_unicast(self.node_id, entry.next_hop, packet):
+                entry.expires_at = self.sim.engine.now + ACTIVE_ROUTE_TIMEOUT
+            else:
+                self.sim.dropped(self.node_id, packet)
+                self.on_link_break(entry.next_hop)
         elif dst not in self.pending:
             self.start_discovery(dst)
 
@@ -288,8 +280,7 @@ class AodvNode:
         if key in self.seen_rreqs:
             return DUPLICATE
         self._remember_rreq(key)
-        self.reverse_paths[rreq.src] = ReversePathEntry(
-            via=sender, expires_at=now + REVERSE_PATH_LIFETIME)
+        self.reverse_paths[rreq.src] = (sender, now + REVERSE_PATH_LIFETIME)
 
         if rreq.dst == self.node_id:
             # answering destination: never reply with anything staler than
@@ -336,15 +327,15 @@ class AodvNode:
 
         if not installed:
             return  # a better reply already went upstream; first-wins
-        rp = self.reverse_paths.get(rrep.src)
-        if rp is None or rp.expires_at <= now:
+        via, expires_at = self.reverse_paths.get(rrep.src, (None, now))
+        if expires_at <= now:
             # reverse path gone: the reply cannot travel further
             self.sim.dropped(self.node_id, rrep)
             return
-        if self._reply(rp.via, rrep, rrep.dst_seq, rrep.hop_count + 1, rrep.lifetime):
+        if self._reply(via, rrep, rrep.dst_seq, rrep.hop_count + 1, rrep.lifetime):
             entry = self.routes.get(rrep.dst)
             if entry is not None:
-                entry.precursors.add(rp.via)
+                entry.precursors.add(via)
 
     def _flush_queue(self, dst: int) -> None:
         q = self.queues.get(dst)

@@ -6,18 +6,18 @@ floods incremental updates the moment anything changes. Freshness is
 carried by per-destination sequence numbers; even numbers mean
 reachable, odd numbers mark a break.
 
-An entry stores its next hop and its rank, one integer that orders
-routes the way the adopt rule does: rank(seq, metric) is seq *
-RANK_SPAN for a break (odd seq, or no metric) and seq * RANK_SPAN +
-RANK_SPAN - 1 - metric otherwise. A rank lies in [seq * RANK_SPAN,
-(seq + 1) * RANK_SPAN), so a fresher sequence always ranks higher; at
-an equal even sequence the shorter metric ranks higher, and at an equal
-odd one neither does. A break's rank is a multiple of RANK_SPAN and a
-reachable rank is not. An advertisement carries (dst, offer) pairs, the
-offer being the rank the receiver would store: rank - 1 for a reachable
-entry, one hop longer, and the rank itself for a break. A receiver
-adopts exactly the entries that offer more than the rank it holds: one
-integer compare per entry.
+The table maps a destination to the pair (next_hop, rank), the rank
+being one integer that orders routes the way the adopt rule does:
+rank(seq, metric) is seq * RANK_SPAN for a break (odd seq, or no
+metric) and seq * RANK_SPAN + RANK_SPAN - 1 - metric otherwise. A rank
+lies in [seq * RANK_SPAN, (seq + 1) * RANK_SPAN), so a fresher sequence
+always ranks higher; at an equal even sequence the shorter metric ranks
+higher, and at an equal odd one neither does. A break's rank is a
+multiple of RANK_SPAN and a reachable rank is not. An advertisement
+carries (dst, offer) pairs, the offer being the rank the receiver would
+store: rank - 1 for a reachable entry, one hop longer, and the rank
+itself for a break. A receiver adopts exactly the entries that offer
+more than the rank it holds: one integer compare per entry.
 """
 from __future__ import annotations
 
@@ -54,18 +54,6 @@ class UpdatePacket:
         return UPDATE_BASE_SIZE + UPDATE_PER_ENTRY_SIZE * len(self.entries)
 
 
-@dataclass(slots=True)
-class DsdvEntry:
-    """A route to the destination that keys it in the table."""
-
-    next_hop: int
-    rank: int
-
-    @property
-    def broken(self) -> bool:
-        return not self.rank % RANK_SPAN
-
-
 class DsdvNode:
     """One node's table plus the periodic/triggered advertisement logic."""
 
@@ -75,17 +63,17 @@ class DsdvNode:
     def __init__(self, node_id: int, sim):
         self.node_id = node_id
         self.sim = sim
-        self.table: dict[int, DsdvEntry] = {node_id: DsdvEntry(node_id, rank(0, 0))}
+        self.table: dict[int, tuple[int, int]] = {node_id: (node_id, rank(0, 0))}
 
     def start(self) -> None:
         """Arm the full-table dump at 0.0 and every UPDATE_INTERVAL after."""
         self.sim.every(0.0, self.periodic_dump, UPDATE_INTERVAL)
 
     def next_hop_for(self, dst: int) -> int | None:
-        e = self.table.get(dst)
-        if dst == self.node_id or e is None or e.broken:
+        route = self.table.get(dst)
+        if dst == self.node_id or route is None or not route[1] % RANK_SPAN:
             return None
-        return e.next_hop
+        return route[0]
 
     def queued_count(self) -> int:
         return 0    # table-driven: nothing is ever buffered
@@ -94,9 +82,10 @@ class DsdvNode:
 
     def periodic_dump(self) -> None:
         """Advertise the full table with a fresh (still even) own sequence."""
-        self.table[self.node_id].rank += 2 * RANK_SPAN
-        self._advertise([(dst, e.rank - 1 if e.rank % RANK_SPAN else e.rank)
-                         for dst, e in sorted(self.table.items())])
+        me = self.node_id
+        self.table[me] = (me, self.table[me][1] + 2 * RANK_SPAN)
+        self._advertise([(dst, r - 1 if r % RANK_SPAN else r)
+                         for dst, (_, r) in sorted(self.table.items())])
 
     def _advertise(self, offers: list[tuple[int, int]]) -> None:
         """Broadcast (dst, offer) pairs in one update."""
@@ -117,9 +106,9 @@ class DsdvNode:
             if existing is None:
                 if not offer % RANK_SPAN:
                     continue    # nothing to tear down for an unknown destination
-            elif offer <= existing.rank or dst == me:
+            elif offer <= existing[1] or dst == me:
                 continue
-            table[dst] = DsdvEntry(sender, offer)
+            table[dst] = (sender, offer)
             self.sim.route_changed(dst)
             offers.append((dst, offer - 1 if offer % RANK_SPAN else offer))
         if offers:
@@ -133,12 +122,12 @@ class DsdvNode:
         if packet.dst == self.node_id:
             self.sim.data_received(self.node_id, packet)
             return
-        e = self.table.get(packet.dst)
-        if e is None or e.broken:
+        route = self.table.get(packet.dst)
+        if route is None or not route[1] % RANK_SPAN:
             self.sim.dropped(self.node_id, packet)
-        elif not self.sim.send_unicast(self.node_id, e.next_hop, packet):
+        elif not self.sim.send_unicast(self.node_id, route[0], packet):
             self.sim.dropped(self.node_id, packet)
-            self.mark_broken(e.next_hop)
+            self.mark_broken(route[0])
 
     # the engine drives both protocols through the same entry points
     originate_data = forward_data
@@ -146,12 +135,13 @@ class DsdvNode:
     def mark_broken(self, dead_neighbor: int) -> None:
         """Poison every route through a lost neighbor with the next (odd)
         sequence number and flood the news."""
-        offers = []
-        for dst, e in self.table.items():
-            if e.next_hop == dead_neighbor and dst != self.node_id and e.rank % RANK_SPAN:
-                e.rank = (e.rank // RANK_SPAN + 1) * RANK_SPAN
+        table, offers = self.table, []
+        for dst, (next_hop, r) in table.items():
+            if next_hop == dead_neighbor and dst != self.node_id and r % RANK_SPAN:
+                r = (r // RANK_SPAN + 1) * RANK_SPAN
+                table[dst] = (next_hop, r)  # same key: the table keeps its order
                 self.sim.route_changed(dst)
-                offers.append((dst, e.rank))
+                offers.append((dst, r))
         if offers:
             self.triggered_update(offers)
 

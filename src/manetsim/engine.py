@@ -19,8 +19,8 @@ float through integer ticks wherever that is provably exact. World files
 its frames itself, with the same arithmetic written out, straight into
 _buckets and _queue. quantize is the plain round(t, 6) reference. Only
 an event that some code may cancel goes through schedule, which files
-(action, ()) and returns an EventHandle keeping it. pending yields every
-queued entry.
+(action, ()) and returns the Handle (bucket, entry) that cancel takes.
+pending yields every queued entry.
 
 after_event runs only after an event that left the watch non-empty;
 Simulation sets its route observer as after_event, and the set of
@@ -43,6 +43,11 @@ TICKS_PER_S = 10.0 ** TIME_RESOLUTION_DIGITS
 HALF_EVEN = 1.5 * 2.0 ** 52    # see Engine.post_all
 TICK_LIMIT = 2.0 ** 50
 Entry = tuple[Callable[..., None], tuple]   # (fn, args), run as fn(*args)
+# (bucket, entry) of a cancellable event: the entry sits in its fire time's
+# bucket until it fires or is cancelled, so the event is pending exactly
+# while the bucket holds it. The entry holds the action, never the handle,
+# so there is no reference cycle
+Handle = tuple[deque, Entry]
 
 
 def quantize(t: float) -> float:
@@ -55,28 +60,6 @@ def valid_period(value: float) -> bool:
     always moves the clock forward instead of re-queueing into the bucket it
     runs in."""
     return TICK <= value < math.inf
-
-
-class EventHandle:
-    """The handle of a cancellable event. It keeps the event's entry, which
-    holds the action, not the handle (that would be a reference cycle); the
-    entry sits in its fire time's bucket until it fires or is cancelled,
-    so the event is pending exactly while the bucket holds it."""
-
-    __slots__ = ("_at", "_entry", "_bucket")
-
-    def __init__(self, at: float, entry: Entry):
-        self._at = at   # as asked; quantized only when fire_at is read
-        self._entry = entry
-        # _bucket is set by Engine.schedule, which queues the entry
-
-    @property
-    def fire_at(self) -> float:
-        return quantize(self._at)
-
-    @property
-    def pending(self) -> bool:
-        return any(queued is self._entry for queued in self._bucket)   # see cancel
 
 
 class Engine:
@@ -94,10 +77,9 @@ class Engine:
         self.watch: Collection = ()
         self.event_hooks: list[Callable[[], None]] = []
 
-    def schedule(self, fire_at: float, action: Callable[[], None]) -> EventHandle:
-        handle = EventHandle(fire_at, (action, ()))
-        handle._bucket = self.post_all(((fire_at, handle._entry),))
-        return handle
+    def schedule(self, fire_at: float, action: Callable[[], None]) -> Handle:
+        entry = (action, ())
+        return self.post_all(((fire_at, entry),)), entry
 
     def post_all(self, pairs: Iterable[tuple[float, Entry]]) -> deque | None:
         """Queue each (fire_at, entry) pair in order, without a handle, and
@@ -134,12 +116,12 @@ class Engine:
         """Every queued entry (fn, args), bucket by bucket in no set order."""
         return chain.from_iterable(self._buckets.values())
 
-    def cancel(self, handle: EventHandle) -> bool:
+    def cancel(self, handle: Handle) -> bool:
         """True if the event was pending and is now dequeued."""
         # by identity: equal actions make equal entries, and one may refuse ==
-        bucket = handle._bucket
+        bucket, entry = handle
         for i, queued in enumerate(bucket):
-            if queued is handle._entry:
+            if queued is entry:
                 del bucket[i]
                 return True
         return False

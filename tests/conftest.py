@@ -30,6 +30,12 @@ def pending_count(engine):
     return sum(1 for _ in engine.pending())
 
 
+def is_pending(engine, handle):
+    """Whether the event of a (bucket, entry) handle from Engine.schedule is
+    still queued: its entry, by identity, is among the queued ones."""
+    return any(entry is handle[1] for entry in engine.pending())
+
+
 def next_hop_graph(sim, dst):
     """node -> active next hop toward dst, for loop-freedom checks."""
     graph = {}

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import build_sim, pending_count
+from conftest import build_sim, is_pending, pending_count
 from manetsim.aodv import (ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, DISCOVERY_RETRIES,
                            PATH_DISCOVERY_TIME, REVERSE_PATH_LIFETIME, Hello, Rerr, RouteEntry,
                            Rrep, Rreq, RreqAction)
@@ -113,7 +113,7 @@ def test_second_discovery_for_same_destination_raises():
     scheduled = pending_count(sim.engine)
     with pytest.raises(RuntimeError):
         node.start_discovery(3)
-    assert node.pending[3] is wait and wait.pending
+    assert node.pending[3] is wait and is_pending(sim.engine, wait)
     assert pending_count(sim.engine) == scheduled  # no second timer, no second flood
     assert control_count(sim, "RREQ") == 1
 
@@ -180,7 +180,7 @@ def test_destination_replies_with_rrep_via_reverse_path():
                 hop_count=2, uid=sim.next_uid())
     assert dst_node.handle_rreq(2, rreq) is RreqAction.REPLIED
     assert control_count(sim, "RREP") == 1
-    assert dst_node.reverse_paths[0].via == 2
+    assert dst_node.reverse_paths[0] == (2, sim.engine.now + REVERSE_PATH_LIFETIME)
 
 
 def test_duplicate_rreq_discarded():
@@ -362,6 +362,21 @@ def test_rrep_dropped_when_reverse_path_expired():
     sim.ledger.record(  # the copy we are about to drop was transmitted to us
         LedgerEvent(sim.engine.now, CONTROL_TX, 3, "RREP", 20, 77, 0, 3))
     mid.handle_rrep(3, rrep)
+    drops = [e for e in sim.ledger.events
+             if e.kind == DROPPED and e.subkind == "RREP"]
+    assert len(drops) == 1
+    assert control_count(sim, "RREP") == 1          # only the hand-recorded copy
+
+
+def test_rrep_dropped_when_no_reverse_path_was_stored():
+    # node 2 never heard the request, so it holds no way back toward 0
+    sim = build_sim(CHAIN)
+    mid = sim.nodes[2]
+    rrep = Rrep(src=0, dst=3, dst_seq=2, hop_count=0, lifetime=3.0, uid=77)
+    sim.ledger.record(  # the copy we are about to drop was transmitted to us
+        LedgerEvent(sim.engine.now, CONTROL_TX, 3, "RREP", 20, 77, 0, 3))
+    mid.handle_rrep(3, rrep)
+    assert mid.reverse_paths == {} and mid.routes[3].next_hop == 3
     drops = [e for e in sim.ledger.events
              if e.kind == DROPPED and e.subkind == "RREP"]
     assert len(drops) == 1

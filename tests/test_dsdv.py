@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (assert_loop_free, build_sim, build_spec, random_connected_positions,
                       random_scenario)
-from manetsim.dsdv import RANK_SPAN, DsdvEntry, DsdvNode, UpdatePacket, rank
+from manetsim.dsdv import RANK_SPAN, DsdvNode, UpdatePacket, rank
 from manetsim.metrics import SENT, LedgerEvent
 from manetsim.packets import DataPacket
 from manetsim.simulation import Simulation
@@ -33,11 +33,17 @@ def advert(dst, seq, hops):
     return dst, rank(seq, None if hops is None else hops + 1)
 
 
-def decode(entry):
-    """(dst_seq, hop_count) of a stored entry, read off its rank; the hop
-    count is None for a break."""
-    seq, rest = divmod(entry.rank, RANK_SPAN)
+def decode(route):
+    """(dst_seq, hop_count) of a stored (next_hop, rank) route, read off its
+    rank; the hop count is None for a break."""
+    seq, rest = divmod(route[1], RANK_SPAN)
     return seq, RANK_SPAN - 1 - rest if rest else None
+
+
+def broken(route):
+    """A stored (next_hop, rank) route is broken when its rank is a
+    multiple of RANK_SPAN."""
+    return not route[1] % RANK_SPAN
 
 
 # -- periodic dumps -----------------------------------------------------------
@@ -79,18 +85,18 @@ def test_link_break_floods_odd_sequence_network_wide():
     sim.engine.run_until(1.5)   # between dump rounds
     before = update_count(sim)
     table = sim.nodes[2].table
-    through_3 = {dst: decode(e)[0] for dst, e in table.items() if e.next_hop == 3 and dst != 2}
+    through_3 = {dst: decode(r)[0] for dst, r in table.items() if r[0] == 3 and dst != 2}
     sim.nodes[2].mark_broken(3)
     assert through_3 and {dst: decode(table[dst]) for dst in through_3} == {
         dst: (seq + 1, None) for dst, seq in through_3.items()}
-    assert all(seq % 2 == 0 and table[dst].broken for dst, seq in through_3.items())
+    assert all(seq % 2 == 0 and broken(table[dst]) for dst, seq in through_3.items())
     sim.engine.run_until(1.7)   # let the flood settle
     assert update_count(sim) > before
     # nodes 0 and 1 heard about it even though only 2 noticed the break
-    assert sim.nodes[0].table[3].broken
-    assert sim.nodes[1].table[3].broken
+    assert broken(sim.nodes[0].table[3])
+    assert broken(sim.nodes[1].table[3])
     sim.engine.run_until(2.2)   # node 3's next dump heals everyone
-    assert not sim.nodes[0].table[3].broken
+    assert not broken(sim.nodes[0].table[3])
 
 
 def test_break_flood_spans_connected_component():
@@ -118,7 +124,7 @@ def test_new_neighbor_triggers_network_wide_broadcast():
     sim.engine.run_until(2.4)
     assert 3 not in sim.nodes[0].table
     sim.engine.run_until(5.0)   # next dumps cross the new link
-    assert 3 in sim.nodes[0].table and not sim.nodes[0].table[3].broken
+    assert 3 in sim.nodes[0].table and not broken(sim.nodes[0].table[3])
 
 
 def test_no_change_no_triggered_update():
@@ -140,7 +146,7 @@ def test_newer_seq_adopted_and_readvertised():
     pkt = UpdatePacket(src=0, entries=[advert(0, 4, 0)],
                        uid=sim.next_uid())
     assert node.handle_update(0, pkt) == 1
-    assert node.table[0].next_hop == 0 and decode(node.table[0]) == (4, 1)
+    assert node.table[0][0] == 0 and decode(node.table[0]) == (4, 1)
     assert update_count(sim) == 1   # re-broadcast of the adopted change
 
 
@@ -158,7 +164,7 @@ def test_equal_seq_worse_metric_ignored():
     node.handle_update(0, UpdatePacket(0, [advert(0, 4, 0)], sim.next_uid()))
     assert node.handle_update(2, UpdatePacket(0, [advert(0, 4, 3)],
                                               sim.next_uid())) == 0
-    assert node.table[0].next_hop == 0
+    assert node.table[0][0] == 0
 
 
 def test_equal_seq_better_metric_adopted():
@@ -215,11 +221,11 @@ def check_adopt_rule(me, rows, sender, entries):
 
     sim = Recorder()
     node = DsdvNode(me, sim)
-    node.table = {dst: DsdvEntry(next_hop, rank(seq, hops))
+    node.table = {dst: (next_hop, rank(seq, hops))
                   for dst, (next_hop, hops, seq) in rows.items()}
     adopted = node.handle_update(sender, UpdatePacket(sender, [advert(*e) for e in entries],
                                                       uid=0))
-    assert {dst: (e.next_hop, e.rank) for dst, e in node.table.items()} == {
+    assert node.table == {
         dst: (next_hop, rank(seq, hops)) for dst, (next_hop, hops, seq) in table.items()}
     assert sim.route_changes == [dst for dst, _, _ in changes]
     assert sim.sent == ([[advert(*change) for change in changes]] if changes else [])
@@ -302,24 +308,27 @@ def test_every_advertised_offer_follows_the_senders_stored_rank_in_a_run(name):
     breaks routes as well as installing them."""
     from manetsim.scenario import builtin
     sim = Simulation(builtin(name), protocol="dsdv", seed=1)
-    broadcast, sent_breaks, broken = sim.broadcast, [], []
+    broadcast, sent_breaks, broken_seen = sim.broadcast, [], []
 
     def checking(sender, pkt):
         table = sim.nodes[sender].table
         for dst, offer in pkt.entries:
             seq, hops = decode(table[dst])
-            assert offer == advert(dst, seq, hops)[1] == table[dst].rank - (hops is not None)
+            assert offer == advert(dst, seq, hops)[1] == table[dst][1] - (hops is not None)
             sent_breaks.append(hops is None)
         return broadcast(sender, pkt)
 
     def any_broken():
-        broken.append(any(e.broken for node in sim.nodes for e in node.table.values()))
+        broken_seen.append(any(broken(r) for node in sim.nodes for r in node.table.values()))
 
     sim.broadcast = checking
     sim.event_hooks.append(any_broken)
     sim.run()
     assert any(sent_breaks) and not all(sent_breaks)
-    assert any(broken) and len(broken) > 400
+    assert any(broken_seen) and len(broken_seen) > 400
+    # every route is stored as the pair (next_hop, rank) and nothing more
+    assert {(type(r), *map(type, r)) for node in sim.nodes
+            for r in node.table.values()} == {(tuple, int, int)}
 
 
 # -- forwarding ---------------------------------------------------------------------
@@ -399,7 +408,7 @@ def assert_converges_to_bfs(pts, area, seed):
     for k in range(1, 6):
         sim.engine.run_until(k + 0.5)
         for node in sim.nodes:
-            got = {dst: (decode(e)[1], e.broken) for dst, e in node.table.items()}
+            got = {dst: (decode(r)[1], broken(r)) for dst, r in node.table.items()}
             assert got == {dst: (h, False) for dst, h in hops[node.node_id].items()}, \
                 f"node {node.node_id} at t={k + 0.5}"
 

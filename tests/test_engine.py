@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pending_count
+from conftest import is_pending, pending_count
 from manetsim.engine import Engine, quantize
 from manetsim.errors import PastTimeError
 
@@ -16,10 +16,17 @@ def noop():
     """The action of an event that does nothing."""
 
 
+def fire_time(eng, handle):
+    """The fire time a pending (bucket, entry) handle is filed under: the
+    key of the bucket it holds."""
+    [t] = [t for t, bucket in eng._buckets.items() if bucket is handle[0]]
+    return t
+
+
 def test_schedule_enqueues_and_returns_handle():
     eng = Engine()
     handle = eng.schedule(1.0, lambda: None)
-    assert handle.pending
+    assert is_pending(eng, handle)
     assert pending_count(eng) == 1
 
 
@@ -131,9 +138,9 @@ def test_clock_matches_event_time_during_callbacks():
 def test_times_quantized_to_microseconds():
     eng = Engine()
     h = eng.schedule(1.00000049, lambda: None)
-    assert h.fire_at == 1.0
+    assert fire_time(eng, h) == 1.0
     h2 = eng.schedule(1.0000006, lambda: None)
-    assert h2.fire_at == 1.000001
+    assert fire_time(eng, h2) == 1.000001
 
 
 # -- exactness oracle: quantize, and the integer-tick steps of post_all, the
@@ -328,7 +335,7 @@ def test_thousands_of_tied_events_fire_in_time_then_insertion_order():
     expected = sorted(live, key=lambda i: (times[i], i))
     assert log == expected
     assert pending_count(eng) == 0
-    assert not any(h.pending for h in handles)
+    assert not any(is_pending(eng, h) for h in handles)
     assert eng.cancel(handles[expected[0]]) is False
 
 
@@ -372,7 +379,21 @@ def test_event_cancels_a_later_one_due_at_the_same_microsecond():
     timer = eng.schedule(1.0000001, lambda: log.append("timeout"))
     assert eng.run_until(2.0) == 1
     assert log == ["reply"] and cancelled == [True]
-    assert not timer.pending
+    assert not is_pending(eng, timer)
+
+
+def test_a_fired_handle_cancels_nothing_when_its_microsecond_is_filed_again():
+    """The bucket a handle keeps is dropped once it drains; an event filed
+    later at the same microsecond gets a new bucket, which the old handle
+    cannot reach."""
+    eng, log = Engine(), []
+    fired = eng.schedule(1.0, lambda: log.append("old"))
+    assert eng.run_until(1.0) == 1
+    eng.schedule(1.0, lambda: log.append("new"))
+    assert eng.cancel(fired) is False
+    assert pending_count(eng) == 1
+    assert eng.run_until(2.0) == 1
+    assert log == ["old", "new"]
 
 
 def test_action_that_raises_leaves_the_rest_of_its_bucket_queued():
@@ -415,7 +436,7 @@ def test_post_all_returns_the_bucket_of_its_last_pair():
     last = eng.post_all([(2.0, (noop, ())), (1.0000004, (noop, ()))])
     assert last is eng._buckets[1.0] and len(last) == 1
     handle = eng.schedule(2.0, lambda: None)
-    assert handle._bucket is eng._buckets[2.0] and len(handle._bucket) == 2
+    assert handle[0] is eng._buckets[2.0] and len(handle[0]) == 2
 
 
 def test_pending_yields_each_queued_entry_and_no_fired_or_cancelled_one():
@@ -552,8 +573,10 @@ def execute(engine, program):
     """Log of every firing with the clock, every run_until's steps, clock,
     pending count and handle states, every cancel's result, and the clocks
     of every after_event and every hook call; every other event fills the
-    watch, and after_event empties it."""
+    watch, and after_event empties it. handles holds (fire time, handle)
+    pairs, the fire time quantized from the time asked."""
     log, handles, after, hooked = [], [], [], []
+    reference = isinstance(engine, ReferenceEngine)
     ids = itertools.count()
     watch = engine.watch = set()
 
@@ -578,22 +601,23 @@ def execute(engine, program):
     def apply(op):
         kind = op[0]
         if kind == "schedule":
-            handles.append(engine.schedule(engine.now + op[1],
-                                           functools.partial(fire, next(ids), op[2])))
+            at = engine.now + op[1]
+            handles.append((quantize(at),
+                            engine.schedule(at, functools.partial(fire, next(ids), op[2]))))
         elif kind == "post_all":
             engine.post_all([(engine.now + op[1], (fire, (next(ids), op[2])))])
         elif kind == "cancel":
-            cancel(handles, op[1])
+            cancel([h for _, h in handles], op[1])
         elif kind == "cancel_due_now":
-            cancel([h for h in handles if h.fire_at == engine.now], op[1])
+            cancel([h for t, h in handles if t == engine.now], op[1])
         else:
             # a quantized target keeps the clock on the microsecond grid, so
             # that a zero delay never lands before it
             steps = engine.run_until(quantize(engine.now + op[1]))
-            pending = (engine.pending_count() if isinstance(engine, ReferenceEngine)
-                       else pending_count(engine))
+            pending = engine.pending_count() if reference else pending_count(engine)
             log.append(("run", steps, engine.now, pending,
-                        [h.pending for h in handles]))
+                        [h.pending if reference else is_pending(engine, h)
+                         for _, h in handles]))
 
     for op in program:
         apply(op)

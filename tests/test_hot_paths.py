@@ -19,8 +19,8 @@ from functools import partial
 import pytest
 
 from manetsim import metrics
-from manetsim.aodv import AodvNode, Hello, ReversePathEntry, Rerr, RouteEntry, Rrep, Rreq
-from manetsim.dsdv import DsdvEntry, DsdvNode, UpdatePacket
+from manetsim.aodv import AodvNode, Hello, Rerr, RouteEntry, Rrep, Rreq
+from manetsim.dsdv import DsdvNode, UpdatePacket
 from manetsim.engine import Engine, quantize
 from manetsim.packets import DATA, RERR, RREP, DataPacket
 from manetsim.scenario import TrafficFlow, builtin
@@ -166,12 +166,12 @@ def test_a_covered_uid_is_sent_and_received_without_a_helper_call():
 
 # helpers the data path writes out itself: it runs once per hop or per packet
 NOT_ON_DATA_PATH = [(World.unicast, {"in_range", "_xy"}),
-                    (AodvNode.handle_data, {"route_is_active", "_transmit"}),
+                    (AodvNode.handle_data, {"route_is_active"}),
                     (Simulation.send_unicast, {"dropped"}),
                     (Simulation.broadcast, {"dropped"}),
                     (Simulation.emit_data, {"next_uid", "dropped"}),
                     (Simulation.data_received, {"dropped"}),
-                    (AodvNode.originate_data, {"route_is_active", "_transmit"})]
+                    (AodvNode.originate_data, {"route_is_active"})]
 
 
 @pytest.mark.parametrize("fn, names", NOT_ON_DATA_PATH,
@@ -189,8 +189,7 @@ def test_a_dsdv_route_is_judged_by_its_rank_alone(fn):
     assert not loads(fn, {"dst_seq", "hop_count"})
 
 
-@pytest.mark.parametrize("cls", [DataPacket, UpdatePacket, DsdvEntry, Rreq, Rrep, Rerr, Hello,
-                                 RouteEntry, ReversePathEntry],
+@pytest.mark.parametrize("cls", [DataPacket, UpdatePacket, Rreq, Rrep, Rerr, Hello, RouteEntry],
                          ids=lambda cls: cls.__name__)
 def test_a_per_frame_record_is_slotted(cls):
     """Built per frame or per route entry: slots make its fields cheaper to

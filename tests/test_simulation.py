@@ -171,17 +171,16 @@ def watch_new_next_hops(sim):
     return check
 
 
-# the only methods that write a stored entry's sequence number in place:
-# AODV's _invalidate, which both link breaks and RERRs call, and DSDV's
-# mark_broken; besides them only the DSDV dump raises a node's own entry
-# (its own test pins that)
-IN_PLACE_SEQUENCE_CHANGES = ("_invalidate", "mark_broken")
+# the only method that writes a stored entry's sequence number in place:
+# AODV's _invalidate, which both link breaks and RERRs call. A DSDV route
+# is a (next_hop, rank) pair, so mark_broken and the dump store a new one
+IN_PLACE_SEQUENCE_CHANGES = ("_invalidate",)
 
 
 def stored_sequence(entry):
     """An entry's sequence number: an AODV entry stores it, and a DSDV
-    entry's is the quotient of its rank by RANK_SPAN."""
-    return entry.dst_seq if isinstance(entry, RouteEntry) else entry.rank // RANK_SPAN
+    (next_hop, rank) route's is the quotient of its rank by RANK_SPAN."""
+    return entry.dst_seq if isinstance(entry, RouteEntry) else entry[1] // RANK_SPAN
 
 
 def watch_sequences(sim):
