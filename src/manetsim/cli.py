@@ -12,67 +12,54 @@ from pathlib import Path
 from . import scenario as scenario_mod
 from .engine import TICK
 from .errors import SimError
-from .metrics import Series, emit_plot_datasets, run_series, write_trace
+from .metrics import RunSeries, Series, emit_plot_datasets, run_series, write_trace
 # unused here, but perfbench/tracer.py patches these names in this module
 # (ROADMAP item 3 moves the tracer off them)
 from .metrics import cumulative_series, delay_series, throughput_series  # noqa: F401
 from .simulation import PROTOCOLS, RunReport, Simulation, valid_hello_interval
 
 PLOTS = ("received_lost.xg", "throughput.xg", "delay.xg")
+# decimals of each float field of the printed report
+DECIMALS = {"delivery_ratio": 4, "transmission_efficiency": 4, "mean_throughput_bps": 1,
+            "mean_delay_s": 6, "mean_route_stretch": 3}
 
 
-def plot_series(result: Simulation, window: float) -> dict[str, list[Series]]:
-    """Each plot file's datasets for one run; the report reuses these series."""
-    series = run_series(result.ledger, window, t_end=result.spec.end_time)
-    return {"received_lost.xg": [series.received, series.dropped],
-            "throughput.xg": [series.throughput],
-            "delay.xg": [series.delay]}
+def plot_datasets(series: RunSeries) -> tuple[list[Series], ...]:
+    """The datasets of each file in PLOTS, in order."""
+    return [series.received, series.dropped], [series.throughput], [series.delay]
 
 
 def write_outputs(result: Simulation, out_dir: Path, window: float,
-                  series: dict[str, list[Series]] | None = None) -> RunReport:
-    """Trace, report and plots of one run; `series` is its plot_series, if derived."""
+                  series: RunSeries | None = None) -> RunReport:
+    """Trace, report and plots of one run; `series` is its run_series, if derived."""
     out_dir.mkdir(parents=True, exist_ok=True)
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
     with open(out_dir / "trace.txt", "wb") as fh:
         write_trace(result.ledger, fh)
     if series is None:
-        series = plot_series(result, window)
-    report = result.summarize(series["throughput.xg"][0], series["delay.xg"][0])
+        series = run_series(result.ledger, window, t_end=result.spec.end_time)
+    report = result.summarize(series)
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     titles = ("packets received and lost", "throughput", "delay")
-    for name, title in zip(PLOTS, titles):
+    for name, title, datasets in zip(PLOTS, titles, plot_datasets(series)):
         with open(plots / name, "wb") as fh:
-            emit_plot_datasets(series[name], f"{title}: {report.scenario} {report.protocol}", fh)
+            emit_plot_datasets(datasets, f"{title}: {report.scenario} {report.protocol}", fh)
     return report
 
 
 def print_report(report: RunReport, file=None) -> None:
-    file = file if file is not None else sys.stdout
-    rows = [
-        ("scenario", report.scenario),
-        ("protocol", report.protocol),
-        ("seed", report.seed),
-        ("sent", report.sent),
-        ("received", report.received),
-        ("dropped", report.dropped),
-        ("unresolved", report.unresolved),
-        ("lost", report.lost),
-        ("delivery_ratio", f"{report.delivery_ratio:.4f}"),
-        ("transmission_efficiency",
-         "n/a" if report.transmission_efficiency is None
-         else f"{report.transmission_efficiency:.4f}"),
-        ("mean_throughput_bps", f"{report.mean_throughput_bps:.1f}"),
-        ("mean_delay_s", f"{report.mean_delay_s:.6f}"),
-        ("mean_route_stretch", f"{report.mean_route_stretch:.3f}"),
-        ("route_changes", report.route_changes),
-        ("control_tx", " ".join(f"{k}={v}" for k, v in report.control_tx.items())),
-    ]
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
+    fields = report.to_dict()
+    width = max(map(len, fields))
+    for name, value in fields.items():
+        if value is None:
+            value = "n/a"
+        elif name in DECIMALS:
+            value = f"{value:.{DECIMALS[name]}f}"
+        elif isinstance(value, dict):
+            value = " ".join(f"{k}={v}" for k, v in value.items())
         print(f"{name:<{width}}  {value}", file=file)
 
 
@@ -110,12 +97,12 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out or f"runs/compare_{Path(args.scenario).stem}")
     spec = _load_spec(args)     # read once: every run sees the same file
     reports: dict[str, list[RunReport]] = {p: [] for p in PROTOCOLS}
-    first: dict[str, dict] = {}     # protocol -> plot series of its first seed
+    first: dict[str, RunSeries] = {}    # protocol -> series of its first seed
     for protocol in PROTOCOLS:
         for seed in seeds:
             result = Simulation(spec, protocol=protocol, seed=seed,
                                 hello_interval=args.hello_interval).run()
-            series = plot_series(result, args.window)
+            series = run_series(result.ledger, args.window, t_end=result.spec.end_time)
             sub = out_dir / f"{protocol}_seed{seed}"
             reports[protocol].append(write_outputs(result, sub, args.window, series))
             first.setdefault(protocol, series)
@@ -135,9 +122,10 @@ def cmd_compare(args) -> int:
     plots = out_dir / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     titles = ("received and lost", "throughput", "delay")
-    for plot, title in zip(PLOTS, titles):
+    per_protocol = (plot_datasets(first[p]) for p in PROTOCOLS)
+    for plot, title, *datasets in zip(PLOTS, titles, *per_protocol):
         with open(plots / plot, "wb") as fh:
-            emit_plot_datasets([d for p in PROTOCOLS for d in first[p][plot]],
+            emit_plot_datasets([d for ds in datasets for d in ds],
                                f"{title}: {reports['aodv'][0].scenario} aodv vs dsdv", fh)
 
     summary = {p: [r.to_dict() for r in reports[p]] for p in PROTOCOLS}

@@ -26,7 +26,7 @@ from . import scenario as scenario_mod
 from .aodv import AodvNode
 from .dsdv import DsdvNode
 from .engine import TICK, Engine, valid_period
-from .metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, MetricsLedger, Series,
+from .metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, MetricsLedger, RunSeries,
                       control_overhead, delivery_ratio, mean_value, run_series,
                       transmission_efficiency)
 # unused here, but perfbench/tracer.py patches these names in this module
@@ -62,8 +62,8 @@ class RunReport:
     mean_throughput_bps: float
     mean_delay_s: float
     mean_route_stretch: float
-    control_tx: dict[str, int]
     route_changes: int
+    control_tx: dict[str, int]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -94,15 +94,13 @@ class Simulation:
         # looked up as the run is built, so a wrapper patched onto the class is wired
         self.world.on_receive = {kind: [getattr(node, name) for node in self.nodes]
                                  for kind, name in node_class.HANDLERS.items()}
-        self.route_history: dict[tuple[int, int], list[tuple[float, list[int]]]] = {
+        # per flow, (t, path, hops): hops is the BFS hop count at t, None out of reach
+        self.route_history: dict[tuple[int, int], list[tuple[float, list[int], int | None]]] = {
             (f.src, f.dst): [] for f in self.flows}
-        # route_history's (key, history) pairs in flow order, and per
-        # destination the positions of its pairs; see _after_event
-        self._observed = list(self.route_history.items())
-        self._flows_to: dict[int, list[int]] = {}
-        for i, ((_, dst), _) in enumerate(self._observed):
-            self._flows_to.setdefault(dst, []).append(i)
-        self.route_stretch_samples: list[float] = []
+        # per destination, the (src, history) pairs of its flows; see _after_event
+        self._flows_to: dict[int, list[tuple[int, list]]] = {}
+        for (src, dst), history in self.route_history.items():
+            self._flows_to.setdefault(dst, []).append((src, history))
         self.changed_dsts: set[int] = set()   # filled by route_changed
         self.engine.after_event = self._after_event
         self.engine.watch = self.changed_dsts
@@ -183,21 +181,16 @@ class Simulation:
         # With next hops fixed, time passing can only turn a complete path
         # into None (expiry), never into a different complete path, and None
         # is never recorded; so refreshing the expiry of an already-active
-        # entry needs no route_changed call. The flows are walked in flow
-        # order, so the stretch samples keep it.
+        # entry needs no route_changed call. Walking and BFS only read state, so
+        # each history gets its entries in time order in any walking order.
         changed = self.changed_dsts
         t = self.engine.now
-        flows_to, observed = self._flows_to, self._observed
-        found = [i for dst in changed for i in flows_to.get(dst, ())]
-        found.sort()
-        for i in found:
-            key, history = observed[i]
-            path = self.walk_route(*key)
-            if path is not None and (not history or history[-1][1] != path):
-                history.append((t, path))
-                shortest = self._bfs_hops(*key)
-                if shortest is not None:
-                    self.route_stretch_samples.append(len(path) - 1 - shortest)
+        flows_to = self._flows_to
+        for dst in changed:
+            for src, history in flows_to.get(dst, ()):
+                path = self.walk_route(src, dst)
+                if path is not None and (not history or history[-1][1] != path):
+                    history.append((t, path, self._bfs_hops(src, dst)))
         changed.clear()
 
     # -- inspection ----------------------------------------------------------
@@ -270,28 +263,27 @@ class Simulation:
     def route_paths(self, flow: TrafficFlow | None = None) -> list[list[int]]:
         """Distinct complete routes a flow used, in order of appearance."""
         key = (flow.src, flow.dst) if flow else next(iter(self.route_history), None)
-        return [path for _, path in self.route_history.get(key, [])]
+        return [path for _, path, _ in self.route_history.get(key, [])]
 
     def report(self, window: float = 0.5) -> RunReport:
         """Summary with throughput averaged over sliding windows of `window` s."""
-        series = run_series(self.ledger, window, t_end=self.spec.end_time)
-        return self.summarize(series.throughput, series.delay)
+        return self.summarize(run_series(self.ledger, window, t_end=self.spec.end_time))
 
-    def summarize(self, tput: Series, delays: Series) -> RunReport:
-        """Summary from this run's throughput and delay series, already derived."""
-        led = self.ledger
-        changes = sum(max(0, len(h) - 1) for h in self.route_history.values())
-        stretch = (sum(self.route_stretch_samples) / len(self.route_stretch_samples)
-                   if self.route_stretch_samples else 0.0)
+    def summarize(self, series: RunSeries) -> RunReport:
+        """Summary from this run's series, already derived. The stretch stays
+        in ints until its one division, so its sum is exact in any order."""
+        led, histories = self.ledger, self.route_history.values()
+        extra = [len(path) - 1 - hops for h in histories for _, path, hops in h
+                 if hops is not None]
         return RunReport(
             scenario=self.spec.name, protocol=self.protocol, seed=self.seed,
             sent=led.sent, received=led.received, dropped=led.dropped_data,
             unresolved=led.unresolved, lost=led.lost,
             delivery_ratio=delivery_ratio(led),
             transmission_efficiency=transmission_efficiency(led),
-            mean_throughput_bps=mean_value(tput),
-            mean_delay_s=mean_value(delays),
-            mean_route_stretch=stretch,
+            mean_throughput_bps=mean_value(series.throughput),
+            mean_delay_s=mean_value(series.delay),
+            mean_route_stretch=sum(extra) / len(extra) if extra else 0.0,
+            route_changes=sum(max(0, len(h) - 1) for h in histories),
             control_tx=control_overhead(led),
-            route_changes=changes,
         )

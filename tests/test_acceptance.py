@@ -102,7 +102,7 @@ def test_criterion_2_scenario2_route_fidelity():
     assert 2.50 <= b2 <= 2.70
     assert 3.00 <= b3 <= 3.30
     # node 4 moves at t=2.0 without any route change
-    assert not any(2.0 <= t < 2.25 for t, _ in result.route_history[(0, 5)])
+    assert not any(2.0 <= t < 2.25 for t, _, _ in result.route_history[(0, 5)])
     assert time.perf_counter() - started < 1.0
 
 

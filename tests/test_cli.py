@@ -38,6 +38,58 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert "delivery_ratio" in printed and "scenario1" in printed
 
 
+# every line `manetsim run` prints for a builtin DSDV run with a lengthened route
+SCENARIO1_DSDV_SEED5_PRINTOUT = """\
+scenario                 scenario1
+protocol                 dsdv
+seed                     5
+sent                     40
+received                 39
+dropped                  1
+unresolved               0
+lost                     1
+delivery_ratio           0.9750
+transmission_efficiency  0.3900
+mean_throughput_bps      32946.1
+mean_delay_s             0.002578
+mean_route_stretch       0.333
+route_changes            2
+control_tx               DSDV-UPDATE=137 total=137
+outputs written to {out}
+"""
+# and for a run that transmits no data: no transmission efficiency to print
+NO_DATA_PRINTOUT = """\
+scenario                 {scn}
+protocol                 aodv
+seed                     0
+sent                     0
+received                 0
+dropped                  0
+unresolved               0
+lost                     0
+delivery_ratio           1.0000
+transmission_efficiency  n/a
+mean_throughput_bps      0.0
+mean_delay_s             0.000000
+mean_route_stretch       0.000
+route_changes            0
+control_tx               total=0
+outputs written to {out}
+"""
+
+
+def test_run_prints_every_report_line(tmp_path, capsys):
+    out = tmp_path / "s1"
+    assert main(["run", "--scenario", "scenario1", "--protocol", "dsdv",
+                 "--seed", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == SCENARIO1_DSDV_SEED5_PRINTOUT.format(out=out)
+    scn = tmp_path / "quiet.scn"
+    scn.write_text("area 800 800\nnode 0 1 1\nnode 1 50 1\nend 5\n")
+    out = tmp_path / "quiet"
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == NO_DATA_PRINTOUT.format(scn=scn, out=out)
+
+
 def test_run_scenario2_reports_three_route_changes(tmp_path):
     out = tmp_path / "s2"
     rc = main(["run", "--scenario", "scenario2", "--seed", "42", "--out", str(out)])

@@ -67,8 +67,8 @@ def cases() -> dict:
     return out
 
 
-def digests_of(build, out_dir: Path) -> dict[str, str]:
-    write_outputs(build().run(), out_dir, WINDOW)
+def digests_of(result: Simulation, out_dir: Path) -> dict[str, str]:
+    write_outputs(result, out_dir, WINDOW)
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in DIGESTED}
 
@@ -79,7 +79,11 @@ CASES = cases()
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_digests(case, tmp_path):
     pinned = json.loads(DIGESTS.read_text())
-    assert digests_of(CASES[case], tmp_path) == pinned[case]
+    result = CASES[case]().run()
+    assert digests_of(result, tmp_path) == pinned[case]
+    # the library's report is the one written: report() and write_outputs agree
+    library = json.dumps(result.report(WINDOW).to_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(library.encode()).hexdigest() == pinned[case]["report.json"]
 
 
 def test_corpus_covers_every_case_once():
@@ -98,7 +102,7 @@ def test_waypoint_fields_span_four_grid_cells_each_way():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = {case: digests_of(CASES[case], Path(tmp) / case)
+        corpus = {case: digests_of(CASES[case]().run(), Path(tmp) / case)
                   for case in sorted(CASES)}
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n")

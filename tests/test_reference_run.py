@@ -48,11 +48,11 @@ class ReferenceWorld(simulation.World):
 
 
 def outcome(spec, protocol, seed):
-    """trace.txt bytes, route history and stretch samples of one run."""
+    """trace.txt bytes and route history, BFS hop counts included, of one run."""
     sim = Simulation(spec, protocol, seed=seed).run()
     trace = io.BytesIO()
     write_trace(sim.ledger, trace)
-    return trace.getvalue().decode(), sim.route_history, sim.route_stretch_samples
+    return trace.getvalue().decode(), sim.route_history
 
 
 def first_mismatch(trace, reference):
@@ -69,7 +69,7 @@ def first_mismatch(trace, reference):
 
 def assert_same_run(spec, protocol, seed, name="World", reference_class=ReferenceWorld):
     """The run with simulation's class `name` replaced by reference_class
-    gives the production run's trace, route history and stretch samples."""
+    gives the production run's trace and route history."""
     production = outcome(spec, protocol, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulation, name, reference_class)

@@ -415,22 +415,21 @@ def test_discovery_hop_count_equals_bfs_distance_static():
 def test_route_history_records_transitions_in_order():
     result = Simulation(builtin("scenario2"), "aodv", seed=8).run()
     history = result.route_history[(0, 5)]
-    times = [t for t, _ in history]
+    times = [t for t, _, _ in history]
     assert times == sorted(times)
-    assert [p for _, p in history] == [[0, 7, 3, 5], [0, 7, 5],
-                                       [0, 1, 4, 5], [0, 9, 4, 5]]
+    assert [p for _, p, _ in history] == [[0, 7, 3, 5], [0, 7, 5],
+                                          [0, 1, 4, 5], [0, 9, 4, 5]]
     # node 4's movement at t=2.0 must not appear as a route change
-    assert not any(2.0 <= t < 2.3 for t, _ in history)
+    assert not any(2.0 <= t < 2.3 for t, _, _ in history)
 
 
 class EveryEventObserver:
     """Oracle for the route observer: walks every flow after every event
-    and keeps its own route history and stretch samples."""
+    and keeps its own route history, BFS hop counts included."""
 
     def __init__(self, sim):
         self.sim = sim
         self.history = {key: [] for key in sim.route_history}
-        self.stretch = []
 
     def walk(self, src, dst):
         path = [src]
@@ -446,10 +445,7 @@ class EveryEventObserver:
         for (src, dst), history in self.history.items():
             path = self.walk(src, dst)
             if path is not None and (not history or history[-1][1] != path):
-                history.append((t, path))
-                shortest = self.sim._bfs_hops(src, dst)
-                if shortest is not None:
-                    self.stretch.append(len(path) - 1 - shortest)
+                history.append((t, path, self.sim._bfs_hops(src, dst)))
 
 
 def observer_cases():
@@ -469,7 +465,6 @@ def test_observer_matches_walking_every_flow_after_every_event(protocol):
         sim.event_hooks.append(oracle)
         result = sim.run()
         assert result.route_history == oracle.history, name
-        assert result.route_stretch_samples == oracle.stretch, name
         recorded += sum(len(h) for h in oracle.history.values())
         changed += sum(len(h) > 1 for h in oracle.history.values())
     # the cases install routes and change some of them mid-flow
@@ -487,7 +482,7 @@ def test_observer_run_only_after_route_changes_records_what_every_event_does(
         sim = Simulation(spec, protocol, seed=sim_seed)
         sim.event_hooks += hooks
         result = sim.run()
-        runs.append((result.route_history, result.route_stretch_samples))
+        runs.append(result.route_history)
     assert runs[0] == runs[1]
 
 
@@ -531,13 +526,14 @@ def assert_one_shortest_route_per_static_flow():
         result = sim.run()
         for (src, dst), history in result.route_history.items():
             assert len(history) == 1, (src, dst, history)
-            path = history[0][1]
-            assert len(path) - 1 == sim._bfs_hops(src, dst)
+            _, path, shortest = history[0]
+            # the BFS count recorded with the route, and the one at the end:
+            # the report's stretch counts extra hops, and there are none
+            assert len(path) - 1 == shortest == sim._bfs_hops(src, dst)
             hops = max(hops, len(path) - 1)
             ratios += (len(path) - 1) / sim._bfs_hops(src, dst)
-        # the report's stretch counts extra hops; as a ratio every route is 1.0
-        assert result.route_stretch_samples == [0] * len(result.route_history)
         assert result.report().mean_route_stretch == 0.0
+    # as a ratio every route is 1.0
     assert ratios / (4 * 4) == 1.0 and hops >= 3
 
 
