@@ -171,27 +171,8 @@ class AodvNode:
     # -- data path ---------------------------------------------------------
 
     def originate_data(self, packet: DataPacket) -> None:
-        """Send along an active route, or buffer and start discovery. Every
-        packet starts here, so the send is written out, as in handle_data."""
-        now = self.sim.engine.now
-        entry = self.routes.get(packet.dst)
-        if entry is not None and entry.active and entry.expires_at > now:
-            if self.sim.send_unicast(self.node_id, entry.next_hop, packet):
-                entry.expires_at = now + ACTIVE_ROUTE_TIMEOUT
-            else:
-                self.sim.dropped(self.node_id, packet)
-                self.on_link_break(entry.next_hop)
-            return
-        self._enqueue(packet)
-        if packet.dst not in self.pending:
-            self.start_discovery(packet.dst)
-
-    def _enqueue(self, packet: DataPacket) -> None:
-        q = self.queues.setdefault(packet.dst, deque())
-        if len(q) >= BUFFER_CAPACITY:
-            oldest = q.popleft()
-            self.sim.dropped(self.node_id, oldest)
-        q.append(packet)
+        """Every packet starts here; handle_data takes it as its source's."""
+        self.handle_data(self.node_id, packet)
 
     def _drop_queued(self, dst: int) -> None:
         """Drop everything buffered for dst, oldest first."""
@@ -200,8 +181,9 @@ class AodvNode:
             self.sim.dropped(self.node_id, q.popleft())
 
     def handle_data(self, sender: int, packet: DataPacket) -> None:
-        """Deliver a DATA frame here or forward it. Every data hop runs this,
-        so the active-route test and the send are written out here."""
+        """Deliver a DATA packet here or send it on. The source (sender is
+        this node), its buffer flush and every relay send through here, so
+        the active-route test and the send are written out here."""
         now = self.sim.engine.now
         heard = self.hello_last_heard
         if sender in heard:
@@ -211,26 +193,29 @@ class AodvNode:
             self.sim.data_received(self.node_id, packet)
             return
         entry = self.routes.get(dst)
-        if entry is None or not entry.active or entry.expires_at <= now:
+        if entry is not None and entry.active and entry.expires_at > now:
+            if self.sim.send_unicast(self.node_id, entry.next_hop, packet):
+                entry.expires_at = now + ACTIVE_ROUTE_TIMEOUT
+            else:
+                self.sim.dropped(self.node_id, packet)
+                self.on_link_break(entry.next_hop)
+        elif sender != self.node_id:
             # no repair at relays; only the source rediscovers
             self.sim.dropped(self.node_id, packet)
-        elif self.sim.send_unicast(self.node_id, entry.next_hop, packet):
-            entry.expires_at = now + ACTIVE_ROUTE_TIMEOUT
         else:
-            self.sim.dropped(self.node_id, packet)
-            self.on_link_break(entry.next_hop)
+            q = self.queues.setdefault(dst, deque())
+            if len(q) >= BUFFER_CAPACITY:
+                self.sim.dropped(self.node_id, q.popleft())
+            q.append(packet)
+            if dst not in self.pending:
+                self.start_discovery(dst)
 
     def _drain_one(self, dst: int) -> None:
         q = self.queues.get(dst)
         if not q:
             return
         if self.route_is_active(dst):
-            packet, entry = q.popleft(), self.routes[dst]
-            if self.sim.send_unicast(self.node_id, entry.next_hop, packet):
-                entry.expires_at = self.sim.engine.now + ACTIVE_ROUTE_TIMEOUT
-            else:
-                self.sim.dropped(self.node_id, packet)
-                self.on_link_break(entry.next_hop)
+            self.handle_data(self.node_id, q.popleft())
         elif dst not in self.pending:
             self.start_discovery(dst)
 
@@ -314,9 +299,9 @@ class AodvNode:
         now = self.sim.engine.now
         if sender in self.hello_last_heard:
             self.hello_last_heard[sender] = now
-        installed = self.update_route(rrep.dst, RouteEntry(
-            next_hop=sender, hop_count=rrep.hop_count + 1, dst_seq=rrep.dst_seq,
-            expires_at=now + rrep.lifetime))
+        entry = RouteEntry(next_hop=sender, hop_count=rrep.hop_count + 1,
+                           dst_seq=rrep.dst_seq, expires_at=now + rrep.lifetime)
+        installed = self.update_route(rrep.dst, entry)
         if rrep.src == self.node_id:
             if self.route_is_active(rrep.dst):
                 wait = self.pending.pop(rrep.dst, None)
@@ -333,9 +318,7 @@ class AodvNode:
             self.sim.dropped(self.node_id, rrep)
             return
         if self._reply(via, rrep, rrep.dst_seq, rrep.hop_count + 1, rrep.lifetime):
-            entry = self.routes.get(rrep.dst)
-            if entry is not None:
-                entry.precursors.add(via)
+            entry.precursors.add(via)   # installed, so routes[rrep.dst] is entry
 
     def _flush_queue(self, dst: int) -> None:
         q = self.queues.get(dst)

@@ -87,7 +87,6 @@ class Simulation:
         self.ledger = MetricsLedger()
         self._uid_counter = 0
         self.world = World(self.engine, spec.nodes, spec.radio, spec.movements, seed=seed)
-        self.flows = list(spec.flows)
         self.hello_interval = hello_interval
         node_class = NODE_CLASSES[protocol]
         self.nodes = [node_class(i, self) for i in range(spec.node_count)]
@@ -96,7 +95,7 @@ class Simulation:
                                  for kind, name in node_class.HANDLERS.items()}
         # per flow, (t, path, hops): hops is the BFS hop count at t, None out of reach
         self.route_history: dict[tuple[int, int], list[tuple[float, list[int], int | None]]] = {
-            (f.src, f.dst): [] for f in self.flows}
+            (f.src, f.dst): [] for f in spec.flows}
         # per destination, the (src, history) pairs of its flows; see _after_event
         self._flows_to: dict[int, list[tuple[int, list]]] = {}
         for (src, dst), history in self.route_history.items():
@@ -106,7 +105,7 @@ class Simulation:
         self.engine.watch = self.changed_dsts
         # callables run after every processed event: the engine's own list
         self.event_hooks = self.engine.event_hooks
-        self._compiled = scenario_mod.compile(spec, self)
+        scenario_mod.compile(spec, self)
         # after the traffic, so an emission fires before a tick due at its time
         for node in self.nodes:
             node.start()
@@ -133,7 +132,7 @@ class Simulation:
 
     def has_active_flow(self, src: int, dst: int) -> bool:
         now = self.engine.now
-        return any(f.src == src and f.dst == dst and now < f.stop for f in self.flows)
+        return any(f.src == src and f.dst == dst and now < f.stop for f in self.spec.flows)
 
     def next_uid(self) -> int:
         self._uid_counter += 1

@@ -1,14 +1,16 @@
 import math
+import random
 
 import pytest
 
-from conftest import build_sim, is_pending, pending_count
+from conftest import build_sim, is_pending, pending_count, random_waypoint_scenario
 from manetsim.aodv import (ACTIVE_ROUTE_TIMEOUT, BUFFER_CAPACITY, DISCOVERY_RETRIES,
                            PATH_DISCOVERY_TIME, REVERSE_PATH_LIFETIME, Hello, Rerr, RouteEntry,
                            Rrep, Rreq, RreqAction)
 from manetsim.metrics import CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, LedgerEvent
 from manetsim.packets import DATA, DataPacket
-from manetsim.scenario import TrafficFlow
+from manetsim.scenario import TrafficFlow, builtin
+from manetsim.simulation import Simulation
 from manetsim.world import Movement, Position
 
 CHAIN = [(0, 0), (200, 0), (400, 0), (600, 0)]   # 0-1-2-3 line, range 250
@@ -587,6 +589,26 @@ def test_beacon_sent_once_routes_exist():
     assert control_count(sim, "HELLO") == 2         # ticks at 1.0 and 2.0
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Simulation(builtin("scenario1"), seed=1),
+    lambda: Simulation(random_waypoint_scenario(random.Random(0), 50, 1200.0, 3.0), seed=1)],
+    ids=["scenario1-aodv-seed1", "rwp50-0-aodv-seed1"])
+def test_no_node_ever_supervises_itself(build):
+    """World.broadcast skips the sender, so a node never hears its own
+    hello. handle_data takes a source's own packets with the node's id as
+    the sender, and so refreshes no supervision for them."""
+    sim = build()
+    supervised = []
+
+    def check():
+        assert not any(n.node_id in n.hello_last_heard for n in sim.nodes)
+        supervised.append(sum(map(len, (n.hello_last_heard for n in sim.nodes))))
+
+    sim.event_hooks.append(check)
+    sim.run()
+    assert max(supervised) > 0      # hellos were on and heard
+
+
 # -- expiry ---------------------------------------------------------------------------------------
 
 def test_untouched_route_expires_after_timeout():
@@ -647,3 +669,15 @@ def test_data_arriving_at_relay_without_route_dropped():
     sim.world.on_receive[DATA][1](0, p)
     assert mid.queued_count() == 0
     assert len(data_drops(sim)) == 1
+
+
+def test_data_arriving_back_at_its_source_without_route_dropped():
+    """Only a packet the node originates is buffered for discovery: one that
+    a neighbour sends back to its own source is dropped, as at a relay."""
+    sim = build_sim(CHAIN)
+    src = sim.nodes[0]
+    p = packet(sim, 0, 3)
+    sim.world.on_receive[DATA][0](1, p)
+    assert src.queued_count() == 0 and src.pending == {}
+    assert control_count(sim, "RREQ") == 0
+    assert [e.uid for e in data_drops(sim)] == [p.uid]

@@ -2,7 +2,10 @@
 a (handler, args) entry, without a Python call between the sender and
 its bucket, and the engine runs a frame's handler with no dispatch hop.
 A forwarded DATA hop runs four Python functions: handle_data,
-send_unicast, World.unicast and MetricsLedger.record.
+send_unicast, World.unicast and MetricsLedger.record. An AODV source,
+its buffer flush and every relay send DATA from handle_data alone, so a
+packet originated on an active route runs those four after emit_data,
+its ledger row, DataPacket's __init__ and originate_data.
 
 Message and ledger kinds are plain strings; only `UnicastOutcome` and
 `RreqAction` are still Enums, and on CPython 3.11 a member lookup such as
@@ -153,6 +156,20 @@ def test_a_forwarded_data_hop_runs_four_python_functions():
     assert sim.ledger.data_tx == 2
 
 
+def test_a_packet_originated_on_an_active_route_runs_eight_python_functions():
+    """emit_data numbers and records the packet, originate_data hands it to
+    handle_data, and the hop runs as a forwarded one does."""
+    sim = Simulation(build_spec([(0, 0), (100, 0)]), hello_interval=0)
+    sim.nodes[0].routes[1] = RouteEntry(next_hop=1, hop_count=1, dst_seq=1, expires_at=5.0)
+    flow = TrafficFlow(0, 1, rate=1.0, packet_size=512, start=0.0, stop=1.0)
+    while len(sim.ledger._uid_map) <= sim._uid_counter + 1:    # else _mark runs too
+        sim.emit_data(flow)
+    assert python_calls(sim.emit_data, flow) == [
+        "emit_data", "record", "__init__", "originate_data", "handle_data", "send_unicast",
+        "unicast", "record"]
+    assert sim.ledger.data_tx == sim.ledger.sent
+
+
 def test_a_covered_uid_is_sent_and_received_without_a_helper_call():
     led = metrics.MetricsLedger()
     led.record((1.0, metrics.SENT, 0, DATA, 512, 4, 0, 5))     # the map now covers uids 0..4
@@ -178,6 +195,14 @@ NOT_ON_DATA_PATH = [(World.unicast, {"in_range", "_xy"}),
                          ids=[fn.__qualname__ for fn, _ in NOT_ON_DATA_PATH])
 def test_a_data_hop_calls_no_helper(fn, names):
     assert not loads(fn, names)
+
+
+@pytest.mark.parametrize("fn", [AodvNode.originate_data, AodvNode._drain_one],
+                         ids=lambda fn: fn.__qualname__)
+def test_aodv_sends_data_from_handle_data_alone(fn):
+    """The source and its buffer flush hand each packet to handle_data, the
+    one place that sends, refreshes, drops and breaks links for DATA."""
+    assert not loads(fn, {"send_unicast", "dropped", "on_link_break", "ACTIVE_ROUTE_TIMEOUT"})
 
 
 @pytest.mark.parametrize("fn", [DsdvNode.handle_update, DsdvNode.mark_broken,

@@ -8,6 +8,7 @@ from conftest import build_spec
 from manetsim.engine import Engine
 from manetsim.errors import (ScenarioSemanticError, ScenarioSyntaxError,
                              UnknownScenarioError)
+from manetsim import scenario as scenario_mod
 from manetsim.scenario import TrafficFlow, builtin, parse, serialize
 from manetsim.simulation import Simulation
 from manetsim.world import Movement, Position, World
@@ -330,18 +331,24 @@ def test_unknown_builtin_rejected():
 
 # -- compile ------------------------------------------------------------------------------
 
+def emissions_filed(sim):
+    """The emissions compile filed on sim's engine and have not run yet."""
+    return sum(fn == sim.emit_data for fn, _ in sim.engine.pending())
+
+
 def test_compile_counts_forty_emissions_for_ten_pps_four_seconds():
     spec = build_spec([(0, 0), (100, 0)],
                       flows=[TrafficFlow(0, 1, 10.0, 512, 1.0, 5.0)], end=5.0)
     sim = Simulation(spec, "aodv", seed=0)
-    assert sim._compiled.emissions == 40
+    assert emissions_filed(sim) == 40
+    assert scenario_mod.compile(spec, sim).emissions == 40 and emissions_filed(sim) == 80
 
 
 def test_compile_without_flows_schedules_only_mobility_and_ticks():
     spec = build_spec([(0, 0), (100, 0)],
                       movements=[Movement(1.0, 1, Position(300, 0), 50.0)], end=5.0)
     sim = Simulation(spec, "aodv", seed=0)
-    assert sim._compiled.emissions == 0
+    assert emissions_filed(sim) == 0
     assert sim.world.position_at(1, 5.0) == Position(300, 0)   # the leg is registered
     sim.run()
     assert sim.ledger.sent == 0
