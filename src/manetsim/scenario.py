@@ -42,13 +42,56 @@ class ScenarioSpec:
     end_time: float
     name: str = field(default="custom", compare=False)
 
+    def __post_init__(self):
+        """Raise ScenarioSemanticError unless a World and a Simulation can
+        run this spec; parse also checks that the file's ids are dense."""
+        w, h = self.area
+        if w <= 0 or h <= 0:
+            raise ScenarioSemanticError("area dimensions must be positive")
+        if self.end_time <= 0:
+            raise ScenarioSemanticError("end time must be positive")
+        if self.end_time * TICKS_PER_S >= TICK_LIMIT:   # moves and flows end by then
+            raise ScenarioSemanticError(
+                f"end {self.end_time} s is not under 2**50 us (35.7 years)")
+        if not self.nodes:
+            raise ScenarioSemanticError("scenario declares no nodes")
+        for i, p in enumerate(self.nodes):
+            if not (0 <= p.x <= w and 0 <= p.y <= h):
+                raise ScenarioSemanticError(f"node {i} at ({p.x}, {p.y}) outside area")
+
+        # movement legs: inside the area and the run; tracks owns the rules
+        # the World that runs them applies, so a spec that builds always runs
+        for m in self.movements:
+            if not (0 <= m.dest.x <= w and 0 <= m.dest.y <= h):
+                raise ScenarioSemanticError(f"move for node {m.node} leaves the area")
+            if not 0 <= m.start_time < self.end_time:
+                raise ScenarioSemanticError(
+                    f"move at t={m.start_time} outside run (end {self.end_time})")
+        tracks(self.nodes, self.movements)
+
+        n = len(self.nodes)
+        for f in self.flows:
+            if not (0 <= f.src < n and 0 <= f.dst < n):
+                raise ScenarioSemanticError(f"flow references unknown node {f.src}->{f.dst}")
+            if f.src == f.dst:
+                raise ScenarioSemanticError("flow source equals destination")
+            if f.rate <= 0 or f.packet_size <= 0:
+                raise ScenarioSemanticError("flow rate and packet size must be positive")
+            if not valid_period(1 / f.rate):
+                raise ScenarioSemanticError(
+                    f"flow rate {f.rate} pkt/s: the period 1/rate must be finite and at least "
+                    f"one {TICK:g} s tick")
+            if not (0 <= f.start < f.stop <= self.end_time):
+                raise ScenarioSemanticError(
+                    f"flow window [{f.start}, {f.stop}] invalid for end {self.end_time}")
+
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
 
 def parse(text: str, name: str = "custom") -> ScenarioSpec:
-    """Parse and validate a scenario file."""
+    """Parse a scenario file; the spec validates itself as it is built."""
     area = None
     radio_range = None
     nodes: dict[int, Position] = {}
@@ -116,7 +159,9 @@ def parse(text: str, name: str = "custom") -> ScenarioSpec:
     if end_time is None:
         raise ScenarioSemanticError("missing 'end' directive")
 
-    spec = ScenarioSpec(
+    if sorted(nodes) != list(range(len(nodes))):
+        raise ScenarioSemanticError(f"node ids must be dense 0..{len(nodes) - 1}")
+    return ScenarioSpec(
         area=area,
         radio=RadioModel() if radio_range is None else RadioModel(range=radio_range),
         nodes=[nodes[i] for i in sorted(nodes)],
@@ -125,51 +170,6 @@ def parse(text: str, name: str = "custom") -> ScenarioSpec:
         end_time=end_time,
         name=name,
     )
-    _validate(spec, nodes)
-    return spec
-
-
-def _validate(spec: ScenarioSpec, raw_nodes: dict[int, Position]) -> None:
-    w, h = spec.area
-    if w <= 0 or h <= 0:
-        raise ScenarioSemanticError("area dimensions must be positive")
-    if spec.end_time <= 0:
-        raise ScenarioSemanticError("end time must be positive")
-    if spec.end_time * TICKS_PER_S >= TICK_LIMIT:   # moves and flows end by then
-        raise ScenarioSemanticError(f"end {spec.end_time} s is not under 2**50 us (35.7 years)")
-    if not raw_nodes:
-        raise ScenarioSemanticError("scenario declares no nodes")
-    n = len(raw_nodes)
-    if sorted(raw_nodes) != list(range(n)):
-        raise ScenarioSemanticError(f"node ids must be dense 0..{n - 1}")
-    for i, p in enumerate(spec.nodes):
-        if not (0 <= p.x <= w and 0 <= p.y <= h):
-            raise ScenarioSemanticError(f"node {i} at ({p.x}, {p.y}) outside area")
-
-    # movement legs: inside the area and the run; tracks owns the rules the
-    # World that runs them applies, so a file that parses always runs
-    for m in spec.movements:
-        if not (0 <= m.dest.x <= w and 0 <= m.dest.y <= h):
-            raise ScenarioSemanticError(f"move for node {m.node} leaves the area")
-        if not 0 <= m.start_time < spec.end_time:
-            raise ScenarioSemanticError(
-                f"move at t={m.start_time} outside run (end {spec.end_time})")
-    tracks(spec.nodes, spec.movements)
-
-    for f in spec.flows:
-        if not (0 <= f.src < n and 0 <= f.dst < n):
-            raise ScenarioSemanticError(f"flow references unknown node {f.src}->{f.dst}")
-        if f.src == f.dst:
-            raise ScenarioSemanticError("flow source equals destination")
-        if f.rate <= 0 or f.packet_size <= 0:
-            raise ScenarioSemanticError("flow rate and packet size must be positive")
-        if not valid_period(1 / f.rate):
-            raise ScenarioSemanticError(
-                f"flow rate {f.rate} pkt/s: the period 1/rate must be finite and at least "
-                f"one {TICK:g} s tick")
-        if not (0 <= f.start < f.stop <= spec.end_time):
-            raise ScenarioSemanticError(
-                f"flow window [{f.start}, {f.stop}] invalid for end {spec.end_time}")
 
 
 def serialize(spec: ScenarioSpec) -> str:

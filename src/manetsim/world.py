@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappush
@@ -270,8 +269,11 @@ class World:
     #
     # Both senders file their frames themselves: fire_at = now + (latency +
     # jitter * draw()), quantized as Engine.post_all quantizes it, whose
-    # comment proves the integer-tick step exact, then appended to its
-    # bucket, whose time goes on the engine's heap if the bucket is new.
+    # comment proves the integer-tick step exact (k / TICKS_PER_S, k the
+    # whole number of ticks x rounds to), then appended to its bucket list;
+    # a new bucket's time goes on the engine's heap. A frame filed for the
+    # bucket the engine is draining joins its back and runs in that drain.
+    # broadcast binds the tick constants once, outside its receiver loop.
     # rng.uniform(0.0, j) is 0.0 + j * rng.random(): the draw is the same
     # float, and the parentheses keep the sum's rounding.
 
@@ -288,19 +290,21 @@ class World:
         handlers, draw, frame = self.on_receive[msg.kind], self.rng.random, (sender, msg)
         latency, jitter = self.radio.hop_latency, self.jitter
         queue, buckets = engine._queue, engine._buckets
+        ticks_per_s, half_even, tick_limit = TICKS_PER_S, HALF_EVEN, TICK_LIMIT
         for receiver in receivers:
             fire_at = now + (latency + jitter * draw())
-            x = fire_at * TICKS_PER_S
-            r = x - (x + HALF_EVEN - HALF_EVEN)
-            if 0.0 < x < TICK_LIMIT and r * r < 0.2401:
-                fire_at = (x - r) / TICKS_PER_S
+            x = fire_at * ticks_per_s
+            k = x + half_even - half_even
+            r = x - k
+            if 0.0 < x < tick_limit and r * r < 0.2401:
+                fire_at = k / ticks_per_s
             else:
                 fire_at = round(fire_at, TIME_RESOLUTION_DIGITS)
             if not fire_at >= now:
                 raise PastTimeError(f"schedule at {fire_at} before clock {now}")
             bucket = buckets.get(fire_at)
             if bucket is None:
-                bucket = buckets[fire_at] = deque()
+                bucket = buckets[fire_at] = []
                 heappush(queue, fire_at)
             bucket.append((handlers[receiver], frame))
         return receivers
@@ -329,16 +333,17 @@ class World:
         entry = (self.on_receive[msg.kind][next_hop], (sender, msg))
         fire_at = now + (self.radio.hop_latency + self.jitter * self.rng.random())
         x = fire_at * TICKS_PER_S
-        r = x - (x + HALF_EVEN - HALF_EVEN)
+        k = x + HALF_EVEN - HALF_EVEN
+        r = x - k
         if 0.0 < x < TICK_LIMIT and r * r < 0.2401:
-            fire_at = (x - r) / TICKS_PER_S
+            fire_at = k / TICKS_PER_S
         else:
             fire_at = round(fire_at, TIME_RESOLUTION_DIGITS)
         if not fire_at >= now:
             raise PastTimeError(f"schedule at {fire_at} before clock {now}")
         bucket = engine._buckets.get(fire_at)
         if bucket is None:
-            bucket = engine._buckets[fire_at] = deque()
+            bucket = engine._buckets[fire_at] = []
             heappush(engine._queue, fire_at)
         bucket.append(entry)
         return UNICAST_SENT

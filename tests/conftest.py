@@ -17,9 +17,9 @@ def build_spec(positions, movements=(), flows=(), end=10.0, radio_range=250.0,
 
 
 def build_sim(positions, protocol="aodv", seed=0, flows=(), movements=(),
-              end=10.0, hello_interval=0.0, radio_range=250.0):
+              end=10.0, hello_interval=0.0, radio_range=250.0, area=(800.0, 800.0)):
     """Simulation with jitter off and hellos off unless asked for."""
-    spec = build_spec(positions, movements, flows, end, radio_range)
+    spec = build_spec(positions, movements, flows, end, radio_range, area=area)
     sim = Simulation(spec, protocol=protocol, seed=seed, hello_interval=hello_interval)
     sim.world.jitter = 0.0
     return sim

@@ -450,6 +450,81 @@ def test_pending_yields_each_queued_entry_and_no_fired_or_cancelled_one():
     assert fired == [1, 3] and list(eng.pending()) == [second]
 
 
+# -- draining a bucket: its entries stay in the list until it is done -------------
+
+def test_an_event_cancelling_an_entry_of_its_bucket_that_ran_dequeues_nothing():
+    eng, log, cancelled = Engine(), [], []
+    first = eng.schedule(1.0, lambda: log.append("first"))
+
+    def second():
+        log.append("second")
+        cancelled.append(eng.cancel(first))
+
+    eng.schedule(1.0, second)
+    eng.schedule(1.0, lambda: log.append("third"))
+    assert eng.run_until(1.0) == 3
+    assert cancelled == [False] and log == ["first", "second", "third"]
+
+
+def test_pending_inside_an_event_yields_no_entry_that_ran():
+    eng, seen = Engine(), []
+    ran = (noop, ())
+    looking = (lambda: seen.append(list(eng.pending())), ())
+    rest, later = (noop, ()), (noop, ())
+    eng.post_all([(1.0, ran), (1.0, looking), (1.0, rest), (2.0, later)])
+    eng.run_until(1.0)
+    assert sorted(map(id, seen[0])) == sorted(map(id, [rest, later]))
+
+
+def test_after_an_action_raises_the_unrun_rest_of_its_bucket_can_be_cancelled():
+    eng, log = Engine(), []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    eng.schedule(1.0, lambda: log.append("a"))
+    eng.schedule(1.0, boom)
+    doomed = eng.schedule(1.0, lambda: log.append("cancelled"))
+    eng.schedule(1.0, lambda: log.append("d"))
+    with pytest.raises(RuntimeError, match="boom"):
+        eng.run_until(2.0)
+    assert eng.cancel(doomed) is True and pending_count(eng) == 1
+    assert eng.run_until(2.0) == 1
+    assert log == ["a", "d"]
+
+
+def test_run_until_from_inside_an_event_raises_and_reruns_nothing():
+    eng, log = Engine(), []
+
+    def nested():
+        log.append("nested")
+        eng.run_until(eng.now)
+
+    eng.schedule(1.0, nested)
+    eng.schedule(1.0, lambda: log.append("after"))
+    with pytest.raises(RuntimeError, match="inside an event"):
+        eng.run_until(2.0)
+    assert eng.run_until(2.0) == 1
+    assert log == ["nested", "after"]
+
+
+def test_steps_count_only_the_entries_that_ran_when_later_ones_are_cancelled():
+    eng, log = Engine(), []
+
+    def first():
+        log.append("first")
+        assert eng.cancel(second) and eng.cancel(third)
+        eng.post_all([(eng.now, (log.append, ("added",)))])
+
+    eng.schedule(1.0, first)
+    second = eng.schedule(1.0, lambda: log.append("second"))
+    third = eng.schedule(1.0, lambda: log.append("third"))
+    eng.schedule(1.0, lambda: log.append("last"))
+    assert eng.run_until(1.0) == 3
+    assert log == ["first", "last", "added"]
+    assert second[0] == [] and 1.0 not in eng._buckets   # drained, cleared and dropped
+
+
 # -- oracle: the (fire_at, seq) heap engine with three-state handles ---------------
 
 class ReferenceHandle:

@@ -17,6 +17,7 @@ import dis
 import random
 import sys
 import types
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -71,6 +72,19 @@ FRAME_PATH = [Engine.post_all, World.broadcast, World.unicast, World.neighbors_o
 @pytest.mark.parametrize("fn", FRAME_PATH, ids=lambda fn: fn.__qualname__)
 def test_frame_path_calls_no_quantize_check_node_or_post_frames(fn):
     assert not loads(fn, CALLS)
+
+
+def test_the_engine_drains_a_bucket_without_popleft():
+    """run_until runs a bucket with one for loop over the list's iterator."""
+    assert not loads(Engine.run_until, {"popleft"})
+
+
+@pytest.mark.parametrize("fn", [World.broadcast, Engine.post_all], ids=lambda fn: fn.__qualname__)
+def test_a_looping_filer_loads_each_tick_constant_as_a_global_at_most_once(fn):
+    """They are bound to locals before the loop that quantizes each fire time."""
+    names = Counter(name for op, name in loads(fn, {"TICKS_PER_S", "HALF_EVEN", "TICK_LIMIT"})
+                    if op == "LOAD_GLOBAL")
+    assert max(names.values(), default=0) <= 1
 
 
 @pytest.mark.parametrize("fn", [World.broadcast, World.unicast], ids=lambda fn: fn.__qualname__)

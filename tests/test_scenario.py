@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,9 @@ from manetsim.engine import Engine
 from manetsim.errors import (ScenarioSemanticError, ScenarioSyntaxError,
                              UnknownScenarioError)
 from manetsim import scenario as scenario_mod
-from manetsim.scenario import TrafficFlow, builtin, parse, serialize
+from manetsim.scenario import ScenarioSpec, TrafficFlow, builtin, parse, serialize
 from manetsim.simulation import Simulation
-from manetsim.world import Movement, Position, World
+from manetsim.world import Movement, Position, RadioModel, World
 
 VALID = """\
 # toy layout
@@ -225,6 +226,46 @@ def test_flow_window_must_fit_run():
 def test_node_outside_area_rejected():
     with pytest.raises(ScenarioSemanticError):
         parse("area 100 100\nnode 0 500 500\nend 5.0\n")
+
+
+# VALID, built in code
+VALID_FIELDS = dict(area=(800.0, 800.0), radio=RadioModel(range=250.0),
+                    nodes=[Position(100.0, 400.0), Position(300.0, 400.0)],
+                    movements=[Movement(1.0, 1, Position(500.0, 400.0), 50.0)],
+                    flows=[TrafficFlow(0, 1, 10.0, 512, 1.0, 4.0)], end_time=5.0)
+LEG, FLOW = VALID_FIELDS["movements"][0], VALID_FIELDS["flows"][0]
+# each semantic error above that a spec can carry, as fields replaced in VALID
+INVALID_FIELDS = {
+    **{f"end-{end!r}": dict(end_time=end) for end in (1125899906.842624, 2e9, 1e308)},
+    "area-zero": dict(area=(0.0, 800.0)),
+    "end-zero": dict(end_time=0.0),
+    "no-nodes": dict(nodes=[], movements=[], flows=[]),
+    "node-outside-area": dict(area=(100.0, 100.0), nodes=[Position(500.0, 500.0)],
+                              movements=[], flows=[]),
+    "move-outside-area": dict(movements=[replace(LEG, dest=Position(900.0, 400.0))]),
+    "move-unknown-node": dict(movements=[replace(LEG, node=9)]),
+    "move-after-end": dict(movements=[replace(LEG, start_time=6.0)]),
+    "overlapping-legs": dict(movements=[LEG, Movement(2.0, 1, Position(100.0, 400.0), 50.0)]),
+    "flow-rate-zero": dict(flows=[replace(FLOW, rate=0.0)]),
+    "flow-size-zero": dict(flows=[replace(FLOW, packet_size=0)]),
+    **{f"flow-rate-{rate!r}": dict(flows=[replace(FLOW, rate=rate)])
+       for rate in (2e6, 1e7, 1000000.5, 1e-320)},
+    "flow-to-unknown-node": dict(flows=[replace(FLOW, dst=7)]),
+    "flow-from-unknown-node": dict(flows=[replace(FLOW, src=9)]),
+    "flow-to-itself": dict(flows=[replace(FLOW, dst=0)]),
+    "flow-past-end": dict(flows=[replace(FLOW, stop=9.0)]),
+}
+
+
+def test_the_spec_built_in_code_is_the_parsed_one():
+    assert ScenarioSpec(**VALID_FIELDS, name="custom") == parse(VALID)
+
+
+@pytest.mark.parametrize("fields", INVALID_FIELDS.values(), ids=INVALID_FIELDS.keys())
+def test_a_spec_built_in_code_refuses_what_parse_refuses(fields):
+    """No Simulation can be built from it, so no event of it ever runs."""
+    with pytest.raises(ScenarioSemanticError):
+        ScenarioSpec(**{**VALID_FIELDS, **fields})
 
 
 # -- round trip ---------------------------------------------------------------------

@@ -693,7 +693,9 @@ def oracle_hops(coords, legs, radio_range, src, dst, t):
 @given(mobile_layouts(max_nodes=12), st.lists(query_time, min_size=1, max_size=5))
 def test_bfs_hops_match_oracle(layout, times):
     coords, legs, radio_range = layout
-    sim = build_sim(coords, movements=movements(legs), radio_range=radio_range, end=40.0)
+    # the layouts' coordinates reach 2000 m and their last legs start by 2,834 s
+    sim = build_sim(coords, movements=movements(legs), radio_range=radio_range, end=3000.0,
+                    area=(2000.0, 2000.0))
     n = len(coords)
     for t in times:
         sim.engine.now = t
