@@ -9,17 +9,24 @@ as the same strings in memory and in the packed columns. `record`
 refuses any other kind and compares kinds by identity, so a row's kind
 is one of these constants. It keeps rows in a short tail list, and every
 CHUNK rows packs the tail into typed columns: `d` for the time, a str of
-the kind letters, a str of one-character subkind codes and `i` for the
-five ints, about 30 B a row against some 190 B for a kept LedgerEvent. A
-chunk with a value that fits no column, such as a packet size wider than
-32 bits, stays rows. The uid checks read a bytearray indexed by uid
+the kind letters, a str of one-character subkind codes and, for each of
+the five ints, `h` if every value of the chunk fits 16 bits and `i`
+otherwise, so 20 to 30 B a row against some 190 B for a kept LedgerEvent.
+A chunk with a value that fits no column, such as a packet size wider
+than 32 bits, stays rows. The uid checks read a bytearray indexed by uid
 whose bits are the sent and the transmitted control uids; a uid far
 beyond the row count, or a negative one, goes to a dict instead, until
-the map grows over it.
+the map grows over it. With the map, a run whose ids and sizes are under
+2**15 holds about 22 B of traced memory a row (tests/test_simulation.py
+pins 26 B on a static CBR run).
 
-The outputs are written as bytes, one `%` per chunk, and `run_series`
-picks the sent, received and dropped rows of each chunk with
-`itertools.compress`, with no loop over the rows in Python.
+The outputs are written as bytes, one `%` per chunk of rows or of plot
+points, and `run_series` picks the sent, received and dropped rows of
+each chunk with `itertools.compress`, with no loop over the rows in
+Python. It keeps the send times in a float array indexed by uid, 8 B a
+send where the sends are dense, or in a dict if any sent uid lies past
+the array's reach: a negative one, one the uid map does not cover, or
+one past SLOTS_PER_SEND slots a send.
 """
 from __future__ import annotations
 
@@ -29,7 +36,7 @@ from array import array
 from bisect import bisect_right
 from functools import reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, eq, ne, sub
+from operator import add, eq, itemgetter, ne, setitem, sub
 from struct import error as struct_error, pack
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -42,6 +49,7 @@ TRACE_LINE = "%s %.6f %d %s %d %d %d %d\n"    # kind letter, then the fields fro
 TRACE_BYTES = b"%c %.6f %d %s %d %d %d %d\n"  # the same line from a packed chunk's columns
 UID_SLACK = 1 << 16     # uids the uid map may cover beyond twice the row count
 SENT_UID, CONTROL_UID = 1, 2    # bits of a uid's byte in the uid map
+SLOTS_PER_SEND = 8      # run_series' sent-time array covers at most this many uids a send
 
 SENT = "s"          # application-level origination, once per packet
 RECEIVED = "r"      # consumed at its destination
@@ -70,6 +78,14 @@ class LedgerEvent(NamedTuple):
 class SeriesPoint(NamedTuple):
     t: float
     value: float
+
+
+def _int_column(values: tuple[int, ...]) -> array:
+    """The narrowest of `h` and `i` that holds every value; struct.error if neither."""
+    try:
+        return array("h", pack(f"{len(values)}h", *values))
+    except struct_error:
+        return array("i", pack(f"{len(values)}i", *values))
 
 
 class MetricsLedger:
@@ -163,13 +179,10 @@ class MetricsLedger:
         wider than 32 bits. `record` admits only the one-letter KINDS."""
         rows, self._tail = self._tail, []
         t, kinds, node, subkinds, size, uid, src, dst = zip(*rows)
-        kinds = "".join(kinds)
-        ints = f"{len(rows)}i"
         try:
-            chunk = (array("d", pack(f"{len(rows)}d", *t)), kinds, array("i", pack(ints, *node)),
-                     "".join(map(SUBKIND_CODE.__getitem__, subkinds)),
-                     array("i", pack(ints, *size)), array("i", pack(ints, *uid)),
-                     array("i", pack(ints, *src)), array("i", pack(ints, *dst)))
+            chunk = (array("d", pack(f"{len(rows)}d", *t)), "".join(kinds), _int_column(node),
+                     "".join(map(SUBKIND_CODE.__getitem__, subkinds)), _int_column(size),
+                     _int_column(uid), _int_column(src), _int_column(dst))
         except (KeyError, struct_error):
             chunk = rows
         self._chunks.append(chunk)
@@ -276,7 +289,17 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
         raise ValueError("window must be positive")
     if t_end is None:
         t_end = ledger.last_t
-    sent_at: dict[int, float] = {}
+    # send time by uid: in an array sized to the largest uid sent if every
+    # sent uid is below `cap`, else in a dict. The cap is the uid map's reach,
+    # at most SLOTS_PER_SEND slots a send, so the array at 8 B a slot never
+    # costs more than the dict's ~100 B an entry; the map's SENT_UID bits say
+    # where the sends are.
+    uid_map, marks = ledger._uid_map, (bytes([SENT_UID]), bytes([SENT_UID | CONTROL_UID]))
+    cap = min(len(uid_map), SLOTS_PER_SEND * ledger.sent)
+    if sum(uid_map.count(m, 0, cap) for m in marks) == ledger.sent:
+        sent_at = array("d", [0.0]) * (max(uid_map.rfind(m, 0, cap) for m in marks) + 1)
+    else:
+        sent_at = {}
     # receive times and delays, and the times of the DATA receives and drops
     r_times, delays, received, dropped = (array("d") for _ in range(4))
     payload = [0]       # payload bytes in the first i receives, at index i
@@ -288,11 +311,16 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
             t, kinds, _, subkinds, sizes, uids, _, _ = chunk
             kinds, is_data = kinds.encode(), subkinds.encode().translate(IS_DATA)
         pick = kinds.translate(PICK[SENT])
-        sent_at.update(zip(compress(uids, pick), compress(t, pick)))
+        any(map(setitem, repeat(sent_at), compress(uids, pick), compress(t, pick)))
         pick = kinds.translate(PICK[RECEIVED])
         n = len(r_times)
         r_times.extend(compress(t, pick))
-        delays.extend(map(sub, r_times[n:], map(sent_at.__getitem__, compress(uids, pick))))
+        sent = compress(uids, pick)
+        if len(r_times) - n > 1:    # itemgetter of one uid returns a bare float
+            sent = itemgetter(*sent)(sent_at)
+        else:
+            sent = map(sent_at.__getitem__, sent)
+        delays.extend(map(sub, r_times[n:], sent))
         received.extend(compress(r_times[n:], compress(is_data, pick)))
         # the chunk's running sums replace the last one, which they start from
         payload[-1:] = accumulate(compress(sizes, pick), initial=payload[-1])
@@ -310,8 +338,9 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
         throughput.values.append((payload[bisect_right(r_times, edge)]
                                   - payload[bisect_right(r_times, edge - window)]) * 8 / window)
         k += 1
-    return RunSeries(_running_count(received), _running_count(dropped), throughput,
-                     Series(r_times, delays))
+    delay = Series()
+    delay.times, delay.values = r_times, delays     # handed over, not copied
+    return RunSeries(_running_count(received), _running_count(dropped), throughput, delay)
 
 
 def throughput_series(ledger: MetricsLedger, window: float = 0.5,
@@ -402,5 +431,8 @@ def emit_plot_datasets(datasets: Iterable[Iterable[tuple[float, float]]], title:
     title is encoded as a file opened in text mode encodes it."""
     out.write(f"TitleText: {title}\n".encode(locale.getpreferredencoding(False)))
     for i, series in enumerate(datasets):
-        fields = tuple(chain.from_iterable(series))
-        out.write((b"\n" if i else b"") + b"%.6f %.6f\n" * (len(fields) // 2) % fields)
+        if i:
+            out.write(b"\n")
+        points = iter(series)
+        while fields := tuple(chain.from_iterable(islice(points, CHUNK))):
+            out.write(b"%.6f %.6f\n" * (len(fields) // 2) % fields)

@@ -36,15 +36,19 @@ class TrafficFlow:
 class ScenarioSpec:
     area: tuple[float, float]
     radio: RadioModel
-    nodes: list[Position]               # index is the node id
-    movements: list[Movement]
-    flows: list[TrafficFlow]
+    nodes: tuple[Position, ...]         # index is the node id
+    movements: tuple[Movement, ...]
+    flows: tuple[TrafficFlow, ...]
     end_time: float
     name: str = field(default="custom", compare=False)
 
     def __post_init__(self):
         """Raise ScenarioSemanticError unless a World and a Simulation can
-        run this spec; parse also checks that the file's ids are dense."""
+        run this spec; parse also checks that the file's ids are dense.
+        The nodes, movements and flows are stored as tuples first, so a
+        spec that passed these checks cannot be changed in place after."""
+        for name in ("nodes", "movements", "flows"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         w, h = self.area
         if w <= 0 or h <= 0:
             raise ScenarioSemanticError("area dimensions must be positive")

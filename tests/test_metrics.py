@@ -539,6 +539,45 @@ def test_a_far_or_negative_uid_is_checked_without_a_map_entry():
         led.record(ev(2.0, RECEIVED, uid=-1))
 
 
+def test_sparse_sends_keep_their_times_in_a_dict_not_a_long_array():
+    """100 sends among 40,000 uids: an array to the largest sent uid would
+    take 320 KB on top of the ~110 KB that one chunk's picked columns take
+    at their peak, and the dict of their times a few KB."""
+    led = MetricsLedger()
+    for uid in range(20_000):
+        led.record(ev(uid * 1e-4, CONTROL_TX, subkind="RREQ", size=24, uid=uid))
+        if uid % 200 == 0:
+            led.record(ev(uid * 1e-4, SENT, uid=20_000 + uid))
+            led.record(ev(uid * 1e-4, RECEIVED, node=5, uid=20_000 + uid))
+    tracemalloc.start()
+    try:
+        series = run_series(led)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series.delay) == 100 and set(series.delay.values) == {0.0}
+    assert peak < 192 * 1024
+
+
+def test_dense_sends_keep_their_times_in_an_array_also_under_control_uids():
+    """20,000 dense sends, each uid also transmitted as control and received
+    once: run_series peaks near 1.9 MB with their times in an array, and
+    near 3.4 MB with them in a dict."""
+    led = MetricsLedger()
+    for uid in range(20_000):
+        led.record(ev(uid * 1e-4, SENT, uid=uid))
+        led.record(ev(uid * 1e-4, CONTROL_TX, subkind="RREQ", size=24, uid=uid))
+        led.record(ev(uid * 1e-4, RECEIVED, node=5, uid=uid))
+    tracemalloc.start()
+    try:
+        series = run_series(led)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series.delay) == 20_000 and set(series.delay.values) == {0.0}
+    assert peak < 2.5 * 2**20
+
+
 def far_then_near_rows():
     """A SENT of uid 70,000 and a control transmission of uid 70,001 as the
     first rows, both beyond the uid map's reach then, and SENTs of uids

@@ -2,22 +2,28 @@
 or one point at a time.
 
 `write_trace`, `emit_plot_datasets` and `run_series` work on whole
-chunks: one `bytes` `%` per chunk or dataset, and columns picked with
+chunks: one `bytes` `%` per chunk of rows or of points, and columns picked with
 `itertools.compress`. Each must give exactly what a loop over the rows
 or the points gives, on the golden corpus and on ledgers built to hold
 every kind of chunk: packed columns, rows kept for a value no column
-holds, and the unpacked tail.
+holds, and the unpacked tail. `run_series` must also give, bit for bit,
+what the chunk-wise store it replaced gives, which kept every send time
+in one dict by uid.
 """
 import io
 import locale
+import tracemalloc
+from array import array
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import eq, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from manetsim import metrics
 from manetsim.metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, THROUGHPUT_STEP,
-                              TRACE_LINE, LedgerEvent, MetricsLedger, emit_plot_datasets,
+                              TRACE_LINE, LedgerEvent, MetricsLedger, Series, emit_plot_datasets,
                               parse_trace, run_series, write_trace)
 from manetsim.packets import DATA, MESSAGE_KINDS
 from test_golden import CASES, WINDOW
@@ -72,6 +78,56 @@ def reference_series(ledger, window=0.5, step=THROUGHPUT_STEP, t_end=None):
     return [received, dropped, throughput, list(zip(receive_times, delays))]
 
 
+def dict_store_series(ledger, window=0.5, step=THROUGHPUT_STEP, t_end=None):
+    """run_series with every send time kept in one dict by uid, chunk by
+    chunk as before the array store: received, dropped, throughput and
+    delay, each a list of (t, value) points."""
+    if t_end is None:
+        t_end = ledger.last_t
+    sent_at = {}
+    r_times, delays, received, dropped = (array("d") for _ in range(4))
+    payload = [0]
+    for chunk in chain(ledger._chunks, [ledger._tail]):
+        if type(chunk) is list:
+            t, kinds, _, subkinds, sizes, uids, _, _ = list(zip(*chunk)) or [()] * 8
+            kinds, is_data = "".join(kinds).encode(), bytes(map(eq, subkinds, repeat(DATA)))
+        else:
+            t, kinds, _, subkinds, sizes, uids, _, _ = chunk
+            kinds, is_data = kinds.encode(), subkinds.encode().translate(metrics.IS_DATA)
+        pick = kinds.translate(metrics.PICK[SENT])
+        sent_at.update(zip(compress(uids, pick), compress(t, pick)))
+        pick = kinds.translate(metrics.PICK[RECEIVED])
+        n = len(r_times)
+        r_times.extend(compress(t, pick))
+        delays.extend(map(sub, r_times[n:], map(sent_at.__getitem__, compress(uids, pick))))
+        received.extend(compress(r_times[n:], compress(is_data, pick)))
+        payload[-1:] = accumulate(compress(sizes, pick), initial=payload[-1])
+        pick = kinds.translate(metrics.PICK[DROPPED])
+        dropped.extend(compress(compress(t, pick), compress(is_data, pick)))
+    end = 0
+    for i in compress(count(1), map(eq, islice(r_times, 1, None), r_times)):
+        if i >= end:
+            end = bisect_right(r_times, r_times[i], i)
+            delays[i - 1:end] = array("d", sorted(delays[i - 1:end]))
+    throughput, k = [], 0
+    while (edge := window + k * step) <= t_end + 1e-9:
+        throughput.append((edge, (payload[bisect_right(r_times, edge)]
+                                  - payload[bisect_right(r_times, edge - window)]) * 8 / window))
+        k += 1
+
+    def running_count(times):
+        last = [a != b for a, b in zip(times, times[1:])] + [True] * bool(times)
+        firsts = [True] + last
+        return [(x, float(c)) for x, c in zip(compress(times, firsts), compress(count(1), last))]
+
+    return [running_count(received), running_count(dropped), throughput,
+            list(zip(r_times, delays))]
+
+
+def hexed(points):
+    return [(t.hex(), float(value).hex()) for t, value in points]
+
+
 def written(writer, *args) -> bytes:
     out = io.BytesIO()
     writer(*args, out)
@@ -95,6 +151,30 @@ def test_the_golden_corpus_matches_the_references(corpus):
     for case, sim in corpus.items():
         assert_outputs_match_the_references(sim.ledger, WINDOW, sim.spec.end_time,
                                             f"delay: {case} {sim.protocol}")
+
+
+def test_a_plot_longer_than_a_chunk_matches_the_reference():
+    points = [(k / 7, k * 1e-3) for k in range(3 * metrics.CHUNK + 5)]
+    datasets = [points, points[:metrics.CHUNK], []]
+    assert written(emit_plot_datasets, datasets, "t") == plot_reference(datasets, "t")
+
+
+class Discard:
+    def write(self, data):
+        return len(data)
+
+
+def test_a_plot_formats_a_chunk_of_points_at_a_time():
+    """A tuple of all 100,000 floats of these 50,000 points would take over
+    3 MB; the writer holds one chunk's fields and its bytes."""
+    series = Series(array("d", range(50_000)), array("d", range(50_000)))
+    tracemalloc.start()
+    try:
+        emit_plot_datasets([series], "t", Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def mixed_chunk_lines():
@@ -172,3 +252,82 @@ def test_run_series_equals_the_row_loop(chunk, rows, window, t_end):
             ledger.record(row)
     assert list(ledger.rows()) == rows
     assert_outputs_match_the_references(ledger, window, t_end, "t")
+
+
+@st.composite
+def sent_time_ledgers(draw):
+    """Rows record() accepts, for the sent-time store: sends under dense
+    uids, under uids near and far beyond the uid map's reach and under
+    negative ones, receives that may repeat a uid, control transmissions
+    under a sent uid, and sizes and node ids that pack as `h`, as `i` or,
+    over 32 bits, keep their chunk as rows."""
+    rows, sent, dense, us = [], [], 0, 0
+    for _ in range(draw(st.integers(0, 80))):
+        us += draw(st.sampled_from((0, 1, 250, 40_000)))
+        t = us / 1e6
+        size = draw(st.sampled_from((512, 40_000, 2**33)))
+        node = draw(st.sampled_from((0, 3, 70_000)))
+        step = draw(st.sampled_from(("send", "send", "receive", "receive", "drop", "forward",
+                                     "control")))
+        if step == "send" or not sent:
+            uid = draw(st.one_of(st.just(None), st.integers(0, 70_000), st.integers(2**17, 2**40),
+                                 st.integers(-2**40, -1)))
+            if uid is None or uid in sent:
+                while dense in sent:
+                    dense += 1
+                uid = dense
+            sent.append(uid)
+            rows.append(LedgerEvent(t, SENT, node, DATA, size, uid, 0, 5))
+        elif step == "control":
+            rows.append(LedgerEvent(t, CONTROL_TX, node, "RREQ", 24, draw(st.sampled_from(sent)),
+                                    node, -1))
+        else:
+            kind = {"receive": RECEIVED, "drop": DROPPED, "forward": DATA_TX}[step]
+            rows.append(LedgerEvent(t, kind, node, DATA, size, draw(st.sampled_from(sent)), 0, 5))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), sent_time_ledgers(), st.sampled_from([0.0005, 0.5]),
+       st.one_of(st.none(), st.floats(0.0, 0.5)))
+def test_run_series_equals_the_dict_store_bit_for_bit(chunk, rows, window, t_end):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "CHUNK", chunk)
+        ledger = MetricsLedger()
+        for row in rows:
+            ledger.record(row)
+    expected = dict_store_series(ledger, window, t_end=t_end)
+    assert [hexed(series) for series in run_series(ledger, window, t_end=t_end)] \
+        == list(map(hexed, expected))
+
+
+def test_the_sent_time_ledgers_cover_every_store_and_column():
+    """Ledgers of the strategy's kinds, three rows a chunk. The first two
+    chunks alone send only dense uids, the largest also a control uid, so
+    their send times fit an array; the whole ledger adds near, far and
+    negative uids, which put them in a dict, a uid received twice, and
+    chunks of rows and of `i` columns after those of `h` columns."""
+    def row(t, kind, uid, size=512, node=0):
+        return LedgerEvent(t, kind, node, "RREQ" if kind is CONTROL_TX else DATA, size, uid, 0, 5)
+
+    rows = [row(0.0, SENT, 0), row(0.1, SENT, 1), row(0.2, SENT, 2),
+            row(0.3, CONTROL_TX, 2), row(0.4, RECEIVED, 0), row(0.5, RECEIVED, 1),
+            row(0.6, SENT, -5, size=2**33), row(0.7, RECEIVED, 1), row(0.8, RECEIVED, 2),
+            row(0.9, SENT, 60_000, node=70_000), row(1.0, SENT, 2**20), row(1.1, RECEIVED, 60_000),
+            row(1.2, RECEIVED, 2**20), row(1.3, RECEIVED, -5)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "CHUNK", 3)
+        dense, ledger = MetricsLedger(), MetricsLedger()
+        for r in rows[:6]:
+            dense.record(r)
+        for r in rows:
+            ledger.record(r)
+    forms = [chunk if type(chunk) is list else chunk[5].typecode for chunk in ledger._chunks]
+    assert forms == ["h", "h", rows[6:9], "i"]
+    assert ledger._uid_map[2] == 3 and ledger._far_uids.keys() == {2**20, -5}
+    for led in (dense, ledger):
+        expected = dict_store_series(led)
+        assert [hexed(series) for series in run_series(led)] == list(map(hexed, expected))
+    sent = {r.uid: r.t for r in rows if r.kind is SENT}
+    assert list(run_series(ledger).delay.values) \
+        == [r.t - sent[r.uid] for r in rows if r.kind is RECEIVED]

@@ -32,8 +32,8 @@ def test_parse_valid_file():
     spec = parse(VALID)
     assert spec.node_count == 2
     assert spec.radio.range == 250.0
-    assert spec.movements == [Movement(1.0, 1, Position(500.0, 400.0), 50.0)]
-    assert spec.flows == [TrafficFlow(0, 1, 10.0, 512, 1.0, 4.0)]
+    assert spec.movements == (Movement(1.0, 1, Position(500.0, 400.0), 50.0),)
+    assert spec.flows == (TrafficFlow(0, 1, 10.0, 512, 1.0, 4.0),)
     assert spec.end_time == 5.0
 
 
@@ -261,6 +261,22 @@ def test_the_spec_built_in_code_is_the_parsed_one():
     assert ScenarioSpec(**VALID_FIELDS, name="custom") == parse(VALID)
 
 
+def test_a_checked_spec_cannot_be_changed_in_place():
+    """A flow from node 9 appended after the checks once reached run() and
+    raised a bare IndexError there."""
+    fields = {name: list(value) if isinstance(value, list) else value
+              for name, value in VALID_FIELDS.items()}
+    spec = ScenarioSpec(**fields)
+    for name in ("nodes", "movements", "flows"):
+        assert type(getattr(spec, name)) is tuple
+        with pytest.raises(AttributeError):
+            getattr(spec, name).append(getattr(spec, name)[0])
+    with pytest.raises(AttributeError):
+        spec.flows.append(TrafficFlow(9, 1, 2.0, 512, 0.5, 1.5))
+    fields["flows"].append(TrafficFlow(9, 1, 2.0, 512, 0.5, 1.5))    # the caller's list
+    assert spec.flows == (FLOW,) and spec == parse(VALID)
+
+
 @pytest.mark.parametrize("fields", INVALID_FIELDS.values(), ids=INVALID_FIELDS.keys())
 def test_a_spec_built_in_code_refuses_what_parse_refuses(fields):
     """No Simulation can be built from it, so no event of it ever runs."""
@@ -354,7 +370,7 @@ def test_scenario1_shape():
     assert spec.node_count == 6
     assert sorted({m.node for m in spec.movements}) == [5]
     assert spec.end_time == 5.0
-    assert spec.flows == [TrafficFlow(0, 5, 10.0, 512, 1.0, 5.0)]
+    assert spec.flows == (TrafficFlow(0, 5, 10.0, 512, 1.0, 5.0),)
 
 
 def test_scenario2_shape():
