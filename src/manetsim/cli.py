@@ -94,6 +94,9 @@ def cmd_compare(args) -> int:
     if not seeds:
         print("error: compare needs at least one seed", file=sys.stderr)
         return 2
+    if len(set(seeds)) < len(seeds):
+        print("error: compare runs each seed once, got", *seeds, file=sys.stderr)
+        return 2
     out_dir = Path(args.out or f"runs/compare_{Path(args.scenario).stem}")
     spec = _load_spec(args)     # read once: every run sees the same file
     reports: dict[str, list[RunReport]] = {p: [] for p in PROTOCOLS}

@@ -4,21 +4,23 @@ All reported numbers are pure functions of the ledger, so a persisted
 trace can be parsed back and must reproduce them bit-identically.
 
 A row is a tuple of LedgerEvent's fields. Its kind is one of the letters
-below and its subkind a message kind: the strings the trace prints, held
-as the same strings in memory and in the packed columns. `record`
-refuses any other kind and compares kinds by identity, so a row's kind
-is one of these constants. It keeps rows in a short tail list, and every
-CHUNK rows packs the tail into typed columns: `d` for the time, a str of
-the kind letters, a str of one-character subkind codes and, for each of
-the five ints, `h` if every value of the chunk fits 16 bits and `i`
-otherwise, so 20 to 30 B a row against some 190 B for a kept LedgerEvent.
-A chunk with a value that fits no column, such as a packet size wider
-than 32 bits, stays rows. The uid checks read a bytearray indexed by uid
-whose bits are the sent and the transmitted control uids; a uid far
-beyond the row count, or a negative one, goes to a dict instead, until
-the map grows over it. With the map, a run whose ids and sizes are under
-2**15 holds about 22 B of traced memory a row (tests/test_simulation.py
-pins 26 B on a static CBR run).
+below and its subkind a message kind, the strings the trace prints.
+`record` refuses any other kind and compares kinds by identity, so a
+row's kind is one of these constants; a subkind is packed as its code in
+the one fixed SUBKIND_CODE table. The ledger keeps rows in a short tail
+list, and every CHUNK rows packs the tail into one chunk of columns: `d`
+for the time, a str of the kind letters, a str of subkind codes and, for
+each of the five ints, `h` if every value of the chunk fits 16 bits, `i`
+if every one fits 32 bits, and else a tuple of the values, as for a
+packet size wider than 32 bits; so 20 to 30 B a row against some 190 B
+for a kept LedgerEvent. Every chunk has this one form: `chunks()` packs
+a non-empty tail before it returns them, so each reader walks columns
+alone, and a ledger that has been read keeps no row as a tuple. The uid
+checks read a bytearray indexed by uid whose bits are the sent and the
+transmitted control uids; a uid far beyond the row count, or a negative
+one, goes to a dict instead, until the map grows over it. With the map,
+a run whose ids and sizes are under 2**15 holds about 22 B of traced
+memory a row (tests/test_simulation.py pins 26 B on a static CBR run).
 
 The outputs are written as bytes, one `%` per chunk of rows or of plot
 points, and `run_series` picks the sent, received and dropped rows of
@@ -45,8 +47,7 @@ from .packets import DATA, MESSAGE_KINDS
 
 THROUGHPUT_STEP = 0.1   # seconds between sliding-window throughput points
 CHUNK = 1024            # rows packed into columns at a time
-TRACE_LINE = "%s %.6f %d %s %d %d %d %d\n"    # kind letter, then the fields from t on
-TRACE_BYTES = b"%c %.6f %d %s %d %d %d %d\n"  # the same line from a packed chunk's columns
+TRACE_BYTES = b"%c %.6f %d %s %d %d %d %d\n"  # kind letter, then the fields from t on
 UID_SLACK = 1 << 16     # uids the uid map may cover beyond twice the row count
 SENT_UID, CONTROL_UID = 1, 2    # bits of a uid's byte in the uid map
 SLOTS_PER_SEND = 8      # run_series' sent-time array covers at most this many uids a send
@@ -80,19 +81,21 @@ class SeriesPoint(NamedTuple):
     value: float
 
 
-def _int_column(values: tuple[int, ...]) -> array:
-    """The narrowest of `h` and `i` that holds every value; struct.error if neither."""
-    try:
-        return array("h", pack(f"{len(values)}h", *values))
-    except struct_error:
-        return array("i", pack(f"{len(values)}i", *values))
+def _int_column(values: tuple[int, ...]) -> array | tuple[int, ...]:
+    """The narrowest of `h` and `i` that holds every value, else the values."""
+    for code in "hi":
+        try:
+            return array(code, pack(f"{len(values)}{code}", *values))
+        except struct_error:
+            pass
+    return values
 
 
 class MetricsLedger:
     """Single-writer event log with running counters."""
 
     def __init__(self):
-        self._chunks: list[tuple | list[LedgerEvent]] = []  # packed columns, or rows
+        self._chunks: list[tuple] = []      # each a chunk of columns; see chunks()
         self._tail: list[LedgerEvent] = []
         self._packed = 0                    # rows in _chunks
         self._last_t = -math.inf
@@ -174,30 +177,29 @@ class MetricsLedger:
         return old
 
     def _pack(self) -> None:
-        """Move the tail into one chunk of columns, or keep it as rows if a
-        value fits no column: a subkind that is not a message kind or an int
-        wider than 32 bits. `record` admits only the one-letter KINDS."""
+        """Move the tail into one chunk of columns."""
         rows, self._tail = self._tail, []
         t, kinds, node, subkinds, size, uid, src, dst = zip(*rows)
-        try:
-            chunk = (array("d", pack(f"{len(rows)}d", *t)), "".join(kinds), _int_column(node),
-                     "".join(map(SUBKIND_CODE.__getitem__, subkinds)), _int_column(size),
-                     _int_column(uid), _int_column(src), _int_column(dst))
-        except (KeyError, struct_error):
-            chunk = rows
-        self._chunks.append(chunk)
+        self._chunks.append((array("d", pack(f"{len(rows)}d", *t)), "".join(kinds),
+                             _int_column(node), "".join(map(SUBKIND_CODE.__getitem__, subkinds)),
+                             _int_column(size), _int_column(uid), _int_column(src),
+                             _int_column(dst)))
         self._packed += len(rows)
+
+    def chunks(self) -> list[tuple]:
+        """Every row, in chunks of columns in the order recorded, after packing
+        a non-empty tail. A chunk is (t, kinds, node, subkinds, size, uid,
+        src, dst): a `d` array, a str of kind letters, a str of SUBKIND_CODE
+        codes, and for each int an `h` or `i` array or a tuple."""
+        if self._tail:
+            self._pack()
+        return self._chunks
 
     def rows(self) -> Iterator[tuple]:
         """Every row in the order recorded, as a tuple of LedgerEvent's fields."""
-        for chunk in self._chunks:
-            if type(chunk) is list:
-                yield from chunk
-            else:
-                t, kinds, node, subkinds, size, uid, src, dst = chunk
-                yield from zip(t, kinds, node, map(MESSAGE_KINDS.__getitem__, subkinds.encode()),
-                               size, uid, src, dst)
-        yield from self._tail
+        for t, kinds, node, subkinds, size, uid, src, dst in self.chunks():
+            yield from zip(t, kinds, node, map(MESSAGE_KINDS.__getitem__, subkinds.encode()),
+                           size, uid, src, dst)
 
     @property
     def events(self) -> list[LedgerEvent]:
@@ -303,13 +305,8 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
     # receive times and delays, and the times of the DATA receives and drops
     r_times, delays, received, dropped = (array("d") for _ in range(4))
     payload = [0]       # payload bytes in the first i receives, at index i
-    for chunk in chain(ledger._chunks, [ledger._tail]):
-        if type(chunk) is list:
-            t, kinds, _, subkinds, sizes, uids, _, _ = list(zip(*chunk)) or [()] * 8
-            kinds, is_data = "".join(kinds).encode(), bytes(map(eq, subkinds, repeat(DATA)))
-        else:
-            t, kinds, _, subkinds, sizes, uids, _, _ = chunk
-            kinds, is_data = kinds.encode(), subkinds.encode().translate(IS_DATA)
+    for t, kinds, _, subkinds, sizes, uids, _, _ in ledger.chunks():
+        kinds, is_data = kinds.encode(), subkinds.encode().translate(IS_DATA)
         pick = kinds.translate(PICK[SENT])
         any(map(setitem, repeat(sent_at), compress(uids, pick), compress(t, pick)))
         pick = kinds.translate(PICK[RECEIVED])
@@ -379,26 +376,22 @@ def mean_value(series: Series) -> float:
 # persistence: line-oriented trace, xgraph-style plot data
 
 def write_trace(ledger: MetricsLedger, out: BinaryIO) -> None:
-    """One line per ledger row, each chunk formatted by one `%` and written
-    at once: a packed chunk as bytes from its columns, rows as text."""
-    for chunk in chain(ledger._chunks, [ledger._tail]):
-        if type(chunk) is list:
-            fields = chain.from_iterable((row[1], row[0], *row[2:]) for row in chunk)
-            out.write((TRACE_LINE * len(chunk) % tuple(fields)).encode())
-        else:
-            t, kinds, node, subkinds, size, uid, src, dst = chunk
-            out.write(TRACE_BYTES * len(t) % tuple(chain.from_iterable(zip(
-                kinds.encode(), t, node, map(SUBKIND_BYTES.__getitem__, subkinds.encode()),
-                size, uid, src, dst))))
+    """One line per ledger row, each chunk formatted from its columns by one
+    bytes `%` and written at once."""
+    for t, kinds, node, subkinds, size, uid, src, dst in ledger.chunks():
+        out.write(TRACE_BYTES * len(t) % tuple(chain.from_iterable(zip(
+            kinds.encode(), t, node, map(SUBKIND_BYTES.__getitem__, subkinds.encode()),
+            size, uid, src, dst))))
 
 
 def parse_trace(lines: Iterable[str]) -> MetricsLedger:
     """Rebuild a ledger from its persisted trace.
 
-    A line without eight fields, with an unknown kind letter, a field
-    that is not a number or a time that is not finite raises
-    LedgerConsistencyError naming the line, and a line the ledger refuses
-    its error (LedgerOrderError or LedgerConsistencyError) naming it."""
+    A line without eight fields, with an unknown kind letter, a subkind
+    that is not one of MESSAGE_KINDS, a field that is not a number or a
+    time that is not finite raises LedgerConsistencyError naming the
+    line, and a line the ledger refuses its error (LedgerOrderError or
+    LedgerConsistencyError) naming it."""
     ledger = MetricsLedger()
     kinds = dict(zip(KINDS, KINDS))     # a letter -> the kind constant itself
     for lineno, raw in enumerate(lines, 1):
@@ -411,6 +404,8 @@ def parse_trace(lines: Iterable[str]) -> MetricsLedger:
         kind, t, node, subkind, size, uid, src, dst = fields
         if kind not in kinds:
             raise LedgerConsistencyError(f"line {lineno}: unknown kind {kind!r}")
+        if subkind not in SUBKIND_CODE:
+            raise LedgerConsistencyError(f"line {lineno}: unknown subkind {subkind!r}")
         try:
             row = (float(t), kinds[kind], int(node), subkind, int(size), int(uid), int(src),
                    int(dst))

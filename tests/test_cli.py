@@ -175,6 +175,17 @@ def test_compare_without_seeds_is_usage_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", [["1", "1"], ["3", "1", "2", "1"]])
+def test_compare_with_a_repeated_seed_is_usage_error(seeds, tmp_path, capsys):
+    """A repeated seed was once run again, its directory written twice and its
+    rows printed and saved twice; now one error line and no output."""
+    out = tmp_path / "c"
+    rc = main(["compare", "--scenario", "scenario1", "--seeds", *seeds, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and not out.exists() and captured.out == ""
+    assert captured.err == f"error: compare runs each seed once, got {' '.join(seeds)}\n"
+
+
 def test_custom_scenario_file_via_cli(tmp_path):
     scn = tmp_path / "line.scn"
     scn.write_text("area 800 800\nrange 250\n"
@@ -188,16 +199,17 @@ def test_custom_scenario_file_via_cli(tmp_path):
     assert report["received"] == 25
 
 
-# scenario1 with 1e30-byte packets: a valid flow whose size no packed int
-# column holds. The digests were taken when the ledger kept every row as a
-# LedgerEvent; the throughput digest is of the plot below its title line.
+# scenario1 with 1e30-byte packets: a valid flow whose size no `h` or `i`
+# column holds, so its chunks keep the sizes in a tuple column. The digests
+# were taken when the ledger kept every row as a LedgerEvent; the
+# throughput digest is of the plot below its title line.
 HUGE_SIZE_TRACE_SHA256 = "df8ffb1d7e5426ba4868eabe5fe6c5b199c5ed028b258e3f79d8ba13b1032ca0"
 HUGE_SIZE_THROUGHPUT_SHA256 = "27832808510b6707555e038e82fe4dc7b24362aa6b936beb300217b5a240b049"
 
 
 @pytest.mark.parametrize("chunk", [16, metrics.CHUNK])
-def test_a_packet_size_wider_than_a_column_keeps_its_chunk_as_rows(chunk, tmp_path,
-                                                                  monkeypatch):
+def test_a_packet_size_wider_than_32_bits_sits_in_a_tuple_column(chunk, tmp_path,
+                                                                 monkeypatch):
     monkeypatch.setattr(metrics, "CHUNK", chunk)
     text = importlib.resources.files("manetsim.data").joinpath("scenario1.scn").read_text()
     scn = tmp_path / "huge.scn"

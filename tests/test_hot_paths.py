@@ -40,6 +40,7 @@ HOT = [AodvNode.on_receive, AodvNode.handle_rreq, AodvNode.handle_data, AodvNode
        Simulation.data_received, Simulation.dropped, Simulation.broadcast,
        World.unicast, metrics.MetricsLedger.record, metrics.MetricsLedger._mark,
        metrics.MetricsLedger._uid_bits, metrics.MetricsLedger._pack,
+       metrics.MetricsLedger.chunks,
        metrics.MetricsLedger.rows, metrics.run_series, metrics.throughput_series, metrics.delay_series,
        metrics.cumulative_series, metrics.write_trace]
 

@@ -341,6 +341,14 @@ def test_parse_trace_rejects_an_unknown_kind_letter(kind):
     parse_with_line_3(f"{kind} 5.5 0 DATA 512 2 0 5")
 
 
+@pytest.mark.parametrize("subkind", ["X-LOCAL", "data", "DSDV_UPDATE", "MessageKind.DATA"])
+def test_parse_trace_rejects_a_subkind_outside_the_message_kinds(subkind):
+    """Such a subkind has no packed code; it was once kept in a chunk of rows."""
+    parse_with_line_3(f"c 5.5 0 {subkind} 24 2 0 -1")
+    with pytest.raises(LedgerConsistencyError, match=f"unknown subkind '{subkind}'"):
+        parse_trace([f"c 5.5 0 {subkind} 24 2 0 -1"])
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1e400"])
 def test_parse_trace_rejects_a_time_that_is_not_finite(t):
     """A nan time once passed, and switched the order check off for every later row."""
@@ -376,11 +384,13 @@ ints = st.integers(-1, 2**40)
 def test_trace_row_equals_the_str_format_row(t, kind, node, subkind, size, uid, src, dst):
     e = LedgerEvent(t, kind, node, subkind, size, uid, src, dst)
     led = MetricsLedger()
-    led._tail.append(e)         # one row, packed if it fits; record() would check uids
-    led._pack()
+    if kind in (RECEIVED, DROPPED):     # first the row whose uid record() checks it against
+        led.record(ev(0.0, CONTROL_TX if kind == DROPPED and subkind != "DATA" else SENT,
+                      subkind=subkind, uid=uid))
+    led.record(e)
     buf = io.BytesIO()
     write_trace(led, buf)
-    assert buf.getvalue().decode() == OLD_TRACE_FMT.format(
+    assert buf.getvalue().decode().splitlines(keepends=True)[-1] == OLD_TRACE_FMT.format(
         kind=kind, t=t, node=node, subkind=subkind, size=size, uid=uid,
         src=src, dst=dst)
 
@@ -480,18 +490,15 @@ def row_at_a_time_outputs(rows, window, t_end):
         for points in (tput, delay))
 
 
-# node, size, uid, src and dst values: mostly small, some wider than a packed column
+# node, size, uid, src and dst values: mostly small, some wider than an `i` column
 mixed_ints = st.one_of(st.integers(-1, 50), st.integers(-1, 2**40), st.just(10**30))
-# control subkinds: the message kinds, and one outside them that keeps its chunk as rows
-mixed_subkinds = st.sampled_from(SUBKINDS[1:] + ("X-LOCAL",))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5), consistent_rows(mixed_ints, st.sampled_from([300, 10**7]),
-                                          mixed_subkinds),
+@given(st.integers(1, 5), consistent_rows(mixed_ints, st.sampled_from([300, 10**7])),
        st.sampled_from(WINDOWS), st.one_of(st.none(), st.floats(0.0, 12.0)))
-def test_any_chunk_size_streams_the_rows_and_outputs_of_a_row_list(chunk, rows, window,
-                                                                   t_end):
+def test_any_chunk_size_streams_the_rows_and_outputs_of_every_int_column(chunk, rows, window,
+                                                                         t_end):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "CHUNK", chunk)
         led = ledger_with(*rows)

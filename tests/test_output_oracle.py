@@ -5,17 +5,17 @@ or one point at a time.
 chunks: one `bytes` `%` per chunk of rows or of points, and columns picked with
 `itertools.compress`. Each must give exactly what a loop over the rows
 or the points gives, on the golden corpus and on ledgers built to hold
-every kind of chunk: packed columns, rows kept for a value no column
-holds, and the unpacked tail. `run_series` must also give, bit for bit,
-what the chunk-wise store it replaced gives, which kept every send time
-in one dict by uid.
+every form of int column: `h`, `i` and a tuple for a value wider than 32
+bits, and a tail packed when it is read. `run_series` must also give,
+bit for bit, what the chunk-wise store it replaced gives, which kept
+every send time in one dict by uid.
 """
 import io
 import locale
 import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice
 from operator import eq, sub
 
 import pytest
@@ -23,10 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from manetsim import metrics
 from manetsim.metrics import (CONTROL_TX, DATA_TX, DROPPED, RECEIVED, SENT, THROUGHPUT_STEP,
-                              TRACE_LINE, LedgerEvent, MetricsLedger, Series, emit_plot_datasets,
+                              LedgerEvent, MetricsLedger, Series, emit_plot_datasets,
                               parse_trace, run_series, write_trace)
 from manetsim.packets import DATA, MESSAGE_KINDS
 from test_golden import CASES, WINDOW
+
+
+TRACE_LINE = "%s %.6f %d %s %d %d %d %d\n"    # kind letter, then the fields from t on
 
 
 def trace_reference(ledger) -> bytes:
@@ -87,13 +90,8 @@ def dict_store_series(ledger, window=0.5, step=THROUGHPUT_STEP, t_end=None):
     sent_at = {}
     r_times, delays, received, dropped = (array("d") for _ in range(4))
     payload = [0]
-    for chunk in chain(ledger._chunks, [ledger._tail]):
-        if type(chunk) is list:
-            t, kinds, _, subkinds, sizes, uids, _, _ = list(zip(*chunk)) or [()] * 8
-            kinds, is_data = "".join(kinds).encode(), bytes(map(eq, subkinds, repeat(DATA)))
-        else:
-            t, kinds, _, subkinds, sizes, uids, _, _ = chunk
-            kinds, is_data = kinds.encode(), subkinds.encode().translate(metrics.IS_DATA)
+    for t, kinds, _, subkinds, sizes, uids, _, _ in ledger.chunks():
+        kinds, is_data = kinds.encode(), subkinds.encode().translate(metrics.IS_DATA)
         pick = kinds.translate(metrics.PICK[SENT])
         sent_at.update(zip(compress(uids, pick), compress(t, pick)))
         pick = kinds.translate(metrics.PICK[RECEIVED])
@@ -178,23 +176,31 @@ def test_a_plot_formats_a_chunk_of_points_at_a_time():
 
 
 def mixed_chunk_lines():
-    """A trace of three chunks and a tail: packed columns, rows for a
-    2**40-byte packet, rows for a subkind outside MESSAGE_KINDS."""
+    """A trace of three chunks and a tail: `h` columns, a tuple of sizes
+    for a 2**40-byte packet, an `i` column of uids, and a tail of four rows
+    with a tuple of sizes and one of uids."""
     chunk = metrics.CHUNK
     lines = [f"s {uid / 1e4:.6f} 0 DATA 512 {uid} 0 5" for uid in range(1, chunk + 1)]
     lines.append(f"s 0.200000 1 DATA {2**40} {chunk + 1} 1 4")
     lines += [f"r 0.200000 5 DATA 512 {uid} 0 5" for uid in range(1, chunk)]
-    lines.append("c 0.300000 2 X-LOCAL 24 -7 2 -1")
+    lines.append("c 0.300000 2 RREQ 24 70000 2 -1")
     lines += [f"f 0.300000 2 DATA 512 {chunk} 0 5"] * (chunk - 1)
-    lines += ["d 0.400000 2 X-LOCAL 24 -7 2 -1", f"r 0.400000 4 DATA {2**40} {chunk + 1} 1 4",
-              f"d 0.400000 3 DATA 512 {chunk} 0 5"]
+    lines += ["d 0.400000 2 RREQ 24 70000 2 -1", f"r 0.400000 4 DATA {2**40} {chunk + 1} 1 4",
+              f"c 0.400000 3 HELLO 24 {2**40} 3 -1", f"d 0.400000 3 DATA 512 {chunk} 0 5"]
     return lines
+
+
+def int_forms(chunk):
+    """The typecode of each of a chunk's five int columns, or tuple."""
+    return [getattr(column, "typecode", type(column)) for column in chunk[2:3] + chunk[4:]]
 
 
 def test_a_ledger_of_every_chunk_form_matches_the_references():
     ledger = parse_trace(mixed_chunk_lines())
-    assert [type(chunk) is list for chunk in ledger._chunks] == [False, True, True]
-    assert len(ledger._tail) == 3 and "X-LOCAL" not in MESSAGE_KINDS
+    assert len(ledger) == 3 * metrics.CHUNK + 4
+    assert list(map(int_forms, ledger.chunks())) == [
+        ["h", "h", "h", "h", "h"], ["h", tuple, "h", "h", "h"], ["h", "h", "i", "h", "h"],
+        ["h", tuple, tuple, "h", "h"]]
     assert_outputs_match_the_references(ledger, 0.05, None, "délai: ünï")
     assert written(write_trace, ledger) == "".join(f"{line}\n" for line in
                                                    mixed_chunk_lines()).encode()
@@ -204,7 +210,7 @@ def test_a_ledger_of_every_chunk_form_matches_the_references():
 # packed column holds
 uids = st.one_of(st.integers(-3, 40), st.integers(2**31, 2**40), st.just(10**30))
 sizes = st.one_of(st.integers(0, 1500), st.just(2**40))
-CONTROL_SUBKINDS = MESSAGE_KINDS[1:] + ("X-LOCAL",)
+CONTROL_SUBKINDS = MESSAGE_KINDS[1:]
 
 
 @st.composite
@@ -254,13 +260,41 @@ def test_run_series_equals_the_row_loop(chunk, rows, window, t_end):
     assert_outputs_match_the_references(ledger, window, t_end, "t")
 
 
+READS = {"chunks": MetricsLedger.chunks,
+         "write_trace": lambda ledger: write_trace(ledger, Discard()),
+         "run_series": run_series}
+
+
+def read_once_at_the_end(ledger, window):
+    return (len(ledger), list(ledger.rows()), written(write_trace, ledger),
+            [hexed(series) for series in run_series(ledger, window)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), ledger_rows(), st.sampled_from([0.0005, 0.5]), st.data())
+def test_reads_between_records_change_no_row_and_no_output(chunk, rows, window, data):
+    """Each read packs the tail into a chunk of its own, so a ledger read
+    between its records holds shorter chunks than one read once at the end."""
+    reads = data.draw(st.lists(st.one_of(st.none(), st.sampled_from(sorted(READS))),
+                               min_size=len(rows), max_size=len(rows)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "CHUNK", chunk)
+        read, once = MetricsLedger(), MetricsLedger()
+        for row, between in zip(rows, reads):
+            if between:
+                READS[between](read)
+            read.record(row)
+            once.record(row)
+    assert read_once_at_the_end(read, window) == read_once_at_the_end(once, window)
+
+
 @st.composite
 def sent_time_ledgers(draw):
     """Rows record() accepts, for the sent-time store: sends under dense
     uids, under uids near and far beyond the uid map's reach and under
     negative ones, receives that may repeat a uid, control transmissions
     under a sent uid, and sizes and node ids that pack as `h`, as `i` or,
-    over 32 bits, keep their chunk as rows."""
+    over 32 bits, as a tuple."""
     rows, sent, dense, us = [], [], 0, 0
     for _ in range(draw(st.integers(0, 80))):
         us += draw(st.sampled_from((0, 1, 250, 40_000)))
@@ -306,7 +340,8 @@ def test_the_sent_time_ledgers_cover_every_store_and_column():
     chunks alone send only dense uids, the largest also a control uid, so
     their send times fit an array; the whole ledger adds near, far and
     negative uids, which put them in a dict, a uid received twice, and
-    chunks of rows and of `i` columns after those of `h` columns."""
+    chunks whose widest int column is a tuple or `i` after those of `h`
+    columns, the last of them the tail, packed when it is read."""
     def row(t, kind, uid, size=512, node=0):
         return LedgerEvent(t, kind, node, "RREQ" if kind is CONTROL_TX else DATA, size, uid, 0, 5)
 
@@ -322,8 +357,8 @@ def test_the_sent_time_ledgers_cover_every_store_and_column():
             dense.record(r)
         for r in rows:
             ledger.record(r)
-    forms = [chunk if type(chunk) is list else chunk[5].typecode for chunk in ledger._chunks]
-    assert forms == ["h", "h", rows[6:9], "i"]
+    widest = [max(int_forms(chunk), key=["h", "i", tuple].index) for chunk in ledger.chunks()]
+    assert widest == ["h", "h", tuple, "i", "i"]
     assert ledger._uid_map[2] == 3 and ledger._far_uids.keys() == {2**20, -5}
     for led in (dense, ledger):
         expected = dict_store_series(led)
