@@ -34,5 +34,5 @@ class LedgerOrderError(SimError):
 
 
 class LedgerConsistencyError(SimError):
-    """A receive/drop event referenced a packet the ledger never saw sent."""
+    """A row the ledger refuses for its kind, its subkind or its uid."""
 

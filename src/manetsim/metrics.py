@@ -4,9 +4,11 @@ All reported numbers are pure functions of the ledger, so a persisted
 trace can be parsed back and must reproduce them bit-identically.
 
 A row is a tuple of LedgerEvent's fields. Its kind is one of the letters
-below and its subkind a message kind, the strings the trace prints.
-`record` refuses any other kind and compares kinds by identity, so a
-row's kind is one of these constants; a subkind is packed as its code in
+below and its subkind a message kind, the strings the trace prints: DATA
+for an `s`, `r` or `f` row, a control kind for a `c` row, either for a
+`d` row. `record`, the one check of a row, refuses any other row before
+it changes anything and compares kinds by identity, so a row's kind is
+one of these constants; a subkind is packed as its code in
 the one fixed SUBKIND_CODE table. The ledger keeps rows in a short tail
 list, and every CHUNK rows packs the tail into one chunk of columns: `d`
 for the time, a str of the kind letters, a str of subkind codes and, for
@@ -58,6 +60,7 @@ DROPPED = "d"       # lost, with the subkind saying what was lost
 CONTROL_TX = "c"    # one protocol-message transmission
 DATA_TX = "f"       # one per-hop data-frame transmission
 KINDS = (SENT, RECEIVED, DROPPED, CONTROL_TX, DATA_TX)
+CONTROL_KINDS = frozenset(MESSAGE_KINDS) - {DATA}   # the subkinds of a CONTROL_TX row
 SUBKIND_CODE = {k: chr(i) for i, k in enumerate(MESSAGE_KINDS)}  # subkind -> packed code
 SUBKIND_BYTES = [k.encode() for k in MESSAGE_KINDS]    # a packed code's ord -> subkind
 # translate tables: a kind letter -> 1 for one kind, a packed subkind code -> 1 for DATA
@@ -91,6 +94,11 @@ def _int_column(values: tuple[int, ...]) -> array | tuple[int, ...]:
     return values
 
 
+def _subkind_error(kind: str, subkind: str) -> LedgerConsistencyError:
+    return LedgerConsistencyError(f"unknown subkind {subkind!r}" if subkind not in SUBKIND_CODE
+                                  else f"kind {kind!r} does not take subkind {subkind!r}")
+
+
 class MetricsLedger:
     """Single-writer event log with running counters."""
 
@@ -111,9 +119,11 @@ class MetricsLedger:
         t, kind, _, subkind, _, uid, _, _ = ev
         if t < self._last_t:
             raise LedgerOrderError(f"event at {t} after {self._last_t}")
-        # the kinds in order of how often a run records them; _mark and
-        # _uid_bits are written out for a uid the map covers
+        # the kinds in order of how often a run records them, each checking its subkind
+        # before it changes anything; _mark and _uid_bits are written out for a uid the map covers
         if kind is CONTROL_TX:
+            if subkind not in CONTROL_KINDS:
+                raise _subkind_error(kind, subkind)
             uid_map = self._uid_map
             if 0 <= uid < len(uid_map):
                 uid_map[uid] |= CONTROL_UID
@@ -121,8 +131,12 @@ class MetricsLedger:
                 self._mark(uid, CONTROL_UID)
             self.control_tx[subkind] = self.control_tx.get(subkind, 0) + 1
         elif kind is DATA_TX:
+            if subkind != DATA:
+                raise _subkind_error(kind, subkind)
             self.data_tx += 1
         elif kind is SENT:
+            if subkind != DATA:
+                raise _subkind_error(kind, subkind)
             uid_map = self._uid_map
             if 0 <= uid < len(uid_map):
                 old = uid_map[uid]
@@ -133,6 +147,8 @@ class MetricsLedger:
                 raise LedgerConsistencyError(f"duplicate sent uid {uid}")
             self.sent += 1
         elif kind is RECEIVED:
+            if subkind != DATA:
+                raise _subkind_error(kind, subkind)
             uid_map = self._uid_map
             if not (uid_map[uid] if 0 <= uid < len(uid_map) else self._uid_bits(uid)) & SENT_UID:
                 raise LedgerConsistencyError(f"received unknown uid {uid}")
@@ -142,6 +158,8 @@ class MetricsLedger:
                 if not self._uid_bits(uid) & SENT_UID:
                     raise LedgerConsistencyError(f"dropped unknown uid {uid}")
                 self.dropped_data += 1
+            elif subkind not in CONTROL_KINDS:
+                raise _subkind_error(kind, subkind)
             elif not self._uid_bits(uid) & CONTROL_UID:
                 raise LedgerConsistencyError(f"dropped unknown control uid {uid}")
         else:
@@ -302,8 +320,8 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
         sent_at = array("d", [0.0]) * (max(uid_map.rfind(m, 0, cap) for m in marks) + 1)
     else:
         sent_at = {}
-    # receive times and delays, and the times of the DATA receives and drops
-    r_times, delays, received, dropped = (array("d") for _ in range(4))
+    # receive times and delays (every receive is of DATA) and the DATA drops' times
+    r_times, delays, dropped = (array("d") for _ in range(3))
     payload = [0]       # payload bytes in the first i receives, at index i
     for t, kinds, _, subkinds, sizes, uids, _, _ in ledger.chunks():
         kinds, is_data = kinds.encode(), subkinds.encode().translate(IS_DATA)
@@ -318,7 +336,6 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
         else:
             sent = map(sent_at.__getitem__, sent)
         delays.extend(map(sub, r_times[n:], sent))
-        received.extend(compress(r_times[n:], compress(is_data, pick)))
         # the chunk's running sums replace the last one, which they start from
         payload[-1:] = accumulate(compress(sizes, pick), initial=payload[-1])
         pick = kinds.translate(PICK[DROPPED])
@@ -337,7 +354,7 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
         k += 1
     delay = Series()
     delay.times, delay.values = r_times, delays     # handed over, not copied
-    return RunSeries(_running_count(received), _running_count(dropped), throughput, delay)
+    return RunSeries(_running_count(r_times), _running_count(dropped), throughput, delay)
 
 
 def throughput_series(ledger: MetricsLedger, window: float = 0.5,
@@ -387,11 +404,10 @@ def write_trace(ledger: MetricsLedger, out: BinaryIO) -> None:
 def parse_trace(lines: Iterable[str]) -> MetricsLedger:
     """Rebuild a ledger from its persisted trace.
 
-    A line without eight fields, with an unknown kind letter, a subkind
-    that is not one of MESSAGE_KINDS, a field that is not a number or a
-    time that is not finite raises LedgerConsistencyError naming the
-    line, and a line the ledger refuses its error (LedgerOrderError or
-    LedgerConsistencyError) naming it."""
+    A line without eight fields, a field that is not a number or a time
+    that is not finite raises LedgerConsistencyError naming the line. Any
+    other line goes to `record`, and its error for a row it refuses, such
+    as an unknown kind or a subkind the kind does not take, names it too."""
     ledger = MetricsLedger()
     kinds = dict(zip(KINDS, KINDS))     # a letter -> the kind constant itself
     for lineno, raw in enumerate(lines, 1):
@@ -402,19 +418,14 @@ def parse_trace(lines: Iterable[str]) -> MetricsLedger:
         if len(fields) != 8:
             raise LedgerConsistencyError(f"line {lineno}: {len(fields)} fields, not 8")
         kind, t, node, subkind, size, uid, src, dst = fields
-        if kind not in kinds:
-            raise LedgerConsistencyError(f"line {lineno}: unknown kind {kind!r}")
-        if subkind not in SUBKIND_CODE:
-            raise LedgerConsistencyError(f"line {lineno}: unknown subkind {subkind!r}")
         try:
-            row = (float(t), kinds[kind], int(node), subkind, int(size), int(uid), int(src),
-                   int(dst))
+            row = (float(t), kinds.get(kind, kind), int(node), subkind, int(size), int(uid),
+                   int(src), int(dst))
+            if not math.isfinite(row[0]):
+                raise LedgerConsistencyError(f"time {t} is not finite")
+            ledger.record(row)
         except ValueError:
             raise LedgerConsistencyError(f"line {lineno}: a field is not a number") from None
-        if not math.isfinite(row[0]):
-            raise LedgerConsistencyError(f"line {lineno}: time {t} is not finite")
-        try:
-            ledger.record(row)
         except (LedgerOrderError, LedgerConsistencyError) as e:
             raise type(e)(f"line {lineno}: {e}") from None
     return ledger

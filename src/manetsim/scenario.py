@@ -20,6 +20,10 @@ from .errors import ScenarioSemanticError, ScenarioSyntaxError, UnknownScenarioE
 from .world import Movement, Position, RadioModel, tracks
 
 BUILTIN_NAMES = ("scenario1", "scenario2")
+# a directive -> the number of its values, and the index and name of each that is an integer
+DIRECTIVES = {"area": (2, ()), "range": (1, ()), "node": (3, ((0, "node id"),)),
+              "move": (5, ((1, "node id"),)), "end": (1, ()),
+              "flow": (6, ((0, "node id"), (1, "node id"), (3, "packet size")))}
 
 
 @dataclass(frozen=True)
@@ -94,84 +98,68 @@ class ScenarioSpec:
         return len(self.nodes)
 
 
+def _values(directive: str, args: list[str], line: str, lineno: int) -> list[float | int]:
+    """A line's values: as many finite numbers as DIRECTIVES gives, ints where it names one."""
+    arity, integers = DIRECTIVES[directive]
+    if len(args) != arity:
+        raise ScenarioSyntaxError(f"'{directive}' expects {arity} values, got {len(args)}", lineno)
+    try:
+        values = list(map(float, args))
+    except ValueError:
+        raise ScenarioSyntaxError(f"non-numeric value in '{line}'", lineno)
+    if not all(map(math.isfinite, values)):
+        raise ScenarioSyntaxError(f"non-finite value in '{line}'", lineno)
+    for i, what in integers:
+        if values[i] != int(values[i]):
+            raise ScenarioSyntaxError(f"{what} must be an integer in '{line}'", lineno)
+        values[i] = int(values[i])
+    return values
+
+
 def parse(text: str, name: str = "custom") -> ScenarioSpec:
     """Parse a scenario file; the spec validates itself as it is built."""
-    area = None
-    radio_range = None
+    once: dict[str, list[float]] = {}      # the values of the area, range and end lines
     nodes: dict[int, Position] = {}
     movements: list[Movement] = []
     flows: list[TrafficFlow] = []
-    end_time = None
-    seen: set[str] = set()      # directives given so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        directive, args = fields[0], fields[1:]
-
-        def nums(n):
-            if len(args) != n:
-                raise ScenarioSyntaxError(
-                    f"'{directive}' expects {n} values, got {len(args)}", lineno)
-            try:
-                values = [float(a) for a in args]
-            except ValueError:
-                raise ScenarioSyntaxError(f"non-numeric value in '{line}'", lineno)
-            if not all(map(math.isfinite, values)):
-                raise ScenarioSyntaxError(f"non-finite value in '{line}'", lineno)
-            return values
-
-        def integer(value, what):
-            if value != int(value):
-                raise ScenarioSyntaxError(f"{what} must be an integer in '{line}'", lineno)
-            return int(value)
-
-        if directive in seen and directive in ("area", "range", "end"):
+        directive, *args = line.split()
+        if directive in once:
             raise ScenarioSyntaxError(f"repeated '{directive}' directive", lineno)
-        seen.add(directive)
-        if directive == "area":
-            w, h = nums(2)
-            area = (w, h)
-        elif directive == "range":
-            (radio_range,) = nums(1)
-            if radio_range <= 0:
-                raise ScenarioSemanticError("radio range must be positive")
-        elif directive == "node":
-            nid, x, y = nums(3)
-            nid = integer(nid, "node id")
+        if directive not in DIRECTIVES:
+            raise ScenarioSyntaxError(f"unknown directive '{directive}'", lineno)
+        values = _values(directive, args, line, lineno)
+        if directive == "node":
+            nid, x, y = values
             if nid in nodes:
                 raise ScenarioSemanticError(f"duplicate node id {nid}")
             nodes[nid] = Position(x, y)
         elif directive == "move":
-            t, nid, x, y, speed = nums(5)
-            movements.append(Movement(t, integer(nid, "node id"), Position(x, y), speed))
+            t, nid, x, y, speed = values
+            movements.append(Movement(t, nid, Position(x, y), speed))
         elif directive == "flow":
-            src, dst, rate, size, start, stop = nums(6)
-            flows.append(TrafficFlow(integer(src, "node id"), integer(dst, "node id"), rate,
-                                     integer(size, "packet size"), start, stop))
-        elif directive == "end":
-            (end_time,) = nums(1)
+            flows.append(TrafficFlow(*values))
         else:
-            raise ScenarioSyntaxError(f"unknown directive '{directive}'", lineno)
+            once[directive] = values
 
-    if not seen:
+    if not (once or nodes or movements or flows):
         raise ScenarioSyntaxError("empty scenario file", 1)
-    if area is None:
-        raise ScenarioSemanticError("missing 'area' directive")
-    if end_time is None:
-        raise ScenarioSemanticError("missing 'end' directive")
-
+    for directive in ("area", "end"):
+        if directive not in once:
+            raise ScenarioSemanticError(f"missing '{directive}' directive")
     if sorted(nodes) != list(range(len(nodes))):
         raise ScenarioSemanticError(f"node ids must be dense 0..{len(nodes) - 1}")
     return ScenarioSpec(
-        area=area,
-        radio=RadioModel() if radio_range is None else RadioModel(range=radio_range),
+        area=tuple(once["area"]),
+        radio=RadioModel(*once.get("range", ())),   # which refuses a range not above 0
         nodes=[nodes[i] for i in sorted(nodes)],
         movements=sorted(movements, key=lambda m: (m.start_time, m.node)),
         flows=flows,
-        end_time=end_time,
+        end_time=once["end"][0],
         name=name,
     )
 

@@ -57,7 +57,7 @@ class RadioModel:
 
     def __post_init__(self):
         if not (0 < self.range < math.inf and 0 < self.hop_latency < math.inf):
-            raise ValueError("radio range and hop latency must be positive and finite")
+            raise ScenarioSemanticError("radio range and hop latency must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ Message and ledger kinds are plain strings; only `UnicastOutcome` and
 below run once per frame or ledger row.
 """
 import dis
+import gc
 import random
 import sys
 import types
@@ -147,13 +148,20 @@ def test_a_data_frame_reaches_handle_data_without_on_receive(monkeypatch):
 
 
 def python_calls(fn, *args) -> list[str]:
-    """The names of the Python functions fn(*args) runs, fn first, in call order."""
+    """The names of the Python functions fn(*args) runs, fn first, in call order.
+
+    The cyclic collector is paused meanwhile, as Simulation.run pauses it,
+    so no finalizer of a collection the call happens to trigger is counted."""
     calls = []
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(lambda frame, event, _: event == "call" and calls.append(frame.f_code.co_name))
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 
@@ -171,18 +179,54 @@ def test_a_forwarded_data_hop_runs_four_python_functions():
     assert sim.ledger.data_tx == 2
 
 
-def test_a_packet_originated_on_an_active_route_runs_eight_python_functions():
-    """emit_data numbers and records the packet, originate_data hands it to
-    handle_data, and the hop runs as a forwarded one does."""
+ORIGINATED = ["emit_data", "record", "__init__", "originate_data", "handle_data",
+              "send_unicast", "unicast", "record"]
+
+
+def originating_source():
+    """A source on an active route to its neighbour, and its flow, with a
+    uid map that covers the next packet's uid."""
     sim = Simulation(build_spec([(0, 0), (100, 0)]), hello_interval=0)
     sim.nodes[0].routes[1] = RouteEntry(next_hop=1, hop_count=1, dst_seq=1, expires_at=5.0)
     flow = TrafficFlow(0, 1, rate=1.0, packet_size=512, start=0.0, stop=1.0)
     while len(sim.ledger._uid_map) <= sim._uid_counter + 1:    # else _mark runs too
         sim.emit_data(flow)
-    assert python_calls(sim.emit_data, flow) == [
-        "emit_data", "record", "__init__", "originate_data", "handle_data", "send_unicast",
-        "unicast", "record"]
+    return sim, flow
+
+
+def test_a_packet_originated_on_an_active_route_runs_eight_python_functions():
+    """emit_data numbers and records the packet, originate_data hands it to
+    handle_data, and the hop runs as a forwarded one does."""
+    sim, flow = originating_source()
+    assert python_calls(sim.emit_data, flow) == ORIGINATED
     assert sim.ledger.data_tx == sim.ledger.sent
+
+
+def test_python_calls_counts_no_finalizer_of_a_collection():
+    """With garbage pending and a collection due at almost every allocation,
+    a collection inside the profiled call would add the finalizer's frame
+    and the frame of the cycle it leaves; python_calls pauses the collector."""
+    class Cycle:
+        live = True
+
+        def __init__(self):
+            self.me = self
+
+        def __del__(self):
+            if Cycle.live:
+                Cycle()     # leaves the next garbage cycle
+
+    sim, flow = originating_source()
+    threshold = gc.get_threshold()
+    Cycle()
+    gc.set_threshold(1)
+    try:
+        calls = python_calls(sim.emit_data, flow)
+    finally:
+        Cycle.live = False
+        gc.set_threshold(*threshold)
+        gc.collect()
+    assert calls == ORIGINATED
 
 
 def test_a_covered_uid_is_sent_and_received_without_a_helper_call():

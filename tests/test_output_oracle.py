@@ -216,8 +216,8 @@ CONTROL_SUBKINDS = MESSAGE_KINDS[1:]
 @st.composite
 def ledger_rows(draw):
     """Rows record() accepts, at times that often repeat: sends under
-    distinct uids, receives under any message kind, DATA drops, and
-    control transmissions and their drops."""
+    distinct uids, DATA receives, forwards and drops, and control
+    transmissions and their drops."""
     rows, sent, control = [], [], []
     us = 0
     for _ in range(draw(st.integers(0, 60))):
@@ -240,10 +240,9 @@ def ledger_rows(draw):
                 sent.append(uid)
                 rows.append(LedgerEvent(t, SENT, 0, DATA, draw(sizes), uid, 0, 5))
         else:
-            kind, subkind = {"forward": (DATA_TX, DATA), "drop": (DROPPED, DATA),
-                             "receive": (RECEIVED, draw(st.sampled_from(MESSAGE_KINDS)))}[step]
-            rows.append(LedgerEvent(t, kind, 2, subkind, draw(sizes),
-                                    draw(st.sampled_from(sent)), 0, 5))
+            kind = {"forward": DATA_TX, "drop": DROPPED, "receive": RECEIVED}[step]
+            rows.append(LedgerEvent(t, kind, 2, DATA, draw(sizes), draw(st.sampled_from(sent)),
+                                    0, 5))
     return rows
 
 

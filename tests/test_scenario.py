@@ -137,6 +137,18 @@ def test_a_missing_or_zero_setting_is_semantic_error(text, match):
         parse(text)
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_a_range_not_above_zero_is_refused_by_the_radio_once_the_file_is_read(value):
+    """RadioModel holds the one radio rule, and parse builds it after the
+    last line, so a syntax error further down is reported first."""
+    text = VALID.replace("range 250", f"range {value}")
+    with pytest.raises(ScenarioSemanticError, match="radio range .* positive and finite"):
+        parse(text)
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        parse(text + "bogus 1\n")
+    assert exc.value.line == len(text.splitlines()) + 1
+
+
 def test_unknown_node_in_flow_is_semantic_error():
     text = VALID.replace("flow 0 1", "flow 0 7")
     with pytest.raises(ScenarioSemanticError):

@@ -29,8 +29,9 @@ def pkt(uid=1, src=0, dst=1):
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["range", "hop_latency"])
 def test_a_radio_range_or_hop_latency_must_be_positive_and_finite(field, value):
-    # an infinite hop_latency files every frame at t = inf, so none arrives
-    with pytest.raises(ValueError, match="positive and finite"):
+    # an infinite hop_latency files every frame at t = inf, so none arrives;
+    # a SimError, so the command line reports it in one line
+    with pytest.raises(ScenarioSemanticError, match="positive and finite"):
         RadioModel(**{field: value})
 
 
