@@ -5,18 +5,16 @@ import argparse
 import dataclasses
 import json
 import locale
-import math
 import sys
 from pathlib import Path
 
-from . import scenario as scenario_mod
-from .engine import TICK
+from . import metrics, scenario as scenario_mod
 from .errors import SimError
 from .metrics import RunSeries, Series, emit_plot_datasets, run_series, write_trace
 # unused here, but perfbench/tracer.py patches these names in this module
 # (ROADMAP item 3 moves the tracer off them)
 from .metrics import cumulative_series, delay_series, throughput_series  # noqa: F401
-from .simulation import PROTOCOLS, RunReport, Simulation, valid_hello_interval
+from .simulation import HELLO_RULE, PROTOCOLS, RunReport, Simulation, valid_hello_interval
 
 PLOTS = ("received_lost.xg", "throughput.xg", "delay.xg")
 # decimals of each float field of the printed report
@@ -64,9 +62,9 @@ def print_report(report: RunReport, file=None) -> None:
 
 
 def _load_spec(args) -> scenario_mod.ScenarioSpec:
-    """The scenario named by --scenario, with --range applied. Its name
-    titles the plots, so a name the locale cannot encode is refused here,
-    before the run writes any output."""
+    """The scenario named by --scenario, with --range applied; RadioModel
+    checks that range. Its name titles the plots, so a name the locale
+    cannot encode is refused here, before the run writes any output."""
     spec = scenario_mod.load(args.scenario)
     try:
         spec.name.encode(locale.getpreferredencoding(False))
@@ -146,18 +144,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive number, got '{text}'")
-    return value
-
-
-def hello_period(text: str) -> float:
-    value = float(text)
-    if not valid_hello_interval(value):
-        raise argparse.ArgumentTypeError(
-            f"must be 0 or a finite number >= {TICK:g}, got '{text}'")
+def checked(rule, message: str):
+    """An argparse type for a float the library's `rule` accepts, refused with its `message`."""
+    def value(text: str) -> float:
+        number = float(text)    # a non-number: argparse's "invalid float value"
+        if not rule(number):
+            raise argparse.ArgumentTypeError(f"{message}, got '{text}'")
+        return number
+    value.__name__ = "float"
     return value
 
 
@@ -171,12 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True,
                        help="builtin name (scenario1, scenario2) or path to a .scn file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--range", type=positive_float, default=None,
+        p.add_argument("--range", type=float, default=None,
                        help="override radio range in meters")
-        p.add_argument("--hello-interval", type=hello_period, default=1.0,
-                       help="AODV hello period in seconds; 0 disables hellos")
-        p.add_argument("--window", type=positive_float, default=0.5,
-                       help="throughput window in seconds")
+        p.add_argument("--hello-interval", type=checked(valid_hello_interval, HELLO_RULE),
+                       default=1.0, help="AODV hello period in seconds; 0 disables hellos")
+        p.add_argument("--window", type=checked(metrics.valid_window, metrics.WINDOW_RULE),
+                       default=0.5, help="throughput window in seconds")
 
     run_p = sub.add_parser("run", help="run one scenario under one protocol")
     common(run_p)

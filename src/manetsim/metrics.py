@@ -48,6 +48,7 @@ from .errors import LedgerConsistencyError, LedgerOrderError
 from .packets import DATA, MESSAGE_KINDS
 
 THROUGHPUT_STEP = 0.1   # seconds between sliding-window throughput points
+WINDOW_RULE = "window must be positive and finite"     # of the throughput window
 CHUNK = 1024            # rows packed into columns at a time
 TRACE_BYTES = b"%c %.6f %d %s %d %d %d %d\n"  # kind letter, then the fields from t on
 UID_SLACK = 1 << 16     # uids the uid map may cover beyond twice the row count
@@ -292,6 +293,11 @@ def _running_count(times: array) -> Series:
     return Series(compress(times, b"\1" + last), compress(count(1), last))
 
 
+def valid_window(window: float) -> bool:
+    """Whether a throughput window holds WINDOW_RULE."""
+    return 0 < window < math.inf
+
+
 def run_series(ledger: MetricsLedger, window: float = 0.5,
                step: float = THROUGHPUT_STEP, t_end: float | None = None) -> RunSeries:
     """Every series of a run, from the sent, received and dropped rows that
@@ -305,8 +311,8 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
     to t_end (the last row's time if None): the bits received up to t less
     those up to t - window, found by bisecting the receive times.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
+    if not valid_window(window):
+        raise ValueError(WINDOW_RULE)
     if t_end is None:
         t_end = ledger.last_t
     # send time by uid: in an array sized to the largest uid sent if every

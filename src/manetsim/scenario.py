@@ -56,7 +56,7 @@ class ScenarioSpec:
         w, h = self.area
         if w <= 0 or h <= 0:
             raise ScenarioSemanticError("area dimensions must be positive")
-        if self.end_time <= 0:
+        if not self.end_time > 0:       # NaN too
             raise ScenarioSemanticError("end time must be positive")
         if self.end_time * TICKS_PER_S >= TICK_LIMIT:   # moves and flows end by then
             raise ScenarioSemanticError(

@@ -38,10 +38,11 @@ from .world import UNICAST_SENT, World
 
 NODE_CLASSES = {"aodv": AodvNode, "dsdv": DsdvNode}
 PROTOCOLS = tuple(NODE_CLASSES)
+HELLO_RULE = f"hello_interval must be 0 or finite and at least {TICK} s"
 
 
 def valid_hello_interval(value: float) -> bool:
-    """0 turns hellos off; any other interval must be a valid_period."""
+    """HELLO_RULE: 0 turns hellos off; any other interval must be a valid_period."""
     return value == 0 or valid_period(value)
 
 
@@ -78,8 +79,7 @@ class Simulation:
         if protocol not in NODE_CLASSES:
             raise ValueError(f"unknown protocol '{protocol}'")
         if not valid_hello_interval(hello_interval):
-            raise ValueError(f"hello_interval must be 0 or finite and at least "
-                             f"{TICK} s, got {hello_interval}")
+            raise ValueError(f"{HELLO_RULE}, got {hello_interval}")
         self.spec = spec
         self.protocol = protocol
         self.seed = seed

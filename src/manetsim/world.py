@@ -87,14 +87,14 @@ def tracks(initial: list[Position], legs) -> dict[int, tuple[list[float], list[t
     ends, or at its initial position, and not before that leg's arrival.
 
     Raises ScenarioSemanticError for an unknown node, a speed that is not
-    positive, or a leg that overlaps the one before it.
+    positive and finite, or a leg that overlaps the one before it.
     """
     out: dict[int, tuple[list[float], list[tuple]]] = {}
     for leg in legs:
         node, start, speed = leg.node, leg.start_time, leg.speed
         if not 0 <= node < len(initial):
             raise ScenarioSemanticError(f"move references unknown node {node}")
-        if speed <= 0:
+        if not 0 < speed < math.inf:
             raise ScenarioSemanticError(f"move for node {node} has speed {speed}")
         starts, paths = out.setdefault(node, ([], []))
         if paths:

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from manetsim import metrics, scenario
-from manetsim.cli import PLOTS, build_parser, main
-from manetsim.errors import SimError
+from manetsim.cli import PLOTS, _load_spec, build_parser, main
+from manetsim.errors import ScenarioSemanticError, SimError
+from manetsim.metrics import valid_window
+from manetsim.simulation import valid_hello_interval
+from manetsim.world import RadioModel
 
 
 def read(path):
@@ -288,13 +291,58 @@ def test_hello_interval_below_one_clock_tick_is_a_usage_error(value, capsys):
     assert len(err.splitlines()) == 1 and "--hello-interval" in err
 
 
+OPTION_VALUES = ["0", "-0.0", "5e-7", "1e-6", "0.5", "nan", "inf"]
+
+
+@pytest.mark.parametrize("option, rule", [("--window", valid_window),
+                                          ("--hello-interval", valid_hello_interval)])
+@pytest.mark.parametrize("text", OPTION_VALUES)
+def test_an_option_takes_exactly_the_values_its_library_rule_takes(option, rule, text, capsys):
+    try:
+        args = build_parser().parse_args(["run", "--scenario", "scenario1", option, text])
+    except SystemExit as exc:
+        assert exc.code == 2 and len(capsys.readouterr().err.splitlines()) == 1
+        assert not rule(float(text))
+    else:
+        assert rule(float(text))
+        assert getattr(args, option[2:].replace("-", "_")) == float(text)
+
+
+@pytest.mark.parametrize("text", OPTION_VALUES)
+def test_a_range_the_command_line_takes_is_one_the_radio_takes(text):
+    """--range is any float; the spec it makes is checked by RadioModel alone."""
+    args = build_parser().parse_args(["run", "--scenario", "scenario1", "--range", text])
+    try:
+        RadioModel(range=float(text))
+    except ScenarioSemanticError:
+        with pytest.raises(ScenarioSemanticError, match="radio range"):
+            _load_spec(args)
+    else:
+        assert _load_spec(args).radio == RadioModel(range=float(text))
+
+
+def test_a_non_number_is_argparses_invalid_float_value(capsys):
+    for option in ("--range", "--window", "--hello-interval"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--scenario", "scenario1", option, "x"])
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {option}: invalid float value: 'x'\n")
+        assert len(err.splitlines()) == 1
+
+
 # move lines that world.tracks rejects, after node 0 at (1, 1) and node 1 at (50, 1)
 LEG_FAULTS = {"overlapping-legs": "move 1.0 1 500 1 50\nmove 2.0 1 100 1 50\n",
               "move-unknown-node": "move 1.0 7 500 1 50\n",
               "move-zero-speed": "move 1.0 1 500 1 0\n"}
 
 
-@pytest.mark.parametrize("case", ["window-zero", "negative-range", "file-range-zero",
+# the one line of every radio range RadioModel refuses, from a file or from --range
+RADIO_ERROR = ("error: ScenarioSemanticError: "
+               "radio range and hop latency must be positive and finite\n")
+
+
+@pytest.mark.parametrize("case", ["window-zero", "window-nan", "window-inf", "negative-range",
+                                  "range-nan", "file-range-zero",
                                   "file-range-negative", "hello-negative", "hello-nan",
                                   "flow-above-one-packet-per-tick", "out-is-a-file",
                                   "non-utf8-scenario", "end-2e9", "name-outside-locale",
@@ -302,10 +350,12 @@ LEG_FAULTS = {"overlapping-legs": "move 1.0 1 500 1 50\nmove 2.0 1 100 1 50\n",
 def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     args = ["run", "--scenario", "scenario1", "--out", str(out)]
-    if case == "window-zero":
-        args += ["--window", "0"]
+    if case.startswith("window-"):
+        args += ["--window", {"window-zero": "0", "window-nan": "nan", "window-inf": "inf"}[case]]
     elif case == "negative-range":
         args += ["--range", "-5"]
+    elif case == "range-nan":
+        args += ["--range", "nan"]
     elif case == "hello-negative":
         args += ["--hello-interval", "-1"]
     elif case == "hello-nan":
@@ -352,6 +402,8 @@ def test_bad_input_is_one_line_error_without_outputs(case, tmp_path, capsys, mon
         assert "ScenarioSemanticError" in err
     if case == "name-outside-locale":
         assert "SimError" in err
+    if "range" in case:
+        assert err == RADIO_ERROR and rc == 1
     if case != "out-is-a-file":
         assert not out.exists()
 

@@ -125,7 +125,7 @@ def test_throughput_empty_window_is_zero():
     assert [p.value for p in pts] == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("window", [0.0, -0.5])
+@pytest.mark.parametrize("window", [0.0, -0.5, math.nan, math.inf, -math.inf])
 def test_a_window_that_is_not_positive_is_rejected(window):
     with pytest.raises(ValueError, match="window must be positive"):
         run_series(ledger_with(ev(1.0, SENT)), window=window)

@@ -251,6 +251,8 @@ INVALID_FIELDS = {
     **{f"end-{end!r}": dict(end_time=end) for end in (1125899906.842624, 2e9, 1e308)},
     "area-zero": dict(area=(0.0, 800.0)),
     "end-zero": dict(end_time=0.0),
+    # with no leg or flow, whose own windows would refuse a NaN end
+    "end-nan": dict(end_time=math.nan, movements=[], flows=[]),
     "no-nodes": dict(nodes=[], movements=[], flows=[]),
     "node-outside-area": dict(area=(100.0, 100.0), nodes=[Position(500.0, 500.0)],
                               movements=[], flows=[]),
@@ -258,6 +260,8 @@ INVALID_FIELDS = {
     "move-unknown-node": dict(movements=[replace(LEG, node=9)]),
     "move-after-end": dict(movements=[replace(LEG, start_time=6.0)]),
     "overlapping-legs": dict(movements=[LEG, Movement(2.0, 1, Position(100.0, 400.0), 50.0)]),
+    **{f"move-speed-{speed!r}": dict(movements=[replace(LEG, speed=speed)])
+       for speed in (math.nan, math.inf)},
     "flow-rate-zero": dict(flows=[replace(FLOW, rate=0.0)]),
     "flow-size-zero": dict(flows=[replace(FLOW, packet_size=0)]),
     **{f"flow-rate-{rate!r}": dict(flows=[replace(FLOW, rate=rate)])
