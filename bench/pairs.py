@@ -15,17 +15,15 @@ parent's interquartile range. The parent's archive is removed afterwards.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from diverge import ROOT, unpack
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -64,16 +62,12 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
-        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            # the "data" filter where this Python has it, which 3.14 makes the default
-            tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        parent = unpack(args.parent, tmp)
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run(Path(tmp) if side == "parent" else ROOT,
+                runs[side].append(run(parent if side == "parent" else ROOT,
                                       args.workload, args.seed))
     print(json.dumps({"workload": args.workload, "seed": args.seed, "parent": args.parent,
                       "metrics": {name: summarize([r[name] for r in runs["parent"]],

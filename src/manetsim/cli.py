@@ -39,7 +39,7 @@ def write_outputs(result: Simulation, out_dir: Path, window: float,
         series = run_series(result.ledger, window, t_end=result.spec.end_time)
     report = result.summarize(series)
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     titles = ("packets received and lost", "throughput", "delay")
     for name, title, datasets in zip(PLOTS, titles, plot_datasets(series)):
@@ -49,7 +49,7 @@ def write_outputs(result: Simulation, out_dir: Path, window: float,
 
 
 def print_report(report: RunReport, file=None) -> None:
-    fields = report.to_dict()
+    fields = dataclasses.asdict(report)
     width = max(map(len, fields))
     for name, value in fields.items():
         if value is None:
@@ -129,7 +129,7 @@ def cmd_compare(args) -> int:
             emit_plot_datasets([d for ds in datasets for d in ds],
                                f"{title}: {reports['aodv'][0].scenario} aodv vs dsdv", fh)
 
-    summary = {p: [r.to_dict() for r in reports[p]] for p in PROTOCOLS}
+    summary = {p: [dataclasses.asdict(r) for r in reports[p]] for p in PROTOCOLS}
     with open(out_dir / "comparison.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -80,11 +80,6 @@ class LedgerEvent(NamedTuple):
     dst: int
 
 
-class SeriesPoint(NamedTuple):
-    t: float
-    value: float
-
-
 def _int_column(values: tuple[int, ...]) -> array | tuple[int, ...]:
     """The narrowest of `h` and `i` that holds every value, else the values."""
     for code in "hi":
@@ -273,9 +268,6 @@ class Series:
     def __len__(self) -> int:
         return len(self.times)
 
-    def points(self) -> list[SeriesPoint]:
-        return list(map(SeriesPoint._make, self))
-
 
 class RunSeries(NamedTuple):
     """Every series of a run's plots and report."""
@@ -365,20 +357,20 @@ def run_series(ledger: MetricsLedger, window: float = 0.5,
 
 def throughput_series(ledger: MetricsLedger, window: float = 0.5,
                       step: float = THROUGHPUT_STEP,
-                      t_end: float | None = None) -> list[SeriesPoint]:
+                      t_end: float | None = None) -> list[tuple[float, float]]:
     """Delivered payload bits per second over a sliding window; see run_series."""
-    return run_series(ledger, window, step, t_end).throughput.points()
+    return list(run_series(ledger, window, step, t_end).throughput)
 
 
-def delay_series(ledger: MetricsLedger) -> list[SeriesPoint]:
+def delay_series(ledger: MetricsLedger) -> list[tuple[float, float]]:
     """One point per delivered packet: (receive time, end-to-end delay)."""
-    return run_series(ledger).delay.points()
+    return list(run_series(ledger).delay)
 
 
-def cumulative_series(ledger: MetricsLedger, kind: str) -> list[SeriesPoint]:
+def cumulative_series(ledger: MetricsLedger, kind: str) -> list[tuple[float, float]]:
     """Running count of the delivered (RECEIVED) or dropped (DROPPED) data packets."""
     series = run_series(ledger)
-    return {RECEIVED: series.received, DROPPED: series.dropped}[kind].points()
+    return list({RECEIVED: series.received, DROPPED: series.dropped}[kind])
 
 
 def control_overhead(ledger: MetricsLedger) -> dict[str, int]:

@@ -54,8 +54,8 @@ class ScenarioSpec:
         for name in ("nodes", "movements", "flows"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         w, h = self.area
-        if w <= 0 or h <= 0:
-            raise ScenarioSemanticError("area dimensions must be positive")
+        if not (0 < w < math.inf and 0 < h < math.inf):    # NaN too
+            raise ScenarioSemanticError("area dimensions must be positive and finite")
         if not self.end_time > 0:       # NaN too
             raise ScenarioSemanticError("end time must be positive")
         if self.end_time * TICKS_PER_S >= TICK_LIMIT:   # moves and flows end by then
@@ -79,6 +79,9 @@ class ScenarioSpec:
 
         n = len(self.nodes)
         for f in self.flows:
+            # ints, as a file's flow line makes them: not 512.5, NaN or True
+            if not type(f.src) is type(f.dst) is type(f.packet_size) is int:
+                raise ScenarioSemanticError(f"flow node ids and packet size must be ints: {f}")
             if not (0 <= f.src < n and 0 <= f.dst < n):
                 raise ScenarioSemanticError(f"flow references unknown node {f.src}->{f.dst}")
             if f.src == f.dst:
@@ -92,10 +95,6 @@ class ScenarioSpec:
             if not (0 <= f.start < f.stop <= self.end_time):
                 raise ScenarioSemanticError(
                     f"flow window [{f.start}, {f.stop}] invalid for end {self.end_time}")
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
 
 
 def _values(directive: str, args: list[str], line: str, lineno: int) -> list[float | int]:

@@ -20,7 +20,7 @@ frames in flight are the queued entries that carry a DATA message.
 from __future__ import annotations
 
 import gc
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import scenario as scenario_mod
 from .aodv import AodvNode
@@ -66,9 +66,6 @@ class RunReport:
     route_changes: int
     control_tx: dict[str, int]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class Simulation:
     """One deterministic run of a scenario under one protocol."""
@@ -89,7 +86,7 @@ class Simulation:
         self.world = World(self.engine, spec.nodes, spec.radio, spec.movements, seed=seed)
         self.hello_interval = hello_interval
         node_class = NODE_CLASSES[protocol]
-        self.nodes = [node_class(i, self) for i in range(spec.node_count)]
+        self.nodes = [node_class(i, self) for i in range(len(spec.nodes))]
         # looked up as the run is built, so a wrapper patched onto the class is wired
         self.world.on_receive = {kind: [getattr(node, name) for node in self.nodes]
                                  for kind, name in node_class.HANDLERS.items()}
@@ -258,11 +255,6 @@ class Simulation:
         return self
 
     # -- results -------------------------------------------------------------
-
-    def route_paths(self, flow: TrafficFlow | None = None) -> list[list[int]]:
-        """Distinct complete routes a flow used, in order of appearance."""
-        key = (flow.src, flow.dst) if flow else next(iter(self.route_history), None)
-        return [path for _, path, _ in self.route_history.get(key, [])]
 
     def report(self, window: float = 0.5) -> RunReport:
         """Summary with throughput averaged over sliding windows of `window` s."""

@@ -86,14 +86,15 @@ def tracks(initial: list[Position], legs) -> dict[int, tuple[list[float], list[t
     length, arrival) per leg. A leg starts where the node's leg before it
     ends, or at its initial position, and not before that leg's arrival.
 
-    Raises ScenarioSemanticError for an unknown node, a speed that is not
-    positive and finite, or a leg that overlaps the one before it.
+    Raises ScenarioSemanticError for an unknown node, counting an id that
+    is not an int, such as 1.0 or True; a speed that is not positive and
+    finite; or a leg that overlaps the one before it.
     """
     out: dict[int, tuple[list[float], list[tuple]]] = {}
     for leg in legs:
         node, start, speed = leg.node, leg.start_time, leg.speed
-        if not 0 <= node < len(initial):
-            raise ScenarioSemanticError(f"move references unknown node {node}")
+        if type(node) is not int or not 0 <= node < len(initial):
+            raise ScenarioSemanticError(f"move references unknown node {node!r}")
         if not 0 < speed < math.inf:
             raise ScenarioSemanticError(f"move for node {node} has speed {speed}")
         starts, paths = out.setdefault(node, ([], []))

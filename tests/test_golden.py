@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -82,7 +83,7 @@ def test_outputs_match_golden_digests(case, tmp_path):
     result = CASES[case]().run()
     assert digests_of(result, tmp_path) == pinned[case]
     # the library's report is the one written: report() and write_outputs agree
-    library = json.dumps(result.report(WINDOW).to_dict(), indent=2, sort_keys=True) + "\n"
+    library = json.dumps(asdict(result.report(WINDOW)), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(library.encode()).hexdigest() == pinned[case]["report.json"]
 
 

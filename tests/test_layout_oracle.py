@@ -132,7 +132,7 @@ def test_oracle_matches_world_geometry():
         spec = builtin(name)
         oracle = OraclePositions(spec)
         sim = Simulation(spec, "aodv", seed=0)
-        n = spec.node_count
+        n = len(spec.nodes)
         for k in range(26):
             t = k * 0.2
             for a in range(n):

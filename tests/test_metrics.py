@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from manetsim import metrics
 from manetsim.errors import LedgerConsistencyError, LedgerOrderError
 from manetsim.metrics import (CONTROL_TX, DATA_TX, DROPPED, KINDS, RECEIVED, SENT,
-                              THROUGHPUT_STEP, LedgerEvent, MetricsLedger, Series, SeriesPoint,
+                              THROUGHPUT_STEP, LedgerEvent, MetricsLedger, Series,
                               control_overhead, delay_series, delivery_ratio, emit_plot_datasets,
                               mean_value, parse_trace, run_series, throughput_series,
                               transmission_efficiency, write_trace)
@@ -115,14 +115,14 @@ def test_throughput_four_packets_in_half_second_window():
         led.record(ev(t, SENT, uid=uid))
         led.record(ev(t + 0.05, RECEIVED, uid=uid, node=5))
     pts = throughput_series(led, window=0.5, step=0.5, t_end=0.5)
-    assert pts == [SeriesPoint(0.5, 4 * 512 * 8 / 0.5)]
-    assert pts[0].value == 32768.0
+    assert pts == [(0.5, 4 * 512 * 8 / 0.5)]
+    assert pts[0][1] == 32768.0 and type(pts[0]) is tuple    # a plain pair
 
 
 def test_throughput_empty_window_is_zero():
     led = ledger_with(ev(0.1, SENT))
     pts = throughput_series(led, window=0.5, step=0.5, t_end=1.0)
-    assert [p.value for p in pts] == [0.0, 0.0]
+    assert [value for _, value in pts] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("window", [0.0, -0.5, math.nan, math.inf, -math.inf])
@@ -141,7 +141,7 @@ def quadratic_throughput(ledger, window=0.5, step=0.1, t_end=None):
     while window + k * step <= t_end + 1e-9:
         t = window + k * step
         bits = sum(size * 8 for (rt, size) in receives if t - window < rt <= t)
-        points.append(SeriesPoint(t, bits / window))
+        points.append((t, bits / window))
         k += 1
     return points
 
@@ -190,13 +190,13 @@ def test_delay_three_hops_one_ms_each():
                       ev(1.003, RECEIVED, node=5))
     pts = delay_series(led)
     assert len(pts) == 1
-    assert pts[0].value == pytest.approx(0.003)
+    assert pts[0][1] == pytest.approx(0.003)
 
 
 def test_delay_includes_discovery_buffering():
     led = ledger_with(ev(1.0, SENT),
                       ev(1.052, RECEIVED, node=5))
-    assert delay_series(led)[0].value == pytest.approx(0.052)
+    assert delay_series(led)[0][1] == pytest.approx(0.052)
 
 
 def test_delay_points_ordered_by_receive_time():
@@ -206,7 +206,7 @@ def test_delay_points_ordered_by_receive_time():
         ev(1.25, RECEIVED, uid=2, node=5),
     )
     pts = delay_series(led)
-    assert [p.t for p in pts] == [1.2, 1.25]
+    assert [t for t, _ in pts] == [1.2, 1.25]
 
 
 def test_delay_points_at_one_receive_time_ordered_by_delay():
@@ -215,15 +215,14 @@ def test_delay_points_at_one_receive_time_ordered_by_delay():
         ev(1.2, RECEIVED, uid=1, node=5),
         ev(1.2, RECEIVED, uid=2, node=6),
     )
-    assert [(p.t, p.value) for p in delay_series(led)] == [(1.2, 1.2 - 1.1),
-                                                           (1.2, 1.2 - 1.0)]
+    assert delay_series(led) == [(1.2, 1.2 - 1.1), (1.2, 1.2 - 1.0)]
 
 
 # -- cumulative counts -------------------------------------------------------------
 
 @pytest.mark.parametrize("kind, expected", [
-    (RECEIVED, [SeriesPoint(1.2, 1), SeriesPoint(1.5, 3)]),
-    (DROPPED, [SeriesPoint(1.3, 1)]),
+    (RECEIVED, [(1.2, 1), (1.5, 3)]),
+    (DROPPED, [(1.3, 1)]),
 ])
 def test_cumulative_series_counts_data_packets_once_per_time(kind, expected):
     led = ledger_with(ev(1.0, SENT, uid=1), ev(1.0, SENT, uid=2), ev(1.1, SENT, uid=3),
@@ -269,7 +268,7 @@ def test_emit_plot_empty_series_header_only():
 
 def test_emit_plot_two_points_in_order():
     buf = io.BytesIO()
-    emit_plot_datasets([[SeriesPoint(1.0, 0.8), SeriesPoint(2.0, 0.6)]], "ratio", buf)
+    emit_plot_datasets([[(1.0, 0.8), (2.0, 0.6)]], "ratio", buf)
     assert buf.getvalue().decode() == ("TitleText: ratio\n"
                               "1.000000 0.800000\n"
                               "2.000000 0.600000\n")
@@ -277,8 +276,7 @@ def test_emit_plot_two_points_in_order():
 
 def test_emit_plot_datasets_blank_line_separated():
     buf = io.BytesIO()
-    emit_plot_datasets([[SeriesPoint(1.0, 1.0)], [SeriesPoint(1.0, 2.0)]],
-                       "combined", buf)
+    emit_plot_datasets([[(1.0, 1.0)], [(1.0, 2.0)]], "combined", buf)
     assert buf.getvalue().decode() == ("TitleText: combined\n"
                               "1.000000 1.000000\n"
                               "\n"
@@ -472,24 +470,23 @@ def row_at_a_time_outputs(rows, window, t_end):
         for e in rows:
             if e.kind == kind and e.subkind == "DATA":
                 count += 1
-                if points and points[-1].t == e.t:
-                    points[-1] = SeriesPoint(e.t, count)
+                if points and points[-1][0] == e.t:
+                    points[-1] = (e.t, count)
                 else:
-                    points.append(SeriesPoint(e.t, count))
+                    points.append((e.t, count))
         return points
 
     sent_at = {e.uid: e.t for e in rows if e.kind == SENT}
-    delay = [SeriesPoint(*p) for p in sorted((e.t, e.t - sent_at[e.uid]) for e in rows
-                                             if e.kind == RECEIVED)]
+    delay = sorted((e.t, e.t - sent_at[e.uid]) for e in rows if e.kind == RECEIVED)
     tput = quadratic_throughput(SimpleNamespace(events=rows), window, THROUGHPUT_STEP, t_end)
 
     def plot(datasets):
         return "TitleText: t\n" + "\n".join(
-            "".join(f"{p.t:.6f} {p.value:.6f}\n" for p in points) for points in datasets)
+            "".join(f"{t:.6f} {value:.6f}\n" for t, value in points) for points in datasets)
 
     return trace, [plot([cumulative(RECEIVED), cumulative(DROPPED)]),
                    plot([tput]), plot([delay])], tuple(
-        sum(p.value for p in points) / len(points) if points else 0.0
+        sum(value for _, value in points) / len(points) if points else 0.0
         for points in (tput, delay))
 
 
@@ -609,7 +606,7 @@ def test_a_far_or_negative_uid_is_checked_without_a_map_entry():
         tracemalloc.stop()
     assert peak < 2**20
     assert (led.sent, led.received, led.control_tx) == (1, 1, {"RREQ": 1})
-    assert delay_series(led) == [SeriesPoint(1.5, 0.5)]
+    assert delay_series(led) == [(1.5, 0.5)]
     with pytest.raises(LedgerConsistencyError):
         led.record(ev(2.0, SENT, uid=far))
     with pytest.raises(LedgerConsistencyError):
@@ -673,7 +670,7 @@ def test_a_far_uid_is_kept_when_the_map_grows_over_it():
     assert (led.sent, led.received, led.control_tx) == (65_537, 1, {"RREQ": 1})
     with pytest.raises(LedgerConsistencyError, match="duplicate sent uid 70000"):
         led.record(ev(3.0, SENT, uid=70_000))
-    assert delay_series(led) == [SeriesPoint(2.0, 1.0)]
+    assert delay_series(led) == [(2.0, 1.0)]
 
 
 def test_a_parsed_trace_keeps_a_far_uid_when_the_map_grows_over_it():
@@ -683,15 +680,14 @@ def test_a_parsed_trace_keeps_a_far_uid_when_the_map_grows_over_it():
                                            "d 2.000000 0 RREQ 24 70001 0 5"]
     led = parse_trace(lines)
     assert (led.sent, led.received, led.control_tx) == (65_537, 1, {"RREQ": 1})
-    assert delay_series(led) == [SeriesPoint(2.0, 1.0)]
+    assert delay_series(led) == [(2.0, 1.0)]
     with pytest.raises(LedgerConsistencyError,
                        match=f"line {len(lines) + 1}: duplicate sent uid 70000"):
         parse_trace(lines + ["s 3.000000 0 DATA 512 70000 0 5"])
 
 
-@pytest.mark.parametrize("value", [ev(1.0, SENT), SeriesPoint(1.0, 2.0)],
-                         ids=["LedgerEvent", "SeriesPoint"])
-def test_rows_and_points_are_immutable(value):
+def test_rows_are_immutable():
+    value = ev(1.0, SENT)
     for name in type(value).__annotations__:
         with pytest.raises(AttributeError):
             setattr(value, name, 0)

@@ -1,10 +1,12 @@
 """bench/pairs.py's reducer, on synthetic numbers: no benchmark run."""
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 PATH = Path(__file__).resolve().parent.parent / "bench" / "pairs.py"
+sys.path.insert(0, str(PATH.parent))    # pairs.py imports its sibling diverge.py
 spec = importlib.util.spec_from_file_location("pairs", PATH)
 pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(pairs)

@@ -15,7 +15,7 @@ def library_use_block() -> str:
 
 def test_library_use_example_prints_the_routes_in_its_comment():
     block = library_use_block()
-    line = next(ln for ln in block.splitlines() if "route_paths()" in ln)
+    line = next(ln for ln in block.splitlines() if "route_history" in ln)
     claimed = ast.literal_eval(line.split("#", 1)[1].strip())
     assert claimed == [[0, 7, 3, 5], [0, 7, 5], [0, 1, 4, 5], [0, 9, 4, 5]]
     printed = []

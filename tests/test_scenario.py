@@ -30,7 +30,7 @@ end 5.0
 
 def test_parse_valid_file():
     spec = parse(VALID)
-    assert spec.node_count == 2
+    assert len(spec.nodes) == 2
     assert spec.radio.range == 250.0
     assert spec.movements == (Movement(1.0, 1, Position(500.0, 400.0), 50.0),)
     assert spec.flows == (TrafficFlow(0, 1, 10.0, 512, 1.0, 4.0),)
@@ -250,6 +250,7 @@ LEG, FLOW = VALID_FIELDS["movements"][0], VALID_FIELDS["flows"][0]
 INVALID_FIELDS = {
     **{f"end-{end!r}": dict(end_time=end) for end in (1125899906.842624, 2e9, 1e308)},
     "area-zero": dict(area=(0.0, 800.0)),
+    "area-inf": dict(area=(math.inf, 800.0)),
     "end-zero": dict(end_time=0.0),
     # with no leg or flow, whose own windows would refuse a NaN end
     "end-nan": dict(end_time=math.nan, movements=[], flows=[]),
@@ -258,12 +259,18 @@ INVALID_FIELDS = {
                               movements=[], flows=[]),
     "move-outside-area": dict(movements=[replace(LEG, dest=Position(900.0, 400.0))]),
     "move-unknown-node": dict(movements=[replace(LEG, node=9)]),
+    "move-node-float": dict(movements=[replace(LEG, node=1.0)]),
     "move-after-end": dict(movements=[replace(LEG, start_time=6.0)]),
     "overlapping-legs": dict(movements=[LEG, Movement(2.0, 1, Position(100.0, 400.0), 50.0)]),
     **{f"move-speed-{speed!r}": dict(movements=[replace(LEG, speed=speed)])
        for speed in (math.nan, math.inf)},
     "flow-rate-zero": dict(flows=[replace(FLOW, rate=0.0)]),
     "flow-size-zero": dict(flows=[replace(FLOW, packet_size=0)]),
+    **{f"flow-size-{size!r}": dict(flows=[replace(FLOW, packet_size=size)])
+       for size in (math.nan, math.inf, 512.5, True)},
+    "flow-src-float": dict(flows=[replace(FLOW, src=0.0)]),
+    "flow-dst-float": dict(flows=[replace(FLOW, dst=1.0)]),
+    "flow-src-bool": dict(flows=[replace(FLOW, src=False)]),
     **{f"flow-rate-{rate!r}": dict(flows=[replace(FLOW, rate=rate)])
        for rate in (2e6, 1e7, 1000000.5, 1e-320)},
     "flow-to-unknown-node": dict(flows=[replace(FLOW, dst=7)]),
@@ -383,7 +390,7 @@ def test_every_parsed_spec_builds_a_simulation(spec, protocol):
 
 def test_scenario1_shape():
     spec = builtin("scenario1")
-    assert spec.node_count == 6
+    assert len(spec.nodes) == 6
     assert sorted({m.node for m in spec.movements}) == [5]
     assert spec.end_time == 5.0
     assert spec.flows == (TrafficFlow(0, 5, 10.0, 512, 1.0, 5.0),)
@@ -391,7 +398,7 @@ def test_scenario1_shape():
 
 def test_scenario2_shape():
     spec = builtin("scenario2")
-    assert spec.node_count == 10
+    assert len(spec.nodes) == 10
     assert sorted({m.node for m in spec.movements}) == [0, 4, 5, 7]
     assert [m.start_time for m in spec.movements] == [1.5, 2.0, 2.5, 3.0]
     assert spec.end_time == 5.0

@@ -662,9 +662,9 @@ def test_walk_route_none_while_no_route():
     assert sim.walk_route(0, 1) is None
 
 
-def test_route_paths_of_a_run_without_flows_is_empty():
+def test_route_history_of_a_run_without_flows_is_empty():
     spec = parse("area 100 100\nnode 0 0 0\nnode 1 50 0\nend 1\n")
-    assert Simulation(spec).run().route_paths() == []
+    assert Simulation(spec).run().route_history == {}
 
 
 # -- ledger rows ----------------------------------------------------------------------------

@@ -74,6 +74,14 @@ def test_overlapping_legs_rejected():
     assert tracks(origin, [first, Movement(3.0, 0, Position(0, 0), 50)])[0][0] == [1.0, 3.0]
 
 
+@pytest.mark.parametrize("node", [1.0, True])
+def test_a_leg_whose_node_id_is_not_an_int_is_refused(node):
+    """A World built without a ScenarioSpec: 1.0 raised a bare TypeError,
+    and True moved node 1."""
+    with pytest.raises(ScenarioSemanticError, match="unknown node"):
+        make_world([(0, 0), (10, 0)], legs=[Movement(0.0, node, Position(5, 0), 1.0)])
+
+
 def test_overlap_message_gives_the_arrival_at_full_precision():
     leg = Movement(0.01, 0, Position(0.800039912193175, 0), 100.0)
     arrival = 0.01 + 0.800039912193175 / 100.0
