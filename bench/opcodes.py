@@ -13,7 +13,9 @@ working tree is always counted; with --parent, so is a `git archive` of
 REF, unpacked in a temporary directory outside the checkout. The last
 line printed is one JSON object: per tree, per workload, the opcodes and
 frames. Bytecode differs between Python versions, so compare counts taken
-under one version only.
+under one version only. `--write PATH` also appends that object, with the
+Python version, to the "opcodes" list of the JSON file at PATH, as
+bench/pairs.py does.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 from diverge import BENCH, ROOT, unpack
+from pairs import write
 
 # the child: put the tree's src/ and this directory first on the path, then count one run
 CHILD = ("import sys; sys.path[:0] = sys.argv[1:3]; import opcodes; "
@@ -74,6 +77,7 @@ def count(tree: Path, scenario: str, protocol: str, out_dir: str) -> dict[str, i
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", default=None, help="git ref also counted")
+    p.add_argument("--write", metavar="PATH", help="also add the result to this JSON file")
     args = p.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.workloads import WORKLOADS, generate
@@ -88,6 +92,8 @@ def main(argv=None) -> int:
             for side, tree in trees.items():
                 result.setdefault(side, {})[name] = count(tree, str(scenario), w.protocol,
                                                           f"{tmp}/{side}-{name}")
+    if args.write:
+        write(args.write, "opcodes", {"parent": args.parent, **result})
     print(json.dumps(result))
     return 0
 

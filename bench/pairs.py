@@ -11,12 +11,18 @@ The last line printed is one JSON object: per end-to-end metric, each side's
 median and quartiles, the pairs the change won, and whether the gain is
 shown: at least 9 of every 10 pairs won, and a median gap larger than the
 parent's interquartile range. The parent's archive is removed afterwards.
+
+`--write BENCH_<pr>.json` also appends that object, with the Python
+version, to the file's "pairs" list; the file is made if it is missing,
+and every other key in it is kept. bench/opcodes.py and bench/grid.py
+write their results to the same file the same way.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import platform
 import statistics
 import subprocess
 import sys
@@ -42,6 +48,15 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
             "rule_holds": won >= math.ceil(0.9 * len(parent)) and gap > base["q3"] - base["q1"]}
 
 
+def write(path: str, key: str, result: dict) -> None:
+    """Append result, with the Python version, to the list under key in the
+    JSON file at path."""
+    file = Path(path)
+    data = json.loads(file.read_text()) if file.exists() else {}
+    data.setdefault(key, []).append({**result, "python": platform.python_version()})
+    file.write_text(json.dumps(data, indent=2) + "\n")
+
+
 def run(root: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
@@ -58,6 +73,7 @@ def main(argv=None) -> int:
     p.add_argument("--parent", default="HEAD", help="git ref the working tree is timed against")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1, help="workload seed")
+    p.add_argument("--write", metavar="PATH", help="also add the result to this JSON file")
     args = p.parse_args(argv)
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -69,10 +85,13 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run(parent if side == "parent" else ROOT,
                                       args.workload, args.seed))
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "parent": args.parent,
-                      "metrics": {name: summarize([r[name] for r in runs["parent"]],
-                                                  [r[name] for r in runs["change"]], way)
-                                  for name, way in better.items()}}))
+    result = {"workload": args.workload, "seed": args.seed, "parent": args.parent,
+              "metrics": {name: summarize([r[name] for r in runs["parent"]],
+                                          [r[name] for r in runs["change"]], way)
+                          for name, way in better.items()}}
+    if args.write:
+        write(args.write, "pairs", result)
+    print(json.dumps(result))
     return 0
 
 

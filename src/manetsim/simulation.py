@@ -124,8 +124,9 @@ class Simulation:
             self.engine.post_all(((next_at, (self._tick, (action, interval))),))
 
     def route_changed(self, dst: int) -> None:
-        """Tell the route observer a node installed or invalidated dst."""
-        self.changed_dsts.add(dst)
+        """Tell the route observer a node installed or invalidated dst, if a flow goes there."""
+        if dst in self._flows_to:
+            self.changed_dsts.add(dst)
 
     def has_active_flow(self, src: int, dst: int) -> bool:
         now = self.engine.now

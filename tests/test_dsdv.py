@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,17 +34,16 @@ def advert(dst, seq, hops):
     return dst, rank(seq, None if hops is None else hops + 1)
 
 
-def decode(route):
-    """(dst_seq, hop_count) of a stored (next_hop, rank) route, read off its
-    rank; the hop count is None for a break."""
-    seq, rest = divmod(route[1], RANK_SPAN)
+def decode(r):
+    """(dst_seq, hop_count) of a stored rank; the hop count is None for a
+    break."""
+    seq, rest = divmod(r, RANK_SPAN)
     return seq, RANK_SPAN - 1 - rest if rest else None
 
 
-def broken(route):
-    """A stored (next_hop, rank) route is broken when its rank is a
-    multiple of RANK_SPAN."""
-    return not route[1] % RANK_SPAN
+def broken(r):
+    """A stored route is broken when its rank is a multiple of RANK_SPAN."""
+    return not r % RANK_SPAN
 
 
 # -- periodic dumps -----------------------------------------------------------
@@ -67,7 +67,7 @@ def test_dump_keeps_own_sequence_even_and_growing():
     seqs = []
     for _ in range(3):
         node.periodic_dump()
-        seqs.append(decode(node.table[0]))
+        seqs.append(decode(node.ranks[0]))
     assert seqs == [(2, 0), (4, 0), (6, 0)]
 
 
@@ -84,19 +84,21 @@ def test_link_break_floods_odd_sequence_network_wide():
     sim = build_sim(CHAIN, protocol="dsdv", end=6.0)
     sim.engine.run_until(1.5)   # between dump rounds
     before = update_count(sim)
-    table = sim.nodes[2].table
-    through_3 = {dst: decode(r)[0] for dst, r in table.items() if r[0] == 3 and dst != 2}
+    table, ranks = sim.nodes[2].table, sim.nodes[2].ranks
+    through_3 = {dst: decode(ranks[dst])[0] for dst, hop in table.items()
+                 if hop == 3 and dst != 2}
     sim.nodes[2].mark_broken(3)
-    assert through_3 and {dst: decode(table[dst]) for dst in through_3} == {
+    assert through_3 and {dst: decode(ranks[dst]) for dst in through_3} == {
         dst: (seq + 1, None) for dst, seq in through_3.items()}
-    assert all(seq % 2 == 0 and broken(table[dst]) for dst, seq in through_3.items())
+    assert all(seq % 2 == 0 and broken(ranks[dst]) for dst, seq in through_3.items())
+    assert all(table[dst] == 3 for dst in through_3)    # a break keeps its next hop
     sim.engine.run_until(1.7)   # let the flood settle
     assert update_count(sim) > before
     # nodes 0 and 1 heard about it even though only 2 noticed the break
-    assert broken(sim.nodes[0].table[3])
-    assert broken(sim.nodes[1].table[3])
+    assert broken(sim.nodes[0].ranks[3])
+    assert broken(sim.nodes[1].ranks[3])
     sim.engine.run_until(2.2)   # node 3's next dump heals everyone
-    assert not broken(sim.nodes[0].table[3])
+    assert not broken(sim.nodes[0].ranks[3])
 
 
 def test_break_flood_spans_connected_component():
@@ -124,7 +126,7 @@ def test_new_neighbor_triggers_network_wide_broadcast():
     sim.engine.run_until(2.4)
     assert 3 not in sim.nodes[0].table
     sim.engine.run_until(5.0)   # next dumps cross the new link
-    assert 3 in sim.nodes[0].table and not broken(sim.nodes[0].table[3])
+    assert 3 in sim.nodes[0].table and not broken(sim.nodes[0].ranks[3])
 
 
 def test_no_change_no_triggered_update():
@@ -132,7 +134,7 @@ def test_no_change_no_triggered_update():
     sim.engine.run_until(1.5)   # fully converged
     node = sim.nodes[1]
     before = update_count(sim)
-    stale = UpdatePacket(src=0, entries=[advert(0, decode(node.table[0])[0], 0)],
+    stale = UpdatePacket(src=0, entries=[advert(0, decode(node.ranks[0])[0], 0)],
                          uid=sim.next_uid())
     assert node.handle_update(0, stale) == 0
     assert update_count(sim) == before
@@ -146,7 +148,7 @@ def test_newer_seq_adopted_and_readvertised():
     pkt = UpdatePacket(src=0, entries=[advert(0, 4, 0)],
                        uid=sim.next_uid())
     assert node.handle_update(0, pkt) == 1
-    assert node.table[0][0] == 0 and decode(node.table[0]) == (4, 1)
+    assert node.table[0] == 0 and decode(node.ranks[0]) == (4, 1)
     assert update_count(sim) == 1   # re-broadcast of the adopted change
 
 
@@ -164,7 +166,7 @@ def test_equal_seq_worse_metric_ignored():
     node.handle_update(0, UpdatePacket(0, [advert(0, 4, 0)], sim.next_uid()))
     assert node.handle_update(2, UpdatePacket(0, [advert(0, 4, 3)],
                                               sim.next_uid())) == 0
-    assert node.table[0][0] == 0
+    assert node.table[0] == 0
 
 
 def test_equal_seq_better_metric_adopted():
@@ -173,7 +175,23 @@ def test_equal_seq_better_metric_adopted():
     node.handle_update(2, UpdatePacket(0, [advert(0, 4, 3)], sim.next_uid()))
     assert node.handle_update(0, UpdatePacket(0, [advert(0, 4, 0)],
                                               sim.next_uid())) == 1
-    assert decode(node.table[0]) == (4, 1)
+    assert decode(node.ranks[0]) == (4, 1)
+
+
+def test_a_break_is_flooded_in_the_order_the_destinations_were_learned():
+    """mark_broken lists its offers in the table's insertion order, which
+    the traces pin; a full dump lists them in id order."""
+    sim = Recorder()
+    node = DsdvNode(0, sim)
+    node.handle_update(1, UpdatePacket(1, [advert(dst, 2, 1) for dst in (4, 2, 3)], uid=0))
+    node.handle_update(5, UpdatePacket(5, [advert(1, 2, 0)], uid=0))
+    assert list(node.table) == [0, 4, 2, 3, 1]
+    sim.sent.clear()
+    node.mark_broken(1)
+    assert sim.sent == [[advert(dst, 3, None) for dst in (4, 2, 3)]]
+    sim.sent.clear()
+    node.periodic_dump()
+    assert [dst for dst, _ in sim.sent[0]] == [0, 1, 2, 3, 4]
 
 
 # -- handle_update against the adopt rule written out -------------------------
@@ -193,10 +211,12 @@ def adopts(existing, me, dst, seq, hops):
 
 
 class Recorder:
-    """The three Simulation calls handle_update makes, recorded."""
+    """The three Simulation calls handle_update makes, recorded, and the
+    node count a DsdvNode sizes its ranks by."""
 
-    def __init__(self):
+    def __init__(self, ids=6):
         self.route_changes, self.sent = [], []
+        self.spec = SimpleNamespace(nodes=range(ids))
 
     def route_changed(self, dst):
         self.route_changes.append(dst)
@@ -221,12 +241,15 @@ def check_adopt_rule(me, rows, sender, entries):
 
     sim = Recorder()
     node = DsdvNode(me, sim)
-    node.table = {dst: (next_hop, rank(seq, hops))
-                  for dst, (next_hop, hops, seq) in rows.items()}
+    node.table = {dst: next_hop for dst, (next_hop, _, _) in rows.items()}
+    for dst, (_, hops, seq) in rows.items():
+        node.ranks[dst] = rank(seq, hops)
     adopted = node.handle_update(sender, UpdatePacket(sender, [advert(*e) for e in entries],
                                                       uid=0))
-    assert node.table == {
-        dst: (next_hop, rank(seq, hops)) for dst, (next_hop, hops, seq) in table.items()}
+    # the table keeps the order the destinations were learned in
+    assert list(node.table.items()) == [(dst, next_hop) for dst, (next_hop, _, _) in table.items()]
+    assert node.ranks == [rank(table[dst][2], table[dst][1]) if dst in table else 0
+                          for dst in range(len(node.ranks))]
     assert sim.route_changes == [dst for dst, _, _ in changes]
     assert sim.sent == ([[advert(*change) for change in changes]] if changes else [])
     assert adopted == len(changes)
@@ -311,24 +334,28 @@ def test_every_advertised_offer_follows_the_senders_stored_rank_in_a_run(name):
     broadcast, sent_breaks, broken_seen = sim.broadcast, [], []
 
     def checking(sender, pkt):
-        table = sim.nodes[sender].table
+        ranks = sim.nodes[sender].ranks
         for dst, offer in pkt.entries:
-            seq, hops = decode(table[dst])
-            assert offer == advert(dst, seq, hops)[1] == table[dst][1] - (hops is not None)
+            seq, hops = decode(ranks[dst])
+            assert offer == advert(dst, seq, hops)[1] == ranks[dst] - (hops is not None)
             sent_breaks.append(hops is None)
         return broadcast(sender, pkt)
 
     def any_broken():
-        broken_seen.append(any(broken(r) for node in sim.nodes for r in node.table.values()))
+        broken_seen.append(any(broken(node.ranks[dst]) for node in sim.nodes
+                               for dst in node.table))
 
     sim.broadcast = checking
     sim.event_hooks.append(any_broken)
     sim.run()
     assert any(sent_breaks) and not all(sent_breaks)
     assert any(broken_seen) and len(broken_seen) > 400
-    # every route is stored as the pair (next_hop, rank) and nothing more
-    assert {(type(r), *map(type, r)) for node in sim.nodes
-            for r in node.table.values()} == {(tuple, int, int)}
+    # every route is stored as one int next hop in the table and one int
+    # rank, above 0 exactly for a destination the table holds
+    for node in sim.nodes:
+        assert {type(hop) for hop in node.table.values()} == {int}
+        assert {type(r) for r in node.ranks} == {int}
+        assert sorted(node.table) == [dst for dst, r in enumerate(node.ranks) if r]
 
 
 # -- forwarding ---------------------------------------------------------------------
@@ -408,7 +435,8 @@ def assert_converges_to_bfs(pts, area, seed):
     for k in range(1, 6):
         sim.engine.run_until(k + 0.5)
         for node in sim.nodes:
-            got = {dst: (decode(r)[1], broken(r)) for dst, r in node.table.items()}
+            got = {dst: (decode(node.ranks[dst])[1], broken(node.ranks[dst]))
+                   for dst in node.table}
             assert got == {dst: (h, False) for dst, h in hops[node.node_id].items()}, \
                 f"node {node.node_id} at t={k + 0.5}"
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_scenario, random_waypoint_scenario
+from highway import highway
 from manetsim.cli import write_outputs
 from manetsim.scenario import builtin
 from manetsim.simulation import Simulation
@@ -36,6 +37,9 @@ RANDOM_SEED = 1         # simulation seed of the random layouts
 # runs on fields many radio ranges wide, kept short so each takes < 0.5 s
 WAYPOINT_CASES = (("aodv", 50, 1200.0, 3.0), ("dsdv", 50, 1200.0, 1.0),
                   ("aodv", 100, 1500.0, 3.0))
+# tests/highway.py's road at these speeds in m/s, layout seed 1, cut to
+# HIGHWAY_END s so each case takes < 0.3 s; at 40 m/s DSDV breaks links
+HIGHWAY_SPEEDS, HIGHWAY_END = (0.0, 20.0, 40.0), 5.0
 
 
 def cases() -> dict:
@@ -65,6 +69,11 @@ def cases() -> dict:
     out[f"rwp25-flows10-1-aodv-seed{RANDOM_SEED}"] = lambda: Simulation(
         random_waypoint_scenario(random.Random(1), 25, 800.0, 5.0, flows=10),
         protocol="aodv", seed=RANDOM_SEED)
+    for v in HIGHWAY_SPEEDS:
+        for protocol in ("aodv", "dsdv"):
+            out[f"highway-v{v:g}-{protocol}-seed1"] = (
+                lambda v=v, protocol=protocol:
+                Simulation(highway(v, 1, duration=HIGHWAY_END), protocol=protocol, seed=1))
     return out
 
 

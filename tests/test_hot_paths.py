@@ -273,6 +273,29 @@ def test_a_dsdv_route_is_judged_by_its_rank_alone(fn):
     assert not loads(fn, {"dst_seq", "hop_count"})
 
 
+@pytest.mark.parametrize("fn", [DsdvNode.handle_update, DsdvNode.periodic_dump],
+                         ids=lambda fn: fn.__qualname__)
+def test_a_dsdv_rank_is_read_by_list_index(fn):
+    """handle_update refuses an offer by one index into ranks and one
+    compare, with no table lookup; the dump lists ranks in id order, with
+    no sort of the table."""
+    assert not loads(fn, {"get", "items", "sorted"})
+
+
+def test_an_update_that_beats_no_rank_runs_handle_update_alone():
+    """Every offer, the receiver's own among them, is at most the rank held:
+    no route changes, nothing is flooded and no other Python code runs."""
+    sim = Simulation(build_spec([(0, 0), (200, 0), (400, 0)]), "dsdv")
+    sim.engine.run_until(1.5)
+    node, sent = sim.nodes[1], sim.ledger.control_tx.copy()
+    assert all(node.ranks)
+    # offers equal to the ranks held, and one below them
+    pkt = UpdatePacket(0, [(dst, r - dst % 2) for dst, r in enumerate(node.ranks)],
+                       uid=sim.next_uid())
+    assert python_calls(node.handle_update, 0, pkt) == ["handle_update"]
+    assert sim.ledger.control_tx == sent and not sim.changed_dsts
+
+
 @pytest.mark.parametrize("cls", [DataPacket, UpdatePacket, Rreq, Rrep, Rerr, Hello, RouteEntry],
                          ids=lambda cls: cls.__name__)
 def test_a_per_frame_record_is_slotted(cls):

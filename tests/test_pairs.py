@@ -1,5 +1,7 @@
 """bench/pairs.py's reducer, on synthetic numbers: no benchmark run."""
 import importlib.util
+import json
+import platform
 import sys
 from pathlib import Path
 
@@ -45,3 +47,23 @@ def test_the_rule_needs_both_the_pairs_and_the_gap(won, shift, holds):
     change = [p + shift if i < won else p - 1.0 for i, p in enumerate(parent)]
     out = pairs.summarize(parent, change, "higher")
     assert out["won"] == won and out["rule_holds"] is holds
+
+
+def test_write_appends_each_result_with_the_python_version_and_keeps_other_keys(tmp_path):
+    path = tmp_path / "BENCH.json"
+    parent = [1.40, 1.45, 1.38, 1.42, 1.41, 1.39, 1.43, 1.44, 1.40, 1.41]
+    result = {"workload": "w", "seed": 1, "parent": "HEAD",
+              "metrics": {"run_s": pairs.summarize(parent, [t - 0.15 for t in parent], "lower")}}
+    pairs.write(str(path), "pairs", result)
+    pairs.write(str(path), "opcodes", {"parent": "HEAD", "change": {"w": {"opcodes": 2}}})
+    pairs.write(str(path), "pairs", {**result, "seed": 2})
+    written = json.loads(path.read_text())
+    assert sorted(written) == ["opcodes", "pairs"]
+    assert [r["seed"] for r in written["pairs"]] == [1, 2]
+    first = written["pairs"][0]
+    assert sorted(first) == ["metrics", "parent", "python", "seed", "workload"]
+    assert first["python"] == platform.python_version()
+    assert sorted(first["metrics"]["run_s"]) == ["change", "pairs", "parent", "rule_holds", "won"]
+    assert first["metrics"]["run_s"]["rule_holds"] is True
+    assert written["opcodes"] == [{"parent": "HEAD", "change": {"w": {"opcodes": 2}},
+                                   "python": platform.python_version()}]

@@ -122,9 +122,9 @@ def test_loop_freedom_on_builtin_scenarios():
         sim.run()
 
 
-class RecordingTable(dict):
-    """Route table that logs (node, dst) to each of its logs whenever an
-    entry is stored."""
+class Recording:
+    """A node's per-destination store that logs (node, dst) to each of its
+    logs whenever an entry is stored."""
 
     def __init__(self, entries, node_id):
         super().__init__(entries)
@@ -137,14 +137,24 @@ class RecordingTable(dict):
             log.append((self.node_id, dst))
 
 
-def recording_tables(sim):
-    """Every node's route table, in id order, made a RecordingTable once."""
-    attr = "routes" if sim.protocol == "aodv" else "table"
+class RecordingTable(Recording, dict):
+    """An AODV node's routes or a DSDV node's next hops."""
+
+
+class RecordingRanks(Recording, list):
+    """A DSDV node's ranks, indexed by destination."""
+
+
+def recording_tables(sim, attr=None):
+    """Every node's store attr, in id order, made a Recording once; by default
+    its route table, where either protocol stores a next hop."""
+    attr = attr or ("routes" if sim.protocol == "aodv" else "table")
     tables = []
     for node in sim.nodes:
         table = getattr(node, attr)
-        if not isinstance(table, RecordingTable):
-            table = RecordingTable(table, node.node_id)
+        if not isinstance(table, Recording):
+            table = (RecordingTable if isinstance(table, dict) else RecordingRanks)(
+                table, node.node_id)
             setattr(node, attr, table)
         tables.append(table)
     return tables
@@ -173,15 +183,15 @@ def watch_new_next_hops(sim):
 
 
 # the only method that writes a stored entry's sequence number in place:
-# AODV's _invalidate, which both link breaks and RERRs call. A DSDV route
-# is a (next_hop, rank) pair, so mark_broken and the dump store a new one
+# AODV's _invalidate, which both link breaks and RERRs call. A DSDV rank
+# is an int in the node's ranks, so mark_broken and the dump store a new one
 IN_PLACE_SEQUENCE_CHANGES = ("_invalidate",)
 
 
 def stored_sequence(entry):
     """An entry's sequence number: an AODV entry stores it, and a DSDV
-    (next_hop, rank) route's is the quotient of its rank by RANK_SPAN."""
-    return entry.dst_seq if isinstance(entry, RouteEntry) else entry[1] // RANK_SPAN
+    rank's is its quotient by RANK_SPAN."""
+    return entry.dst_seq if isinstance(entry, RouteEntry) else entry // RANK_SPAN
 
 
 def watch_sequences(sim):
@@ -190,7 +200,7 @@ def watch_sequences(sim):
     when an entry is stored or in IN_PLACE_SEQUENCE_CHANGES, so each check
     reads only the entries stored since the last boundary and the tables of
     the nodes that ran one of those methods."""
-    tables = recording_tables(sim)
+    tables = recording_tables(sim, "routes" if sim.protocol == "aodv" else "ranks")
     log, touched, last = [], set(), {}
     for table in tables:
         table.logs.append(log)
@@ -538,6 +548,19 @@ def test_a_hook_runs_after_every_event_and_leaves_the_observer_calls_alone(proto
     events, calls = counted_run(hooked)
     assert (events, calls) == bare
     assert 0 < calls < events == len(hook_calls)
+
+
+def test_the_observer_wakes_only_for_a_destination_a_flow_goes_to():
+    """route_changed marks dst only if a flow goes to it: on scenario2 under
+    DSDV the observer runs fewer times than when every destination is
+    marked, and records the same history."""
+    cut = Simulation(builtin("scenario2"), "dsdv", seed=1)
+    every = Simulation(builtin("scenario2"), "dsdv", seed=1)
+    every.route_changed = every.changed_dsts.add
+    (events, calls), (every_events, every_calls) = counted_run(cut), counted_run(every)
+    assert events == every_events and 0 < calls < every_calls
+    assert cut.route_history == every.route_history
+    assert sum(len(h) for h in cut.route_history.values()) > len(cut.route_history)
 
 
 def static_multihop_runs():
