@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappush
@@ -32,15 +32,15 @@ from .packets import MESSAGE_KINDS
 # beats a (k+1)-hop copy while k * 1.05 < k + 1, that is for k <= 19; see
 # the shortest-path discovery invariant
 JITTER_FRACTION = 0.05
-# simulated seconds one neighbour grid stays valid; see World._build_grid.
+# simulated seconds one positions snapshot stays valid; see World._snapshot.
 # A query locates every member of the Verlet shell, 2 * v_max * GRID_WINDOW
 # wide on each side of the range: 2 m at 20 m/s, not 20 m as at 0.5 s.
-# Floods follow the synchronized 1 s dumps, so a short window adds few grid
-# builds: on dsdv-rwp-40, 0.5 -> 0.05 s cut the shell members tested from
-# 188,219 to 17,693 for 78 builds instead of 59. Shorter ran no faster.
+# Floods follow the synchronized 1 s dumps, so a short window adds few
+# snapshots: on dsdv-rwp-40, 0.5 -> 0.05 s cut the shell members tested from
+# 188,219 to 17,693 for 78 snapshots instead of 59. Shorter ran no faster.
 GRID_WINDOW = 0.05
-# grid cells are widened by this share of (reach + largest coordinate) so
-# float rounding of positions can never move a neighbour two cells away
+# the Verlet slack is widened by this share of (reach + largest coordinate)
+# so float rounding can never leave a node in range out of both lists
 GRID_SLACK = 1e-6
 
 
@@ -68,17 +68,6 @@ class Movement:
     node: int
     dest: Position
     speed: float
-
-
-def grid_cell(radio_range: float, v_max: float, extent: float) -> float:
-    """Width of a neighbour-grid cell when no node is faster than v_max and
-    no coordinate is larger than extent in absolute value when it is built.
-
-    Over GRID_WINDOW coordinates grow by less than the reach, so the
-    rounding margin, a share of reach + extent, holds for the whole window.
-    """
-    reach = radio_range + 2 * v_max * GRID_WINDOW
-    return reach + GRID_SLACK * (reach + extent)
 
 
 def tracks(initial: list[Position], legs) -> dict[int, tuple[list[float], list[tuple]]]:
@@ -129,15 +118,15 @@ class World:
     """Geometry, mobility and frame delivery for one engine instance.
 
     A node that never moves is at its fixed point, any other where its legs put
-    it; no position is kept per query time. A grid keeps the positions of its
-    start t0, and a node's first neighbour query in the grid's window splits its
-    3x3 block by them into Verlet lists: `sure` within range - slack and `shell`
-    within range + slack, the grid's reach. slack is 2 * v_max * GRID_WINDOW
-    plus the grid's rounding margin, a 1e-6 share of cell + extent, ten orders
-    of magnitude above the rounding error of positions and distances. Two nodes'
-    distance changes by at most 2 * v_max * (t - t0), so at every query in the
-    window, in any order, every sure node is in range and no node outside both
-    lists is: queries run the exact unit-disk test on the shell.
+    it; no position is kept per query time. A snapshot keeps the positions and
+    x order of its start t0, and a node's first neighbour query in its window
+    splits the band of nodes whose x is within range + slack of its own into
+    Verlet lists: `sure` within range - slack and `shell` within range + slack.
+    slack is 2 * v_max * GRID_WINDOW plus a rounding margin, a 1e-6 share of
+    reach + extent, ten orders of magnitude above the rounding error of
+    positions and distances. Two nodes' distance changes by at most 2 * v_max *
+    (t - t0), so at every query in the window, in any order, every sure node is
+    in range and no node outside both lists is: queries test only the shell.
     """
 
     def __init__(self, engine: Engine, node_positions: list[Position], radio: RadioModel,
@@ -154,11 +143,10 @@ class World:
             None if node in self._tracks else (p.x, p.y) for node, p in enumerate(self._initial)]
         self._v_max = max((path[4] for _, paths in self._tracks.values() for path in paths),
                           default=0.0)
-        self._grid: tuple[dict, list] | None = None
-        self._grid_span = (math.inf, -math.inf)   # empty until a grid is built
-        # the grid's positions at t0 and slack, and per node its (sure,
-        # shell) lists in the grid's window; see the class docstring
-        self._coords, self._slack = [], 0.0
+        self._span = (math.inf, -math.inf)   # empty until a snapshot is taken
+        # the snapshot's positions at t0, ids sorted by x, their x and slack,
+        # and per node its (sure, shell) lists in its window; see the class docstring
+        self._coords, self._by_x, self._xs, self._slack = [], [], [], 0.0
         self._lists: list[tuple[list[int], list[int]] | None] = []
         # wired by the simulation: on_receive[kind][r](sender, message) takes
         # node r's frames of that kind; until then frames are dropped on arrival
@@ -199,48 +187,40 @@ class World:
         xb, yb = self._xy(b, t)
         return math.hypot(xa - xb, ya - yb) <= self.radio.range
 
-    def _build_grid(self, t: float) -> None:
-        """Bin every node at t: _grid is (cell -> sorted nodes of its 3x3
-        block, cell of each node), valid in _grid_span.
+    def _snapshot(self, t: float) -> None:
+        """Take every node's position at t and the node ids sorted by x,
+        valid in _span.
 
-        A grid built at t0 serves [t0, t0 + GRID_WINDOW]. In that window a
-        node moves at most v_max * GRID_WINDOW from where it was binned
-        (Verlet, Phys. Rev. 159, 1967), so two nodes in range at t were
-        within range + 2 * v_max * GRID_WINDOW of each other at t0; cells
-        that wide (plus a margin for float rounding) put them in adjacent
-        cells. Without mobility the grid never expires.
+        A snapshot taken at t0 serves [t0, t0 + GRID_WINDOW]. In that window
+        a node moves at most v_max * GRID_WINDOW (Verlet, Phys. Rev. 159,
+        1967), so two nodes in range at t were within the reach, range +
+        2 * v_max * GRID_WINDOW, of each other at t0, and their x within it
+        too; range + slack exceeds the reach by the rounding margin. Without
+        mobility the snapshot never expires.
         """
         coords = [self._xy(node, t) for node in range(len(self._initial))]
         extent = max((max(abs(x), abs(y)) for x, y in coords), default=0.0)
-        cell = grid_cell(self.radio.range, self._v_max, extent)
-        home = [(x // cell, y // cell) for x, y in coords]
-        members: dict[tuple[float, float], list[int]] = {}
-        for node, key in enumerate(home):
-            members.setdefault(key, []).append(node)
-        blocks = {(cx, cy): sorted(n for i in (cx - 1, cx, cx + 1)
-                                   for j in (cy - 1, cy, cy + 1)
-                                   for n in members.get((i, j), ()))
-                  for cx, cy in members}
-        self._grid = blocks, home
-        self._grid_span = ((t, t + GRID_WINDOW) if self._v_max > 0
-                           else (-math.inf, math.inf))
+        reach = self.radio.range + 2 * self._v_max * GRID_WINDOW
+        xs_by_id = [x for x, _ in coords]
+        self._by_x = sorted(range(len(coords)), key=xs_by_id.__getitem__)
+        self._xs = [xs_by_id[node] for node in self._by_x]
+        self._span = (t, t + GRID_WINDOW) if self._v_max > 0 else (-math.inf, math.inf)
         self._coords = coords
-        self._slack = 2 * self._v_max * GRID_WINDOW + GRID_SLACK * (cell + extent)
-        self._lists = [None] * len(home)
+        self._slack = 2 * self._v_max * GRID_WINDOW + GRID_SLACK * (reach + extent)
+        self._lists = [None] * len(coords)
 
     def neighbors_of(self, node: int, t: float) -> list[int]:
         """Nodes within range of node at t, in ascending id order, from the
-        node's Verlet lists, split from the grid's positions and kept for
-        the grid's window; see the World docstring. Inlines _check_node and _xy."""
+        node's Verlet lists, split from the snapshot's positions and kept
+        for its window; see the World docstring. Inlines _check_node and _xy."""
         if not 0 <= node < len(self._initial):
             raise UnknownNodeError(f"node {node} not deployed")
-        start, stop = self._grid_span
+        start, stop = self._span
         if not start <= t <= stop:
-            self._build_grid(t)
+            self._snapshot(t)
         lists = self._lists[node]
         if lists is None:
-            blocks, home = self._grid
-            lists = self._lists[node] = self._split(node, blocks[home[node]])
+            lists = self._lists[node] = self._split(node)
         sure, shell = lists
         found = sure.copy()
         if shell:
@@ -254,13 +234,14 @@ class World:
                 found.sort()
         return found
 
-    def _split(self, node: int, block: list[int]) -> tuple[list[int], list[int]]:
-        """(sure, shell): node's Verlet lists, split by the grid's positions."""
-        coords, dist = self._coords, math.dist
+    def _split(self, node: int) -> tuple[list[int], list[int]]:
+        """(sure, shell): node's Verlet lists, split from its band in id order."""
+        coords, dist, xs = self._coords, math.dist, self._xs
         here = coords[node]
         inner, outer = self.radio.range - self._slack, self.radio.range + self._slack
+        band = self._by_x[bisect_left(xs, here[0] - outer):bisect_right(xs, here[0] + outer)]
         sure, shell = [], []
-        for m in block:
+        for m in sorted(band):
             d = dist(here, coords[m])
             if d <= outer and m != node:
                 (sure if d <= inner else shell).append(m)

@@ -22,11 +22,11 @@ from pathlib import Path
 import pytest
 
 from conftest import random_scenario, random_waypoint_scenario
-from highway import highway
+from highway import Probe, highway
 from manetsim.cli import write_outputs
-from manetsim.scenario import builtin
+from manetsim.scenario import ScenarioSpec, TrafficFlow, builtin, parse
 from manetsim.simulation import Simulation
-from manetsim.world import grid_cell
+from manetsim.world import GRID_WINDOW, Position, RadioModel
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 DIGESTED = ("trace.txt", "report.json", "plots/received_lost.xg",
@@ -40,6 +40,17 @@ WAYPOINT_CASES = (("aodv", 50, 1200.0, 3.0), ("dsdv", 50, 1200.0, 1.0),
 # tests/highway.py's road at these speeds in m/s, layout seed 1, cut to
 # HIGHWAY_END s so each case takes < 0.3 s; at 40 m/s DSDV breaks links
 HIGHWAY_SPEEDS, HIGHWAY_END = (0.0, 20.0, 40.0), 5.0
+# two AODV paths the cases above never reach, each run at sim seed 1. A
+# 1000 pkt/s flow to a node 850 m away fills the source's buffer while its
+# discovery fails. With 0.6 s hops on a four-node line, node 1's reverse path
+# to node 0 expires before a reply from node 3 comes back through it; a
+# scenario file cannot set the hop latency, so this spec is built in code.
+BUFFER_FULL = parse("area 800 800\nnode 0 100 100\nnode 1 700 700\n"
+                    "flow 0 1 1000 512 0.5 1.5\nend 2\n", "aodv-buffer-full")
+REVERSE_PATH_GONE = ScenarioSpec(
+    area=(1000.0, 100.0), radio=RadioModel(250.0, 0.6),
+    nodes=[Position(x, 50.0) for x in (10.0, 210.0, 410.0, 610.0)], movements=[],
+    flows=[TrafficFlow(0, 3, 1.0, 512, 0.5, 3.0)], end_time=6.0, name="aodv-reverse-path-gone")
 
 
 def cases() -> dict:
@@ -74,6 +85,8 @@ def cases() -> dict:
             out[f"highway-v{v:g}-{protocol}-seed1"] = (
                 lambda v=v, protocol=protocol:
                 Simulation(highway(v, 1, duration=HIGHWAY_END), protocol=protocol, seed=1))
+    for spec in (BUFFER_FULL, REVERSE_PATH_GONE):
+        out[spec.name] = lambda spec=spec: Simulation(spec, protocol="aodv", seed=1)
     return out
 
 
@@ -103,11 +116,26 @@ def test_corpus_covers_every_case_once():
     assert len(set(pairs)) == len(pairs)
 
 
-def test_waypoint_fields_span_four_grid_cells_each_way():
-    """The 50- and 100-node runs cross neighbour-grid cell edges (range 250 m,
-    top speed 20 m/s in random_waypoint_scenario)."""
+def test_the_buffer_full_case_drops_at_the_full_buffer():
+    assert Probe(BUFFER_FULL, protocol="aodv", seed=1).run().drops["aodv buffer full"] == 872
+
+
+def test_the_reverse_path_gone_case_drops_two_replies(tmp_path):
+    """AodvNode.handle_rrep is the one place that drops an RREP, and only
+    when the reverse path it needs is gone."""
+    write_outputs(CASES["aodv-reverse-path-gone"]().run(), tmp_path, WINDOW)
+    rows = [row.split() for row in (tmp_path / "trace.txt").read_text().splitlines()]
+    assert [row[:4] for row in rows if row[0] == "d" and row[3] == "RREP"] == [
+        ["d", "4.606044", "1", "RREP"], ["d", "4.780195", "1", "RREP"]]
+
+
+def test_waypoint_fields_are_four_reaches_wide():
+    """More than two reaches wide, so a node's band of neighbour candidates,
+    its x plus or minus about the reach, leaves nodes of the 50- and 100-node
+    runs out (range 250 m, top speed 20 m/s in random_waypoint_scenario)."""
+    reach = 250.0 + 2 * 20.0 * GRID_WINDOW
     for _, _, side, _ in WAYPOINT_CASES:
-        assert side >= 4 * grid_cell(250.0, 20.0, side)
+        assert side >= 4 * reach
 
 
 if __name__ == "__main__":

@@ -305,7 +305,7 @@ def test_a_per_frame_record_is_slotted(cls):
 
 
 def test_splitting_a_nodes_verlet_lists_looks_up_no_position():
-    """World._split sorts a block by the positions the grid already holds."""
+    """World._split splits a band by the positions the snapshot already holds."""
     assert not loads(World._split, {"_xy", "_locate"})
 
 

@@ -1,8 +1,8 @@
 """Whole runs against a brute-force world and a plain-heap engine: the same
 trace bytes and routes.
 
-The production World answers neighbour queries from a grid and Verlet
-lists. ReferenceWorld tests every node at oracle_position, the waypoint
+The production World answers neighbour queries from an x-sorted
+snapshot and Verlet lists. ReferenceWorld tests every node at oracle_position, the waypoint
 semantics written out in tests/test_world.py, and uses it for every
 link check too. The production Engine files events in per-time buckets
 with an inlined quantization; ReferenceEngine, from tests/test_engine.py,

@@ -12,7 +12,7 @@ from manetsim.engine import TICKS_PER_S, Engine, quantize
 from manetsim.errors import PastTimeError, ScenarioSemanticError, UnknownNodeError
 from manetsim.packets import DATA, HELLO, MESSAGE_KINDS, DataPacket
 from manetsim.world import (GRID_SLACK, GRID_WINDOW, Movement, Position, RadioModel,
-                            UnicastOutcome, World, grid_cell, tracks)
+                            UnicastOutcome, World, tracks)
 
 
 def make_world(positions, radio=RadioModel(), legs=()):
@@ -344,7 +344,7 @@ def test_scenario2_node3_to_5_breaks_at_2_3():
 
 
 # -- neighbour queries against brute force ----------------------------------
-# The world prunes neighbour candidates with a position grid and reads
+# The world prunes neighbour candidates with an x-sorted snapshot and reads
 # positions from each node's fixed point or leg table. These properties
 # compare it with the plain definition: positions from the waypoint
 # semantics written out here, and every other node tested with
@@ -475,10 +475,10 @@ def test_nodes_exactly_range_apart_are_neighbors(x, y, triple, scale):
 @PROPERTY
 @given(st.floats(1, 50), st.sampled_from([100.0, 250.0]), st.integers(1, 6))
 def test_nodes_closing_in_meet_at_range_at_the_end_of_the_grid_window(speed, radio_range, k):
-    """Two nodes reach+ apart when the grid is built, closing at the top speed:
-    at the end of the window they are exactly range apart."""
+    """Two nodes the reach apart when the snapshot is taken, closing at the
+    top speed: at the end of the window they are exactly range apart."""
     reach = radio_range + 2 * speed * GRID_WINDOW
-    edge = k * grid_cell(radio_range, speed, 10_000.0)
+    edge = k * reach
     coords = [(edge, 0.0), (edge - reach, 0.0), (10_000.0, 10_000.0)]
     legs = [[(0.0, (0.0, 0.0), speed)], [(0.0, (10_000.0, 0.0), speed)], []]
     w = mobile_world(coords, legs, radio_range)
@@ -492,12 +492,13 @@ def test_nodes_closing_in_meet_at_range_at_the_end_of_the_grid_window(speed, rad
 @given(st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8),
                           st.sampled_from([0.0, 1.0, -1.0, 0.5])), min_size=2, max_size=20),
        st.sampled_from([100.0, 250.0]))
-def test_nodes_on_cell_edges_match_brute_force(cells, radio_range):
-    """Static nodes on or one range off the grid's cell edges; a far node
-    fixes the largest coordinate and so the cell width."""
+def test_nodes_on_band_edges_match_brute_force(places, radio_range):
+    """Static nodes on or one range off the edges x +- (range + slack) of
+    each other's bands; a far node fixes the largest coordinate and so the
+    slack, its rounding margin alone."""
     far = 10_000.0
-    cell = grid_cell(radio_range, 0.0, far)
-    coords = [(i * cell + shift * radio_range, j * cell) for i, j, shift in cells]
+    band = radio_range + GRID_SLACK * (radio_range + far)
+    coords = [(i * band + shift * radio_range, j * band) for i, j, shift in places]
     coords.append((far, far))
     static = [[] for _ in coords]
     _, w = make_world(coords, radio=RadioModel(range=radio_range))
@@ -506,8 +507,8 @@ def test_nodes_on_cell_edges_match_brute_force(cells, radio_range):
                                                              node, 0.0)
 
 
-# A node's first query in a grid window splits its block by the grid's
-# positions into Verlet lists (World._lists[node] is (sure, shell)); every
+# A node's first query in a snapshot's window splits its band by the
+# snapshot's positions into Verlet lists (World._lists[node] is (sure, shell)); every
 # query in the window, in any order, tests only the shell. These pin the
 # lists against the oracle and the saving.
 
@@ -546,7 +547,7 @@ def check_one_grid_window(layout, times, start, rnd):
 def test_neighbors_match_brute_force_on_200_random_waypoint_nodes():
     """About 40 random query times per node over 10 s: the windows in
     shuffled order, and the queries inside each window shuffled too, so
-    that grids are rebuilt back in time and lists serve earlier queries."""
+    that snapshots are retaken back in time and lists serve earlier queries."""
     rnd = random.Random(19)
     spec = random_waypoint_scenario(rnd, 200, 1700.0, 10.0)
     coords = [(p.x, p.y) for p in spec.nodes]
@@ -569,7 +570,7 @@ def test_neighbors_match_brute_force_on_200_random_waypoint_nodes():
 
 
 def closing_pair():
-    """Node 1 heads for node 0, 50 m per grid window: 255 m apart at a fifth
+    """Node 1 heads for node 0, 50 m per window: 255 m apart at a fifth
     of the window, 225 m at four fifths of it."""
     coords = [(0.0, 0.0), (265.0, 0.0)]
     legs = [[], [(0.0, (0.0, 0.0), 50.0 / GRID_WINDOW)]]
@@ -579,7 +580,7 @@ def closing_pair():
 def test_a_query_back_in_time_inside_a_window_keeps_the_lists():
     coords, legs, w = closing_pair()
     early, late = 0.2 * GRID_WINDOW, 0.8 * GRID_WINDOW
-    assert w.neighbors_of(1, 0.0) == []     # builds the grid at 0.0
+    assert w.neighbors_of(1, 0.0) == []     # takes the snapshot at 0.0
     assert w.neighbors_of(0, late) == [1] == oracle_neighbors(coords, legs, 250.0, 0, late)
     lists = w._lists[0]
     assert lists == ([], [1])               # 265 m apart at 0.0: the shell
@@ -595,7 +596,7 @@ def test_a_pair_separating_at_top_speed_from_the_sure_edge_stays_in_range(speed,
     at the window's end it is still inside range. A far node fixes the
     largest coordinate and so the rounding margin."""
     radio_range, x, far = 250.0, 1000.0, 5000.0
-    margin = GRID_SLACK * (grid_cell(radio_range, speed, far) + far)
+    margin = GRID_SLACK * (radio_range + 2 * speed * GRID_WINDOW + far)
     gap = radio_range - 2 * speed * GRID_WINDOW - margin + offset
     coords = [(x, 0.0), (x + gap, 0.0), (far, far)]
     legs = [[(0.0, (0.0, 0.0), speed)], [(0.0, (x + far, 0.0), speed)], []]
@@ -620,6 +621,25 @@ def test_static_layout_matches_brute_force_across_many_windows():
                         for node in range(len(coords))]
 
 
+@pytest.mark.parametrize("moving", [False, True])
+@pytest.mark.parametrize("width", [0.0, 300.0])
+def test_a_field_taller_than_it_is_wide_matches_brute_force(width, moving):
+    """Every node at one x (a north-south road), or on a field 300 m wide and
+    1500 m tall: each node's band holds all or most nodes, which costs
+    candidates, not neighbours. Moving nodes drive to random points of the
+    field at up to 40 m/s; the query times cross several windows."""
+    rnd = random.Random(3)
+    def point():
+        return round(100.0 + rnd.uniform(0, width), 3), round(rnd.uniform(0, 1500), 3)
+    coords = [point() for _ in range(40)]
+    legs = [[(rnd.uniform(0, 1), point(), rnd.uniform(5, 40))] if moving else []
+            for _ in coords]
+    w = mobile_world(coords, legs, 250.0)
+    for t in (0.0, 0.4 * GRID_WINDOW, GRID_WINDOW, 0.3, 0.31, 1.7, 4.0):
+        for node in range(len(coords)):
+            assert w.neighbors_of(node, t) == oracle_neighbors(coords, legs, 250.0, node, t)
+
+
 def counting(monkeypatch, name):
     """Record (node, t) of every call to the World method name."""
     calls = []
@@ -637,7 +657,7 @@ def test_a_repeat_query_with_an_empty_shell_locates_no_node(monkeypatch):
     w = mobile_world(coords, legs, 250.0)
     locate = counting(monkeypatch, "_locate")
     assert w.neighbors_of(0, 0.0) == [1]
-    assert len(locate) == 3                 # the grid's one pass over every node
+    assert len(locate) == 3                 # the snapshot's one pass over every node
     assert w._lists[0] == ([1], [])
     locate.clear()
     for share in (0.2, 0.5, 0.8, 1.0):
@@ -646,14 +666,14 @@ def test_a_repeat_query_with_an_empty_shell_locates_no_node(monkeypatch):
 
 
 def test_a_first_query_after_the_grid_is_built_looks_up_no_position(monkeypatch):
-    """The lists come from the grid's positions at 0.0: node 0's first query,
-    at four fifths of the window, with node 1 sure and node 2 out of the
-    block, looks up none."""
+    """The lists come from the snapshot's positions at 0.0: node 0's first
+    query, at four fifths of the window, with node 1 sure and node 2 out of
+    the band, looks up none."""
     coords = [(0.0, 0.0), (0.0, 100.0), (3000.0, 0.0)]
     legs = [[(0.0, (5000.0, 0.0), 10.0)], [(0.0, (5000.0, 100.0), 10.0)],
             [(0.0, (3000.0, 300.0), 10.0)]]
     w = mobile_world(coords, legs, 250.0)
-    assert w.neighbors_of(1, 0.0) == [0]    # builds the grid at 0.0
+    assert w.neighbors_of(1, 0.0) == [0]    # takes the snapshot at 0.0
     locate, xy = counting(monkeypatch, "_locate"), counting(monkeypatch, "_xy")
     t = 0.8 * GRID_WINDOW
     assert w.neighbors_of(0, t) == [1] == oracle_neighbors(coords, legs, 250.0, 0, t)
